@@ -2,7 +2,8 @@
 
 Every rational travels as a string like "4/7" so nothing is rounded on the
 way through. Success writes the result JSON (exit 0); domain failures write a
-structured error to stderr (exit 1); unreadable input is exit 2. Identical
+structured error to stderr (exit 1); unreadable input is exit 2; a failed
+internal invariant writes a structured ``internal`` error (exit 3). Identical
 inputs, including the seed for gen-random, produce byte-identical output.
 """
 
@@ -22,7 +23,7 @@ from .distributions import (
     apply_transition,
     mpc_violation,
 )
-from .errors import MpcError
+from .errors import InternalError, MpcError
 from .linalg import parse_rational
 from .lp import find_witness
 from .persuasion import (
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
     try:
         payload = json.loads(_read_input(args.input))
         result = _HANDLERS[args.command](payload, args)
+    except InternalError as exc:
+        _emit_error(exc.code, str(exc))
+        return 3
     except MpcError as exc:
         _emit_error(exc.code, str(exc))
         return 1

@@ -10,9 +10,15 @@ matrices whose convex combination
 
     alpha * zeroed(j*) + (1 - alpha) * zeroed(j**),  alpha = |c_j*| / (|c_j*| + |c_j**|)
 
-reproduces the original transition entry for entry. Iterating on whichever
-branch still has more atoms than the source yields a mixture of targets with
-at most n atoms that reproduces the original target exactly.
+reproduces the original transition entry for entry.
+
+The full decomposition writes the same step on column scales: F diag(s) is a
+garbling of the source exactly when s >= 0 and F s = 1, and F itself is
+s = 1. Zeroing walks a point of that polytope to a vertex, whose support
+columns are linearly independent, so its garbling has at most rank(F) <= n
+atoms. Carathéodory peeling removes one vertex at a time from the remainder,
+giving a mixture of at most m - rank(F) + 1 targets with at most n atoms
+each that reproduces the original target exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
-from .errors import DimensionError, EntryRangeError, NoSplitError, NullVectorError, RankError
+from .errors import (
+    DimensionError,
+    EntryRangeError,
+    InternalError,
+    NoSplitError,
+    NullVectorError,
+    RankError,
+)
 from .linalg import Matrix, format_rational, null_space_vector, parse_rational, rank
 
 
@@ -232,12 +245,12 @@ def split_once(triple: SmpcTriple) -> SplitResult:
             else:
                 combined = alpha * l + beta * r
             if combined != f:
-                raise RuntimeError("split recomposition identity failed")
+                raise InternalError("split recomposition identity failed")
     left = apply_transition(triple.source, left_embedded)
     right = apply_transition(triple.source, right_embedded)
     m = len(triple.target.atoms)
     if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
-        raise RuntimeError("split did not reduce the atom count")
+        raise InternalError("split did not reduce the atom count")
     group_a = positive if c[j_star] > 0 else negative
     group_b = negative if c[j_star] > 0 else positive
     certificate = SplitCertificate(
@@ -251,35 +264,89 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     return SplitResult(alpha, left, right, certificate)
 
 
+def _walk_to_vertex(
+    rows: tuple[tuple[Fraction, ...], ...], point: list[Fraction]
+) -> list[Fraction]:
+    """Walk from ``point`` in {s >= 0 : F s = 1} to a vertex of that polytope.
+
+    Each step takes a null vector c of F restricted to the point's support
+    and moves along -c until the first coordinate with c_k > 0 reaches zero:
+    the zeroing step of ``split_once`` written on column scales. The walk
+    ends when the support columns are linearly independent.
+    """
+    while True:
+        support = [k for k, x in enumerate(point) if x]
+        c = null_space_vector(Matrix(tuple(tuple(row[k] for k in support) for row in rows)))
+        if c is None:
+            return point
+        step = min(point[k] / ck for k, ck in zip(support, c) if ck > 0)
+        point = list(point)
+        for k, ck in zip(support, c):
+            if ck:
+                point[k] -= step * ck
+
+
 def decompose_full(triple: SmpcTriple) -> Mixture:
     """Mixture of triples whose targets all have at most n atoms (n = source size).
 
-    Splits depth first, always dividing the earliest component that is still
-    too wide; branch weights multiply down the tree. Components that come out
-    identical are coalesced by summing their weights, and the result is
-    ordered by descending weight with lexicographic atom/entry tie-breaks, so
-    equal inputs always produce the identical mixture.
+    Each component is F diag(v) for a vertex v of the polytope
+    {s >= 0 : F s = 1} of column scales, where F is the triple's transition
+    and s = 1 is F itself. Carathéodory peeling, starting from the remainder
+    r = 1: walk from r to a vertex v, take the largest weight lambda that
+    keeps r - lambda v nonnegative, and continue with
+    r <- (r - lambda v) / (1 - lambda), which has one more zero coordinate,
+    until r is itself a vertex. A vertex's support columns are linearly
+    independent, so each component has at most rank(F) <= n atoms, and there
+    are at most m - rank(F) + 1 components. Peeled vertices are pairwise
+    distinct, because each peel zeroes a coordinate of the vertex it peeled,
+    and so are the components, because F's columns have distinct barycenters.
+
+    The recomposition identity sum_k w_k v_k == 1, hence
+    sum_k w_k F diag(v_k) == F entry for entry, is verified exactly before
+    returning. Components are ordered by descending weight with lexicographic
+    atom/entry tie-breaks, so equal inputs always produce the identical
+    mixture.
     """
     n = len(triple.source.atoms)
-    leaves: list[tuple[Fraction, SmpcTriple]] = []
-    stack: list[tuple[Fraction, SmpcTriple]] = [(Fraction(1), triple)]
-    while stack:
-        weight, component = stack.pop()
-        if len(component.target.atoms) <= n:
-            leaves.append((weight, component))
-            continue
-        result = split_once(component)
-        # left goes on top so the traversal stays depth first, left to right
-        stack.append((weight * (1 - result.alpha), result.right))
-        stack.append((weight * result.alpha, result.left))
-    merged: dict[SmpcTriple, Fraction] = {}
-    for weight, component in leaves:
-        merged[component] = merged.get(component, Fraction(0)) + weight
-    ordered = sorted(
-        merged.items(),
-        key=lambda item: (-item[1], item[0].target.atoms, item[0].transition.matrix.entries),
+    rows = triple.transition.matrix.entries
+    one = Fraction(1)
+    remainder = [one] * triple.transition.cols
+    weight = one
+    peeled: list[tuple[Fraction, list[Fraction]]] = []
+    while True:
+        vertex = _walk_to_vertex(rows, remainder)
+        if vertex == remainder:
+            peeled.append((weight, vertex))
+            break
+        # In (0, 1): supp(v) lies inside supp(r), and lambda >= 1 would give
+        # r - v >= 0 in the null space of F, impossible as no column is zero.
+        lam = min(r / v for r, v in zip(remainder, vertex) if v)
+        peeled.append((weight * lam, vertex))
+        rest = one - lam
+        remainder = [(r - lam * v) / rest if r else r for r, v in zip(remainder, vertex)]
+        weight *= rest
+
+    total = [Fraction(0)] * len(remainder)
+    for w, vertex in peeled:
+        for k, v in enumerate(vertex):
+            if v < 0:
+                raise InternalError(f"peeled vertex has a negative scale at column {k}")
+            if v:
+                total[k] += w * v
+    if any(t != one for t in total):
+        raise InternalError("peel recomposition identity failed")
+    components = []
+    for w, vertex in peeled:
+        support = [k for k, v in enumerate(vertex) if v]
+        grid = tuple(tuple(row[k] * vertex[k] for k in support) for row in rows)
+        component = apply_transition(triple.source, TransitionMatrix._trusted(Matrix(grid)))
+        if len(component.target.atoms) > n:
+            raise InternalError("peeled component has more atoms than the source")
+        components.append((w, component))
+    components.sort(
+        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.matrix.entries)
     )
-    return Mixture(tuple((weight, component) for component, weight in ordered))
+    return Mixture(tuple(components))
 
 
 def embed_transition(component: SmpcTriple, atoms: tuple[Fraction, ...]) -> Matrix:

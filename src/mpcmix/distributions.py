@@ -281,13 +281,28 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
     equal means, and the integrated cdf of the candidate weakly below that of
     the source. Both integrated cdfs are piecewise linear with kinks only at
     atoms, so comparing at every atom of either distribution decides the
-    pointwise inequality.
+    pointwise inequality. One merged sweep over both atom lists carries the
+    mass and first moment below t of each, since the integrated cdf at t is
+    t * mass - moment; the differences candidate minus source are enough.
     """
     if candidate.mean() != source.mean():
         return "mean mismatch"
-    for t in sorted(set(source.atoms) | set(candidate.atoms)):
-        if candidate.integrated_cdf(t) > source.integrated_cdf(t):
+    a, p = source.atoms, source.weights
+    b, q = candidate.atoms, candidate.weights
+    mass = moment = Fraction(0)
+    i = j = 0
+    while i < len(a) or j < len(b):
+        t = b[j] if i == len(a) or (j < len(b) and b[j] < a[i]) else a[i]
+        if t * mass > moment:
             return f"integrated cdf exceeds at {format_rational(t)}"
+        if i < len(a) and a[i] == t:
+            mass -= p[i]
+            moment -= p[i] * t
+            i += 1
+        if j < len(b) and b[j] == t:
+            mass += q[j]
+            moment += q[j] * t
+            j += 1
     return None
 
 

@@ -2,6 +2,8 @@
 
 The CLI maps every ``MpcError`` to a structured ``{"error": {"code", "message"}}``
 payload and exit status 1, so each subclass pins the ``code`` string it reports.
+``InternalError`` marks a failed internal invariant rather than bad input and
+gets exit status 3.
 """
 
 
@@ -70,3 +72,7 @@ class CdfError(MpcError):
 
 class CandidateError(MpcError):
     code = "bad-candidates"
+
+
+class InternalError(MpcError):
+    code = "internal"

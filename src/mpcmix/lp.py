@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
-from .errors import DimensionError
+from .errors import DimensionError, InternalError
 from .linalg import Matrix
 
 SENSES = ("le", "ge", "eq")
@@ -169,7 +169,7 @@ class _Tableau:
                 costs[j] = Fraction(-1)
             status = self._run(costs)
             if status != "optimal":  # the phase-1 objective is bounded above by 0
-                raise RuntimeError("phase 1 reported unbounded")
+                raise InternalError("phase 1 reported unbounded")
             infeasibility = sum(
                 self.rhs[r]
                 for r in range(len(self.rows))

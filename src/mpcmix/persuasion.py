@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
-from .errors import CandidateError, CdfError, DomainError
+from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import Matrix, format_rational, parse_rational
 from .lp import StandardFormLP, solve
 
@@ -184,7 +184,7 @@ def solve_linear_persuasion(
         )
     )
     if outcome.status != "optimal":  # full disclosure is feasible, box is bounded
-        raise RuntimeError(f"persuasion LP came back {outcome.status}")
+        raise InternalError(f"persuasion LP came back {outcome.status}")
     grid = tuple(
         tuple(outcome.solution[i * width + j] for j in range(width)) for i in range(n)
     )
@@ -269,5 +269,5 @@ def construct_mixed_equilibrium(triple: SmpcTriple) -> Mixture:
     """
     mixture = decompose_full(triple)
     if mixture.recompose() != triple.target:
-        raise RuntimeError("mixture does not recompose to the original strategy")
+        raise InternalError("mixture does not recompose to the original strategy")
     return mixture

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from mpcmix import Mixture, decompose_full, validate_smpc
+from mpcmix import decomposition
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
 
@@ -63,6 +64,20 @@ def test_verify_smpc_valid(tmp_path, capsys):
     }
     assert run_cli(tmp_path, "verify-smpc", payload) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True}
+
+
+def test_internal_invariant_failure_is_exit_3(tmp_path, capsys, monkeypatch):
+    # A component wider than the source must trip the decomposition's own check.
+    wide = worked_triple()
+    monkeypatch.setattr(decomposition, "apply_transition", lambda source, transition: wide)
+    payload = {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}
+    code = run_cli(tmp_path, "decompose", payload)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"code": "internal", "message": "peeled component has more atoms than the source"}
+    }
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +13,7 @@ from mpcmix import (
     apply_transition,
     decompose_full,
     embed_transition,
+    rank,
     recompose,
     split_once,
     validate_smpc,
@@ -176,27 +178,54 @@ class TestDecomposeFull:
             n = rng.randint(2, 6)
             m = rng.randint(n, 10)
             triple = random_smpc(rng, n, m)
-            mixture = decompose_full(triple)
-            assert mixture.recompose() == triple.target
-            total = None
-            for weight, component in mixture.components:
-                assert len(component.target.atoms) <= n
-                validate_smpc(component.source, component.transition, component.target)
-                assert component.target.mean() == triple.source.mean()
-                embedded = embed_transition(component, triple.target.atoms)
-                scaled = [[weight * x for x in row] for row in embedded.entries]
-                if total is None:
-                    total = scaled
-                else:
-                    total = [
-                        [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, scaled)
-                    ]
-            assert Matrix(tuple(tuple(row) for row in total)) == triple.transition.matrix
+            _assert_exact_mixture(triple, decompose_full(triple))
+
+    def test_targets_too_wide_for_a_split_tree(self):
+        # A full split tree needs 2^(m-n) - 1 splits: 131071 here at
+        # n = 3, m = 20, and about 1.7e10 at n = 6, m = 40.
+        for seed, n, m in ((3, 3, 20), (4, 6, 40)):
+            triple = random_smpc(Random(seed), n, m)
+            assert len(triple.target.atoms) - n >= 15
+            _assert_exact_mixture(triple, decompose_full(triple))
+
+    def test_segment_matches_split_once(self):
+        # With m = n + 1 and rank n the column-scale polytope is a segment
+        # whose two ends are split_once's branches.
+        rng = Random(13)
+        for k in range(40):
+            triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
+            result = split_once(triple)
+            components = decompose_full(triple).components
+            assert len(components) == 2
+            assert set(components) == {(result.alpha, result.left), (1 - result.alpha, result.right)}
 
     def test_deterministic(self):
         first = decompose_full(worked_triple())
         second = decompose_full(worked_triple())
         assert first == second
+        rng = Random(71)
+        for _ in range(20):
+            triple = random_smpc(rng, rng.randint(2, 5), rng.randint(6, 11))
+            first = json.dumps(decompose_full(triple).to_json())
+            assert json.dumps(decompose_full(triple).to_json()) == first
+
+
+def _assert_exact_mixture(triple, mixture):
+    """Small, valid components that recombine to the transition entry for entry."""
+    n = len(triple.source.atoms)
+    m = len(triple.target.atoms)
+    assert len(mixture.components) <= m - rank(triple.transition.matrix) + 1
+    assert mixture.recompose() == triple.target
+    total = [[Fraction(0)] * m for _ in range(n)]
+    for weight, component in mixture.components:
+        assert len(component.target.atoms) <= n
+        validate_smpc(component.source, component.transition, component.target)
+        assert component.target.mean() == triple.source.mean()
+        embedded = embed_transition(component, triple.target.atoms)
+        for i, row in enumerate(embedded.entries):
+            for k, x in enumerate(row):
+                total[i][k] += weight * x
+    assert Matrix(tuple(tuple(row) for row in total)) == triple.transition.matrix
 
 
 class TestRecompose:

@@ -180,6 +180,35 @@ class TestMpcOrder:
             triple = apply_transition(source, random_transition(rng, n, m))
             assert is_mpc(source, triple.target)
 
+    def test_sweep_matches_the_definition(self):
+        # Random pairs in both orders: garblings of a common source against
+        # the source and each other, and unrelated pairs of the same size.
+        rng = Random(59)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            source = random_distribution(rng, n)
+            first, second = (
+                apply_transition(source, random_transition(rng, n, rng.randint(1, 9))).target
+                for _ in range(2)
+            )
+            for x, y in ((source, first), (first, second), (source, random_distribution(rng, n))):
+                for a, b in ((x, y), (y, x)):
+                    expected = _violation_by_definition(a, b)
+                    assert mpc_violation(a, b) == expected
+                    seen.add(expected if expected is None else expected.split(" at ")[0])
+        assert seen == {None, "mean mismatch", "integrated cdf exceeds"}
+
+
+def _violation_by_definition(source, candidate):
+    """mpc_violation's contract, with both integrated cdfs evaluated at every atom."""
+    if candidate.mean() != source.mean():
+        return "mean mismatch"
+    for t in sorted(set(source.atoms) | set(candidate.atoms)):
+        if candidate.integrated_cdf(t) > source.integrated_cdf(t):
+            return f"integrated cdf exceeds at {t}"
+    return None
+
 
 class TestTripleJson:
     def test_round_trip(self):
