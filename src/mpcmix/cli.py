@@ -10,6 +10,7 @@ inputs, including the seed for gen-random, produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -240,7 +241,9 @@ def _emit_error(code, message):
     )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first ``main`` call and reused after."""
     parser = argparse.ArgumentParser(
         prog="mpcmix",
         description=(

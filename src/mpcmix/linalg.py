@@ -9,23 +9,48 @@ this rule makes every result deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
+
+MAX_DIGITS = 4300
+"""Most digits in one integer of a rational string, and the largest decimal
+exponent, that :func:`parse_rational` accepts. It is CPython's default limit
+on int-string conversion, so parsing never builds an integer of more than
+about twice that many digits, whatever exponent the text names."""
+
+
+def _check_size(text: str) -> None:
+    # Only text with an exponent, or longer than MAX_DIGITS, can exceed a limit.
+    if "e" in text or "E" in text:
+        exponent = re.search(r"[eE]([+-]?[0-9_]+)\s*$", text)
+        if exponent is not None:
+            digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DIGITS)) or int(digits) > MAX_DIGITS:
+                raise ValueError(f"exponent beyond {MAX_DIGITS} in rational {text[:40]!r}")
+            text = text[: exponent.start()]
+    if len(text) > MAX_DIGITS and any(
+        len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[0-9_]+", text)
+    ):
+        raise ValueError(f"more than {MAX_DIGITS} digits in rational {text[:40]!r}")
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
     """Parse ``"a/b"``, a bare integer, or a finite decimal string exactly.
 
     Floats are rejected: they carry binary rounding and would silently break
-    the exactness guarantees.
+    the exactness guarantees. So is text with an integer of more than
+    ``MAX_DIGITS`` digits or an exponent beyond ``MAX_DIGITS``, whose exact
+    value would cost unbounded time and memory to build.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        _check_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -19,7 +19,7 @@ from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
 from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import Matrix, format_rational, parse_rational
-from .lp import StandardFormLP, solve
+from .lp import solve_garbling
 
 
 @dataclass(frozen=True)
@@ -152,42 +152,19 @@ def solve_linear_persuasion(
     if lo > a1 or hi < an:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    n, width = len(source.atoms), len(candidates)
     p, a = source.weights, source.atoms
-    zero = Fraction(0)
-    nvars = n * width
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        row = [zero] * nvars
-        for j in range(width):
-            row[i * width + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for j in range(width):
-        row = [zero] * nvars
-        for i in range(n):
-            row[i * width + j] = p[i] * (a[i] - candidates[j])
-        rows.append(row)
-        rhs.append(zero)
-    objective = [zero] * nvars
-    values = [utility(bj) for bj in candidates]
-    for i in range(n):
-        for j in range(width):
-            objective[i * width + j] = p[i] * values[j]
-    outcome = solve(
-        StandardFormLP(
-            objective=tuple(objective),
-            constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),
-            rhs=tuple(rhs),
-            senses=tuple(["eq"] * len(rows)),
-        )
+    values = [utility(c) for c in candidates]
+    outcome, grid = solve_garbling(
+        len(p),
+        len(candidates),
+        [
+            (j, tuple(w * (x - c) for w, x in zip(p, a)), Fraction(0))
+            for j, c in enumerate(candidates)
+        ],
+        [w * v for w in p for v in values],
     )
-    if outcome.status != "optimal":  # full disclosure is feasible, box is bounded
+    if grid is None:  # full disclosure is feasible, box is bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
-    grid = tuple(
-        tuple(outcome.solution[i * width + j] for j in range(width)) for i in range(n)
-    )
     optimum = apply_transition(source, TransitionMatrix(Matrix(grid)))
     reduced, certificate = reduce_support(optimum, utility)
     exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)

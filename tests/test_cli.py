@@ -88,6 +88,15 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert error["code"] == "parse"
 
 
+def test_huge_exponent_is_a_parse_error(tmp_path, capsys):
+    source = {"atoms": ["0", "1e1000000"], "weights": ["1/2", "1/2"]}
+    code = run_cli(tmp_path, "is-mpc", {"source": source, "target": TARGET.to_json()})
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "parse"
+
+
 def test_missing_field_is_exit_2(tmp_path, capsys):
     assert run_cli(tmp_path, "decompose", {"source": PRIOR.to_json()}) == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
@@ -204,3 +213,21 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     weights = [c["weight"] for c in json.loads(proc.stdout)["components"]]
     assert weights == ["4/7", "3/7"]
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path):
+    garbling = tmp_path / "garbling.json"
+    garbling.write_text(json.dumps({"source": PRIOR.to_json(), "transition": GARBLING.to_json()}))
+    sizes = tmp_path / "sizes.json"
+    sizes.write_text(json.dumps({"n": 3, "m": 4, "count": 2}))
+    calls = [
+        ["decompose", str(garbling), "--pretty"],
+        ["decompose", str(garbling)],
+        ["gen-random", str(sizes), "--seed", "5"],
+    ]
+    out = tmp_path / "out.txt"
+    for argv in calls:
+        assert main([*argv, "-o", str(out)]) == 0
+        fresh = subprocess.run([sys.executable, "-m", "mpcmix", *argv], capture_output=True)
+        assert fresh.returncode == 0
+        assert out.read_bytes() == fresh.stdout

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from mpcmix import Matrix, format_rational, null_space_vector, parse_rational, rank
+from mpcmix.linalg import MAX_DIGITS
 
 from cases import GARBLING, NULL_COEFFS
 
@@ -25,6 +26,22 @@ class TestRationals:
     def test_parse_rejects_garbage(self):
         for bad in ("", "one half", "1/0", 0.25, None, True):
             with pytest.raises(ValueError):
+                parse_rational(bad)
+
+    def test_parse_bounds_digits_and_exponents(self):
+        assert parse_rational(f"1e{MAX_DIGITS}") == 10**MAX_DIGITS
+        assert parse_rational(f"-3E-{MAX_DIGITS}") == Fraction(-3, 10**MAX_DIGITS)
+        assert parse_rational("7" * MAX_DIGITS) == Fraction(int("7" * MAX_DIGITS))
+        assert parse_rational(f"1/{'3' * MAX_DIGITS}").denominator == int("3" * MAX_DIGITS)
+        for bad in (
+            "1e1000000",
+            f"1e{MAX_DIGITS + 1}",
+            f"2.5e-{MAX_DIGITS + 1}",
+            "7" * (MAX_DIGITS + 1),
+            f"1/{'3' * (MAX_DIGITS + 1)}",
+            f"0.{'1' * (MAX_DIGITS + 1)}",
+        ):
+            with pytest.raises(ValueError, match=f"beyond {MAX_DIGITS}|more than {MAX_DIGITS}"):
                 parse_rational(bad)
 
     def test_format_round_trips(self):

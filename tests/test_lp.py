@@ -10,14 +10,17 @@ from mpcmix import (
     StandardFormLP,
     find_witness,
     is_mpc,
+    solve_linear_persuasion,
     solve_lp,
     validate_smpc,
 )
+from mpcmix import lp as lp_module
 from mpcmix.errors import DimensionError
-from mpcmix.randgen import perturb_mean, random_lp, random_smpc
+from mpcmix.randgen import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 from cases import PRIOR, TARGET, dist
 
+from lp_fraction_reference import reference_solve
 from lp_oracle import oracle_solve
 
 
@@ -160,3 +163,92 @@ class TestFindWitness:
             negative = perturb_mean(rng, target)
             assert find_witness(source, negative) is None
             assert not is_mpc(source, negative)
+
+
+def _recorded_lps(monkeypatch, run):
+    """Every LP that ``run`` hands to ``mpcmix.lp.solve``."""
+    seen = []
+    real = lp_module.solve
+
+    def record(problem):
+        seen.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(lp_module, "solve", record)
+    run()
+    return seen
+
+
+class TestMatchesTheFractionTableau:
+    """The integer tableau makes the rational tableau's pivots: equal outcomes, pivot counts included."""
+
+    def assert_same(self, problems):
+        for problem in problems:
+            assert solve_lp(problem) == reference_solve(problem)
+
+    def test_random_instances(self):
+        rng = Random(61)
+        self.assert_same([random_lp(rng) for _ in range(80)])
+
+    def test_witness_programs(self, monkeypatch):
+        def run():
+            rng = Random(73)
+            for _ in range(20):
+                triple = random_smpc(rng, rng.randint(1, 5), rng.randint(1, 5))
+                source, target = triple.source, triple.target
+                find_witness(source, target)
+                find_witness(target, source)
+                find_witness(source, perturb_mean(rng, target))
+
+        problems = _recorded_lps(monkeypatch, run)
+        assert len(problems) == 60
+        assert {solve_lp(p).status for p in problems} == {"optimal", "infeasible"}
+        self.assert_same(problems)
+
+    def test_persuasion_programs(self, monkeypatch):
+        def run():
+            rng = Random(79)
+            for _ in range(40):
+                n = rng.randint(2, 4)
+                source = random_smpc(rng, n, n).source
+                u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
+                solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in u.knots}))
+
+        problems = _recorded_lps(monkeypatch, run)
+        assert len(problems) == 40
+        self.assert_same(problems)
+
+    def test_large_coprime_denominators(self):
+        problem = lp(
+            [Fraction(1, 1000081), Fraction(-1, 999907), Fraction(1, 1000099)],
+            [
+                [Fraction(1, 999983), Fraction(2, 1000003), Fraction(3, 1000033)],
+                [Fraction(5, 1000037), Fraction(7, 999979), Fraction(-1, 999961)],
+                [1, 1, 1],
+            ],
+            [Fraction(1, 1000039), Fraction(1, 999953), 1],
+            ["le", "ge", "le"],
+        )
+        out = solve_lp(problem)
+        assert out == reference_solve(problem)
+        assert out.solution == (Fraction(999983, 1000039), 0, 0)
+
+    def test_rank_deficient_equalities_expel_artificials(self):
+        # The third row is the sum of the first two. Phase 1 ends with two
+        # artificials basic at level zero: one leaves on a negative structural
+        # entry, and the other's row is redundant and is dropped.
+        problem = lp(
+            [1, -3, 1, -1],
+            [
+                [-2, Fraction(-2, 3), Fraction(1, 3), 0],
+                [0, Fraction(-2, 3), Fraction(2, 3), 3],
+                [-2, Fraction(-4, 3), 1, 3],
+            ],
+            [Fraction(-2, 3), 0, Fraction(-2, 3)],
+            ["eq", "eq", "eq"],
+        )
+        out = solve_lp(problem)
+        assert out == reference_solve(problem)
+        assert out == lp_module.LPOutcome(
+            "optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2
+        )
