@@ -29,7 +29,7 @@ from .distributions import (
     validate_smpc,
 )
 from .errors import MpcError
-from .linalg import Matrix, Rational, format_rational, null_space_vector, parse_rational, rank
+from .linalg import Matrix, format_rational, null_space_vector, parse_rational, rank
 from .lp import LPOutcome, StandardFormLP, find_witness
 from .lp import solve as solve_lp
 from .persuasion import (
@@ -54,7 +54,6 @@ __all__ = [
     "MpcError",
     "PersuasionSolution",
     "PiecewiseLinearFn",
-    "Rational",
     "SmpcTriple",
     "SplitCertificate",
     "SplitResult",

@@ -24,7 +24,7 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, format_rational, parse_rational
+from .linalg import Matrix, column_sums, format_rational, integer_row, parse_rational
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ class DiscreteDistribution:
         for k in range(len(self.atoms) - 1):
             if self.atoms[k] >= self.atoms[k + 1]:
                 raise DistributionError("atoms must be strictly increasing")
-        for w in self.weights:
-            if w <= 0:
-                raise DistributionError("weights must be positive")
-        if sum(self.weights) != 1:
+        scale, ints = integer_row(self.weights)
+        if min(ints) <= 0:
+            raise DistributionError("weights must be positive")
+        if sum(ints) != scale:
             raise DistributionError("weights must sum to exactly 1")
 
     @classmethod
@@ -84,17 +84,23 @@ class TransitionMatrix:
     matrix: Matrix
 
     def __post_init__(self) -> None:
+        # On the integer row of (scale, ints): an entry lies in [0, 1] exactly
+        # when 0 <= ints[j] <= scale, and the row sums to 1 exactly when
+        # sum(ints) == scale.
         for i, row in enumerate(self.matrix.entries):
-            for j, x in enumerate(row):
-                if x and (x < 0 or x > 1):
-                    raise EntryRangeError(
-                        f"entry ({i},{j}) = {format_rational(x)} outside [0, 1]",
-                        row=i,
-                        column=j,
-                    )
-            total = sum((x for x in row if x), Fraction(0))
-            if total != 1:
-                raise RowSumError(f"row {i} sums to {format_rational(total)}, not 1")
+            scale, ints = integer_row(row)
+            if min(ints) < 0 or max(ints) > scale:
+                j = next(j for j, x in enumerate(ints) if x < 0 or x > scale)
+                raise EntryRangeError(
+                    f"entry ({i},{j}) = {format_rational(row[j])} outside [0, 1]",
+                    row=i,
+                    column=j,
+                )
+            total = sum(ints)
+            if total != scale:
+                raise RowSumError(
+                    f"row {i} sums to {format_rational(Fraction(total, scale))}, not 1"
+                )
 
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
@@ -152,32 +158,23 @@ class SmpcTriple:
                 f"transition is {self.transition.rows}x{self.transition.cols}, "
                 f"expected {n}x{m}"
             )
-        p, a = self.source.weights, self.source.atoms
         q, b = self.target.weights, self.target.atoms
-        zero = Fraction(0)
-        got_weight = [zero] * m
-        got_moment = [zero] * m
-        for i in range(n):
-            pi = p[i]
-            pai = pi * a[i]
-            row = self.transition.matrix.entries[i]
-            for j in range(m):
-                x = row[j]
-                if x:
-                    got_weight[j] += pi * x
-                    got_moment[j] += pai * x
+        d_w, s_w, d_mom, s_mom = _masses_and_moments(self.source, self.transition)
+        # S / D == q exactly when S * den(q) == num(q) * D; for q_j * b_j the
+        # numerators and denominators of both factors are multiplied.
         for j in range(m):
-            if got_weight[j] != q[j]:
+            if s_w[j] * q[j].denominator != q[j].numerator * d_w:
                 raise WeightIdentityError(
                     f"weight identity fails at column {j}: "
-                    f"{format_rational(got_weight[j])} != {format_rational(q[j])}",
+                    f"{format_rational(Fraction(s_w[j], d_w))} != {format_rational(q[j])}",
                     column=j,
                 )
         for j in range(m):
-            if got_moment[j] != q[j] * b[j]:
+            qj, bj = q[j], b[j]
+            if s_mom[j] * qj.denominator * bj.denominator != qj.numerator * bj.numerator * d_mom:
                 raise BarycenterIdentityError(
                     f"barycenter identity fails at column {j}: "
-                    f"{format_rational(got_moment[j])} != {format_rational(q[j] * b[j])}",
+                    f"{format_rational(Fraction(s_mom[j], d_mom))} != {format_rational(qj * bj)}",
                     column=j,
                 )
 
@@ -226,6 +223,21 @@ def validate_smpc(
     return SmpcTriple(source, transition, target)
 
 
+def _masses_and_moments(
+    source: DiscreteDistribution, transition: TransitionMatrix
+) -> tuple[int, list[int], int, list[int]]:
+    """Column masses s_w / d_w and first moments s_mom / d_mom of a garbling.
+
+    Column j's mass is sum_i p_i F_ij and its first moment sum_i p_i a_i F_ij,
+    each computed on F's integer rows.
+    """
+    p, a = source.weights, source.atoms
+    rows = [integer_row(row) for row in transition.matrix.entries]
+    d_w, s_w = column_sums(p, rows)
+    d_mom, s_mom = column_sums([pi * ai for pi, ai in zip(p, a)], rows)
+    return d_w, s_w, d_mom, s_mom
+
+
 def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix) -> SmpcTriple:
     """Garble ``source`` through ``transition`` and return the certified triple.
 
@@ -237,38 +249,23 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     n = len(source.atoms)
     if transition.rows != n:
         raise DimensionError(f"transition has {transition.rows} rows, expected {n}")
-    m = transition.cols
-    p, a = source.weights, source.atoms
-    zero = Fraction(0)
-    masses = [zero] * m
-    moments = [zero] * m
-    for i in range(n):
-        pi = p[i]
-        pai = pi * a[i]
-        row = transition.matrix.entries[i]
-        for j in range(m):
-            x = row[j]
-            if x:
-                masses[j] += pi * x
-                moments[j] += pai * x
-    cells: dict[Fraction, tuple[Fraction, list[Fraction]]] = {}
-    for j in range(m):
-        if masses[j] == 0:
-            continue
-        barycenter = moments[j] / masses[j]
-        col = transition.matrix.column(j)
-        if barycenter in cells:
-            old_mass, old_col = cells[barycenter]
-            cells[barycenter] = (
-                old_mass + masses[j],
-                [x + y for x, y in zip(old_col, col)],
-            )
+    d_w, s_w, d_mom, s_mom = _masses_and_moments(source, transition)
+    merged: dict[Fraction, list[int]] = {}
+    for j, mass in enumerate(s_w):
+        if mass:
+            merged.setdefault(Fraction(s_mom[j] * d_w, d_mom * mass), []).append(j)
+    atoms = tuple(sorted(merged))
+    columns = tuple(zip(*transition.matrix.entries))
+    weights, grid_columns = [], []
+    for barycenter in atoms:
+        group = merged[barycenter]
+        weights.append(Fraction(sum(s_w[j] for j in group), d_w))
+        if len(group) == 1:
+            grid_columns.append(columns[group[0]])
         else:
-            cells[barycenter] = (masses[j], list(col))
-    atoms = tuple(sorted(cells))
-    weights = tuple(cells[b][0] for b in atoms)
-    grid = tuple(tuple(cells[b][1][i] for b in atoms) for i in range(n))
-    target = DiscreteDistribution(atoms, weights)
+            grid_columns.append(tuple(map(sum, zip(*(columns[j] for j in group)))))
+    grid = tuple(zip(*grid_columns))
+    target = DiscreteDistribution(atoms, tuple(weights))
     # Both identities hold by the arithmetic above: the target weights are the
     # computed column masses and each atom is its column's exact barycenter.
     return SmpcTriple._trusted(source, TransitionMatrix._trusted(Matrix(grid)), target)

@@ -4,7 +4,10 @@ Every scalar in the package is a :class:`fractions.Fraction`, which keeps
 values gcd-reduced with a positive denominator, so all comparisons and
 equality tests downstream are exact. Elimination pivots on the first nonzero
 entry in row order; numerical stability is a non-issue over the rationals and
-this rule makes every result deterministic.
+this rule makes every result deterministic. Certification and the simplex
+work on integer rows instead: :func:`integer_row` scales a rational row to
+integers and :func:`column_sums` forms weighted column sums of such rows, so
+their per-entry loops do no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
+from math import lcm
+from operator import mul
 
 MAX_DIGITS = 4300
 """Most digits in one integer of a rational string, and the largest decimal
@@ -54,13 +57,38 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+            raise ValueError(f"not a rational: {value[:40]!r}") from exc
+    raise ValueError(f"not a rational: {repr(value)[:40]}")
 
 
 def format_rational(value: Fraction) -> str:
     """Render as ``"a/b"``, or just ``"a"`` when the denominator is 1."""
     return str(value)
+
+
+def integer_row(values) -> tuple[int, list[int]]:
+    """``(scale, ints)`` with ``values[j] == ints[j] / scale``.
+
+    ``scale`` is the lcm of the denominators, so it is positive and every
+    ``ints[j]`` is an integer; comparisons and sums of the row are then done
+    on ints against ``scale``.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def column_sums(coefficients, rows) -> tuple[int, list[int]]:
+    """``(D, S)`` with ``S[j] / D == sum_i coefficients[i] * values_i[j]``.
+
+    ``rows[i]`` is ``integer_row(values_i)``, a ``(scale, ints)`` pair. Each
+    row's multiplier ``coefficients[i] / scale`` is brought to the common
+    denominator ``D``, so every column sum is one integer dot product. ``S``
+    is not reduced against ``D``.
+    """
+    ts = [Fraction(c, scale) for c, (scale, _) in zip(coefficients, rows)]
+    d = lcm(*(t.denominator for t in ts))
+    k = [t.numerator * (d // t.denominator) for t in ts]
+    return d, [sum(map(mul, k, column)) for column in zip(*(ints for _, ints in rows))]
 
 
 @dataclass(frozen=True)
@@ -102,12 +130,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def mul_vector(self, vec) -> tuple[Fraction, ...]:
-        """Matrix-vector product ``M @ vec``."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries)
 
 
 def _row_echelon(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
 from .errors import DimensionError, InternalError
-from .linalg import Matrix
+from .linalg import Matrix, integer_row
 
 SENSES = ("le", "ge", "eq")
 
@@ -57,8 +57,7 @@ def _reduced(row: list[int]) -> list[int]:
 
 def _integer_row(values) -> list[int]:
     """A positive integer multiple of a rational row, with content 1."""
-    scale = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (scale // v.denominator) for v in values])
+    return _reduced(integer_row(values)[1])
 
 
 class _Tableau:

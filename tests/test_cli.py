@@ -97,6 +97,15 @@ def test_huge_exponent_is_a_parse_error(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["code"] == "parse"
 
 
+def test_long_bad_atom_gives_a_short_parse_error(tmp_path, capsys):
+    source = {"atoms": ["0", "x" * 1_000_000], "weights": ["1/2", "1/2"]}
+    code = run_cli(tmp_path, "is-mpc", {"source": source, "target": TARGET.to_json()})
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err)["error"]["code"] == "parse"
+    assert len(captured.err.encode()) < 1024
+
+
 def test_missing_field_is_exit_2(tmp_path, capsys):
     assert run_cli(tmp_path, "decompose", {"source": PRIOR.to_json()}) == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
