@@ -14,7 +14,6 @@ from .decomposition import (
     UniquenessReport,
     decompose_full,
     embed_transition,
-    recompose,
     split_once,
     verify_uniqueness,
     zero_column,
@@ -26,7 +25,6 @@ from .distributions import (
     apply_transition,
     is_mpc,
     mpc_violation,
-    validate_smpc,
 )
 from .errors import MpcError
 from .linalg import Matrix, format_rational, null_space_vector, parse_rational, rank
@@ -73,12 +71,10 @@ __all__ = [
     "null_space_vector",
     "parse_rational",
     "rank",
-    "recompose",
     "reduce_support",
     "solve_linear_persuasion",
     "solve_lp",
     "split_once",
-    "validate_smpc",
     "verify_uniqueness",
     "zero_column",
 ]

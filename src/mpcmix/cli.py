@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from random import Random
@@ -227,12 +229,23 @@ def _read_input(path):
         return handle.read()
 
 
+# No O_TRUNC: an existing file is overwritten from offset 0 and then cut to
+# the new length. On ext4, truncating to zero a file whose last contents were
+# still being written back stalled each rewrite of the same path for tens of
+# milliseconds, as ext4's replace-via-truncate handling (auto_da_alloc) would.
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write_output(path, text):
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    with open(os.open(path, _OUTPUT_FLAGS, 0o666), "w", encoding="utf-8") as handle:
+        handle.write(text)
+        # FIFOs and devices have no length to cut (ftruncate on /dev/null
+        # fails with EINVAL).
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def _emit_error(code, message):

@@ -126,10 +126,6 @@ class Mixture:
         return cls(tuple(components))
 
 
-def recompose(mixture: Mixture) -> DiscreteDistribution:
-    return mixture.recompose()
-
-
 def zero_column(
     transition: TransitionMatrix, coefficients, j: int
 ) -> TransitionMatrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BarycenterIdentityError,
@@ -87,12 +88,12 @@ class TransitionMatrix:
         # On the integer row of (scale, ints): an entry lies in [0, 1] exactly
         # when 0 <= ints[j] <= scale, and the row sums to 1 exactly when
         # sum(ints) == scale.
-        for i, row in enumerate(self.matrix.entries):
-            scale, ints = integer_row(row)
+        entries = self.matrix.entries
+        for i, (scale, ints) in enumerate(self._integer_rows):
             if min(ints) < 0 or max(ints) > scale:
                 j = next(j for j, x in enumerate(ints) if x < 0 or x > scale)
                 raise EntryRangeError(
-                    f"entry ({i},{j}) = {format_rational(row[j])} outside [0, 1]",
+                    f"entry ({i},{j}) = {format_rational(entries[i][j])} outside [0, 1]",
                     row=i,
                     column=j,
                 )
@@ -101,6 +102,11 @@ class TransitionMatrix:
                 raise RowSumError(
                     f"row {i} sums to {format_rational(Fraction(total, scale))}, not 1"
                 )
+
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, list[int]], ...]:
+        """Each row as ``integer_row``'s ``(scale, ints)``, built on first use."""
+        return tuple(integer_row(row) for row in self.matrix.entries)
 
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
@@ -214,15 +220,6 @@ class SmpcTriple:
         )
 
 
-def validate_smpc(
-    source: DiscreteDistribution,
-    transition: TransitionMatrix,
-    target: DiscreteDistribution,
-) -> SmpcTriple:
-    """Certify the triple, or raise naming the first violated identity."""
-    return SmpcTriple(source, transition, target)
-
-
 def _masses_and_moments(
     source: DiscreteDistribution, transition: TransitionMatrix
 ) -> tuple[int, list[int], int, list[int]]:
@@ -232,7 +229,7 @@ def _masses_and_moments(
     each computed on F's integer rows.
     """
     p, a = source.weights, source.atoms
-    rows = [integer_row(row) for row in transition.matrix.entries]
+    rows = transition._integer_rows
     d_w, s_w = column_sums(p, rows)
     d_mom, s_mom = column_sums([pi * ai for pi, ai in zip(p, a)], rows)
     return d_w, s_w, d_mom, s_mom

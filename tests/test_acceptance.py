@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 
 from mpcmix import (
+    SmpcTriple,
     check_no_profitable_deviation,
     decompose_full,
     deviation_payoff,
@@ -19,7 +20,6 @@ from mpcmix import (
     solve_linear_persuasion,
     solve_lp,
     split_once,
-    validate_smpc,
     verify_uniqueness,
     zero_column,
 )
@@ -86,7 +86,7 @@ def test_criterion_2_recomposition_identity():
         total = [[Fraction(0)] * len(triple.target.atoms) for _ in range(n)]
         for weight, component in mixture.components:
             assert len(component.target.atoms) <= n
-            validate_smpc(component.source, component.transition, component.target)
+            SmpcTriple(component.source, component.transition, component.target)
             embedded = embed_transition(component, triple.target.atoms)
             for i in range(n):
                 row = embedded.entries[i]
@@ -131,7 +131,7 @@ def test_criterion_4_witness_order_duality():
         witness = find_witness(source, target)
         assert is_mpc(source, target)
         assert witness is not None
-        validate_smpc(source, witness, target)
+        SmpcTriple(source, witness, target)
         positives += 1
         broken = perturb_mean(rng, target)
         assert not is_mpc(source, broken)

@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
-from mpcmix import Mixture, decompose_full, validate_smpc
-from mpcmix import decomposition
+import pytest
+
+from mpcmix import Mixture, SmpcTriple, decompose_full
+from mpcmix import decomposition, distributions
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
+from mpcmix.linalg import integer_row
 
 from cases import DUEL_CDF, DUEL_PRIOR, GARBLING, PRIOR, TARGET, worked_triple
 
@@ -124,7 +130,7 @@ def test_apply_and_witness_round_trip(tmp_path, capsys):
     assert run_cli(tmp_path, "find-witness", {"source": triple["source"], "target": triple["target"]}) == 0
     witness = json.loads(capsys.readouterr().out)["witness"]
     assert witness is not None
-    validate_smpc(PRIOR, TransitionMatrix.from_json(witness), TARGET)
+    SmpcTriple(PRIOR, TransitionMatrix.from_json(witness), TARGET)
 
 
 def test_find_witness_none(tmp_path, capsys):
@@ -170,7 +176,7 @@ def test_gen_random_is_seeded_and_valid(tmp_path, capsys):
         source = DiscreteDistribution.from_json(instance["source"])
         transition = TransitionMatrix.from_json(instance["transition"])
         triple = apply_transition(source, transition)
-        validate_smpc(triple.source, triple.transition, triple.target)
+        SmpcTriple(triple.source, triple.transition, triple.target)
     assert run_cli(tmp_path, "gen-random", payload, "--seed", "10") == 0
     third = capsys.readouterr().out
     assert third != first
@@ -240,3 +246,114 @@ def test_repeated_calls_match_fresh_processes(tmp_path):
         fresh = subprocess.run([sys.executable, "-m", "mpcmix", *argv], capture_output=True)
         assert fresh.returncode == 0
         assert out.read_bytes() == fresh.stdout
+
+
+def test_each_transition_row_is_converted_once(tmp_path, capsys, monkeypatch):
+    converted = []
+
+    def counting_integer_row(values):
+        converted.append(tuple(values))
+        return integer_row(values)
+
+    monkeypatch.setattr(distributions, "integer_row", counting_integer_row)
+    payload = {
+        "source": PRIOR.to_json(),
+        "transition": GARBLING.to_json(),
+        "target": TARGET.to_json(),
+    }
+    for command in ("verify-smpc", "apply"):
+        converted.clear()
+        assert run_cli(tmp_path, command, payload) == 0
+        capsys.readouterr()
+        assert [converted.count(row) for row in GARBLING.matrix.entries] == [1, 1, 1]
+
+
+
+WORKED_PAYLOAD = {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}
+
+
+@pytest.fixture
+def mixture_bytes(tmp_path, capsys):
+    """What ``decompose`` writes to stdout for the worked example."""
+    assert run_cli(tmp_path, "decompose", WORKED_PAYLOAD) == 0
+    return capsys.readouterr().out.encode()
+
+
+def decompose_to(tmp_path, output):
+    return run_cli(tmp_path, "decompose", WORKED_PAYLOAD, "-o", str(output))
+
+
+def test_output_file_is_cut_to_the_new_length(tmp_path, mixture_bytes):
+    out_path = tmp_path / "out.json"
+    out_path.write_bytes(b"x" * (4 * len(mixture_bytes)))
+    assert decompose_to(tmp_path, out_path) == 0
+    assert out_path.read_bytes() == mixture_bytes
+
+
+def test_output_file_keeps_its_inode_mode_and_links(tmp_path, mixture_bytes):
+    out_path = tmp_path / "out.json"
+    out_path.write_bytes(b"old contents")
+    os.chmod(out_path, 0o640)
+    os.link(out_path, tmp_path / "hard-link.json")
+    before = os.stat(out_path)
+    assert decompose_to(tmp_path, out_path) == 0
+    after = os.stat(out_path)
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert (tmp_path / "hard-link.json").read_bytes() == mixture_bytes
+
+
+def test_output_through_a_symlink_rewrites_its_target(tmp_path, mixture_bytes):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * (4 * len(mixture_bytes)))
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert decompose_to(tmp_path, link) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == mixture_bytes
+
+
+def test_output_to_dev_null(tmp_path):
+    assert decompose_to(tmp_path, os.devnull) == 0
+
+
+def test_output_to_a_fifo(tmp_path, mixture_bytes):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert decompose_to(tmp_path, fifo) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [mixture_bytes]
+
+
+@pytest.mark.parametrize("name", ["missing/out.json", "a-directory"])
+def test_unwritable_output_is_an_io_error(tmp_path, capsys, name):
+    (tmp_path / "a-directory").mkdir()
+    output = tmp_path / name
+    with pytest.raises(OSError) as raised:
+        open(output, "w")
+    assert decompose_to(tmp_path, output) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "io", "message": str(raised.value)}}
+
+
+def test_output_over_its_own_input(tmp_path, mixture_bytes):
+    path = tmp_path / "input.json"
+    assert decompose_to(tmp_path, path) == 0
+    assert path.read_bytes() == mixture_bytes
+
+
+def test_rewrites_of_one_path_stay_byte_identical(tmp_path, mixture_bytes):
+    out_path = tmp_path / "out.json"
+    for _ in range(20):
+        assert decompose_to(tmp_path, out_path) == 0
+        assert out_path.read_bytes() == mixture_bytes

@@ -14,9 +14,7 @@ from mpcmix import (
     decompose_full,
     embed_transition,
     rank,
-    recompose,
     split_once,
-    validate_smpc,
     verify_uniqueness,
     zero_column,
 )
@@ -131,7 +129,7 @@ class TestSplitOnce:
                 )
 
     def test_independent_columns_refuse_to_split(self):
-        triple = validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
         with pytest.raises(NoSplitError):
             split_once(triple)
 
@@ -168,7 +166,7 @@ class TestDecomposeFull:
         assert c2.target == RIGHT_TARGET
 
     def test_narrow_input_is_a_singleton(self):
-        triple = validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
         mixture = decompose_full(triple)
         assert mixture.components == ((Fraction(1), triple),)
 
@@ -219,7 +217,7 @@ def _assert_exact_mixture(triple, mixture):
     total = [[Fraction(0)] * m for _ in range(n)]
     for weight, component in mixture.components:
         assert len(component.target.atoms) <= n
-        validate_smpc(component.source, component.transition, component.target)
+        SmpcTriple(component.source, component.transition, component.target)
         assert component.target.mean() == triple.source.mean()
         embedded = embed_transition(component, triple.target.atoms)
         for i, row in enumerate(embedded.entries):
@@ -231,12 +229,12 @@ def _assert_exact_mixture(triple, mixture):
 class TestRecompose:
     def test_worked_mixture(self):
         mixture = decompose_full(worked_triple())
-        assert recompose(mixture) == TARGET
+        assert mixture.recompose() == TARGET
 
     def test_singleton(self):
         triple = worked_triple()
         mixture = Mixture(((Fraction(1), triple),))
-        assert recompose(mixture) == TARGET
+        assert mixture.recompose() == TARGET
 
     def test_disclosure_pooling_blend(self):
         source = dist(["0", "1"], ["1/2", "1/2"])
@@ -291,7 +289,7 @@ class TestVerifyUniqueness:
 
     def test_shape_precondition(self):
         with pytest.raises(DimensionError):
-            verify_uniqueness(validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR))
+            verify_uniqueness(SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR))
 
     def test_rank_deficiency_is_reported(self):
         # Columns live in a two-dimensional space although the source has

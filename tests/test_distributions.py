@@ -10,7 +10,6 @@ from mpcmix import (
     apply_transition,
     is_mpc,
     mpc_violation,
-    validate_smpc,
 )
 from mpcmix.errors import (
     BarycenterIdentityError,
@@ -65,11 +64,11 @@ class TestTransitionMatrix:
 
 class TestValidateSmpc:
     def test_worked_example_is_valid(self):
-        triple = validate_smpc(PRIOR, GARBLING, TARGET)
+        triple = SmpcTriple(PRIOR, GARBLING, TARGET)
         assert triple.target == TARGET
 
     def test_identity_garbling(self):
-        triple = validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
         assert triple.target == PRIOR
 
     def test_weight_identity_violation_is_localized(self):
@@ -83,18 +82,18 @@ class TestValidateSmpc:
             ]
         )
         with pytest.raises(WeightIdentityError) as err:
-            validate_smpc(PRIOR, broken, TARGET)
+            SmpcTriple(PRIOR, broken, TARGET)
         assert err.value.column == 0
 
     def test_barycenter_identity_violation(self):
         shifted = dist(["1/6", "1/2", "3/4", "7/8"], ["3/10", "1/5", "1/5", "3/10"])
         with pytest.raises(BarycenterIdentityError) as err:
-            validate_smpc(PRIOR, GARBLING, shifted)
+            SmpcTriple(PRIOR, GARBLING, shifted)
         assert err.value.column == 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            validate_smpc(PRIOR, TransitionMatrix.identity(4), TARGET)
+            SmpcTriple(PRIOR, TransitionMatrix.identity(4), TARGET)
 
     def test_point_mass_admits_no_wider_contraction(self):
         # Splitting a point mass over {0, 1} keeps the weights but not the
@@ -102,7 +101,7 @@ class TestValidateSmpc:
         source = DiscreteDistribution.point_mass(Fraction(1, 2))
         target = dist(["0", "1"], ["1/2", "1/2"])
         with pytest.raises(BarycenterIdentityError):
-            validate_smpc(source, tm([["1/2", "1/2"]]), target)
+            SmpcTriple(source, tm([["1/2", "1/2"]]), target)
         assert not is_mpc(source, target)
 
 
@@ -145,7 +144,7 @@ class TestApplyTransition:
         for _ in range(120):
             n, m = rng.randint(1, 6), rng.randint(1, 10)
             triple = random_smpc(rng, n, m)
-            validate_smpc(triple.source, triple.transition, triple.target)
+            SmpcTriple(triple.source, triple.transition, triple.target)
             assert triple.target.mean() == triple.source.mean()
             atoms = triple.target.atoms
             assert all(atoms[k] < atoms[k + 1] for k in range(len(atoms) - 1))

@@ -7,12 +7,12 @@ import pytest
 from mpcmix import (
     DiscreteDistribution,
     Matrix,
+    SmpcTriple,
     StandardFormLP,
     find_witness,
     is_mpc,
     solve_linear_persuasion,
     solve_lp,
-    validate_smpc,
 )
 from mpcmix import lp as lp_module
 from mpcmix.errors import DimensionError
@@ -132,7 +132,7 @@ class TestFindWitness:
     def test_worked_pair_has_a_witness(self):
         witness = find_witness(PRIOR, TARGET)
         assert witness is not None
-        validate_smpc(PRIOR, witness, TARGET)
+        SmpcTriple(PRIOR, witness, TARGET)
 
     def test_full_pooling_witness_is_the_ones_column(self):
         target = DiscreteDistribution.point_mass(PRIOR.mean())
@@ -159,7 +159,7 @@ class TestFindWitness:
             witness = find_witness(source, target)
             assert witness is not None
             assert is_mpc(source, target)
-            validate_smpc(source, witness, target)
+            SmpcTriple(source, witness, target)
             negative = perturb_mean(rng, target)
             assert find_witness(source, negative) is None
             assert not is_mpc(source, negative)

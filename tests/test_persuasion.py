@@ -6,6 +6,7 @@ import pytest
 from mpcmix import (
     DiscreteDistribution,
     PiecewiseLinearFn,
+    SmpcTriple,
     TransitionMatrix,
     check_no_profitable_deviation,
     construct_mixed_equilibrium,
@@ -13,7 +14,6 @@ from mpcmix import (
     decompose_full,
     reduce_support,
     solve_linear_persuasion,
-    validate_smpc,
 )
 from mpcmix.errors import CandidateError, CdfError, DomainError
 from mpcmix.randgen import random_piecewise_linear, random_smpc
@@ -156,7 +156,7 @@ class TestReduceSupport:
         assert mixed == u.expectation(worked_triple().target) == Fraction(3, 20)
 
     def test_narrow_triple_is_returned_unchanged(self):
-        triple = validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
         u = pwl([("0", "0"), ("1", "1")])
         best, certificate = reduce_support(triple, u)
         assert best == triple
@@ -222,7 +222,7 @@ class TestCheckNoProfitableDeviation:
         check = check_no_profitable_deviation(
             DUEL_PRIOR, DUEL_CDF, DUEL_VALUE, DUEL_PRIOR.atoms
         )
-        validate_smpc(check.witness.source, check.witness.transition, check.witness.target)
+        SmpcTriple(check.witness.source, check.witness.transition, check.witness.target)
         assert check.witness.source == DUEL_PRIOR
 
 
@@ -234,7 +234,7 @@ class TestConstructMixedEquilibrium:
         assert mixture.recompose() == worked_triple().target
 
     def test_small_support_strategy_is_already_pure(self):
-        triple = validate_smpc(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
         mixture = construct_mixed_equilibrium(triple)
         assert mixture.components == ((Fraction(1), triple),)
 
