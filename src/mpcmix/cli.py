@@ -176,9 +176,10 @@ def _decimalize(obj):
     if isinstance(obj, list):
         return [_decimalize(v) for v in obj]
     if isinstance(obj, str):
+        # Text that is not a number, or a value beyond float range, stays exact.
         try:
             return float(Fraction(obj))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             return obj
     return obj
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
@@ -36,7 +37,15 @@ from .errors import (
     NullVectorError,
     RankError,
 )
-from .linalg import Matrix, format_rational, null_space_vector, parse_rational, rank
+from .linalg import (
+    Matrix,
+    column_dependency,
+    column_sums,
+    format_rational,
+    null_space_vector,
+    parse_rational,
+    rank,
+)
 
 
 @dataclass(frozen=True)
@@ -260,26 +269,36 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     return SplitResult(alpha, left, right, certificate)
 
 
-def _walk_to_vertex(
-    rows: tuple[tuple[Fraction, ...], ...], point: list[Fraction]
-) -> list[Fraction]:
-    """Walk from ``point`` in {s >= 0 : F s = 1} to a vertex of that polytope.
+def _walk_to_vertex(rows, point: list[int], den: int) -> tuple[list[int], int]:
+    """Walk from ``point / den`` in {s >= 0 : F s = 1} to a vertex of that polytope.
 
-    Each step takes a null vector c of F restricted to the point's support
-    and moves along -c until the first coordinate with c_k > 0 reaches zero:
-    the zeroing step of ``split_once`` written on column scales. The walk
-    ends when the support columns are linearly independent.
+    ``rows`` are F's integer rows, and a point is an integer vector over one
+    positive denominator. Each step takes the dependency c of F's support
+    columns and moves along -c until the first coordinate with c_k > 0
+    reaches zero: the zeroing step of ``split_once`` written on column
+    scales. With P_a / c_a the least ratio, found by cross-multiplying, the
+    new point is (P c_a - P_a c) / (den c_a), reduced by its gcd. The walk
+    ends, returning its last point and denominator, when the support columns
+    are linearly independent.
     """
     while True:
         support = [k for k, x in enumerate(point) if x]
-        c = null_space_vector(Matrix(tuple(tuple(row[k] for k in support) for row in rows)))
+        c = column_dependency(rows, support)
         if c is None:
-            return point
-        step = min(point[k] / ck for k, ck in zip(support, c) if ck > 0)
-        point = list(point)
+            return point, den
+        pa = ca = 0
+        for k, ck in zip(support, c):
+            if ck > 0 and (not ca or point[k] * ca < pa * ck):
+                pa, ca = point[k], ck
+        point = [x * ca for x in point]
         for k, ck in zip(support, c):
             if ck:
-                point[k] -= step * ck
+                point[k] -= pa * ck
+        den *= ca
+        g = gcd(den, *point)
+        if g != 1:
+            den //= g
+            point = [x // g for x in point]
 
 
 def decompose_full(triple: SmpcTriple) -> Mixture:
@@ -297,44 +316,59 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     distinct, because each peel zeroes a coordinate of the vertex it peeled,
     and so are the components, because F's columns have distinct barycenters.
 
-    The recomposition identity sum_k w_k v_k == 1, hence
+    The peel runs on F's integer rows and keeps r and each v as an integer
+    vector over one denominator; ``Fraction`` values are made only for the
+    weights and for the entries of each component's transition. The
+    recomposition identity sum_k w_k v_k == 1, hence
     sum_k w_k F diag(v_k) == F entry for entry, is verified exactly before
     returning. Components are ordered by descending weight with lexicographic
     atom/entry tie-breaks, so equal inputs always produce the identical
     mixture.
     """
     n = len(triple.source.atoms)
-    rows = triple.transition.matrix.entries
-    one = Fraction(1)
-    remainder = [one] * triple.transition.cols
-    weight = one
-    peeled: list[tuple[Fraction, list[Fraction]]] = []
+    rows = triple.transition._integer_rows
+    int_rows = [ints for _, ints in rows]
+    remainder, den = [1] * triple.transition.cols, 1
+    weight = Fraction(1)
+    peeled: list[tuple[Fraction, list[int], int]] = []  # (weight, vertex, its denominator)
     while True:
-        vertex = _walk_to_vertex(rows, remainder)
+        vertex, dv = _walk_to_vertex(int_rows, remainder, den)
         if vertex == remainder:
-            peeled.append((weight, vertex))
+            peeled.append((weight, vertex, dv))
             break
-        # In (0, 1): supp(v) lies inside supp(r), and lambda >= 1 would give
-        # r - v >= 0 in the null space of F, impossible as no column is zero.
-        lam = min(r / v for r, v in zip(remainder, vertex) if v)
-        peeled.append((weight * lam, vertex))
-        rest = one - lam
-        remainder = [(r - lam * v) / rest if r else r for r, v in zip(remainder, vertex)]
-        weight *= rest
+        # lambda = min r_k / v_k over v_k > 0, which is R_a dv / (den V_a) at
+        # the least R_a / V_a. It lies in (0, 1): supp(v) lies inside supp(r),
+        # and lambda >= 1 would give r - v >= 0 in the null space of F,
+        # impossible as no column is zero.
+        ra = va = 0
+        for r, v in zip(remainder, vertex):
+            if v > 0 and (not va or r * va < ra * v):
+                ra, va = r, v
+        lam = Fraction(ra * dv, den * va)
+        peeled.append((weight * lam, vertex, dv))
+        weight *= 1 - lam
+        # (r - lambda v) / (1 - lambda), with the common factor den * V_a cancelled.
+        remainder = [r * va - ra * v for r, v in zip(remainder, vertex)]
+        den = den * va - ra * dv
+        g = gcd(den, *remainder)
+        if g != 1:
+            den //= g
+            remainder = [r // g for r in remainder]
 
-    total = [Fraction(0)] * len(remainder)
-    for w, vertex in peeled:
+    for _, vertex, _ in peeled:
         for k, v in enumerate(vertex):
             if v < 0:
                 raise InternalError(f"peeled vertex has a negative scale at column {k}")
-            if v:
-                total[k] += w * v
-    if any(t != one for t in total):
+    d, total = column_sums([w for w, _, _ in peeled], [(dv, vertex) for _, vertex, dv in peeled])
+    if any(t != d for t in total):
         raise InternalError("peel recomposition identity failed")
     components = []
-    for w, vertex in peeled:
-        support = [k for k, v in enumerate(vertex) if v]
-        grid = tuple(tuple(row[k] * vertex[k] for k in support) for row in rows)
+    for w, vertex, dv in peeled:
+        # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (V_k / dv).
+        support = [(k, v) for k, v in enumerate(vertex) if v]
+        grid = tuple(
+            tuple(Fraction(ints[k] * v, scale * dv) for k, v in support) for scale, ints in rows
+        )
         component = apply_transition(triple.source, TransitionMatrix._trusted(Matrix(grid)))
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")

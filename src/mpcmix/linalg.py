@@ -2,12 +2,15 @@
 
 Every scalar in the package is a :class:`fractions.Fraction`, which keeps
 values gcd-reduced with a positive denominator, so all comparisons and
-equality tests downstream are exact. Elimination pivots on the first nonzero
-entry in row order; numerical stability is a non-issue over the rationals and
-this rule makes every result deterministic. Certification and the simplex
-work on integer rows instead: :func:`integer_row` scales a rational row to
-integers and :func:`column_sums` forms weighted column sums of such rows, so
-their per-entry loops do no ``Fraction`` arithmetic.
+equality tests downstream are exact. The per-entry loops work on integer
+rows instead: :func:`integer_row` scales a rational row to integers, and
+:func:`column_sums` forms weighted column sums of such rows for
+certification. Elimination is fraction-free on the same rows: one kernel
+takes the columns in order and finds each that depends on the earlier ones.
+:func:`rank` counts the others; the first dependency gives
+:func:`null_space_vector`, and the decomposition's peel reads it directly
+through :func:`column_dependency`. That dependency depends on the matrix
+alone, never on a pivot choice, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 MAX_DIGITS = 4300
@@ -132,63 +135,79 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
 
-def _row_echelon(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Forward elimination; returns (echelon rows, pivot column indices)."""
-    rows = [list(r) for r in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    pivot_cols: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        if pr == nrows:
-            break
-        target = None
-        for r in range(pr, nrows):
-            if rows[r][c] != 0:
-                target = r
-                break
-        if target is None:
+def _echelon(rows, columns):
+    """Fraction-free elimination of ``columns`` of the integer ``rows``, in order.
+
+    Column k is ``[row[k] for row in rows]``; scaling a row changes nothing
+    here, so each row may be any integer multiple of a rational one. The
+    columns taken so far that are independent of their predecessors form a
+    gcd-reduced echelon basis, each vector kept with its integer combination
+    of the columns. A new column is reduced against the basis by steps
+    ``a * vec - f * basis_vec`` with ``a, f`` divided by their gcd. Yields
+    ``None`` for a column that joins the basis. For a column that reduces to
+    zero it yields the dependency d, with ``sum_t d[t] * columns[t] == 0``
+    over the taken columns: zero after this column, gcd 1 and first nonzero
+    entry positive. Columns before the first dependent one are independent,
+    so that first dependency is unique up to scale.
+    """
+    width = len(columns)
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot row, vector, combination)
+    for t, k in enumerate(columns):
+        vec = [row[k] for row in rows]
+        combo = [0] * width
+        combo[t] = 1
+        for p, b, u in basis:
+            f = vec[p]
+            if f:
+                a = b[p]
+                g = gcd(a, f)
+                if g != 1:
+                    a //= g
+                    f //= g
+                vec = [a * x - f * y for x, y in zip(vec, b)]
+                combo = [a * x - f * y for x, y in zip(combo, u)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            g = gcd(*combo)
+            if next(x for x in combo if x) < 0:
+                g = -g
+            yield [x // g for x in combo]
             continue
-        if target != pr:
-            rows[pr], rows[target] = rows[target], rows[pr]
-        pivot = rows[pr][c]
-        row_pr = rows[pr]
-        for r in range(pr + 1, nrows):
-            if rows[r][c] != 0:
-                factor = rows[r][c] / pivot
-                rows[r] = [x - factor * y if y else x for x, y in zip(rows[r], row_pr)]
-        pivot_cols.append(c)
-        pr += 1
-    return rows, pivot_cols
+        g = gcd(*vec, *combo)
+        if g != 1:
+            vec = [x // g for x in vec]
+            combo = [x // g for x in combo]
+        basis.append((pivot, vec, combo))
+        yield None
+
+
+def column_dependency(rows, columns) -> list[int] | None:
+    """The first of ``columns`` that depends on the earlier ones, as a dependency.
+
+    ``rows`` are integer rows and ``columns`` column indices into them. The
+    result is the integer vector d over ``columns`` that :func:`_echelon`
+    yields at the first dependent column, or ``None`` when the columns are
+    linearly independent.
+    """
+    return next((d for d in _echelon(rows, columns) if d is not None), None)
 
 
 def rank(matrix: Matrix) -> int:
     """Exact rank."""
-    return len(_row_echelon(matrix)[1])
+    rows = [integer_row(row)[1] for row in matrix.entries]
+    return sum(d is None for d in _echelon(rows, range(matrix.cols)))
 
 
 def null_space_vector(matrix: Matrix) -> tuple[Fraction, ...] | None:
     """One exact kernel vector, or ``None`` when the columns are independent.
 
     The returned vector c satisfies ``M @ c == 0`` with c nonzero, and is
-    normalized so its first nonzero entry equals 1. The free variable chosen
-    is the lowest-index non-pivot column, so equal matrices always yield the
-    identical vector.
+    normalized so its first nonzero entry equals 1. It is the dependency of
+    the first column that depends on the earlier ones, with zeros after that
+    column, so equal matrices always yield the identical vector.
     """
-    rows, pivot_cols = _row_echelon(matrix)
-    ncols = matrix.cols
-    pivot_set = set(pivot_cols)
-    free = next((c for c in range(ncols) if c not in pivot_set), None)
-    if free is None:
+    d = column_dependency([integer_row(row)[1] for row in matrix.entries], range(matrix.cols))
+    if d is None:
         return None
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for k in range(len(pivot_cols) - 1, -1, -1):
-        pc = pivot_cols[k]
-        row = rows[k]
-        acc = sum(
-            (row[c] * x[c] for c in range(pc + 1, ncols) if row[c] and x[c]),
-            Fraction(0),
-        )
-        x[pc] = -acc / row[pc]
-    lead = next(v for v in x if v != 0)
-    return tuple(v / lead for v in x)
+    lead = next(x for x in d if x)
+    return tuple(Fraction(x, lead) for x in d)

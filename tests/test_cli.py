@@ -202,6 +202,21 @@ def test_decimals_mirror(tmp_path, capsys):
     assert Mixture.from_json(result) == decompose_full(worked_triple())
 
 
+def test_decimals_keep_values_beyond_float_range(tmp_path, capsys):
+    payload = {
+        "source": {"atoms": ["1e400", "2e400"], "weights": ["1/2", "1/2"]},
+        "transition": {"rows": [["1"], ["1"]]},
+    }
+    assert run_cli(tmp_path, "apply", payload, "--decimals") == 0
+    result = json.loads(capsys.readouterr().out)
+    mirror = result.pop("decimals")
+    assert mirror["source"]["atoms"] == [str(10**400), str(2 * 10**400)]
+    assert mirror["target"]["atoms"] == [str(15 * 10**399)]
+    assert mirror["source"]["weights"] == [0.5, 0.5]
+    assert run_cli(tmp_path, "apply", payload) == 0
+    assert json.loads(capsys.readouterr().out) == result
+
+
 def test_pretty_output(tmp_path, capsys):
     payload = {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}
     assert run_cli(tmp_path, "decompose", payload, "--pretty") == 0

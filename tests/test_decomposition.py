@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcmix import (
     DiscreteDistribution,
@@ -206,6 +208,32 @@ class TestDecomposeFull:
             triple = random_smpc(rng, rng.randint(2, 5), rng.randint(6, 11))
             first = json.dumps(decompose_full(triple).to_json())
             assert json.dumps(decompose_full(triple).to_json()) == first
+
+
+@st.composite
+def garblings(draw):
+    """A source of 1 to 5 atoms garbled through a random row-stochastic matrix
+    of up to 10 columns; some transitions copy a row, so their rank is below n."""
+    n = draw(st.integers(1, 5), label="n")
+    m = draw(st.integers(1, 10), label="m")
+    atoms = draw(st.lists(st.fractions(-6, 6, max_denominator=6), min_size=n, max_size=n, unique=True), label="atoms")
+    raw_weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n), label="weights")
+    raw_rows = draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any), min_size=n, max_size=n),
+        label="rows",
+    )
+    if n >= 2 and draw(st.booleans(), label="copy a row"):
+        raw_rows[-1] = raw_rows[0]
+    total = sum(raw_weights)
+    source = DiscreteDistribution(tuple(sorted(atoms)), tuple(Fraction(w, total) for w in raw_weights))
+    rows = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in raw_rows)
+    return apply_transition(source, TransitionMatrix(Matrix(rows)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(garblings())
+def test_decompositions_of_generated_garblings_are_exact(triple):
+    _assert_exact_mixture(triple, decompose_full(triple))
 
 
 def _assert_exact_mixture(triple, mixture):
