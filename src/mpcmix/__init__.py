@@ -27,7 +27,7 @@ from .distributions import (
     mpc_violation,
 )
 from .errors import MpcError
-from .linalg import Matrix, format_rational, null_space_vector, parse_rational, rank
+from .linalg import Matrix, null_space_vector, parse_rational, rank
 from .lp import LPOutcome, StandardFormLP, find_witness
 from .lp import solve as solve_lp
 from .persuasion import (
@@ -65,7 +65,6 @@ __all__ = [
     "deviation_payoff",
     "embed_transition",
     "find_witness",
-    "format_rational",
     "is_mpc",
     "mpc_violation",
     "null_space_vector",

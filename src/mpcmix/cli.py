@@ -230,6 +230,15 @@ def _read_input(path):
         return handle.read()
 
 
+def _decode(text):
+    # json.loads recurses once per nesting level, so deep enough input
+    # exhausts the stack instead of failing to parse.
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
+
+
 # No O_TRUNC: an existing file is overwritten from offset 0 and then cut to
 # the new length. On ext4, truncating to zero a file whose last contents were
 # still being written back stalled each rewrite of the same path for tens of
@@ -284,7 +293,7 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload = json.loads(_read_input(args.input))
+        payload = _decode(_read_input(args.input))
         result = _HANDLERS[args.command](payload, args)
     except InternalError as exc:
         _emit_error(exc.code, str(exc))

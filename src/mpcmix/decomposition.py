@@ -1,24 +1,27 @@
 """Decomposing a garbled target into a mixture of coarser ones.
 
-The engine is column zeroing. Given a null vector c of the transition's
-columns (sum of c_j * column_j = 0), redistributing column j across the
-others by scaling each column k by (1 - c_k / c_j) leaves every row sum at 1,
-preserves within-column ratios (hence barycenters), and empties column j.
-The scalings stay inside [0, 1] exactly when j maximizes |c| within its sign
-group, and the two group maximizers j*, j** produce the unique pair of
-matrices whose convex combination
+Every component is the transition F with its columns rescaled: F diag(v) for
+a column-scale vector v >= 0 with F v = 1, which is again a garbling of the
+source. Its target keeps the atoms of the columns where v is positive, each
+with its weight scaled by v. One builder turns weighted scale vectors into
+components, after checking exactly that every scale is nonnegative and that
+the weighted scales sum to 1, so that the components recompose F entry for
+entry and the original target atom for atom.
 
-    alpha * zeroed(j*) + (1 - alpha) * zeroed(j**),  alpha = |c_j*| / (|c_j*| + |c_j**|)
+A split takes the dependency c of F's columns (sum of c_k * column_k = 0)
+and zeroes a column j with the scales v = 1 - c / c_j, which keep F v = 1.
+They stay nonnegative exactly when j maximizes |c| within its sign group, and
+the two group maximizers j*, j** give the unique pair of branches whose
+convex combination
 
-reproduces the original transition entry for entry.
+    alpha * v(j*) + (1 - alpha) * v(j**) = 1,  alpha = |c_j*| / (|c_j*| + |c_j**|)
 
-The full decomposition writes the same step on column scales: F diag(s) is a
-garbling of the source exactly when s >= 0 and F s = 1, and F itself is
-s = 1. Zeroing walks a point of that polytope to a vertex, whose support
-columns are linearly independent, so its garbling has at most rank(F) <= n
-atoms. Carathéodory peeling removes one vertex at a time from the remainder,
+reproduces the transition. The full decomposition walks v = 1 along such
+null directions to a vertex of {s >= 0 : F s = 1}, whose support columns are
+linearly independent, so its component has at most rank(F) <= n atoms.
+Carathéodory peeling removes one vertex at a time from the remainder,
 giving a mixture of at most m - rank(F) + 1 targets with at most n atoms
-each that reproduces the original target exactly.
+each.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
+from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
 from .errors import (
     DimensionError,
     EntryRangeError,
@@ -37,15 +40,7 @@ from .errors import (
     NullVectorError,
     RankError,
 )
-from .linalg import (
-    Matrix,
-    column_dependency,
-    column_sums,
-    format_rational,
-    null_space_vector,
-    parse_rational,
-    rank,
-)
+from .linalg import Matrix, column_dependency, column_sums, parse_rational, rank
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class Mixture:
                 raise ValueError("mixture components must share one source")
             total += weight
         if total != 1:
-            raise ValueError(f"mixture weights sum to {format_rational(total)}, not 1")
+            raise ValueError(f"mixture weights sum to {total}, not 1")
 
     @property
     def source(self) -> DiscreteDistribution:
@@ -110,7 +105,7 @@ class Mixture:
             "source": self.source.to_json(),
             "components": [
                 {
-                    "weight": format_rational(weight),
+                    "weight": str(weight),
                     "target": component.target.to_json(),
                     "transition": component.transition.to_json(),
                 }
@@ -143,8 +138,10 @@ def zero_column(
     ``coefficients`` must be a null vector of the transition's columns with a
     nonzero entry at ``j``. Column k is scaled by (1 - c_k / c_j): same-sign
     columns shrink, opposite-sign columns grow, zero-coefficient columns stay.
-    If any scaled entry leaves [0, 1], ``j`` was not a maximizer of |c| within
-    its sign group and an ``EntryRangeError`` is raised.
+    Row sums survive exactly, because sum_k (1 - c_k/c_j) f_ik equals
+    sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c. If any scaled
+    entry leaves [0, 1], ``j`` was not a maximizer of |c| within its sign
+    group and an ``EntryRangeError`` is raised.
     """
     c = tuple(Fraction(x) for x in coefficients)
     m = transition.cols
@@ -154,42 +151,19 @@ def zero_column(
     for i, row in enumerate(transition.matrix.entries):
         if sum((ck * x for ck, x in zip(c, row) if x), zero) != 0:
             raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
-    if c[j] == 0:
-        raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
-    return _apply_zeroing(transition, c, j)
-
-
-def _apply_zeroing(
-    transition: TransitionMatrix, c: tuple[Fraction, ...], j: int
-) -> TransitionMatrix:
-    """Scaling core of zero_column; c must already be a verified null vector.
-
-    Row sums survive exactly because sum_k (1 - c_k/c_j) f_ik equals
-    sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c, so only the
-    [0, 1] entry range needs checking here.
-    """
-    m = transition.cols
-    zero, one = Fraction(0), Fraction(1)
     cj = c[j]
-    scales = [one - ck / cj for ck in c]
+    if cj == 0:
+        raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
+    scales = [1 - ck / cj for ck in c]
     scales[j] = zero
     grid = []
     for i, row in enumerate(transition.matrix.entries):
         new_row = []
-        for k in range(m):
-            x = row[k]
-            s = scales[k]
-            if x == 0 or s == 0:
-                new_row.append(zero)
-                continue
-            if s == 1:
-                new_row.append(x)
-                continue
-            v = s * x
+        for k, (x, s) in enumerate(zip(row, scales)):
+            v = x * s
             if v < 0 or v > 1:
                 raise EntryRangeError(
-                    f"zeroing column {j} drives entry ({i},{k}) to "
-                    f"{format_rational(v)}, outside [0, 1]",
+                    f"zeroing column {j} drives entry ({i},{k}) to {v}, outside [0, 1]",
                     row=i,
                     column=k,
                 )
@@ -198,12 +172,45 @@ def _apply_zeroing(
     return TransitionMatrix._trusted(Matrix(tuple(grid)))
 
 
-def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:
-    best = group[0]
-    for j in group[1:]:
-        if abs(c[j]) > abs(c[best]):
-            best = j
-    return best
+def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]:
+    """The weighted components F diag(v / dv) of ``triple``, checked to recompose it.
+
+    ``scaled`` holds ``(weight, v, dv)`` triples: v is an integer column-scale
+    vector over the positive denominator dv with F v = dv, which its maker
+    guarantees. Every scale must be nonnegative and sum_k w_k v_k / dv_k must
+    be 1 exactly, coordinate by coordinate, or ``InternalError`` is raised;
+    then sum_k w_k F diag(v_k / dv_k) == F entry for entry.
+
+    Each component is what ``apply_transition`` makes of F diag(v / dv),
+    built straight from F's integer rows and the target: in a certified
+    triple column k has mass q_k > 0 and barycenter b_k, and the b_k are
+    distinct and increasing. So column k of the component has mass
+    q_k v_k / dv and barycenter b_k, exactly the columns with v_k > 0 are kept,
+    none merge, and they are already in atom order.
+    """
+    for _, v, _ in scaled:
+        for k, x in enumerate(v):
+            if x < 0:
+                raise InternalError(f"peeled vertex has a negative scale at column {k}")
+    d, total = column_sums([w for w, _, _ in scaled], [(dv, v) for _, v, dv in scaled])
+    if any(t != d for t in total):
+        raise InternalError("peel recomposition identity failed")
+    rows = triple.transition._integer_rows
+    atoms, weights = triple.target.atoms, triple.target.weights
+    components = []
+    for w, v, dv in scaled:
+        # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (v_k / dv).
+        support = [(k, x) for k, x in enumerate(v) if x]
+        grid = tuple(
+            tuple(Fraction(ints[k] * x, scale * dv) for k, x in support) for scale, ints in rows
+        )
+        target = DiscreteDistribution(
+            tuple(atoms[k] for k, _ in support),
+            tuple(weights[k] * Fraction(x, dv) for k, x in support),
+        )
+        transition = TransitionMatrix._trusted(Matrix(grid))
+        components.append((w, SmpcTriple._trusted(triple.source, transition, target)))
+    return components
 
 
 def split_once(triple: SmpcTriple) -> SplitResult:
@@ -211,57 +218,44 @@ def split_once(triple: SmpcTriple) -> SplitResult:
 
     Raises ``NoSplitError`` when the transition's columns are linearly
     independent (then the target already has at most as many atoms as the
-    source). The recomposition identity alpha*left + (1-alpha)*right ==
-    transition is verified entry for entry before returning, with left/right
-    taken in their embedded form (zeroed columns kept as zeros).
+    source). For the integer dependency d of the columns, branch j has the
+    scales 1 - d / d_j, kept as the integer vector sign(d_j) (d_j - d_k) over
+    |d_j|, and the recomposition identity alpha * left + (1 - alpha) * right
+    == transition is verified exactly on those scales before returning.
     """
-    c = null_space_vector(triple.transition.matrix)
-    if c is None:
+    rows = [ints for _, ints in triple.transition._integer_rows]
+    d = column_dependency(rows, range(triple.transition.cols))
+    if d is None:
         raise NoSplitError("transition columns are linearly independent; no split exists")
-    positive = tuple(j for j, v in enumerate(c) if v > 0)
-    negative = tuple(j for j, v in enumerate(c) if v < 0)
+    positive = tuple(j for j, x in enumerate(d) if x > 0)
+    negative = tuple(j for j, x in enumerate(d) if x < 0)
     if not positive or not negative:
         raise NullVectorError("null vector of a stochastic garbling must mix signs")
-    jp = _group_max(c, positive)
-    jn = _group_max(c, negative)
+    # Each group's maximizer of |d| is its first extreme entry.
+    jp = max(positive, key=d.__getitem__)
+    jn = min(negative, key=d.__getitem__)
     # The branch zeroed first comes from the group holding the larger
     # magnitude; on a cross-group tie the lower column index leads.
-    if abs(c[jn]) > abs(c[jp]):
+    if -d[jn] > d[jp]:
         j_star, j_second = jn, jp
-    elif abs(c[jp]) > abs(c[jn]):
+    elif d[jp] > -d[jn]:
         j_star, j_second = jp, jn
     else:
         j_star, j_second = min(jp, jn), max(jp, jn)
-    alpha = abs(c[j_star]) / (abs(c[j_star]) + abs(c[j_second]))
-    left_embedded = _apply_zeroing(triple.transition, c, j_star)
-    right_embedded = _apply_zeroing(triple.transition, c, j_second)
-    beta = 1 - alpha
-    zero = Fraction(0)
-    for row_f, row_l, row_r in zip(
-        triple.transition.matrix.entries,
-        left_embedded.matrix.entries,
-        right_embedded.matrix.entries,
-    ):
-        for f, l, r in zip(row_f, row_l, row_r):
-            if l == 0:
-                combined = beta * r if r else zero
-            elif r == 0:
-                combined = alpha * l
-            else:
-                combined = alpha * l + beta * r
-            if combined != f:
-                raise InternalError("split recomposition identity failed")
-    left = apply_transition(triple.source, left_embedded)
-    right = apply_transition(triple.source, right_embedded)
+    alpha = Fraction(abs(d[j_star]), abs(d[j_star]) + abs(d[j_second]))
+    branches = []
+    for weight, j in ((alpha, j_star), (1 - alpha, j_second)):
+        sign = 1 if d[j] > 0 else -1
+        branches.append((weight, [sign * (d[j] - x) for x in d], sign * d[j]))
+    (_, left), (_, right) = _components(triple, branches)
     m = len(triple.target.atoms)
     if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
         raise InternalError("split did not reduce the atom count")
-    group_a = positive if c[j_star] > 0 else negative
-    group_b = negative if c[j_star] > 0 else positive
+    lead = next(x for x in d if x)
     certificate = SplitCertificate(
-        coefficients=c,
-        group_a=group_a,
-        group_b=group_b,
+        coefficients=tuple(Fraction(x, lead) for x in d),
+        group_a=positive if d[j_star] > 0 else negative,
+        group_b=negative if d[j_star] > 0 else positive,
         j_star=j_star,
         j_star_star=j_second,
         alpha=alpha,
@@ -318,16 +312,15 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
 
     The peel runs on F's integer rows and keeps r and each v as an integer
     vector over one denominator; ``Fraction`` values are made only for the
-    weights and for the entries of each component's transition. The
+    weights and for the components. The builder that ``split_once`` also
+    uses makes them from the peeled vertices, after verifying the
     recomposition identity sum_k w_k v_k == 1, hence
-    sum_k w_k F diag(v_k) == F entry for entry, is verified exactly before
-    returning. Components are ordered by descending weight with lexicographic
-    atom/entry tie-breaks, so equal inputs always produce the identical
-    mixture.
+    sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are
+    ordered by descending weight with lexicographic atom/entry tie-breaks, so
+    equal inputs always produce the identical mixture.
     """
     n = len(triple.source.atoms)
-    rows = triple.transition._integer_rows
-    int_rows = [ints for _, ints in rows]
+    int_rows = [ints for _, ints in triple.transition._integer_rows]
     remainder, den = [1] * triple.transition.cols, 1
     weight = Fraction(1)
     peeled: list[tuple[Fraction, list[int], int]] = []  # (weight, vertex, its denominator)
@@ -355,24 +348,10 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
             den //= g
             remainder = [r // g for r in remainder]
 
-    for _, vertex, _ in peeled:
-        for k, v in enumerate(vertex):
-            if v < 0:
-                raise InternalError(f"peeled vertex has a negative scale at column {k}")
-    d, total = column_sums([w for w, _, _ in peeled], [(dv, vertex) for _, vertex, dv in peeled])
-    if any(t != d for t in total):
-        raise InternalError("peel recomposition identity failed")
-    components = []
-    for w, vertex, dv in peeled:
-        # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (V_k / dv).
-        support = [(k, v) for k, v in enumerate(vertex) if v]
-        grid = tuple(
-            tuple(Fraction(ints[k] * v, scale * dv) for k, v in support) for scale, ints in rows
-        )
-        component = apply_transition(triple.source, TransitionMatrix._trusted(Matrix(grid)))
+    components = _components(triple, peeled)
+    for _, component in components:
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")
-        components.append((w, component))
     components.sort(
         key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.matrix.entries)
     )
@@ -391,7 +370,7 @@ def embed_transition(component: SmpcTriple, atoms: tuple[Fraction, ...]) -> Matr
     grid = [[Fraction(0)] * len(atoms) for _ in range(n)]
     for j, atom in enumerate(component.target.atoms):
         if atom not in index:
-            raise DimensionError(f"component atom {format_rational(atom)} not in the grid")
+            raise DimensionError(f"component atom {atom} not in the grid")
         pos = index[atom]
         col = component.transition.column(j)
         for i in range(n):

@@ -25,7 +25,7 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, column_sums, format_rational, integer_row, parse_rational
+from .linalg import Matrix, column_sums, integer_row, parse_rational
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class DiscreteDistribution:
 
     def to_json(self) -> dict:
         return {
-            "atoms": [format_rational(a) for a in self.atoms],
-            "weights": [format_rational(w) for w in self.weights],
+            "atoms": [str(a) for a in self.atoms],
+            "weights": [str(w) for w in self.weights],
         }
 
     @classmethod
@@ -93,14 +93,14 @@ class TransitionMatrix:
             if min(ints) < 0 or max(ints) > scale:
                 j = next(j for j, x in enumerate(ints) if x < 0 or x > scale)
                 raise EntryRangeError(
-                    f"entry ({i},{j}) = {format_rational(entries[i][j])} outside [0, 1]",
+                    f"entry ({i},{j}) = {entries[i][j]} outside [0, 1]",
                     row=i,
                     column=j,
                 )
             total = sum(ints)
             if total != scale:
                 raise RowSumError(
-                    f"row {i} sums to {format_rational(Fraction(total, scale))}, not 1"
+                    f"row {i} sums to {Fraction(total, scale)}, not 1"
                 )
 
     @cached_property
@@ -136,7 +136,7 @@ class TransitionMatrix:
         return self.matrix.column(j)
 
     def to_json(self) -> dict:
-        return {"rows": [[format_rational(x) for x in row] for row in self.matrix.entries]}
+        return {"rows": [[str(x) for x in row] for row in self.matrix.entries]}
 
     @classmethod
     def from_json(cls, obj) -> "TransitionMatrix":
@@ -172,7 +172,7 @@ class SmpcTriple:
             if s_w[j] * q[j].denominator != q[j].numerator * d_w:
                 raise WeightIdentityError(
                     f"weight identity fails at column {j}: "
-                    f"{format_rational(Fraction(s_w[j], d_w))} != {format_rational(q[j])}",
+                    f"{Fraction(s_w[j], d_w)} != {q[j]}",
                     column=j,
                 )
         for j in range(m):
@@ -180,7 +180,7 @@ class SmpcTriple:
             if s_mom[j] * qj.denominator * bj.denominator != qj.numerator * bj.numerator * d_mom:
                 raise BarycenterIdentityError(
                     f"barycenter identity fails at column {j}: "
-                    f"{format_rational(Fraction(s_mom[j], d_mom))} != {format_rational(qj * bj)}",
+                    f"{Fraction(s_mom[j], d_mom)} != {qj * bj}",
                     column=j,
                 )
 
@@ -191,8 +191,9 @@ class SmpcTriple:
         transition: TransitionMatrix,
         target: DiscreteDistribution,
     ) -> "SmpcTriple":
-        # Fast path for apply_transition, whose outputs satisfy both
-        # identities by the construction arithmetic itself.
+        # Fast path for apply_transition and the decomposition's component
+        # builder, whose outputs satisfy both identities by their
+        # construction arithmetic itself.
         self = object.__new__(cls)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "transition", transition)
@@ -288,7 +289,7 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
     while i < len(a) or j < len(b):
         t = b[j] if i == len(a) or (j < len(b) and b[j] < a[i]) else a[i]
         if t * mass > moment:
-            return f"integrated cdf exceeds at {format_rational(t)}"
+            return f"integrated cdf exceeds at {t}"
         if i < len(a) and a[i] == t:
             mass -= p[i]
             moment -= p[i] * t

@@ -64,11 +64,6 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
     raise ValueError(f"not a rational: {repr(value)[:40]}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``"a/b"``, or just ``"a"`` when the denominator is 1."""
-    return str(value)
-
-
 def integer_row(values) -> tuple[int, list[int]]:
     """``(scale, ints)`` with ``values[j] == ints[j] / scale``.
 
@@ -127,9 +122,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)

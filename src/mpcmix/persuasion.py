@@ -18,7 +18,7 @@ from fractions import Fraction
 from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, format_rational, parse_rational
+from .linalg import Matrix, parse_rational
 from .lp import solve_garbling
 
 
@@ -50,10 +50,7 @@ class PiecewiseLinearFn:
     def __call__(self, x: Fraction) -> Fraction:
         lo, hi = self.domain
         if x < lo or x > hi:
-            raise DomainError(
-                f"{format_rational(x)} outside domain "
-                f"[{format_rational(lo)}, {format_rational(hi)}]"
-            )
+            raise DomainError(f"{x} outside domain [{lo}, {hi}]")
         for k in range(len(self.knots) - 1):
             x0, y0 = self.knots[k]
             x1, y1 = self.knots[k + 1]
@@ -73,9 +70,7 @@ class PiecewiseLinearFn:
         return sum(w * self(a) for a, w in zip(dist.atoms, dist.weights))
 
     def to_json(self) -> dict:
-        return {
-            "knots": [[format_rational(x), format_rational(y)] for x, y in self.knots]
-        }
+        return {"knots": [[str(x), str(y)] for x, y in self.knots]}
 
     @classmethod
     def from_json(cls, obj) -> "PiecewiseLinearFn":
@@ -190,9 +185,7 @@ def deviation_payoff(
     lo, hi = opponent_cdf.domain
     for atom in deviation.atoms:
         if atom < lo or atom > hi:
-            raise DomainError(
-                f"deviation atom {format_rational(atom)} outside the cdf domain"
-            )
+            raise DomainError(f"deviation atom {atom} outside the cdf domain")
     return opponent_cdf.expectation(deviation)
 
 
@@ -241,10 +234,8 @@ def construct_mixed_equilibrium(triple: SmpcTriple) -> Mixture:
     """Spread a candidate pure strategy over few-atom contractions.
 
     The mixture induces exactly the same distribution over posterior means as
-    the original target (verified by recomposition), hence the same payoff
-    profile against any opponent strategy.
+    the original target, hence the same payoff profile against any opponent
+    strategy: ``decompose_full`` checks that its column scales sum to 1
+    exactly, so the component weights at each atom sum to the target's.
     """
-    mixture = decompose_full(triple)
-    if mixture.recompose() != triple.target:
-        raise InternalError("mixture does not recompose to the original strategy")
-    return mixture
+    return decompose_full(triple)

@@ -18,6 +18,17 @@ from .persuasion import PiecewiseLinearFn
 
 
 def random_distribution(rng: Random, n: int, spread: int = 12, max_denominator: int = 5) -> DiscreteDistribution:
+    """``n`` distinct atoms a/b with |a| <= spread and 1 <= b <= max_denominator.
+
+    Raises ``ValueError`` before drawing anything when that pool holds fewer
+    than ``n`` distinct values.
+    """
+    pool = len({Fraction(a, b) for a in range(-spread, spread + 1) for b in range(1, max_denominator + 1)})
+    if n > pool:
+        raise ValueError(
+            f"n = {n} exceeds the {pool} distinct atoms a/b with |a| <= {spread}, "
+            f"1 <= b <= {max_denominator}"
+        )
     atoms: set[Fraction] = set()
     while len(atoms) < n:
         atoms.add(Fraction(rng.randint(-spread, spread), rng.randint(1, max_denominator)))

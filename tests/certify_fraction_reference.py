@@ -17,7 +17,7 @@ from mpcmix.errors import (
     RowSumError,
     WeightIdentityError,
 )
-from mpcmix.linalg import Matrix, format_rational
+from mpcmix.linalg import Matrix
 
 
 def check_weights(weights) -> None:
@@ -35,13 +35,13 @@ def check_rows(matrix: Matrix) -> None:
         for j, x in enumerate(row):
             if x and (x < 0 or x > 1):
                 raise EntryRangeError(
-                    f"entry ({i},{j}) = {format_rational(x)} outside [0, 1]",
+                    f"entry ({i},{j}) = {x} outside [0, 1]",
                     row=i,
                     column=j,
                 )
         total = sum((x for x in row if x), Fraction(0))
         if total != 1:
-            raise RowSumError(f"row {i} sums to {format_rational(total)}, not 1")
+            raise RowSumError(f"row {i} sums to {total}, not 1")
 
 
 def check_identities(
@@ -72,14 +72,14 @@ def check_identities(
         if got_weight[j] != q[j]:
             raise WeightIdentityError(
                 f"weight identity fails at column {j}: "
-                f"{format_rational(got_weight[j])} != {format_rational(q[j])}",
+                f"{got_weight[j]} != {q[j]}",
                 column=j,
             )
     for j in range(m):
         if got_moment[j] != q[j] * b[j]:
             raise BarycenterIdentityError(
                 f"barycenter identity fails at column {j}: "
-                f"{format_rational(got_moment[j])} != {format_rational(q[j] * b[j])}",
+                f"{got_moment[j]} != {q[j] * b[j]}",
                 column=j,
             )
 

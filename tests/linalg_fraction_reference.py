@@ -1,16 +1,17 @@
-"""Elimination and peeling as they were over ``Fraction`` rows: a test-only reference.
+"""Elimination, splitting and peeling as they were over ``Fraction`` rows: a test-only reference.
 
 ``mpcmix.linalg`` eliminates fraction-free on integer rows, and
 ``mpcmix.decomposition`` walks and peels on integer vectors over one
-denominator. These are the earlier ``Fraction`` versions, kept unchanged, so
-tests can require the same null vectors, ranks and mixtures from both.
+denominator and builds every component from its column scales. These are the
+earlier ``Fraction`` versions, kept unchanged, so tests can require the same
+null vectors, ranks, splits and mixtures from both.
 """
 
 from fractions import Fraction
 
-from mpcmix.decomposition import Mixture
+from mpcmix.decomposition import Mixture, SplitCertificate, SplitResult
 from mpcmix.distributions import SmpcTriple, TransitionMatrix, apply_transition
-from mpcmix.errors import InternalError
+from mpcmix.errors import EntryRangeError, InternalError, NoSplitError, NullVectorError
 from mpcmix.linalg import Matrix
 
 
@@ -74,6 +75,116 @@ def null_space_vector(matrix: Matrix) -> tuple[Fraction, ...] | None:
         x[pc] = -acc / row[pc]
     lead = next(v for v in x if v != 0)
     return tuple(v / lead for v in x)
+
+
+def _apply_zeroing(
+    transition: TransitionMatrix, c: tuple[Fraction, ...], j: int
+) -> TransitionMatrix:
+    """Scaling core of zero_column; c must already be a verified null vector.
+
+    Row sums survive exactly because sum_k (1 - c_k/c_j) f_ik equals
+    sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c, so only the
+    [0, 1] entry range needs checking here.
+    """
+    m = transition.cols
+    zero, one = Fraction(0), Fraction(1)
+    cj = c[j]
+    scales = [one - ck / cj for ck in c]
+    scales[j] = zero
+    grid = []
+    for i, row in enumerate(transition.matrix.entries):
+        new_row = []
+        for k in range(m):
+            x = row[k]
+            s = scales[k]
+            if x == 0 or s == 0:
+                new_row.append(zero)
+                continue
+            if s == 1:
+                new_row.append(x)
+                continue
+            v = s * x
+            if v < 0 or v > 1:
+                raise EntryRangeError(
+                    f"zeroing column {j} drives entry ({i},{k}) to "
+                    f"{v}, outside [0, 1]",
+                    row=i,
+                    column=k,
+                )
+            new_row.append(v)
+        grid.append(tuple(new_row))
+    return TransitionMatrix._trusted(Matrix(tuple(grid)))
+
+
+def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:
+    best = group[0]
+    for j in group[1:]:
+        if abs(c[j]) > abs(c[best]):
+            best = j
+    return best
+
+
+def split_once(triple: SmpcTriple) -> SplitResult:
+    """Split a triple into two with strictly fewer target atoms.
+
+    Raises ``NoSplitError`` when the transition's columns are linearly
+    independent (then the target already has at most as many atoms as the
+    source). The recomposition identity alpha*left + (1-alpha)*right ==
+    transition is verified entry for entry before returning, with left/right
+    taken in their embedded form (zeroed columns kept as zeros).
+    """
+    c = null_space_vector(triple.transition.matrix)
+    if c is None:
+        raise NoSplitError("transition columns are linearly independent; no split exists")
+    positive = tuple(j for j, v in enumerate(c) if v > 0)
+    negative = tuple(j for j, v in enumerate(c) if v < 0)
+    if not positive or not negative:
+        raise NullVectorError("null vector of a stochastic garbling must mix signs")
+    jp = _group_max(c, positive)
+    jn = _group_max(c, negative)
+    # The branch zeroed first comes from the group holding the larger
+    # magnitude; on a cross-group tie the lower column index leads.
+    if abs(c[jn]) > abs(c[jp]):
+        j_star, j_second = jn, jp
+    elif abs(c[jp]) > abs(c[jn]):
+        j_star, j_second = jp, jn
+    else:
+        j_star, j_second = min(jp, jn), max(jp, jn)
+    alpha = abs(c[j_star]) / (abs(c[j_star]) + abs(c[j_second]))
+    left_embedded = _apply_zeroing(triple.transition, c, j_star)
+    right_embedded = _apply_zeroing(triple.transition, c, j_second)
+    beta = 1 - alpha
+    zero = Fraction(0)
+    for row_f, row_l, row_r in zip(
+        triple.transition.matrix.entries,
+        left_embedded.matrix.entries,
+        right_embedded.matrix.entries,
+    ):
+        for f, l, r in zip(row_f, row_l, row_r):
+            if l == 0:
+                combined = beta * r if r else zero
+            elif r == 0:
+                combined = alpha * l
+            else:
+                combined = alpha * l + beta * r
+            if combined != f:
+                raise InternalError("split recomposition identity failed")
+    left = apply_transition(triple.source, left_embedded)
+    right = apply_transition(triple.source, right_embedded)
+    m = len(triple.target.atoms)
+    if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
+        raise InternalError("split did not reduce the atom count")
+    group_a = positive if c[j_star] > 0 else negative
+    group_b = negative if c[j_star] > 0 else positive
+    certificate = SplitCertificate(
+        coefficients=c,
+        group_a=group_a,
+        group_b=group_b,
+        j_star=j_star,
+        j_star_star=j_second,
+        alpha=alpha,
+    )
+    return SplitResult(alpha, left, right, certificate)
 
 
 def _walk_to_vertex(

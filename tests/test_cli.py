@@ -73,9 +73,9 @@ def test_verify_smpc_valid(tmp_path, capsys):
 
 
 def test_internal_invariant_failure_is_exit_3(tmp_path, capsys, monkeypatch):
-    # A component wider than the source must trip the decomposition's own check.
-    wide = worked_triple()
-    monkeypatch.setattr(decomposition, "apply_transition", lambda source, transition: wide)
+    # With no dependency found, the walk stops at s = 1 and peels the whole
+    # 4-atom target on 3 source atoms, which must trip the decomposition's own check.
+    monkeypatch.setattr(decomposition, "column_dependency", lambda rows, columns: None)
     payload = {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}
     code = run_cli(tmp_path, "decompose", payload)
     captured = capsys.readouterr()
@@ -110,6 +110,15 @@ def test_long_bad_atom_gives_a_short_parse_error(tmp_path, capsys):
     assert code == 2
     assert json.loads(captured.err)["error"]["code"] == "parse"
     assert len(captured.err.encode()) < 1024
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["is-mpc", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"code": "parse", "message": "input JSON is nested too deeply"}
 
 
 def test_missing_field_is_exit_2(tmp_path, capsys):
@@ -180,6 +189,26 @@ def test_gen_random_is_seeded_and_valid(tmp_path, capsys):
     assert run_cli(tmp_path, "gen-random", payload, "--seed", "10") == 0
     third = capsys.readouterr().out
     assert third != first
+
+
+def test_gen_random_refuses_more_atoms_than_its_pool(tmp_path, capsys):
+    # Atoms are a/b with |a| <= 12 and 1 <= b <= 5: 85 distinct values.
+    assert run_cli(tmp_path, "gen-random", {"n": 85, "m": 2}, "--seed", "3") == 0
+    source = json.loads(capsys.readouterr().out)["instances"][0]["source"]
+    assert len(set(source["atoms"])) == 85
+    assert run_cli(tmp_path, "gen-random", {"n": 86, "m": 2}, "--seed", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "parse"
+    assert error["message"].startswith("n = 86 exceeds the 85 distinct atoms")
+
+
+def test_gen_random_stream_is_pinned(tmp_path, capsys):
+    assert run_cli(tmp_path, "gen-random", {"n": 3, "m": 2}, "--seed", "9") == 0
+    instance = json.loads(capsys.readouterr().out)["instances"][0]
+    assert instance["source"] == {"atoms": ["-4", "-1/3", "2/5"], "weights": ["1/16", "3/8", "9/16"]}
+    assert instance["transition"] == {"rows": [["3/7", "4/7"], ["0", "1"], ["1/2", "1/2"]]}
 
 
 def test_determinism_and_output_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_fraction_reference as reference
 from mpcmix import (
     DiscreteDistribution,
     Matrix,
@@ -20,7 +21,17 @@ from mpcmix import (
     verify_uniqueness,
     zero_column,
 )
-from mpcmix.errors import DimensionError, EntryRangeError, NoSplitError, NullVectorError, RankError
+from mpcmix import decomposition
+from mpcmix.errors import (
+    DimensionError,
+    EntryRangeError,
+    InternalError,
+    MpcError,
+    NoSplitError,
+    NullVectorError,
+    RankError,
+)
+from mpcmix.linalg import column_sums
 from mpcmix.randgen import random_smpc, random_split_instance
 
 from cases import (
@@ -234,6 +245,54 @@ def garblings(draw):
 @given(garblings())
 def test_decompositions_of_generated_garblings_are_exact(triple):
     _assert_exact_mixture(triple, decompose_full(triple))
+
+
+def _split_or_error(split, triple):
+    try:
+        return split(triple)
+    except MpcError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_split(triple):
+    """The split built from column scales equals the ``Fraction`` reference's, repr and all."""
+    got = _split_or_error(split_once, triple)
+    expected = _split_or_error(reference.split_once, triple)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+class TestMatchesTheFractionSplit:
+    def test_seeded_garblings(self):
+        rng = Random(37)
+        for _ in range(200):
+            _assert_same_split(random_smpc(rng, rng.randint(1, 6), rng.randint(1, 12)))
+        for k in range(60):
+            _assert_same_split(random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0))
+        tied = apply_transition(dist(["0", "1"], ["1/2", "1/2"]), tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]]))
+        for triple in (worked_triple(), tied, SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)):
+            _assert_same_split(triple)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(garblings())
+    def test_generated_garblings(self, triple):
+        _assert_same_split(triple)
+
+
+class TestComponentChecks:
+    def test_a_wrong_recomposition_total_is_an_internal_error(self, monkeypatch):
+        def one_off(coefficients, rows):
+            d, total = column_sums(coefficients, rows)
+            return d, [total[0] + 1, *total[1:]]
+
+        monkeypatch.setattr(decomposition, "column_sums", one_off)
+        for build in (split_once, decompose_full):
+            with pytest.raises(InternalError, match="^peel recomposition identity failed$"):
+                build(worked_triple())
+
+    def test_a_negative_scale_is_an_internal_error(self):
+        with pytest.raises(InternalError, match="^peeled vertex has a negative scale at column 1$"):
+            decomposition._components(worked_triple(), [(Fraction(1), [2, -1, 1, 1], 1)])
 
 
 def _assert_exact_mixture(triple, mixture):
