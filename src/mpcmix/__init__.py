@@ -35,7 +35,6 @@ from .persuasion import (
     PersuasionSolution,
     PiecewiseLinearFn,
     check_no_profitable_deviation,
-    construct_mixed_equilibrium,
     deviation_payoff,
     reduce_support,
     solve_linear_persuasion,
@@ -60,7 +59,6 @@ __all__ = [
     "UniquenessReport",
     "apply_transition",
     "check_no_profitable_deviation",
-    "construct_mixed_equilibrium",
     "decompose_full",
     "deviation_payoff",
     "embed_transition",

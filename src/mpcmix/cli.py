@@ -147,26 +147,16 @@ def _cmd_gen_random(payload, args):
     return {"instances": instances}
 
 
-_HANDLERS = {
-    "verify-smpc": _cmd_verify_smpc,
-    "apply": _cmd_apply,
-    "is-mpc": _cmd_is_mpc,
-    "find-witness": _cmd_find_witness,
-    "decompose": _cmd_decompose,
-    "solve-persuasion": _cmd_solve_persuasion,
-    "check-deviation": _cmd_check_deviation,
-    "gen-random": _cmd_gen_random,
-}
-
-_HELP = {
-    "verify-smpc": "check a (source, transition, target) triple exactly",
-    "apply": "garble a source through a transition matrix",
-    "is-mpc": "test the contraction order between two distributions",
-    "find-witness": "search for a garbling matrix certifying a contraction",
-    "decompose": "split a contraction into a mixture of small-support ones",
-    "solve-persuasion": "maximize a piecewise-linear payoff over contractions",
-    "check-deviation": "bound the best deviation against an opponent cdf",
-    "gen-random": "emit seeded random (source, transition) instances",
+# Each command's handler and its --help line.
+_COMMANDS = {
+    "verify-smpc": (_cmd_verify_smpc, "check a (source, transition, target) triple exactly"),
+    "apply": (_cmd_apply, "garble a source through a transition matrix"),
+    "is-mpc": (_cmd_is_mpc, "test the contraction order between two distributions"),
+    "find-witness": (_cmd_find_witness, "search for a garbling matrix certifying a contraction"),
+    "decompose": (_cmd_decompose, "split a contraction into a mixture of small-support ones"),
+    "solve-persuasion": (_cmd_solve_persuasion, "maximize a piecewise-linear payoff over contractions"),
+    "check-deviation": (_cmd_check_deviation, "bound the best deviation against an opponent cdf"),
+    "gen-random": (_cmd_gen_random, "emit seeded random (source, transition) instances"),
 }
 
 
@@ -275,8 +265,8 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", nargs="?", default="-", help="input JSON path, or - for stdin")
         cmd.add_argument("-o", "--output", default="-", help="output path, or - for stdout")
         cmd.add_argument("--pretty", action="store_true", help="human-readable tables instead of JSON")
@@ -294,7 +284,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload = _decode(_read_input(args.input))
-        result = _HANDLERS[args.command](payload, args)
+        result = _COMMANDS[args.command][0](payload, args)
     except InternalError as exc:
         _emit_error(exc.code, str(exc))
         return 3

@@ -61,7 +61,6 @@ class SplitCertificate:
 
 
 class SplitResult(NamedTuple):
-    alpha: Fraction
     left: SmpcTriple
     right: SmpcTriple
     certificate: SplitCertificate
@@ -148,7 +147,7 @@ def zero_column(
     if len(c) != m:
         raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
     zero = Fraction(0)
-    for i, row in enumerate(transition.matrix.entries):
+    for i, row in enumerate(transition.entries):
         if sum((ck * x for ck, x in zip(c, row) if x), zero) != 0:
             raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
     cj = c[j]
@@ -157,7 +156,7 @@ def zero_column(
     scales = [1 - ck / cj for ck in c]
     scales[j] = zero
     grid = []
-    for i, row in enumerate(transition.matrix.entries):
+    for i, row in enumerate(transition.entries):
         new_row = []
         for k, (x, s) in enumerate(zip(row, scales)):
             v = x * s
@@ -169,7 +168,7 @@ def zero_column(
                 )
             new_row.append(v)
         grid.append(tuple(new_row))
-    return TransitionMatrix._trusted(Matrix(tuple(grid)))
+    return TransitionMatrix._trusted(tuple(grid))
 
 
 def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]:
@@ -208,7 +207,7 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
             tuple(atoms[k] for k, _ in support),
             tuple(weights[k] * Fraction(x, dv) for k, x in support),
         )
-        transition = TransitionMatrix._trusted(Matrix(grid))
+        transition = TransitionMatrix._trusted(grid)
         components.append((w, SmpcTriple._trusted(triple.source, transition, target)))
     return components
 
@@ -260,7 +259,7 @@ def split_once(triple: SmpcTriple) -> SplitResult:
         j_star_star=j_second,
         alpha=alpha,
     )
-    return SplitResult(alpha, left, right, certificate)
+    return SplitResult(left, right, certificate)
 
 
 def _walk_to_vertex(rows, point: list[int], den: int) -> tuple[list[int], int]:
@@ -353,7 +352,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")
     components.sort(
-        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.matrix.entries)
+        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.entries)
     )
     return Mixture(tuple(components))
 
@@ -398,7 +397,7 @@ def verify_uniqueness(triple: SmpcTriple) -> UniquenessReport:
     n, m = len(triple.source.atoms), len(triple.target.atoms)
     if m != n + 1:
         raise DimensionError(f"need n+1 target atoms, got n={n}, m={m}")
-    if rank(triple.transition.matrix) != n:
+    if rank(triple.transition) != n:
         raise RankError("transition rank below source size: multiple null directions")
     result = split_once(triple)
     c = result.certificate.coefficients

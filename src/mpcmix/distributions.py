@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     BarycenterIdentityError,
@@ -79,21 +78,24 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic (Markov) matrix: entries in [0, 1], every row sums to 1."""
+class TransitionMatrix(Matrix):
+    """Row-stochastic (Markov) matrix: entries in [0, 1], every row sums to 1.
 
-    matrix: Matrix
+    A :class:`Matrix` whose construction also checks its rows, on the integer
+    rows the matrix caches. The inherited ``from_rows`` and ``identity``
+    build this class, so what they return is checked too.
+    """
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # On the integer row of (scale, ints): an entry lies in [0, 1] exactly
         # when 0 <= ints[j] <= scale, and the row sums to 1 exactly when
         # sum(ints) == scale.
-        entries = self.matrix.entries
         for i, (scale, ints) in enumerate(self._integer_rows):
             if min(ints) < 0 or max(ints) > scale:
                 j = next(j for j, x in enumerate(ints) if x < 0 or x > scale)
                 raise EntryRangeError(
-                    f"entry ({i},{j}) = {entries[i][j]} outside [0, 1]",
+                    f"entry ({i},{j}) = {self.entries[i][j]} outside [0, 1]",
                     row=i,
                     column=j,
                 )
@@ -103,40 +105,16 @@ class TransitionMatrix:
                     f"row {i} sums to {Fraction(total, scale)}, not 1"
                 )
 
-    @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, list[int]], ...]:
-        """Each row as ``integer_row``'s ``(scale, ints)``, built on first use."""
-        return tuple(integer_row(row) for row in self.matrix.entries)
-
     @classmethod
-    def from_rows(cls, rows) -> "TransitionMatrix":
-        return cls(Matrix.from_rows(rows))
-
-    @classmethod
-    def _trusted(cls, matrix: Matrix) -> "TransitionMatrix":
+    def _trusted(cls, entries) -> "TransitionMatrix":
         # Fast path for callers whose construction already guarantees the
         # invariants exactly; everything user-facing goes through __init__.
         self = object.__new__(cls)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "entries", entries)
         return self
 
-    @classmethod
-    def identity(cls, n: int) -> "TransitionMatrix":
-        return cls(Matrix.identity(n))
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.cols
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return self.matrix.column(j)
-
     def to_json(self) -> dict:
-        return {"rows": [[str(x) for x in row] for row in self.matrix.entries]}
+        return {"rows": [[str(x) for x in row] for row in self.entries]}
 
     @classmethod
     def from_json(cls, obj) -> "TransitionMatrix":
@@ -253,7 +231,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
         if mass:
             merged.setdefault(Fraction(s_mom[j] * d_w, d_mom * mass), []).append(j)
     atoms = tuple(sorted(merged))
-    columns = tuple(zip(*transition.matrix.entries))
+    columns = tuple(zip(*transition.entries))
     weights, grid_columns = [], []
     for barycenter in atoms:
         group = merged[barycenter]
@@ -266,7 +244,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     target = DiscreteDistribution(atoms, tuple(weights))
     # Both identities hold by the arithmetic above: the target weights are the
     # computed column masses and each atom is its column's exact barycenter.
-    return SmpcTriple._trusted(source, TransitionMatrix._trusted(Matrix(grid)), target)
+    return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)
 
 
 def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution) -> str | None:

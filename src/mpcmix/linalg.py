@@ -5,12 +5,14 @@ values gcd-reduced with a positive denominator, so all comparisons and
 equality tests downstream are exact. The per-entry loops work on integer
 rows instead: :func:`integer_row` scales a rational row to integers, and
 :func:`column_sums` forms weighted column sums of such rows for
-certification. Elimination is fraction-free on the same rows: one kernel
-takes the columns in order and finds each that depends on the earlier ones.
-:func:`rank` counts the others; the first dependency gives
-:func:`null_space_vector`, and the decomposition's peel reads it directly
-through :func:`column_dependency`. That dependency depends on the matrix
-alone, never on a pivot choice, so every result is deterministic.
+certification. A :class:`Matrix` owns its integer rows, built on first use
+and cached, so each row is converted once however many readers it has.
+Elimination is fraction-free on the same rows: one kernel takes the columns
+in order and finds each that depends on the earlier ones. :func:`rank`
+counts the others; the first dependency gives :func:`null_space_vector`, and
+the decomposition's peel reads it directly through
+:func:`column_dependency`. That dependency depends on the matrix alone,
+never on a pivot choice, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -126,6 +129,11 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, list[int]], ...]:
+        """Each row as ``integer_row``'s ``(scale, ints)``, built on first use."""
+        return tuple(integer_row(row) for row in self.entries)
+
 
 def _echelon(rows, columns):
     """Fraction-free elimination of ``columns`` of the integer ``rows``, in order.
@@ -186,7 +194,7 @@ def column_dependency(rows, columns) -> list[int] | None:
 
 def rank(matrix: Matrix) -> int:
     """Exact rank."""
-    rows = [integer_row(row)[1] for row in matrix.entries]
+    rows = [ints for _, ints in matrix._integer_rows]
     return sum(d is None for d in _echelon(rows, range(matrix.cols)))
 
 
@@ -198,7 +206,7 @@ def null_space_vector(matrix: Matrix) -> tuple[Fraction, ...] | None:
     the first column that depends on the earlier ones, with zeros after that
     column, so equal matrices always yield the identical vector.
     """
-    d = column_dependency([integer_row(row)[1] for row in matrix.entries], range(matrix.cols))
+    d = column_dependency([ints for _, ints in matrix._integer_rows], range(matrix.cols))
     if d is None:
         return None
     lead = next(x for x in d if x)

@@ -263,6 +263,6 @@ def find_witness(
     )
     if grid is None:
         return None
-    witness = TransitionMatrix(Matrix(grid))
+    witness = TransitionMatrix(grid)
     SmpcTriple(source, witness, target)  # exact revalidation of both identities
     return witness

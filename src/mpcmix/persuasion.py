@@ -18,7 +18,7 @@ from fractions import Fraction
 from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, parse_rational
+from .linalg import parse_rational
 from .lp import solve_garbling
 
 
@@ -160,7 +160,7 @@ def solve_linear_persuasion(
     )
     if grid is None:  # full disclosure is feasible, box is bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
-    optimum = apply_transition(source, TransitionMatrix(Matrix(grid)))
+    optimum = apply_transition(source, TransitionMatrix(grid))
     reduced, certificate = reduce_support(optimum, utility)
     exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)
     return PersuasionSolution(
@@ -228,14 +228,3 @@ def check_no_profitable_deviation(
         equilibrium_value=parse_rational(equilibrium_value),
         solution=solution,
     )
-
-
-def construct_mixed_equilibrium(triple: SmpcTriple) -> Mixture:
-    """Spread a candidate pure strategy over few-atom contractions.
-
-    The mixture induces exactly the same distribution over posterior means as
-    the original target, hence the same payoff profile against any opponent
-    strategy: ``decompose_full`` checks that its column scales sum to 1
-    exactly, so the component weights at each atom sum to the target's.
-    """
-    return decompose_full(triple)

@@ -16,22 +16,31 @@ from .linalg import Matrix, null_space_vector, rank
 from .lp import StandardFormLP
 from .persuasion import PiecewiseLinearFn
 
+SPREAD = 12
+"""Largest |a| of a generated atom a/b."""
 
-def random_distribution(rng: Random, n: int, spread: int = 12, max_denominator: int = 5) -> DiscreteDistribution:
-    """``n`` distinct atoms a/b with |a| <= spread and 1 <= b <= max_denominator.
+MAX_DENOMINATOR = 5
+"""Largest b of a generated atom a/b."""
+
+MAX_LP_SIZE = 8
+"""Largest nvars + nrows of a generated LP."""
+
+
+def random_distribution(rng: Random, n: int) -> DiscreteDistribution:
+    """``n`` distinct atoms a/b with |a| <= SPREAD and 1 <= b <= MAX_DENOMINATOR.
 
     Raises ``ValueError`` before drawing anything when that pool holds fewer
     than ``n`` distinct values.
     """
-    pool = len({Fraction(a, b) for a in range(-spread, spread + 1) for b in range(1, max_denominator + 1)})
+    pool = len({Fraction(a, b) for a in range(-SPREAD, SPREAD + 1) for b in range(1, MAX_DENOMINATOR + 1)})
     if n > pool:
         raise ValueError(
-            f"n = {n} exceeds the {pool} distinct atoms a/b with |a| <= {spread}, "
-            f"1 <= b <= {max_denominator}"
+            f"n = {n} exceeds the {pool} distinct atoms a/b with |a| <= {SPREAD}, "
+            f"1 <= b <= {MAX_DENOMINATOR}"
         )
     atoms: set[Fraction] = set()
     while len(atoms) < n:
-        atoms.add(Fraction(rng.randint(-spread, spread), rng.randint(1, max_denominator)))
+        atoms.add(Fraction(rng.randint(-SPREAD, SPREAD), rng.randint(1, MAX_DENOMINATOR)))
     raw = [rng.randint(1, 9) for _ in range(n)]
     total = sum(raw)
     return DiscreteDistribution(tuple(sorted(atoms)), tuple(Fraction(w, total) for w in raw))
@@ -45,7 +54,7 @@ def random_transition(rng: Random, n: int, m: int) -> TransitionMatrix:
             row = [rng.randint(0, 6) for _ in range(m)]
         total = sum(row)
         grid.append(tuple(Fraction(x, total) for x in row))
-    return TransitionMatrix(Matrix(tuple(grid)))
+    return TransitionMatrix(tuple(grid))
 
 
 def random_smpc(rng: Random, n: int, m: int) -> SmpcTriple:
@@ -60,15 +69,20 @@ def random_split_instance(rng: Random, n: int, generic: bool = True) -> SmpcTrip
     null coefficient nonzero and a strict maximizer of |c| inside each sign
     group. Ties make more than two columns zeroable (the tied ones empty
     together), which the uniqueness probe treats separately.
+
+    Raises ``ValueError`` before drawing anything when n < 2: one source atom
+    sends every column to the same barycenter, so no target has two atoms.
     """
+    if n < 2:
+        raise ValueError(f"a split instance needs at least 2 source atoms, got n = {n}")
     while True:
         triple = random_smpc(rng, n, n + 1)
         if len(triple.target.atoms) != n + 1:
             continue
-        if rank(triple.transition.matrix) != n:
+        if rank(triple.transition) != n:
             continue
         if generic:
-            c = null_space_vector(triple.transition.matrix)
+            c = null_space_vector(triple.transition)
             if any(v == 0 for v in c):
                 continue
             positives = sorted(abs(v) for v in c if v > 0)
@@ -87,14 +101,14 @@ def perturb_mean(rng: Random, dist: DiscreteDistribution) -> DiscreteDistributio
     return DiscreteDistribution(atoms, dist.weights)
 
 
-def random_lp(rng: Random, max_total: int = 8) -> StandardFormLP:
-    """Random LP with nvars + nrows <= max_total and a bounded feasible set.
+def random_lp(rng: Random) -> StandardFormLP:
+    """Random LP with nvars + nrows <= MAX_LP_SIZE and a bounded feasible set.
 
     The first row caps the variable sum, so no generated instance is
     unbounded; feasibility varies with the remaining random rows.
     """
-    nvars = rng.randint(1, max_total // 2)
-    nextra = rng.randint(1, max_total - nvars - 1)
+    nvars = rng.randint(1, MAX_LP_SIZE // 2)
+    nextra = rng.randint(1, MAX_LP_SIZE - nvars - 1)
     rows = [[Fraction(1)] * nvars]
     rhs = [Fraction(rng.randint(1, 8))]
     senses = ["le"]

@@ -62,7 +62,7 @@ def check_identities(
     for i in range(n):
         pi = p[i]
         pai = pi * a[i]
-        row = transition.matrix.entries[i]
+        row = transition.entries[i]
         for j in range(m):
             x = row[j]
             if x:
@@ -97,7 +97,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     for i in range(n):
         pi = p[i]
         pai = pi * a[i]
-        row = transition.matrix.entries[i]
+        row = transition.entries[i]
         for j in range(m):
             x = row[j]
             if x:
@@ -108,7 +108,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
         if masses[j] == 0:
             continue
         barycenter = moments[j] / masses[j]
-        col = transition.matrix.column(j)
+        col = transition.column(j)
         if barycenter in cells:
             old_mass, old_col = cells[barycenter]
             cells[barycenter] = (
@@ -121,4 +121,4 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     weights = tuple(cells[b][0] for b in atoms)
     grid = tuple(tuple(cells[b][1][i] for b in atoms) for i in range(n))
     target = DiscreteDistribution(atoms, weights)
-    return SmpcTriple._trusted(source, TransitionMatrix._trusted(Matrix(grid)), target)
+    return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)

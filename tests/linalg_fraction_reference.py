@@ -92,7 +92,7 @@ def _apply_zeroing(
     scales = [one - ck / cj for ck in c]
     scales[j] = zero
     grid = []
-    for i, row in enumerate(transition.matrix.entries):
+    for i, row in enumerate(transition.entries):
         new_row = []
         for k in range(m):
             x = row[k]
@@ -113,7 +113,7 @@ def _apply_zeroing(
                 )
             new_row.append(v)
         grid.append(tuple(new_row))
-    return TransitionMatrix._trusted(Matrix(tuple(grid)))
+    return TransitionMatrix._trusted(tuple(grid))
 
 
 def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:
@@ -133,7 +133,7 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     transition is verified entry for entry before returning, with left/right
     taken in their embedded form (zeroed columns kept as zeros).
     """
-    c = null_space_vector(triple.transition.matrix)
+    c = null_space_vector(triple.transition)
     if c is None:
         raise NoSplitError("transition columns are linearly independent; no split exists")
     positive = tuple(j for j, v in enumerate(c) if v > 0)
@@ -156,9 +156,9 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     beta = 1 - alpha
     zero = Fraction(0)
     for row_f, row_l, row_r in zip(
-        triple.transition.matrix.entries,
-        left_embedded.matrix.entries,
-        right_embedded.matrix.entries,
+        triple.transition.entries,
+        left_embedded.entries,
+        right_embedded.entries,
     ):
         for f, l, r in zip(row_f, row_l, row_r):
             if l == 0:
@@ -184,7 +184,7 @@ def split_once(triple: SmpcTriple) -> SplitResult:
         j_star_star=j_second,
         alpha=alpha,
     )
-    return SplitResult(alpha, left, right, certificate)
+    return SplitResult(left, right, certificate)
 
 
 def _walk_to_vertex(
@@ -231,7 +231,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     mixture.
     """
     n = len(triple.source.atoms)
-    rows = triple.transition.matrix.entries
+    rows = triple.transition.entries
     one = Fraction(1)
     remainder = [one] * triple.transition.cols
     weight = one
@@ -262,12 +262,12 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     for w, vertex in peeled:
         support = [k for k, v in enumerate(vertex) if v]
         grid = tuple(tuple(row[k] * vertex[k] for k in support) for row in rows)
-        component = apply_transition(triple.source, TransitionMatrix._trusted(Matrix(grid)))
+        component = apply_transition(triple.source, TransitionMatrix._trusted(grid))
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")
         components.append((w, component))
     components.sort(
-        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.matrix.entries)
+        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.entries)
     )
     return Mixture(tuple(components))
 

@@ -57,7 +57,7 @@ def test_criterion_1_worked_split_regression():
     started = time.perf_counter()
     triple = worked_triple()
     result = split_once(triple)
-    assert result.alpha == ALPHA
+    assert result.certificate.alpha == ALPHA
     c = result.certificate.coefficients
     assert zero_column(triple.transition, c, result.certificate.j_star) == LEFT_EMBEDDED
     assert zero_column(triple.transition, c, result.certificate.j_star_star) == RIGHT_EMBEDDED
@@ -92,7 +92,7 @@ def test_criterion_2_recomposition_identity():
                 row = embedded.entries[i]
                 for j in range(len(row)):
                     total[i][j] += weight * row[j]
-        assert Matrix(tuple(tuple(r) for r in total)) == triple.transition.matrix
+        assert Matrix(tuple(tuple(r) for r in total)) == Matrix(triple.transition.entries)
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -83,21 +83,21 @@ def shift_atom(dist, k, delta):
 
 def assert_same(source, matrix, i, j, delta):
     """Every certification step agrees with the reference, on ``matrix`` and corruptions of it."""
-    assert outcome(certify, TransitionMatrix, matrix) == outcome(reference.check_rows, matrix)
-    target = reference.apply_transition(source, TransitionMatrix(matrix)).target
+    assert outcome(certify, TransitionMatrix, matrix.entries) == outcome(reference.check_rows, matrix)
+    target = reference.apply_transition(source, TransitionMatrix(matrix.entries)).target
     for bad in (-delta, 1 + delta, matrix.entries[i % matrix.rows][j % matrix.cols] + delta):
         broken = corrupt_entry(matrix, i, j, bad)
         expected = outcome(reference.check_rows, broken)
         assert isinstance(expected, tuple)
-        assert outcome(certify, TransitionMatrix, broken) == expected
+        assert outcome(certify, TransitionMatrix, broken.entries) == expected
         # The identity check reads the entries as given, in range or not.
-        trusted = TransitionMatrix._trusted(broken)
+        trusted = TransitionMatrix._trusted(broken.entries)
         if len(target.atoms) == matrix.cols:
             assert outcome(certify, SmpcTriple, source, trusted, target) == outcome(
                 reference.check_identities, source, trusted, target
             )
 
-    transition = TransitionMatrix(matrix)
+    transition = TransitionMatrix(matrix.entries)
     expected = reference.apply_transition(source, transition)
     got = apply_transition(source, transition)
     assert got == expected
@@ -109,7 +109,7 @@ def assert_same(source, matrix, i, j, delta):
         assert outcome(certify, SmpcTriple, source, reduced, target) == outcome(
             reference.check_identities, source, reduced, target
         )
-    wide = TransitionMatrix._trusted(matrix)
+    wide = TransitionMatrix._trusted(matrix.entries)
     if len(expected.target.atoms) != matrix.cols:
         assert outcome(certify, SmpcTriple, source, wide, expected.target) == outcome(
             reference.check_identities, source, wide, expected.target

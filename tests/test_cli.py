@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from mpcmix import Mixture, SmpcTriple, decompose_full
-from mpcmix import decomposition, distributions
+from mpcmix import decomposition, linalg
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
 from mpcmix.linalg import integer_row
@@ -70,6 +70,26 @@ def test_verify_smpc_valid(tmp_path, capsys):
     }
     assert run_cli(tmp_path, "verify-smpc", payload) == 0
     assert json.loads(capsys.readouterr().out) == {"valid": True}
+
+
+@pytest.mark.parametrize("command", ["apply", "verify-smpc", "decompose"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Every row sums to 1 but the first, which is also the shortest: the
+        # shape is checked before the rows.
+        ([["1/2"], ["1/2", "1/2"], ["1", "0", "0", "0"]], "matrix rows have unequal lengths"),
+        ([["1"], ["1/2", "1/2"], ["1/3", "1/3", "1/3"]], "matrix rows have unequal lengths"),
+        ([], "matrix needs at least one row and one column"),
+        ([[], [], []], "matrix needs at least one row and one column"),
+    ],
+)
+def test_ragged_or_empty_rows_are_parse_errors(tmp_path, capsys, command, rows, message):
+    payload = {"source": PRIOR.to_json(), "transition": {"rows": rows}, "target": TARGET.to_json()}
+    assert run_cli(tmp_path, command, payload) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "parse", "message": message}}
 
 
 def test_internal_invariant_failure_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -299,7 +319,7 @@ def test_each_transition_row_is_converted_once(tmp_path, capsys, monkeypatch):
         converted.append(tuple(values))
         return integer_row(values)
 
-    monkeypatch.setattr(distributions, "integer_row", counting_integer_row)
+    monkeypatch.setattr(linalg, "integer_row", counting_integer_row)
     payload = {
         "source": PRIOR.to_json(),
         "transition": GARBLING.to_json(),
@@ -309,7 +329,7 @@ def test_each_transition_row_is_converted_once(tmp_path, capsys, monkeypatch):
         converted.clear()
         assert run_cli(tmp_path, command, payload) == 0
         capsys.readouterr()
-        assert [converted.count(row) for row in GARBLING.matrix.entries] == [1, 1, 1]
+        assert [converted.count(row) for row in GARBLING.entries] == [1, 1, 1]
 
 
 

@@ -67,7 +67,7 @@ class TestZeroColumn:
             zero_column(GARBLING, NULL_COEFFS, 0)
         violation = err.value
         scale = 1 - NULL_COEFFS[violation.column] / NULL_COEFFS[0]
-        value = scale * GARBLING.matrix.entries[violation.row][violation.column]
+        value = scale * GARBLING.entries[violation.row][violation.column]
         assert value < 0 or value > 1
         with pytest.raises(EntryRangeError):
             zero_column(GARBLING, NULL_COEFFS, 1)
@@ -108,16 +108,16 @@ class TestZeroColumn:
         for i in range(2):
             for k in range(3):
                 assert (
-                    half * merged_left.matrix.entries[i][k]
-                    + half * merged_right.matrix.entries[i][k]
-                    == m.matrix.entries[i][k]
+                    half * merged_left.entries[i][k]
+                    + half * merged_right.entries[i][k]
+                    == m.entries[i][k]
                 )
 
 
 class TestSplitOnce:
     def test_worked_example(self):
         result = split_once(worked_triple())
-        assert result.alpha == ALPHA
+        assert result.certificate.alpha == ALPHA
         assert result.left.target == LEFT_TARGET
         assert result.left.transition == LEFT_REDUCED
         assert result.right.target == RIGHT_TARGET
@@ -136,9 +136,9 @@ class TestSplitOnce:
         for i in range(3):
             for k in range(4):
                 assert (
-                    result.alpha * left.entries[i][k]
-                    + (1 - result.alpha) * right.entries[i][k]
-                    == triple.transition.matrix.entries[i][k]
+                    result.certificate.alpha * left.entries[i][k]
+                    + (1 - result.certificate.alpha) * right.entries[i][k]
+                    == triple.transition.entries[i][k]
                 )
 
     def test_independent_columns_refuse_to_split(self):
@@ -153,10 +153,10 @@ class TestSplitOnce:
         garbling = tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
         triple = apply_transition(source, garbling)
         result = split_once(triple)
-        assert result.alpha == Fraction(1, 2)
+        assert result.certificate.alpha == Fraction(1, 2)
         assert result.left.target == DiscreteDistribution.point_mass(Fraction(1, 2))
         assert result.right.target == source
-        mixture = Mixture(((result.alpha, result.left), (1 - result.alpha, result.right)))
+        mixture = Mixture(((result.certificate.alpha, result.left), (1 - result.certificate.alpha, result.right)))
         assert mixture.recompose() == triple.target
 
     def test_alpha_strictly_interior(self):
@@ -166,7 +166,7 @@ class TestSplitOnce:
             if len(triple.target.atoms) <= len(triple.source.atoms):
                 continue
             result = split_once(triple)
-            assert 0 < result.alpha < 1
+            assert 0 < result.certificate.alpha < 1
 
 
 class TestDecomposeFull:
@@ -208,7 +208,7 @@ class TestDecomposeFull:
             result = split_once(triple)
             components = decompose_full(triple).components
             assert len(components) == 2
-            assert set(components) == {(result.alpha, result.left), (1 - result.alpha, result.right)}
+            assert set(components) == {(result.certificate.alpha, result.left), (1 - result.certificate.alpha, result.right)}
 
     def test_deterministic(self):
         first = decompose_full(worked_triple())
@@ -238,7 +238,7 @@ def garblings(draw):
     total = sum(raw_weights)
     source = DiscreteDistribution(tuple(sorted(atoms)), tuple(Fraction(w, total) for w in raw_weights))
     rows = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in raw_rows)
-    return apply_transition(source, TransitionMatrix(Matrix(rows)))
+    return apply_transition(source, TransitionMatrix(rows))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -299,7 +299,7 @@ def _assert_exact_mixture(triple, mixture):
     """Small, valid components that recombine to the transition entry for entry."""
     n = len(triple.source.atoms)
     m = len(triple.target.atoms)
-    assert len(mixture.components) <= m - rank(triple.transition.matrix) + 1
+    assert len(mixture.components) <= m - rank(triple.transition) + 1
     assert mixture.recompose() == triple.target
     total = [[Fraction(0)] * m for _ in range(n)]
     for weight, component in mixture.components:
@@ -310,7 +310,7 @@ def _assert_exact_mixture(triple, mixture):
         for i, row in enumerate(embedded.entries):
             for k, x in enumerate(row):
                 total[i][k] += weight * x
-    assert Matrix(tuple(tuple(row) for row in total)) == triple.transition.matrix
+    assert Matrix(tuple(tuple(row) for row in total)) == Matrix(triple.transition.entries)
 
 
 class TestRecompose:
@@ -341,8 +341,8 @@ class TestRecompose:
 class TestEmbedTransition:
     def test_zeroed_columns_reappear(self):
         result = split_once(worked_triple())
-        assert embed_transition(result.left, TARGET.atoms) == LEFT_EMBEDDED.matrix
-        assert embed_transition(result.right, TARGET.atoms) == RIGHT_EMBEDDED.matrix
+        assert embed_transition(result.left, TARGET.atoms) == Matrix(LEFT_EMBEDDED.entries)
+        assert embed_transition(result.right, TARGET.atoms) == Matrix(RIGHT_EMBEDDED.entries)
 
     def test_unknown_atom_is_an_error(self):
         result = split_once(worked_triple())
@@ -393,6 +393,12 @@ class TestVerifyUniqueness:
         assert len(triple.target.atoms) == 4
         with pytest.raises(RankError):
             verify_uniqueness(triple)
+
+    def test_split_instances_need_two_source_atoms(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"at least 2 source atoms, got n = {n}"):
+                random_split_instance(Random(3), n)
+        assert len(random_split_instance(Random(3), 2).target.atoms) == 3
 
     def test_random_generic_instances_have_two_zeroable_columns(self):
         rng = Random(41)

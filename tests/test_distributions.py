@@ -19,6 +19,7 @@ from mpcmix.errors import (
     RowSumError,
     WeightIdentityError,
 )
+from mpcmix.linalg import Matrix
 from mpcmix.randgen import random_distribution, random_smpc, random_transition
 
 from cases import GARBLING, LEFT_EMBEDDED, LEFT_TARGET, PRIOR, TARGET, dist, tm, worked_triple
@@ -60,6 +61,21 @@ class TestTransitionMatrix:
 
     def test_zero_columns_are_legal(self):
         assert LEFT_EMBEDDED.column(2) == (Fraction(0),) * 3
+
+    def test_is_a_matrix_without_a_wrapper(self):
+        assert isinstance(GARBLING, Matrix)
+        assert not hasattr(GARBLING, "matrix")
+        assert (GARBLING.rows, GARBLING.cols) == (3, 4)
+
+    def test_inherited_constructors_build_checked_transitions(self):
+        identity = TransitionMatrix.identity(3)
+        assert type(identity) is TransitionMatrix
+        assert identity == tm([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        assert type(TransitionMatrix.from_rows([["1/2", "1/2"]])) is TransitionMatrix
+        with pytest.raises(RowSumError, match=r"row 1 sums to 5/6, not 1"):
+            TransitionMatrix.from_rows([["1", "0"], ["1/2", "1/3"]])
+        with pytest.raises(ValueError, match="matrix needs at least one row and one column"):
+            TransitionMatrix.identity(0)
 
 
 class TestValidateSmpc:

@@ -63,7 +63,7 @@ def assert_same_peel(triple):
     vertex, den = _walk_to_vertex(rows, [1] * m, 1)
     assert den > 0 and gcd(den, *vertex) == 1
     start = [Fraction(1)] * m
-    assert [Fraction(v, den) for v in vertex] == reference._walk_to_vertex(triple.transition.matrix.entries, start)
+    assert [Fraction(v, den) for v in vertex] == reference._walk_to_vertex(triple.transition.entries, start)
 
 
 def stochastic_rows(raw_rows, primes=None):
@@ -165,7 +165,7 @@ class TestMatchesTheFractionPeel:
             rows = stochastic_rows(raw, primes if k % 2 else None)
             if k % 3:
                 rows = make_deficient(rows, "copy" if k % 3 == 1 else "mix", 0, 1, 2)
-            triple = apply_transition(source, TransitionMatrix(Matrix(tuple(map(tuple, rows)))))
+            triple = apply_transition(source, TransitionMatrix(tuple(map(tuple, rows))))
             assert_same_peel(triple)
 
     @PROFILE
@@ -200,4 +200,4 @@ class TestMatchesTheFractionPeel:
 
         total = sum(raw_weights)
         source = DiscreteDistribution(tuple(sorted(atoms)), tuple(Fraction(w, total) for w in raw_weights))
-        assert_same_peel(apply_transition(source, TransitionMatrix(matrix)))
+        assert_same_peel(apply_transition(source, TransitionMatrix(matrix.entries)))

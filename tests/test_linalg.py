@@ -4,10 +4,19 @@ from random import Random
 
 import pytest
 
-from mpcmix import Matrix, null_space_vector, parse_rational, rank
-from mpcmix.linalg import MAX_DIGITS
+from mpcmix import (
+    Matrix,
+    SmpcTriple,
+    TransitionMatrix,
+    linalg,
+    null_space_vector,
+    parse_rational,
+    rank,
+    verify_uniqueness,
+)
+from mpcmix.linalg import MAX_DIGITS, integer_row
 
-from cases import GARBLING, NULL_COEFFS
+from cases import GARBLING, NULL_COEFFS, PRIOR, TARGET
 
 
 def times(matrix, vec):
@@ -95,9 +104,9 @@ class TestMatrix:
 
 class TestNullSpace:
     def test_worked_garbling_columns(self):
-        c = null_space_vector(GARBLING.matrix)
+        c = null_space_vector(GARBLING)
         assert c == NULL_COEFFS
-        assert times(GARBLING.matrix, c) == (Fraction(0),) * 3
+        assert times(GARBLING, c) == (Fraction(0),) * 3
 
     def test_full_column_rank_gives_none(self):
         assert null_space_vector(Matrix.identity(2)) is None
@@ -124,11 +133,25 @@ class TestNullSpace:
             assert lead == 1
 
     def test_deterministic(self):
-        first = null_space_vector(GARBLING.matrix)
-        rebuilt = Matrix.from_rows([[str(x) for x in row] for row in GARBLING.matrix.entries])
+        first = null_space_vector(GARBLING)
+        rebuilt = Matrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
         assert null_space_vector(rebuilt) == first
 
     def test_rank(self):
         assert rank(Matrix.identity(3)) == 3
-        assert rank(GARBLING.matrix) == 3
+        assert rank(GARBLING) == 3
         assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
+
+    def test_elimination_reuses_a_transitions_cached_rows(self, monkeypatch):
+        converted = []
+
+        def counting_integer_row(values):
+            converted.append(tuple(values))
+            return integer_row(values)
+
+        monkeypatch.setattr(linalg, "integer_row", counting_integer_row)
+        transition = TransitionMatrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
+        assert rank(transition) == 3
+        assert null_space_vector(transition) == NULL_COEFFS
+        verify_uniqueness(SmpcTriple(PRIOR, transition, TARGET))
+        assert [converted.count(row) for row in transition.entries] == [1, 1, 1]

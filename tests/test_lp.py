@@ -138,7 +138,7 @@ class TestFindWitness:
         target = DiscreteDistribution.point_mass(PRIOR.mean())
         witness = find_witness(PRIOR, target)
         assert witness is not None
-        assert witness.matrix.entries == ((Fraction(1),), (Fraction(1),), (Fraction(1),))
+        assert witness.entries == ((Fraction(1),), (Fraction(1),), (Fraction(1),))
 
     def test_mean_mismatch_has_no_witness(self):
         shifted = dist(["0", "1/2", "9/8"], ["3/10", "3/10", "2/5"])

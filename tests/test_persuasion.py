@@ -9,7 +9,6 @@ from mpcmix import (
     SmpcTriple,
     TransitionMatrix,
     check_no_profitable_deviation,
-    construct_mixed_equilibrium,
     deviation_payoff,
     decompose_full,
     reduce_support,
@@ -228,14 +227,14 @@ class TestCheckNoProfitableDeviation:
 
 class TestConstructMixedEquilibrium:
     def test_worked_strategy_splits_into_two(self):
-        mixture = construct_mixed_equilibrium(worked_triple())
+        mixture = decompose_full(worked_triple())
         weights = tuple(w for w, _ in mixture.components)
         assert weights == (Fraction(4, 7), Fraction(3, 7))
         assert mixture.recompose() == worked_triple().target
 
     def test_small_support_strategy_is_already_pure(self):
         triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
-        mixture = construct_mixed_equilibrium(triple)
+        mixture = decompose_full(triple)
         assert mixture.components == ((Fraction(1), triple),)
 
     def test_random_strategies_recompose(self):
@@ -243,6 +242,6 @@ class TestConstructMixedEquilibrium:
         for _ in range(25):
             n = rng.randint(2, 5)
             triple = random_smpc(rng, n, rng.randint(n, 9))
-            mixture = construct_mixed_equilibrium(triple)
+            mixture = decompose_full(triple)
             assert mixture.recompose() == triple.target
             assert all(len(c.target.atoms) <= n for _, c in mixture.components)
