@@ -3,8 +3,9 @@
 Any finitely supported mean-preserving contraction of an n-atom distribution
 can be written as a mixture of contractions with at most n atoms each. This
 package computes that mixture exactly over the rationals, certifies garbling
-triples, finds witness matrices by exact linear programming, and applies the
-machinery to linear and competitive persuasion problems.
+triples, builds witness matrices as left-curtain couplings, and applies the
+machinery to linear and competitive persuasion problems by exact linear
+programming.
 """
 
 from .decomposition import (
@@ -23,12 +24,13 @@ from .distributions import (
     SmpcTriple,
     TransitionMatrix,
     apply_transition,
+    find_witness,
     is_mpc,
     mpc_violation,
 )
 from .errors import MpcError
 from .linalg import Matrix, null_space_vector, parse_rational, rank
-from .lp import LPOutcome, StandardFormLP, find_witness
+from .lp import LPOutcome, StandardFormLP
 from .lp import solve as solve_lp
 from .persuasion import (
     DeviationCheck,

@@ -24,11 +24,11 @@ from .distributions import (
     SmpcTriple,
     TransitionMatrix,
     apply_transition,
+    find_witness,
     mpc_violation,
 )
 from .errors import InternalError, MpcError
 from .linalg import parse_rational
-from .lp import find_witness
 from .persuasion import (
     PiecewiseLinearFn,
     check_no_profitable_deviation,

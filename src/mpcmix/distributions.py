@@ -8,7 +8,8 @@ after both defining identities
     weights(source) @ F == weights(target)
     (weights(source) * atoms(source)) @ F == weights(target) * atoms(target)
 
-have been checked exactly, column by column.
+have been checked exactly, column by column. ``mpc_violation`` decides the
+contraction order, and ``find_witness`` builds a garbling that certifies it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .errors import (
     DimensionError,
     DistributionError,
     EntryRangeError,
+    InternalError,
+    MpcError,
     RowSumError,
     WeightIdentityError,
 )
@@ -282,3 +285,90 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
 def is_mpc(source: DiscreteDistribution, candidate: DiscreteDistribution) -> bool:
     """Exact convex-order test: is ``candidate`` an MPC of ``source``?"""
     return mpc_violation(source, candidate) is None
+
+
+def _shadow(
+    atoms: tuple[Fraction, ...], left: list[Fraction], mass: Fraction, at: Fraction
+) -> dict[int, Fraction]:
+    """The source mass that a target atom of ``mass`` at ``at`` takes.
+
+    ``left[i]`` is the mass of source atom i not yet taken. The shadow is the
+    quantile window of that mass, of total ``mass``, whose mean is ``at``; the
+    result maps each source index to the mass taken there.
+
+    As the window's start s slides right, its first moment grows at the rate
+    a[right end] - a[left end] >= 0, which changes only where either end
+    crosses from one atom to the next. The sweep walks those breakpoints, and
+    in the piece that reaches ``mass * at`` one linear equation gives s.
+    """
+    moment = mass * at
+    live = [i for i, x in enumerate(left) if x]
+    # The leftmost window: all of live[:hi] and the first part of live[hi].
+    hi, below, window = 0, Fraction(0), Fraction(0)
+    while below + left[live[hi]] < mass:
+        below += left[live[hi]]
+        window += left[live[hi]] * atoms[live[hi]]
+        hi += 1
+    window += (mass - below) * atoms[live[hi]]
+    # head: mass of live[lo] from the window's start on; tail: mass of
+    # live[hi] beyond the window's end.
+    lo, head, tail = 0, left[live[0]], below + left[live[hi]] - mass
+    if window > moment:
+        raise InternalError(f"no shadow window for the target atom at {at}: every window's mean is above it")
+    while window < moment:
+        if not tail:
+            hi += 1
+            if hi == len(live):
+                raise InternalError(f"no shadow window for the target atom at {at}: every window's mean is below it")
+            tail = left[live[hi]]
+        rate = atoms[live[hi]] - atoms[live[lo]]
+        step = min(head, tail)
+        if window + rate * step >= moment:
+            step = (moment - window) / rate
+            head -= step
+            tail -= step
+            break
+        window += rate * step
+        head -= step
+        tail -= step
+        if not head:
+            lo += 1
+            head = left[live[lo]]
+    if lo == hi:
+        return {live[lo]: mass}
+    taken = {live[lo]: head, live[hi]: left[live[hi]] - tail}
+    for k in range(lo + 1, hi):
+        taken[live[k]] = left[live[k]]
+    return taken
+
+
+def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> TransitionMatrix | None:
+    """A garbling matrix certifying that ``target`` is an MPC of ``source``, or None.
+
+    ``mpc_violation`` decides first, so a pair that is not a contraction
+    builds nothing. Otherwise the matrix is the left-curtain coupling
+    (Beiglböck & Juillet 2016): target atoms are taken from left to right,
+    each takes its shadow (see ``_shadow``) in the source mass still unused,
+    and F[i][j] is the mass atom j takes from source atom i over p_i. The
+    construction is O(n * m) exact operations, deterministic, and the result
+    is revalidated by the full ``SmpcTriple`` check. A shadow that does not
+    exist, or a witness that fails the check, is an ``InternalError``.
+    """
+    if mpc_violation(source, target) is not None:
+        return None
+    atoms, p = source.atoms, source.weights
+    left = list(p)
+    zero = Fraction(0)
+    columns = []
+    for q, b in zip(target.weights, target.atoms):
+        column = [zero] * len(p)
+        for i, x in _shadow(atoms, left, q, b).items():
+            left[i] -= x
+            column[i] = x / p[i]
+        columns.append(column)
+    try:
+        witness = TransitionMatrix(tuple(zip(*columns)))
+        SmpcTriple(source, witness, target)
+    except MpcError as exc:
+        raise InternalError(f"shadow witness failed revalidation: {exc}") from exc
+    return witness

@@ -5,7 +5,9 @@ x >= 0, everything rational. Bland's pivoting (lowest eligible index in and
 out) guarantees termination under the heavy degeneracy these feasibility
 systems produce, and exact arithmetic makes the reported optimum a certificate
 rather than an approximation. The tableau holds integer rows and pivots
-without fractions (see ``_Tableau``).
+without fractions (see ``_Tableau``). ``solve_garbling`` states the
+persuasion LP over the entries of a garbling matrix; witnesses for the
+contraction order need no LP (see ``distributions.find_witness``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
 from .errors import DimensionError, InternalError
 from .linalg import Matrix, integer_row
 
@@ -244,25 +245,3 @@ def solve_garbling(
         return outcome, None
     return outcome, tuple(outcome.solution[i * width : (i + 1) * width] for i in range(n))
 
-
-def find_witness(
-    source: DiscreteDistribution, target: DiscreteDistribution
-) -> TransitionMatrix | None:
-    """A garbling matrix certifying the contraction, or None when none exists.
-
-    Phrases the defining identities directly as a feasibility program over the
-    matrix entries: each row sums to 1, each column reproduces the target
-    weight and the target barycenter. Witnesses are not unique; whichever
-    basic solution the simplex lands on is returned after exact revalidation.
-    """
-    p, q, b = source.weights, target.weights, target.atoms
-    moments = tuple(w * x for w, x in zip(p, source.atoms))
-    m = len(q)
-    _, grid = solve_garbling(
-        len(p), m, [(j, p, q[j]) for j in range(m)] + [(j, moments, q[j] * b[j]) for j in range(m)]
-    )
-    if grid is None:
-        return None
-    witness = TransitionMatrix(grid)
-    SmpcTriple(source, witness, target)  # exact revalidation of both identities
-    return witness

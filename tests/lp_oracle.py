@@ -5,10 +5,19 @@ redundant rows by Gaussian elimination, then enumerates every basic solution
 (one square solve per column subset) and keeps the best nonnegative one.
 Sound for feasibility always, and for optimality whenever the feasible set is
 bounded, which the random corpus guarantees by including a simplex row.
+
+``oracle_status`` adds the unbounded case by searching the recession cone
+the same way. ``lp_witness`` is the other oracle here: the witness search as a
+feasibility LP over the garbling's entries, solved by the package's simplex.
+It checks ``find_witness``'s shadow coupling against an independent decision
+and supplies the witness programs that the simplex is tested on.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from mpcmix.linalg import Matrix
+from mpcmix.lp import StandardFormLP, solve_garbling
 
 
 def _to_equality_form(lp):
@@ -99,3 +108,41 @@ def oracle_solve(lp):
     if best is None:
         return "infeasible", None, None
     return "optimal", best, best_x
+
+
+def oracle_status(lp):
+    """(status, value), deciding unboundedness as well.
+
+    A feasible program is unbounded exactly when its recession cone
+    {d >= 0 : A d (senses) 0} holds a direction with objective @ d > 0.
+    Capping sum(d) <= 1 makes that search a bounded program, which
+    ``oracle_solve`` decides exactly.
+    """
+    status, value, _ = oracle_solve(lp)
+    if status == "infeasible":
+        return status, None
+    n = len(lp.objective)
+    ray = StandardFormLP(
+        objective=lp.objective,
+        constraint_matrix=Matrix(lp.constraint_matrix.entries + ((Fraction(1),) * n,)),
+        rhs=(Fraction(0),) * len(lp.rhs) + (Fraction(1),),
+        senses=lp.senses + ("le",),
+    )
+    if oracle_solve(ray)[1] > 0:
+        return "unbounded", None
+    return "optimal", value
+
+
+def lp_witness(source, target):
+    """A garbling F with P F = Q and matching barycenters as a tuple of rows, or None.
+
+    Each row of F sums to 1, and each column j reproduces the target weight
+    (sum_i p_i F_ij = q_j) and the target moment (sum_i p_i a_i F_ij = q_j b_j).
+    """
+    p, q, b = source.weights, target.weights, target.atoms
+    moments = tuple(w * x for w, x in zip(p, source.atoms))
+    m = len(q)
+    _, grid = solve_garbling(
+        len(p), m, [(j, p, q[j]) for j in range(m)] + [(j, moments, q[j] * b[j]) for j in range(m)]
+    )
+    return grid

@@ -3,6 +3,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcmix import (
     DiscreteDistribution,
@@ -21,7 +23,7 @@ from mpcmix.randgen import perturb_mean, random_lp, random_piecewise_linear, ran
 from cases import PRIOR, TARGET, dist
 
 from lp_fraction_reference import reference_solve
-from lp_oracle import oracle_solve
+from lp_oracle import lp_witness, oracle_solve, oracle_status
 
 
 def lp(objective, rows, rhs, senses):
@@ -128,6 +130,29 @@ class TestSolve:
             lp([1, 2], [[1]], [1], ["le"])
 
 
+@st.composite
+def small_lps(draw):
+    """Up to 4 variables and 4 rows of small rationals, any senses; some are unbounded."""
+    nvars = draw(st.integers(1, 4), label="nvars")
+    nrows = draw(st.integers(1, 4), label="nrows")
+    small = st.fractions(-3, 3, max_denominator=3)
+    return StandardFormLP(
+        objective=tuple(draw(st.lists(small, min_size=nvars, max_size=nvars), label="objective")),
+        constraint_matrix=Matrix(
+            tuple(tuple(draw(st.lists(small, min_size=nvars, max_size=nvars))) for _ in range(nrows))
+        ),
+        rhs=tuple(draw(st.lists(st.fractions(-4, 6, max_denominator=2), min_size=nrows, max_size=nrows), label="rhs")),
+        senses=tuple(draw(st.lists(st.sampled_from(["le", "ge", "eq"]), min_size=nrows, max_size=nrows), label="senses")),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_lps())
+def test_simplex_matches_the_oracle_on_generated_programs(problem):
+    out = solve_lp(problem)
+    assert (out.status, out.value) == oracle_status(problem)
+
+
 class TestFindWitness:
     def test_worked_pair_has_a_witness(self):
         witness = find_witness(PRIOR, TARGET)
@@ -196,9 +221,9 @@ class TestMatchesTheFractionTableau:
             for _ in range(20):
                 triple = random_smpc(rng, rng.randint(1, 5), rng.randint(1, 5))
                 source, target = triple.source, triple.target
-                find_witness(source, target)
-                find_witness(target, source)
-                find_witness(source, perturb_mean(rng, target))
+                lp_witness(source, target)
+                lp_witness(target, source)
+                lp_witness(source, perturb_mean(rng, target))
 
         problems = _recorded_lps(monkeypatch, run)
         assert len(problems) == 60

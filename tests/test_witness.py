@@ -1,0 +1,147 @@
+"""Witnesses as left-curtain couplings: ``find_witness`` against ``is_mpc`` and the LP.
+
+A witness exists exactly when the target is a mean-preserving contraction of
+the source. The shadow construction must find one on every such pair, return
+None on every other pair, agree with the feasibility of the witness LP in
+``lp_oracle.lp_witness``, and hand back only matrices that pass the full
+``SmpcTriple`` check.
+"""
+
+import json
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpcmix import (
+    DiscreteDistribution,
+    SmpcTriple,
+    TransitionMatrix,
+    apply_transition,
+    find_witness,
+    is_mpc,
+)
+from mpcmix import cli, distributions
+from mpcmix.errors import InternalError
+
+from cases import PRIOR, TARGET, dist
+from lp_oracle import lp_witness
+
+PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PRIMES = (999_961, 999_979, 999_983, 1_000_003, 1_000_033, 1_000_037, 1_000_039)
+
+
+@st.composite
+def garblings(draw):
+    """A source of 1 to 5 atoms garbled through a random row-stochastic matrix of up to 8 columns.
+
+    Smaller than the decomposition tests' garblings, so that the witness LP of
+    every reversed pair stays quick.
+    """
+    n = draw(st.integers(1, 5), label="n")
+    m = draw(st.integers(1, 8), label="m")
+    atoms = draw(st.lists(st.fractions(-6, 6, max_denominator=6), min_size=n, max_size=n, unique=True), label="atoms")
+    raw_weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n), label="weights")
+    raw_rows = draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any), min_size=n, max_size=n),
+        label="rows",
+    )
+    total = sum(raw_weights)
+    source = DiscreteDistribution(tuple(sorted(atoms)), tuple(Fraction(w, total) for w in raw_weights))
+    rows = tuple(tuple(Fraction(x, sum(row)) for x in row) for row in raw_rows)
+    return apply_transition(source, TransitionMatrix(rows))
+
+
+def _assert_decided_like_the_lp(source, target):
+    witness = find_witness(source, target)
+    assert (witness is not None) is is_mpc(source, target)
+    assert (witness is not None) is (lp_witness(source, target) is not None)
+    if witness is not None:
+        SmpcTriple(source, witness, target)
+
+
+@PROFILE
+@given(garblings(), st.integers(1, 9))
+def test_witness_exists_exactly_for_contractions(triple, shift):
+    source, target = triple.source, triple.target
+    shifted = DiscreteDistribution(target.atoms[:-1] + (target.atoms[-1] + Fraction(1, shift),), target.weights)
+    for pair in ((source, target), (target, source), (source, shifted), (source, source)):
+        _assert_decided_like_the_lp(*pair)
+
+
+def test_worked_pair_gets_the_left_curtain_coupling():
+    # Target atom 1/6 takes the window of mass 3/10 and mean 1/6: 1/5 at 0 and
+    # 1/10 at 1/2. Atom 1/2 takes 1/5 at 1/2; atom 3/4 takes 1/20 at 0 and
+    # 3/20 at 1; atom 5/6 takes the rest.
+    witness = find_witness(PRIOR, TARGET)
+    assert witness.entries == tuple(
+        tuple(Fraction(x) for x in row)
+        for row in (("2/3", "0", "1/6", "1/6"), ("1/3", "2/3", "0", "0"), ("0", "0", "3/8", "5/8"))
+    )
+
+
+def _prime_denominator_pair(n, m, seed):
+    """A source of n atoms whose weights share one prime denominator, garbled onto m columns."""
+    rng = Random(seed)
+    den = PRIMES[seed % len(PRIMES)]
+    cuts = sorted(rng.sample(range(1, den), n - 1))
+    weights = tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den]))
+    atoms = tuple(Fraction(a, 7) for a in sorted(rng.sample(range(-500, 500), n)))
+    rows = []
+    for _ in range(n):
+        row = [rng.randint(0, 6) for _ in range(m)]
+        row[rng.randrange(m)] += 1
+        rows.append(tuple(Fraction(x, sum(row)) for x in row))
+    return apply_transition(DiscreteDistribution(atoms, weights), TransitionMatrix(tuple(rows)))
+
+
+def test_a_wide_prime_denominator_pair_gets_a_witness():
+    triple = _prime_denominator_pair(20, 30, seed=5)
+    assert len(triple.target.atoms) == 30
+    witness = find_witness(triple.source, triple.target)
+    assert (witness.rows, witness.cols) == (20, 30)
+    SmpcTriple(triple.source, witness, triple.target)
+
+
+POOLED = DiscreteDistribution.point_mass(Fraction(1, 2))
+SPREAD = dist(["0", "1"], ["1/2", "1/2"])
+
+
+class TestInternalErrors:
+    """Pairs that reach the construction although they are no contraction."""
+
+    @pytest.fixture
+    def accept_everything(self, monkeypatch):
+        monkeypatch.setattr(distributions, "mpc_violation", lambda source, candidate: None)
+
+    def test_a_target_below_every_window_has_no_shadow(self, accept_everything):
+        with pytest.raises(InternalError, match="^no shadow window for the target atom at 0: every window's mean is above it$"):
+            find_witness(POOLED, SPREAD)
+
+    def test_a_target_above_every_window_has_no_shadow(self, accept_everything):
+        shifted = dist(["0", "1/2", "2"], ["3/10", "3/10", "2/5"])
+        with pytest.raises(InternalError, match="^no shadow window for the target atom at 2: every window's mean is below it$"):
+            find_witness(PRIOR, shifted)
+
+    def test_the_cli_reports_a_missing_shadow_with_exit_3(self, accept_everything, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"source": POOLED.to_json(), "target": SPREAD.to_json()}), encoding="utf-8")
+        assert cli.main(["find-witness", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {"code": "internal", "message": "no shadow window for the target atom at 0: every window's mean is above it"}
+        }
+
+    def test_a_witness_that_fails_its_check_is_an_internal_error(self, monkeypatch):
+        real = distributions._masses_and_moments
+
+        def one_off(source, transition):
+            d_w, s_w, d_mom, s_mom = real(source, transition)
+            return d_w, [s_w[0] + 1, *s_w[1:]], d_mom, s_mom
+
+        monkeypatch.setattr(distributions, "_masses_and_moments", one_off)
+        with pytest.raises(InternalError, match="^shadow witness failed revalidation: weight identity fails at column 0"):
+            find_witness(PRIOR, TARGET)
