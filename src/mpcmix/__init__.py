@@ -4,8 +4,9 @@ Any finitely supported mean-preserving contraction of an n-atom distribution
 can be written as a mixture of contractions with at most n atoms each. This
 package computes that mixture exactly over the rationals, certifies garbling
 triples, builds witness matrices as left-curtain couplings, and applies the
-machinery to linear and competitive persuasion problems by exact linear
-programming.
+machinery to linear and competitive persuasion problems: an exact linear
+program over the target's weights on a candidate grid chooses the
+contraction, and its witness is the garbling.
 """
 
 from .decomposition import (

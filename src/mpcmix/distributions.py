@@ -174,7 +174,8 @@ class SmpcTriple:
     ) -> "SmpcTriple":
         # Fast path for apply_transition and the decomposition's component
         # builder, whose outputs satisfy both identities by their
-        # construction arithmetic itself.
+        # construction arithmetic itself, and for the persuasion optimum,
+        # whose witness find_witness has just checked against its target.
         self = object.__new__(cls)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "transition", transition)

@@ -5,9 +5,10 @@ x >= 0, everything rational. Bland's pivoting (lowest eligible index in and
 out) guarantees termination under the heavy degeneracy these feasibility
 systems produce, and exact arithmetic makes the reported optimum a certificate
 rather than an approximation. The tableau holds integer rows and pivots
-without fractions (see ``_Tableau``). ``solve_garbling`` states the
-persuasion LP over the entries of a garbling matrix; witnesses for the
-contraction order need no LP (see ``distributions.find_witness``).
+without fractions (see ``_Tableau``). Persuasion states its LP over the
+target's weights on a candidate grid (see
+``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
+contraction order, come from ``distributions.find_witness`` with no LP.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, InternalError
-from .linalg import Matrix, integer_row
+from .linalg import integer_row
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
 
 SENSES = ("le", "ge", "eq")
 
@@ -206,42 +211,3 @@ class _Tableau:
 def solve(lp: StandardFormLP) -> LPOutcome:
     """Exact optimum, or infeasible/unbounded status."""
     return _Tableau(lp).solve()
-
-
-def solve_garbling(
-    n: int, width: int, column_rows, objective=None
-) -> tuple[LPOutcome, tuple[tuple[Fraction, ...], ...] | None]:
-    """Solve an exact LP over the entries F[i][j] >= 0 of an n x width garbling.
-
-    Every row of F sums to 1, and each ``(j, coefficients, rhs)`` in
-    ``column_rows`` adds the equation sum_i coefficients[i] * F[i][j] == rhs.
-    ``objective`` holds one coefficient per entry in row-major order; without
-    it the program is a feasibility problem. Returns the outcome and, when it
-    is optimal, F as a tuple of rows.
-    """
-    zero, one = Fraction(0), Fraction(1)
-    nvars = n * width
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        row = [zero] * nvars
-        row[i * width : (i + 1) * width] = [one] * width
-        rows.append(row)
-        rhs.append(one)
-    for j, coefficients, b in column_rows:
-        row = [zero] * nvars
-        row[j::width] = coefficients
-        rows.append(row)
-        rhs.append(b)
-    outcome = solve(
-        StandardFormLP(
-            objective=tuple(objective) if objective is not None else (zero,) * nvars,
-            constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),
-            rhs=tuple(rhs),
-            senses=("eq",) * len(rows),
-        )
-    )
-    if outcome.status != "optimal":
-        return outcome, None
-    return outcome, tuple(outcome.solution[i * width : (i + 1) * width] for i in range(n))
-

@@ -3,11 +3,12 @@
 A sender choosing an information structure for a payoff that depends only on
 the posterior mean is really choosing a mean-preserving contraction of the
 prior. With a piecewise-linear payoff and a candidate grid containing the
-prior's atoms and every payoff kink, the problem becomes a finite exact LP:
-between grid points the payoff is linear, so mass at an interior atom can be
-slid to the two neighboring grid points without changing the objective or
-leaving the feasible set. The grid-restricted optimum then equals the
-unrestricted one; with a coarser grid it is still an exact lower bound.
+prior's atoms and every payoff kink, the problem becomes a finite exact LP
+over the target's weights on the grid: between grid points the payoff is
+linear, so mass at an interior atom can be slid to the two neighboring grid
+points without changing the objective or leaving the feasible set. The
+grid-restricted optimum then equals the unrestricted one; with a coarser
+grid it is still an exact lower bound.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import lp
 from .decomposition import Mixture, decompose_full
-from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
+from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import parse_rational
-from .lp import solve_garbling
+from .linalg import Matrix, parse_rational
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,15 @@ def solve_linear_persuasion(
 ) -> PersuasionSolution:
     """Maximize expected utility over contractions supported on the candidates.
 
-    Variables are the garbling entries F[i][j] (source atom i to candidate j),
-    constrained so every row sums to 1 and every candidate column's barycenter
-    matches its position. Full disclosure is always feasible because the
-    candidates must contain every source atom.
+    Variables are the target's weights q_j on the candidates c_j. They sum to
+    1, their mean is the prior's, and at every interior candidate the
+    target's integrated cdf sum_{j<k} q_j (c_k - c_j) is at most the prior's.
+    The grid holds every prior atom, so both integrated cdfs are linear
+    between grid points and these rows decide the contraction order (the
+    Rothschild-Stiglitz form of the problem). Full disclosure is always
+    feasible because the candidates must contain every source atom. The
+    positive-weight candidates are the optimum's target, and ``find_witness``
+    builds its garbling.
     """
     candidates = tuple(parse_rational(x) for x in candidates)
     if not candidates:
@@ -147,20 +153,31 @@ def solve_linear_persuasion(
     if lo > a1 or hi < an:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    p, a = source.weights, source.atoms
-    values = [utility(c) for c in candidates]
-    outcome, grid = solve_garbling(
-        len(p),
-        len(candidates),
-        [
-            (j, tuple(w * (x - c) for w, x in zip(p, a)), Fraction(0))
-            for j, c in enumerate(candidates)
-        ],
-        [w * v for w in p for v in values],
+    interior = candidates[1:-1]
+    zero, one = Fraction(0), Fraction(1)
+    # Column j is q_j. After the mass and mean rows, the row of each interior
+    # candidate c bounds the target's integrated cdf there by the prior's:
+    # sum_j q_j max(c - c_j, 0) <= I_P(c).
+    rows = [(one,) * len(candidates), candidates]
+    rows += [tuple(max(c - x, zero) for x in candidates) for c in interior]
+    outcome = lp.solve(
+        lp.StandardFormLP(
+            objective=tuple(utility(c) for c in candidates),
+            constraint_matrix=Matrix(tuple(rows)),
+            rhs=(one, source.mean(), *map(source.integrated_cdf, interior)),
+            senses=("eq", "eq") + ("le",) * len(interior),
+        )
     )
-    if grid is None:  # full disclosure is feasible, box is bounded
+    if outcome.status != "optimal":  # full disclosure is feasible, weights are bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
-    optimum = apply_transition(source, TransitionMatrix(grid))
+    atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
+    target = DiscreteDistribution(atoms, weights)
+    witness = find_witness(source, target)
+    if witness is None:
+        raise InternalError("persuasion LP optimum is not a contraction of the prior")
+    # find_witness has already run the full SmpcTriple check on this source,
+    # witness and target, so a second check would only repeat it.
+    optimum = SmpcTriple._trusted(source, witness, target)
     reduced, certificate = reduce_support(optimum, utility)
     exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)
     return PersuasionSolution(

@@ -7,17 +7,21 @@ Sound for feasibility always, and for optimality whenever the feasible set is
 bounded, which the random corpus guarantees by including a simplex row.
 
 ``oracle_status`` adds the unbounded case by searching the recession cone
-the same way. ``lp_witness`` is the other oracle here: the witness search as a
-feasibility LP over the garbling's entries, solved by the package's simplex.
-It checks ``find_witness``'s shadow coupling against an independent decision
-and supplies the witness programs that the simplex is tested on.
+the same way. ``solve_garbling`` states an LP over the entries of a garbling
+matrix and solves it with the package's simplex. Two oracles are built on it:
+``lp_witness``, the witness search as a feasibility LP, which checks
+``find_witness``'s shadow coupling against an independent decision and
+supplies the witness programs that the simplex is tested on; and
+``garbling_persuasion_value``, the persuasion LP over the garbling's entries,
+which checks the value of ``solve_linear_persuasion``'s LP over target weights.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from mpcmix import lp as lp_module
 from mpcmix.linalg import Matrix
-from mpcmix.lp import StandardFormLP, solve_garbling
+from mpcmix.lp import StandardFormLP
 
 
 def _to_equality_form(lp):
@@ -146,3 +150,59 @@ def lp_witness(source, target):
         len(p), m, [(j, p, q[j]) for j in range(m)] + [(j, moments, q[j] * b[j]) for j in range(m)]
     )
     return grid
+
+
+def solve_garbling(n, width, column_rows, objective=None):
+    """Solve an exact LP over the entries F[i][j] >= 0 of an n x width garbling.
+
+    Every row of F sums to 1, and each ``(j, coefficients, rhs)`` in
+    ``column_rows`` adds the equation sum_i coefficients[i] * F[i][j] == rhs.
+    ``objective`` holds one coefficient per entry in row-major order; without
+    it the program is a feasibility problem. Returns the outcome and, when it
+    is optimal, F as a tuple of rows.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    nvars = n * width
+    rows, rhs = [], []
+    for i in range(n):
+        row = [zero] * nvars
+        row[i * width : (i + 1) * width] = [one] * width
+        rows.append(row)
+        rhs.append(one)
+    for j, coefficients, b in column_rows:
+        row = [zero] * nvars
+        row[j::width] = coefficients
+        rows.append(row)
+        rhs.append(b)
+    # Through the module, so that tests recording lp.solve see these programs.
+    outcome = lp_module.solve(
+        StandardFormLP(
+            objective=tuple(objective) if objective is not None else (zero,) * nvars,
+            constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),
+            rhs=tuple(rhs),
+            senses=("eq",) * len(rows),
+        )
+    )
+    if outcome.status != "optimal":
+        return outcome, None
+    return outcome, tuple(outcome.solution[i * width : (i + 1) * width] for i in range(n))
+
+
+def garbling_persuasion_value(source, utility, candidates):
+    """The persuasion optimum as an LP over garbling entries F[i][j].
+
+    F sends source atom i to candidate j; every row sums to 1 and every
+    candidate column's barycenter is its position. Returns the optimal value.
+    """
+    p, a = source.weights, source.atoms
+    values = [utility(c) for c in candidates]
+    outcome, _ = solve_garbling(
+        len(p),
+        len(candidates),
+        [
+            (j, tuple(w * (x - c) for w, x in zip(p, a)), Fraction(0))
+            for j, c in enumerate(candidates)
+        ],
+        [w * v for w in p for v in values],
+    )
+    return outcome.value

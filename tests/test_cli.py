@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from mpcmix import Mixture, SmpcTriple, decompose_full
-from mpcmix import decomposition, linalg
+from mpcmix import decomposition, linalg, lp
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
 from mpcmix.linalg import integer_row
@@ -179,6 +179,24 @@ def test_solve_persuasion(tmp_path, capsys):
     # affine utility: value is u(mean) = 1/5 + (7/10)(11/20)
     assert result["value"] == "117/200"
     assert result["candidates_exact"] is True
+
+
+def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch):
+    # Full disclosure is always feasible, so an infeasible weight LP can only
+    # come from a broken solver.
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LPOutcome("infeasible"))
+    payload = {
+        "source": PRIOR.to_json(),
+        "utility": {"knots": [["0", "1/5"], ["1", "9/10"]]},
+        "candidates": ["0", "1/2", "1"],
+    }
+    code = run_cli(tmp_path, "solve-persuasion", payload)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"code": "internal", "message": "persuasion LP came back infeasible"}
+    }
 
 
 def test_check_deviation(tmp_path, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcmix import (
     DiscreteDistribution,
@@ -11,10 +13,12 @@ from mpcmix import (
     check_no_profitable_deviation,
     deviation_payoff,
     decompose_full,
+    is_mpc,
     reduce_support,
     solve_linear_persuasion,
 )
-from mpcmix.errors import CandidateError, CdfError, DomainError
+from mpcmix import persuasion
+from mpcmix.errors import CandidateError, CdfError, DomainError, InternalError
 from mpcmix.randgen import random_piecewise_linear, random_smpc
 
 from cases import (
@@ -27,6 +31,7 @@ from cases import (
     dist,
     worked_triple,
 )
+from lp_oracle import garbling_persuasion_value
 
 
 def pwl(pairs):
@@ -135,6 +140,94 @@ class TestSolveLinearPersuasion:
         u = pwl([("0", "1"), ("1/3", "-1"), ("1", "2")])
         solution = solve_linear_persuasion(PRIOR, u, PRIOR.atoms)
         assert not solution.candidates_exact
+
+    def test_an_optimum_without_a_witness_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(persuasion, "find_witness", lambda source, target: None)
+        u = pwl([("0", "1"), ("1/2", "0"), ("1", "1")])
+        with pytest.raises(InternalError, match="not a contraction of the prior"):
+            solve_linear_persuasion(PRIOR, u, PRIOR.atoms)
+
+
+def _assert_optimal(solution, source, utility, candidates):
+    """The weight LP's optimum against the garbling LP's value, on the same grid."""
+    assert solution.value == garbling_persuasion_value(source, utility, candidates)
+    target = solution.optimum.target
+    assert solution.optimum.source == source
+    assert set(target.atoms) <= set(candidates)
+    assert is_mpc(source, target)
+    assert utility.expectation(target) == solution.value
+
+
+def _merged_grid(source, cdf, candidates):
+    """The grid that ``check_no_profitable_deviation`` solves on."""
+    a1, an = source.atoms[0], source.atoms[-1]
+    return sorted(set(candidates) | {x for x, _ in cdf.knots if a1 <= x <= an})
+
+
+def _random_cdf(rng, lo, hi):
+    knots = random_piecewise_linear(rng, lo, hi, rng.randint(1, 3)).knots
+    ys = sorted(Fraction(rng.randint(0, 6), 6) for _ in knots[1:-1])
+    return PiecewiseLinearFn(tuple(zip((x for x, _ in knots), [Fraction(0), *ys, Fraction(1)])))
+
+
+@st.composite
+def persuasion_problems(draw):
+    """A prior of 1 to 5 atoms, a utility and an opponent cdf over its range, and a grid.
+
+    The grid holds the prior's atoms, some of the utility's interior knots and
+    other points of the range, so it is often coarse (``candidates_exact``
+    false).
+    """
+    n = draw(st.integers(1, 5), label="n")
+    atoms = sorted(draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n, unique=True), label="atoms"))
+    raw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n), label="weights")
+    source = DiscreteDistribution(tuple(atoms), tuple(Fraction(w, sum(raw)) for w in raw))
+    lo, hi = atoms[0], atoms[-1]
+    inside = st.fractions(lo, hi, max_denominator=6)
+
+    def knots(label, values):
+        k = draw(st.integers(0, 3), label=f"{label} interior knots")
+        xs = sorted({lo - 1, hi + 1, *draw(st.lists(inside, min_size=k, max_size=k), label=f"{label} knots")})
+        return xs, draw(st.lists(values, min_size=len(xs), max_size=len(xs)), label=f"{label} values")
+
+    xs, ys = knots("utility", st.fractions(-4, 4, max_denominator=3))
+    utility = PiecewiseLinearFn(tuple(zip(xs, ys)))
+    cdf_xs, cdf_ys = knots("cdf", st.fractions(0, 1, max_denominator=4))
+    cdf = PiecewiseLinearFn(tuple(zip(cdf_xs, [Fraction(0), *sorted(cdf_ys[1:-1]), Fraction(1)])))
+    interior = [x for x in xs if lo < x < hi]
+    k = draw(st.integers(0, 4), label="extra candidates")
+    extra = draw(st.lists(st.sampled_from(interior) | inside if interior else inside, min_size=k, max_size=k), label="candidates")
+    return source, utility, cdf, sorted(set(atoms) | set(extra))
+
+
+class TestWeightProgramMatchesTheGarblingProgram:
+    """The LP over target weights and the LP over garbling entries have one value."""
+
+    def test_seeded_instances(self):
+        rng = Random(83)
+        coarse = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            source = random_smpc(rng, n, n).source
+            lo, hi = source.atoms[0], source.atoms[-1]
+            u = random_piecewise_linear(rng, lo - 1, hi + 1, rng.randint(1, 3))
+            knots = {x for x, _ in u.knots if lo < x < hi}
+            for candidates in (sorted(set(source.atoms) | knots), sorted(source.atoms)):
+                solution = solve_linear_persuasion(source, u, candidates)
+                _assert_optimal(solution, source, u, candidates)
+                coarse += not solution.candidates_exact
+            cdf = _random_cdf(rng, lo - 1, hi + 1)
+            check = check_no_profitable_deviation(source, cdf, Fraction(1, 2), source.atoms)
+            _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, source.atoms))
+        assert coarse > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(persuasion_problems())
+    def test_generated_instances(self, problem):
+        source, utility, cdf, candidates = problem
+        _assert_optimal(solve_linear_persuasion(source, utility, candidates), source, utility, candidates)
+        check = check_no_profitable_deviation(source, cdf, Fraction(1, 2), candidates)
+        _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, candidates))
 
 
 class TestReduceSupport:
