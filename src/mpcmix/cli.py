@@ -28,13 +28,17 @@ from .distributions import (
     mpc_violation,
 )
 from .errors import InternalError, MpcError
-from .linalg import parse_rational
+from .linalg import json_list, parse_rational
 from .persuasion import (
     PiecewiseLinearFn,
     check_no_profitable_deviation,
     solve_linear_persuasion,
 )
 from .randgen import random_distribution, random_transition
+
+MAX_GENERATED_ENTRIES = 1_000_000
+"""Most matrix entries, n*m*count, that one ``gen-random`` call makes. It is
+checked before anything is generated."""
 
 
 def _field(payload, key):
@@ -50,6 +54,10 @@ def _positive_int(payload, key, default=None):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{key!r} must be a positive integer")
     return value
+
+
+def _candidates(payload):
+    return [parse_rational(x) for x in json_list(_field(payload, "candidates"), "'candidates'")]
 
 
 def _cmd_verify_smpc(payload, args):
@@ -105,7 +113,7 @@ def _cmd_solve_persuasion(payload, args):
     solution = solve_linear_persuasion(
         DiscreteDistribution.from_json(_field(payload, "source")),
         PiecewiseLinearFn.from_json(_field(payload, "utility")),
-        [parse_rational(x) for x in _field(payload, "candidates")],
+        _candidates(payload),
     )
     return {
         "value": str(solution.value),
@@ -121,7 +129,7 @@ def _cmd_check_deviation(payload, args):
         DiscreteDistribution.from_json(_field(payload, "source")),
         PiecewiseLinearFn.from_json(_field(payload, "opponent_cdf")),
         parse_rational(_field(payload, "equilibrium_value")),
-        [parse_rational(x) for x in _field(payload, "candidates")],
+        _candidates(payload),
     )
     return {
         "max_payoff": str(check.max_payoff),
@@ -135,6 +143,11 @@ def _cmd_gen_random(payload, args):
     n = _positive_int(payload, "n")
     m = _positive_int(payload, "m")
     count = _positive_int(payload, "count", default=1)
+    if n * m * count > MAX_GENERATED_ENTRIES:
+        raise ValueError(
+            f"gen-random would make n*m*count = {n * m * count} matrix entries, "
+            f"more than {MAX_GENERATED_ENTRIES}"
+        )
     rng = Random(args.seed)
     instances = []
     for _ in range(count):

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
@@ -40,7 +41,15 @@ from .errors import (
     NullVectorError,
     RankError,
 )
-from .linalg import Matrix, column_dependency, column_sums, parse_rational, rank
+from .linalg import (
+    Matrix,
+    canonical_row,
+    column_dependency,
+    column_sums,
+    integer_row,
+    parse_rational,
+    rank,
+)
 
 
 @dataclass(frozen=True)
@@ -146,28 +155,30 @@ def zero_column(
     m = transition.cols
     if len(c) != m:
         raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
-    zero = Fraction(0)
-    for i, row in enumerate(transition.entries):
-        if sum((ck * x for ck, x in zip(c, row) if x), zero) != 0:
+    # c over one positive denominator; only its integer numerators matter.
+    _, d = integer_row(c)
+    rows = transition._integer_rows
+    for i, (_, ints) in enumerate(rows):
+        if sum(map(mul, d, ints)):
             raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
-    cj = c[j]
-    if cj == 0:
+    if d[j] == 0:
         raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
-    scales = [1 - ck / cj for ck in c]
-    scales[j] = zero
+    # The scales 1 - c_k / c_j as integers t_k over |d_j|, as in split_once.
+    sign = 1 if d[j] > 0 else -1
+    t = [sign * (d[j] - x) for x in d]
+    den = sign * d[j]
     grid = []
-    for i, row in enumerate(transition.entries):
-        new_row = []
-        for k, (x, s) in enumerate(zip(row, scales)):
-            v = x * s
-            if v < 0 or v > 1:
+    for i, (scale, ints) in enumerate(rows):
+        bound = scale * den
+        new_row = [x * s for x, s in zip(ints, t)]
+        for k, v in enumerate(new_row):
+            if v < 0 or v > bound:
                 raise EntryRangeError(
-                    f"zeroing column {j} drives entry ({i},{k}) to {v}, outside [0, 1]",
+                    f"zeroing column {j} drives entry ({i},{k}) to {Fraction(v, bound)}, outside [0, 1]",
                     row=i,
                     column=k,
                 )
-            new_row.append(v)
-        grid.append(tuple(new_row))
+        grid.append(canonical_row(bound, new_row))
     return TransitionMatrix._trusted(tuple(grid))
 
 
@@ -200,9 +211,7 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
     for w, v, dv in scaled:
         # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (v_k / dv).
         support = [(k, x) for k, x in enumerate(v) if x]
-        grid = tuple(
-            tuple(Fraction(ints[k] * x, scale * dv) for k, x in support) for scale, ints in rows
-        )
+        grid = tuple(canonical_row(scale * dv, [ints[k] * x for k, x in support]) for scale, ints in rows)
         target = DiscreteDistribution(
             tuple(atoms[k] for k, _ in support),
             tuple(weights[k] * Fraction(x, dv) for k, x in support),
@@ -311,12 +320,12 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
 
     The peel runs on F's integer rows and keeps r and each v as an integer
     vector over one denominator; ``Fraction`` values are made only for the
-    weights and for the components. The builder that ``split_once`` also
-    uses makes them from the peeled vertices, after verifying the
-    recomposition identity sum_k w_k v_k == 1, hence
+    weights and for the components' targets. The builder that ``split_once``
+    also uses makes the components from the peeled vertices, after verifying
+    the recomposition identity sum_k w_k v_k == 1, hence
     sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are
-    ordered by descending weight with lexicographic atom/entry tie-breaks, so
-    equal inputs always produce the identical mixture.
+    ordered by descending weight and then by their atoms, so equal inputs
+    always produce the identical mixture.
     """
     n = len(triple.source.atoms)
     int_rows = [ints for _, ints in triple.transition._integer_rows]
@@ -351,9 +360,9 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     for _, component in components:
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")
-    components.sort(
-        key=lambda item: (-item[0], item[1].target.atoms, item[1].transition.entries)
-    )
+    # Components with equal atoms would have equal support columns, which fix
+    # the vertex, so weight and atoms order them without ties.
+    components.sort(key=lambda item: (-item[0], item[1].target.atoms))
     return Mixture(tuple(components))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     BarycenterIdentityError,
@@ -27,7 +28,7 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, column_sums, integer_row, parse_rational
+from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, parse_rational
 
 
 @dataclass(frozen=True)
@@ -77,28 +78,27 @@ class DiscreteDistribution:
     def from_json(cls, obj) -> "DiscreteDistribution":
         if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
             raise ValueError("distribution JSON needs 'atoms' and 'weights' lists")
-        return cls.from_pairs(obj["atoms"], obj["weights"])
+        return cls.from_pairs(json_list(obj["atoms"], "'atoms'"), json_list(obj["weights"], "'weights'"))
 
 
-@dataclass(frozen=True)
 class TransitionMatrix(Matrix):
     """Row-stochastic (Markov) matrix: entries in [0, 1], every row sums to 1.
 
-    A :class:`Matrix` whose construction also checks its rows, on the integer
-    rows the matrix caches. The inherited ``from_rows`` and ``identity``
-    build this class, so what they return is checked too.
+    A :class:`Matrix` whose construction also checks its integer rows. The
+    inherited ``from_rows`` and ``identity`` build this class, so what they
+    return is checked too.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _set_rows(self, rows) -> None:
+        super()._set_rows(rows)
         # On the integer row of (scale, ints): an entry lies in [0, 1] exactly
         # when 0 <= ints[j] <= scale, and the row sums to 1 exactly when
         # sum(ints) == scale.
-        for i, (scale, ints) in enumerate(self._integer_rows):
+        for i, (scale, ints) in enumerate(rows):
             if min(ints) < 0 or max(ints) > scale:
                 j = next(j for j, x in enumerate(ints) if x < 0 or x > scale)
                 raise EntryRangeError(
-                    f"entry ({i},{j}) = {self.entries[i][j]} outside [0, 1]",
+                    f"entry ({i},{j}) = {Fraction(ints[j], scale)} outside [0, 1]",
                     row=i,
                     column=j,
                 )
@@ -108,22 +108,21 @@ class TransitionMatrix(Matrix):
                     f"row {i} sums to {Fraction(total, scale)}, not 1"
                 )
 
-    @classmethod
-    def _trusted(cls, entries) -> "TransitionMatrix":
-        # Fast path for callers whose construction already guarantees the
-        # invariants exactly; everything user-facing goes through __init__.
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        return self
-
     def to_json(self) -> dict:
-        return {"rows": [[str(x) for x in row] for row in self.entries]}
+        return {"rows": [[_text(x, scale) for x in ints] for scale, ints in self._integer_rows]}
 
     @classmethod
     def from_json(cls, obj) -> "TransitionMatrix":
         if not isinstance(obj, dict) or "rows" not in obj:
             raise ValueError("matrix JSON needs a 'rows' grid")
-        return cls.from_rows(obj["rows"])
+        rows = json_list(obj["rows"], "'rows'")
+        return cls.from_rows(json_list(row, f"row {i} of 'rows'") for i, row in enumerate(rows))
+
+
+def _text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ``q > 0``, without making the ``Fraction``."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 @dataclass(frozen=True)
@@ -235,17 +234,14 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
         if mass:
             merged.setdefault(Fraction(s_mom[j] * d_w, d_mom * mass), []).append(j)
     atoms = tuple(sorted(merged))
-    columns = tuple(zip(*transition.entries))
-    weights, grid_columns = [], []
-    for barycenter in atoms:
-        group = merged[barycenter]
-        weights.append(Fraction(sum(s_w[j] for j in group), d_w))
-        if len(group) == 1:
-            grid_columns.append(columns[group[0]])
-        else:
-            grid_columns.append(tuple(map(sum, zip(*(columns[j] for j in group)))))
-    grid = tuple(zip(*grid_columns))
-    target = DiscreteDistribution(atoms, tuple(weights))
+    groups = [merged[barycenter] for barycenter in atoms]
+    weights = tuple(Fraction(sum(s_w[j] for j in group), d_w) for group in groups)
+    # Each output column is the sum of its group's columns, on the integer rows.
+    grid = tuple(
+        canonical_row(scale, [ints[g[0]] if len(g) == 1 else sum(ints[j] for j in g) for g in groups])
+        for scale, ints in transition._integer_rows
+    )
+    target = DiscreteDistribution(atoms, weights)
     # Both identities hold by the arithmetic above: the target weights are the
     # computed column masses and each atom is its column's exact barycenter.
     return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)

@@ -5,20 +5,22 @@ values gcd-reduced with a positive denominator, so all comparisons and
 equality tests downstream are exact. The per-entry loops work on integer
 rows instead: :func:`integer_row` scales a rational row to integers, and
 :func:`column_sums` forms weighted column sums of such rows for
-certification. A :class:`Matrix` owns its integer rows, built on first use
-and cached, so each row is converted once however many readers it has.
-Elimination is fraction-free on the same rows: one kernel takes the columns
-in order and finds each that depends on the earlier ones. :func:`rank`
-counts the others; the first dependency gives :func:`null_space_vector`, and
-the decomposition's peel reads it directly through
-:func:`column_dependency`. That dependency depends on the matrix alone,
-never on a pivot choice, so every result is deterministic.
+certification. A :class:`Matrix` is its integer rows: each row is held as
+``(scale, ints)`` in lowest terms, and the ``Fraction`` grid ``entries`` is
+derived from them on first read. Rational text goes straight to those rows:
+:func:`parse_row` reads plain ``"a/b"`` and ``"a"`` text with ``int`` and
+makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
+so there is one grammar. Elimination is fraction-free on the same rows: one
+kernel takes the columns in order and finds each that depends on the earlier
+ones. :func:`rank` counts the others; the first dependency gives
+:func:`null_space_vector`, and the decomposition's peel reads it directly
+through :func:`column_dependency`. That dependency depends on the matrix
+alone, never on a pivot choice, so every result is deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -33,38 +35,85 @@ about twice that many digits, whatever exponent the text names."""
 
 def _check_size(text: str) -> None:
     # Only text with an exponent, or longer than MAX_DIGITS, can exceed a limit.
+    # Digits are any that Fraction's \d reads, not only ASCII ones.
     if "e" in text or "E" in text:
-        exponent = re.search(r"[eE]([+-]?[0-9_]+)\s*$", text)
+        exponent = re.search(r"[eE]([+-]?[\d_]+)\s*$", text)
         if exponent is not None:
-            digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0") or "0"
+            unsigned = exponent.group(1).lstrip("+-").replace("_", "")
+            digits = "".join(str(int(c)) for c in unsigned).lstrip("0") or "0"
             if len(digits) > len(str(MAX_DIGITS)) or int(digits) > MAX_DIGITS:
                 raise ValueError(f"exponent beyond {MAX_DIGITS} in rational {text[:40]!r}")
             text = text[: exponent.start()]
     if len(text) > MAX_DIGITS and any(
-        len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[0-9_]+", text)
+        len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[\d_]+", text)
     ):
         raise ValueError(f"more than {MAX_DIGITS} digits in rational {text[:40]!r}")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``(p, q)`` with ``q > 0`` and ``parse_rational(value) == p / q``, not reduced.
+
+    Text of the plain form ``-?D+`` or ``-?D+/D+`` with a nonzero denominator,
+    where D is a decimal digit (``str.isdecimal``, which is what both ``int``
+    and ``Fraction``'s ``\\d`` read), no longer than ``MAX_DIGITS``, is split at
+    the slash and read with ``int``. Any other text goes through
+    ``Fraction(str)`` behind the size check, so the grammar, the values and
+    the error messages are ``Fraction``'s.
+    """
+    if isinstance(value, str):
+        if len(value) <= MAX_DIGITS:
+            num, slash, den = value.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdecimal() and (not slash or den.isdecimal()):
+                q = int(den) if slash else 1
+                if q:
+                    return int(num), q
+        _check_size(value)
+        try:
+            parsed = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {value[:40]!r}") from exc
+        return parsed.numerator, parsed.denominator
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value.numerator, value.denominator
+    raise ValueError(f"not a rational: {repr(value)[:40]}")
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
     """Parse ``"a/b"``, a bare integer, or a finite decimal string exactly.
 
-    Floats are rejected: they carry binary rounding and would silently break
-    the exactness guarantees. So is text with an integer of more than
-    ``MAX_DIGITS`` digits or an exponent beyond ``MAX_DIGITS``, whose exact
-    value would cost unbounded time and memory to build.
+    The grammar is ``Fraction(str)``'s. Floats are rejected: they carry
+    binary rounding and would silently break the exactness guarantees. So is
+    text with an integer of more than ``MAX_DIGITS`` digits or an exponent
+    beyond ``MAX_DIGITS``, whose exact value would cost unbounded time and
+    memory to build.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        _check_size(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value[:40]!r}") from exc
-    raise ValueError(f"not a rational: {repr(value)[:40]}")
+    return Fraction(*_ratio(value))
+
+
+def json_list(value, name: str) -> list:
+    """``value`` itself when it is a JSON list, else a ``ValueError`` naming ``name``.
+
+    A string or an object is iterable as well, so read where a list belongs
+    it would be taken one character or one key at a time.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def canonical_row(scale: int, ints: list[int]) -> tuple[int, list[int]]:
+    """The row ``ints / scale``, for ``scale > 0``, in lowest terms.
+
+    Dividing by ``gcd(scale, *ints)`` leaves the one ``(scale, ints)`` of the
+    row whose gcd is 1, which is what ``integer_row`` gives for the row's
+    reduced entries: ``scale`` is then the lcm of their denominators.
+    """
+    g = gcd(scale, *ints)
+    if g == 1:
+        return scale, ints
+    return scale // g, [x // g for x in ints]
 
 
 def integer_row(values) -> tuple[int, list[int]]:
@@ -72,10 +121,23 @@ def integer_row(values) -> tuple[int, list[int]]:
 
     ``scale`` is the lcm of the denominators, so it is positive and every
     ``ints[j]`` is an integer; comparisons and sums of the row are then done
-    on ints against ``scale``.
+    on ints against ``scale``. For ``Fraction`` or ``int`` values, which are
+    in lowest terms, the row is in lowest terms too.
     """
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def parse_row(values) -> tuple[int, list[int]]:
+    """``integer_row`` of the parsed ``values``, made without a ``Fraction``.
+
+    Each value is read as :func:`parse_rational` reads it, as a numerator and
+    a denominator; the row is scaled by the lcm of the denominators and then
+    put in lowest terms.
+    """
+    ratios = [_ratio(x) for x in values]
+    scale = lcm(*(q for _, q in ratios))
+    return canonical_row(scale, [p * (scale // q) for p, q in ratios])
 
 
 def column_sums(coefficients, rows) -> tuple[int, list[int]]:
@@ -92,47 +154,83 @@ def column_sums(coefficients, rows) -> tuple[int, list[int]]:
     return d, [sum(map(mul, k, column)) for column in zip(*(ints for _, ints in rows))]
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of rationals, row-major."""
+    """Immutable dense matrix of rationals, held as its integer rows.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Row i is ``(scale, ints)`` with entry (i, j) equal to ``ints[j] / scale``,
+    ``scale > 0`` and ``gcd(scale, *ints) == 1``. A row has only one such
+    form, so two matrices are equal exactly when their integer rows are.
+    ``Matrix(entries)`` takes a grid of ``Fraction`` (or ``int``) rows and
+    ``from_rows`` one of rational text; ``entries`` is derived on first read.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries) -> None:
+        self._set_rows(tuple(integer_row(row) for row in entries))
+
+    def _set_rows(self, rows) -> None:
+        """Hold ``rows`` after checking their shape; a subclass adds its checks."""
+        if not rows or not rows[0][1]:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
+        width = len(rows[0][1])
+        for _, ints in rows:
+            if len(ints) != width:
                 raise ValueError("matrix rows have unequal lengths")
+        object.__setattr__(self, "_integer_rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows) -> "Matrix":
+        """The matrix of ``rows``, integer rows in lowest terms, unchecked.
+
+        For callers whose construction already guarantees the shape and
+        every invariant of ``cls`` exactly; input goes through the checks.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_integer_rows", rows)
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
-        grid = []
-        for row in rows:
-            grid.append(tuple(parse_rational(x) for x in row))
-        return cls(tuple(grid))
+        """The matrix of a grid of values that :func:`parse_rational` reads."""
+        self = object.__new__(cls)
+        self._set_rows(tuple(parse_row(row) for row in rows))
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The ``Fraction`` grid, derived from the integer rows on first read."""
+        return tuple(tuple(Fraction(x, scale) for x in ints) for scale, ints in self._integer_rows)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._integer_rows)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self._integer_rows[0][1])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
-    @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, list[int]], ...]:
-        """Each row as ``integer_row``'s ``(scale, ints)``, built on first use."""
-        return tuple(integer_row(row) for row in self.entries)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._integer_rows == other._integer_rows
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(entries={self.entries!r})"
 
 
 def _echelon(rows, columns):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .errors import DimensionError, InternalError
@@ -85,23 +85,29 @@ class _Tableau:
         m = lp.constraint_matrix.rows
         n_slack = sum(1 for s in lp.senses if s != "eq")
         width = n + n_slack
-        rows: list[list[Fraction | int]] = []
+        rows: list[list[int]] = []
+        scales: list[int] = []
         slack_of: list[int | None] = [None] * m
         k = 0
-        for i in range(m):
-            row = list(lp.constraint_matrix.entries[i]) + [0] * n_slack + [lp.rhs[i]]
+        for i, (scale, ints) in enumerate(lp.constraint_matrix._integer_rows):
+            # Row i of A with its slack and rhs, times the lcm of their
+            # denominators, and negated where the rhs is negative.
+            rhs = lp.rhs[i]
+            mult = lcm(scale, rhs.denominator)
+            sign = -1 if rhs < 0 else 1
+            f = sign * (mult // scale)
+            row = [f * x for x in ints] + [0] * n_slack + [sign * rhs.numerator * (mult // rhs.denominator)]
             if lp.senses[i] != "eq":
-                row[n + k] = 1 if lp.senses[i] == "le" else -1
+                row[n + k] = sign * mult if lp.senses[i] == "le" else -sign * mult
                 slack_of[i] = n + k
                 k += 1
-            if lp.rhs[i] < 0:
-                row = [-x for x in row]
             rows.append(row)
+            scales.append(mult)
         basis: list[int] = []
         n_artificial = 0
         for i in range(m):
             s = slack_of[i]
-            if s is not None and rows[i][s] == 1:
+            if s is not None and rows[i][s] > 0:
                 basis.append(s)
             else:
                 basis.append(width + n_artificial)
@@ -111,8 +117,8 @@ class _Tableau:
             # the rational phase-1 program.
             extra = [0] * n_artificial
             if basis[i] >= width:
-                extra[basis[i] - width] = 1
-            rows[i] = _integer_row(rows[i][:-1] + extra + rows[i][-1:])
+                extra[basis[i] - width] = scales[i]
+            rows[i] = _reduced(rows[i][:-1] + extra + rows[i][-1:])
         self.rows = rows
         self.basis = basis
         self.n_original = n

@@ -20,7 +20,7 @@ from . import lp
 from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, parse_rational
+from .linalg import Matrix, json_list, parse_rational
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ class PiecewiseLinearFn:
     def from_json(cls, obj) -> "PiecewiseLinearFn":
         if not isinstance(obj, dict) or "knots" not in obj:
             raise ValueError("piecewise-linear JSON needs 'knots'")
-        return cls.from_pairs(obj["knots"])
+        knots = json_list(obj["knots"], "'knots'")
+        return cls.from_pairs(json_list(knot, f"knot {k} of 'knots'") for k, knot in enumerate(knots))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from mpcmix.errors import (
     RowSumError,
     WeightIdentityError,
 )
-from mpcmix.linalg import Matrix
+from mpcmix.linalg import Matrix, integer_row
 
 
 def check_weights(weights) -> None:
@@ -121,4 +121,4 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     weights = tuple(cells[b][0] for b in atoms)
     grid = tuple(tuple(cells[b][1][i] for b in atoms) for i in range(n))
     target = DiscreteDistribution(atoms, weights)
-    return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)
+    return SmpcTriple._trusted(source, TransitionMatrix._trusted(tuple(map(integer_row, grid))), target)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from mpcmix.decomposition import Mixture, SplitCertificate, SplitResult
 from mpcmix.distributions import SmpcTriple, TransitionMatrix, apply_transition
 from mpcmix.errors import EntryRangeError, InternalError, NoSplitError, NullVectorError
-from mpcmix.linalg import Matrix
+from mpcmix.linalg import Matrix, integer_row
 
 
 def _row_echelon(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -113,7 +113,7 @@ def _apply_zeroing(
                 )
             new_row.append(v)
         grid.append(tuple(new_row))
-    return TransitionMatrix._trusted(tuple(grid))
+    return TransitionMatrix._trusted(tuple(map(integer_row, grid)))
 
 
 def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:
@@ -262,7 +262,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     for w, vertex in peeled:
         support = [k for k, v in enumerate(vertex) if v]
         grid = tuple(tuple(row[k] * vertex[k] for k in support) for row in rows)
-        component = apply_transition(triple.source, TransitionMatrix._trusted(grid))
+        component = apply_transition(triple.source, TransitionMatrix._trusted(tuple(map(integer_row, grid))))
         if len(component.target.atoms) > n:
             raise InternalError("peeled component has more atoms than the source")
         components.append((w, component))

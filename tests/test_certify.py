@@ -91,7 +91,7 @@ def assert_same(source, matrix, i, j, delta):
         assert isinstance(expected, tuple)
         assert outcome(certify, TransitionMatrix, broken.entries) == expected
         # The identity check reads the entries as given, in range or not.
-        trusted = TransitionMatrix._trusted(broken.entries)
+        trusted = TransitionMatrix._trusted(tuple(map(integer_row, broken.entries)))
         if len(target.atoms) == matrix.cols:
             assert outcome(certify, SmpcTriple, source, trusted, target) == outcome(
                 reference.check_identities, source, trusted, target
@@ -109,7 +109,7 @@ def assert_same(source, matrix, i, j, delta):
         assert outcome(certify, SmpcTriple, source, reduced, target) == outcome(
             reference.check_identities, source, reduced, target
         )
-    wide = TransitionMatrix._trusted(matrix.entries)
+    wide = TransitionMatrix._trusted(tuple(map(integer_row, matrix.entries)))
     if len(expected.target.atoms) != matrix.cols:
         assert outcome(certify, SmpcTriple, source, wide, expected.target) == outcome(
             reference.check_identities, source, wide, expected.target

@@ -9,10 +9,10 @@ import threading
 import pytest
 
 from mpcmix import Mixture, SmpcTriple, decompose_full
-from mpcmix import decomposition, linalg, lp
+from mpcmix import cli, decomposition, linalg, lp
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
-from mpcmix.linalg import integer_row
+from mpcmix.linalg import parse_rational
 
 from cases import DUEL_CDF, DUEL_PRIOR, GARBLING, PRIOR, TARGET, worked_triple
 
@@ -86,6 +86,43 @@ def test_verify_smpc_valid(tmp_path, capsys):
 )
 def test_ragged_or_empty_rows_are_parse_errors(tmp_path, capsys, command, rows, message):
     payload = {"source": PRIOR.to_json(), "transition": {"rows": rows}, "target": TARGET.to_json()}
+    assert run_cli(tmp_path, command, payload) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "parse", "message": message}}
+
+
+TWO_ATOMS = {"atoms": ["0", "1"], "weights": ["1/2", "1/2"]}
+UTILITY = {"knots": [["0", "0"], ["1", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        # Read a character at a time, these rows were the 2x2 identity.
+        ("apply", {"source": TWO_ATOMS, "transition": {"rows": ["10", "01"]}}, "row 0 of 'rows' must be a JSON list, not str"),
+        ("apply", {"source": TWO_ATOMS, "transition": {"rows": "1001"}}, "'rows' must be a JSON list, not str"),
+        ("apply", {"source": TWO_ATOMS, "transition": {"rows": {"a": 1}}}, "'rows' must be a JSON list, not dict"),
+        # Read a character at a time, this was a point mass at 5.
+        ("is-mpc", {"source": {"atoms": "5", "weights": ["1"]}, "target": TWO_ATOMS}, "'atoms' must be a JSON list, not str"),
+        ("is-mpc", {"source": {"atoms": ["5"], "weights": "1"}, "target": TWO_ATOMS}, "'weights' must be a JSON list, not str"),
+        ("solve-persuasion", {"source": TWO_ATOMS, "utility": {"knots": "01"}, "candidates": ["0", "1"]}, "'knots' must be a JSON list, not str"),
+        # Read a character at a time, these were the knots (0, 1) and (1, 2).
+        (
+            "solve-persuasion",
+            {"source": TWO_ATOMS, "utility": {"knots": ["01", "12"]}, "candidates": ["0", "1"]},
+            "knot 0 of 'knots' must be a JSON list, not str",
+        ),
+        ("solve-persuasion", {"source": TWO_ATOMS, "utility": UTILITY, "candidates": "01"}, "'candidates' must be a JSON list, not str"),
+        (
+            "check-deviation",
+            {"source": TWO_ATOMS, "opponent_cdf": UTILITY, "equilibrium_value": "1/2", "candidates": "01"},
+            "'candidates' must be a JSON list, not str",
+        ),
+    ],
+    ids=["each row", "rows", "rows as an object", "atoms", "weights", "knots", "each knot", "candidates", "deviation candidates"],
+)
+def test_a_json_list_field_must_be_a_list(tmp_path, capsys, command, payload, message):
     assert run_cli(tmp_path, command, payload) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -242,6 +279,26 @@ def test_gen_random_refuses_more_atoms_than_its_pool(tmp_path, capsys):
     assert error["message"].startswith("n = 86 exceeds the 85 distinct atoms")
 
 
+def test_gen_random_refuses_too_many_entries_before_generating(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generated past the size limit")
+
+    monkeypatch.setattr(cli, "random_distribution", refuse)
+    monkeypatch.setattr(cli, "random_transition", refuse)
+    limit = cli.MAX_GENERATED_ENTRIES
+    for payload in ({"n": 1, "m": limit + 1}, {"n": 2, "m": limit // 2, "count": 2 * limit}, {"n": 3, "m": 10**30}):
+        assert run_cli(tmp_path, "gen-random", payload) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "parse"
+        assert error["message"].startswith("gen-random would make n*m*count = ")
+        assert error["message"].endswith(f"matrix entries, more than {limit}")
+    # At the limit itself, generation starts.
+    with pytest.raises(AssertionError, match="generated past the size limit"):
+        run_cli(tmp_path, "gen-random", {"n": 1, "m": limit})
+
+
 def test_gen_random_stream_is_pinned(tmp_path, capsys):
     assert run_cli(tmp_path, "gen-random", {"n": 3, "m": 2}, "--seed", "9") == 0
     instance = json.loads(capsys.readouterr().out)["instances"][0]
@@ -331,13 +388,20 @@ def test_repeated_calls_match_fresh_processes(tmp_path):
 
 
 def test_each_transition_row_is_converted_once(tmp_path, capsys, monkeypatch):
+    # A row is converted to integers from text by parse_row, or from
+    # Fraction values by integer_row; each call is recorded by its values.
     converted = []
 
-    def counting_integer_row(values):
-        converted.append(tuple(values))
-        return integer_row(values)
+    def counting(convert):
+        def counted(values):
+            values = tuple(values)
+            converted.append(tuple(map(parse_rational, values)))
+            return convert(values)
 
-    monkeypatch.setattr(linalg, "integer_row", counting_integer_row)
+        return counted
+
+    monkeypatch.setattr(linalg, "parse_row", counting(linalg.parse_row))
+    monkeypatch.setattr(linalg, "integer_row", counting(linalg.integer_row))
     payload = {
         "source": PRIOR.to_json(),
         "transition": GARBLING.to_json(),

@@ -72,6 +72,14 @@ class TestZeroColumn:
         with pytest.raises(EntryRangeError):
             zero_column(GARBLING, NULL_COEFFS, 1)
 
+    def test_the_first_entry_out_of_range_is_reported(self):
+        # Row by row and column by column, entry (1,2) becomes 5/3 before
+        # entry (1,3) becomes -2/3.
+        with pytest.raises(EntryRangeError) as err:
+            zero_column(GARBLING, NULL_COEFFS, 0)
+        assert (err.value.row, err.value.column) == (1, 2)
+        assert str(err.value) == "zeroing column 0 drives entry (1,2) to 5/3, outside [0, 1]"
+
     def test_requires_a_null_vector(self):
         with pytest.raises(NullVectorError):
             zero_column(GARBLING, (1, 1, 1, 1), 0)

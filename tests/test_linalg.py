@@ -59,6 +59,10 @@ class TestRationals:
             "7" * (MAX_DIGITS + 1),
             f"1/{'3' * (MAX_DIGITS + 1)}",
             f"0.{'1' * (MAX_DIGITS + 1)}",
+            # Arabic-Indic and fullwidth digits, which Fraction reads too.
+            "1e٧٧٧٧٧٧٧",
+            "1e-７_７７７_７７７",
+            "٣" * (MAX_DIGITS + 1),
         ):
             with pytest.raises(ValueError, match=f"beyond {MAX_DIGITS}|more than {MAX_DIGITS}"):
                 parse_rational(bad)
@@ -143,13 +147,20 @@ class TestNullSpace:
         assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
 
     def test_elimination_reuses_a_transitions_cached_rows(self, monkeypatch):
+        # A row is converted to integers from text by parse_row, or from
+        # Fraction values by integer_row; each call is recorded by its values.
         converted = []
 
-        def counting_integer_row(values):
-            converted.append(tuple(values))
-            return integer_row(values)
+        def counting(convert):
+            def counted(values):
+                values = tuple(values)
+                converted.append(tuple(map(parse_rational, values)))
+                return convert(values)
 
-        monkeypatch.setattr(linalg, "integer_row", counting_integer_row)
+            return counted
+
+        monkeypatch.setattr(linalg, "parse_row", counting(linalg.parse_row))
+        monkeypatch.setattr(linalg, "integer_row", counting(linalg.integer_row))
         transition = TransitionMatrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
         assert rank(transition) == 3
         assert null_space_vector(transition) == NULL_COEFFS

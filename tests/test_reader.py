@@ -1,0 +1,111 @@
+"""The rational-text reader against ``Fraction(str)``.
+
+``parse_rational`` reads plain ``"a"`` and ``"a/b"`` text with ``int`` and
+hands everything else to ``Fraction(str)`` behind the size check. These
+properties hold it, and ``Matrix.from_rows``, to ``Fraction``'s grammar,
+values and error messages over generated text.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpcmix import Matrix, TransitionMatrix, parse_rational
+from mpcmix.linalg import MAX_DIGITS, _check_size, integer_row
+
+PROFILE = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+# ASCII, Arabic-Indic, fullwidth and NKo decimal digits: int and Fraction's
+# \d read them all.
+DIGITS = "0123456789" "٠١٢٣٤٥٦٧٨٩" "０１２３４５６７８９" "߀߁߂"
+
+
+def fraction_reference(text):
+    """What ``parse_rational`` did with text before the plain-ratio reader."""
+    _check_size(text)
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {text[:40]!r}") from exc
+
+
+def outcome(parse, *args):
+    """The value, with its type, or the ``ValueError`` message."""
+    try:
+        value = parse(*args)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "value", type(value), value
+
+
+digit_runs = st.one_of(
+    st.text(DIGITS, min_size=1, max_size=6),
+    # Digit runs at and just past MAX_DIGITS.
+    st.sampled_from([MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1]).map(lambda k: "7" * k),
+    st.lists(st.text(DIGITS, min_size=1, max_size=3), min_size=2, max_size=3).map("_".join),
+)
+tails = st.one_of(
+    st.just(""),
+    digit_runs.map("/{}".format),
+    st.sampled_from(["/0", "/00", "/", "/-1", "/+1", "//1"]),
+    digit_runs.map(".{}".format),
+    st.builds("{}{}{}".format, st.sampled_from(["e", "E"]), st.sampled_from(["", "-", "+"]), digit_runs),
+)
+pads = st.sampled_from(["", "", "", " ", "\t", "\n ", " "])
+texts = st.one_of(
+    st.builds(
+        "{}{}{}{}{}".format, pads, st.sampled_from(["", "", "-", "+", "--", "-+"]), digit_runs, tails, pads
+    ),
+    # Superscripts and vulgar fractions are digits to str.isdigit but not decimals.
+    st.text(DIGITS[:10] + "-+/._eE x²٣", max_size=8),
+    st.sampled_from(["1/0", "-0", "0/5", "", "-", "/", "½", "٣/٤", "1_/2", "_1", "1__0", "0x10", "inf", "nan"]),
+)
+
+
+@PROFILE
+@given(texts)
+def test_parse_rational_reads_text_as_fraction_does(text):
+    assert outcome(parse_rational, text) == outcome(fraction_reference, text)
+
+
+def spellings(x):
+    """Texts and values that all denote the rational ``x``."""
+    p, q = x.numerator, x.denominator
+    forms = [x, str(x), f"{3 * p}/{3 * q}", f" {x} ", str(x).translate(str.maketrans("0123456789", DIGITS[10:20]))]
+    if p >= 0:
+        forms.append(f"+{x}")
+    if q == 1:
+        forms += [p, f"{p}/1"]
+    scaled = x * 10**6
+    if scaled.denominator == 1:
+        n = abs(scaled.numerator)
+        forms.append(f"{'-' if p < 0 else ''}{n // 10**6}.{n % 10**6:06d}")
+    return forms
+
+
+@st.composite
+def text_grids(draw):
+    """A grid of rationals, row-stochastic or not, and one text spelling of it."""
+    n = draw(st.integers(1, 4), label="n")
+    m = draw(st.integers(1, 5), label="m")
+    entry = st.fractions(-3, 3, max_denominator=12)
+    grid = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans(), label="stochastic"):
+        grid = [[abs(x) / sum(map(abs, row)) for x in row] if any(row) else [Fraction(1)] + row[1:] for row in grid]
+    text = [[draw(st.sampled_from(spellings(x))) for x in row] for row in grid]
+    return tuple(map(tuple, grid)), text
+
+
+@PROFILE
+@given(text_grids())
+def test_from_rows_makes_the_integer_rows_of_the_fractions(grid_and_text):
+    grid, text = grid_and_text
+    matrix = Matrix.from_rows(text)
+    assert matrix._integer_rows == tuple(integer_row(row) for row in grid)
+    assert matrix.entries == grid
+    assert matrix == Matrix(grid)
+    assert hash(matrix) == hash(Matrix(grid))
+    assert TransitionMatrix._trusted(matrix._integer_rows).to_json() == {"rows": [[str(x) for x in row] for row in grid]}
+    # The row checks read the same integer rows, so they agree to the message.
+    assert outcome(TransitionMatrix.from_rows, text) == outcome(TransitionMatrix, grid)
