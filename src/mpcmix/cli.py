@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 from .decomposition import decompose_full
@@ -226,6 +227,31 @@ def _pretty(obj, indent=0):
     return [pad + str(obj)]
 
 
+def _json_text(obj, pad="\n"):
+    """The text of ``json.dumps(obj, indent=2)`` for what the commands return.
+
+    That is dicts with string keys, lists, strings, numbers, booleans and
+    ``None``. ``json.dumps`` with an indent runs the pure-Python encoder,
+    whose nested closures are left in reference cycles after every call, for
+    the garbage collector to find. Strings are written by ``json``'s own ASCII
+    escaper, and numbers, booleans and ``None`` by ``json.dumps``.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+    return json.dumps(obj)
+
+
 def _read_input(path):
     if path == "-":
         return sys.stdin.read()
@@ -263,7 +289,7 @@ def _write_output(path, text):
 
 def _emit_error(code, message):
     sys.stderr.write(
-        json.dumps({"error": {"code": code, "message": message}}, indent=2) + "\n"
+        _json_text({"error": {"code": code, "message": message}}) + "\n"
     )
 
 
@@ -319,7 +345,7 @@ def main(argv=None) -> int:
     if args.pretty:
         text = "\n".join(_pretty(result)) + "\n"
     else:
-        text = json.dumps(result, indent=2) + "\n"
+        text = _json_text(result) + "\n"
     try:
         _write_output(args.output, text)
     except OSError as exc:

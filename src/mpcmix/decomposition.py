@@ -21,7 +21,10 @@ null directions to a vertex of {s >= 0 : F s = 1}, whose support columns are
 linearly independent, so its component has at most rank(F) <= n atoms.
 Carathéodory peeling removes one vertex at a time from the remainder,
 giving a mixture of at most m - rank(F) + 1 targets with at most n atoms
-each.
+each. The walk's null directions come from one persistent state of the
+remainder's support, its greedy basis and each other column's dependency on
+it, built once and updated as columns are zeroed; every peeled vertex is
+then re-checked exactly against F v = 1.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _echelon,
     canonical_row,
     column_dependency,
     column_sums,
@@ -186,10 +190,11 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
     """The weighted components F diag(v / dv) of ``triple``, checked to recompose it.
 
     ``scaled`` holds ``(weight, v, dv)`` triples: v is an integer column-scale
-    vector over the positive denominator dv with F v = dv, which its maker
-    guarantees. Every scale must be nonnegative and sum_k w_k v_k / dv_k must
-    be 1 exactly, coordinate by coordinate, or ``InternalError`` is raised;
-    then sum_k w_k F diag(v_k / dv_k) == F entry for entry.
+    vector over the positive denominator dv. Every scale must be
+    nonnegative, F v = dv must hold exactly on F's integer rows, so that each
+    component is again a garbling of the source, and sum_k w_k v_k / dv_k
+    must be 1 exactly, coordinate by coordinate, or ``InternalError`` is
+    raised; then sum_k w_k F diag(v_k / dv_k) == F entry for entry.
 
     Each component is what ``apply_transition`` makes of F diag(v / dv),
     built straight from F's integer rows and the target: in a certified
@@ -198,14 +203,17 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
     q_k v_k / dv and barycenter b_k, exactly the columns with v_k > 0 are kept,
     none merge, and they are already in atom order.
     """
-    for _, v, _ in scaled:
+    rows = triple.transition._integer_rows
+    for _, v, dv in scaled:
         for k, x in enumerate(v):
             if x < 0:
                 raise InternalError(f"peeled vertex has a negative scale at column {k}")
+        for i, (scale, ints) in enumerate(rows):
+            if sum(map(mul, ints, v)) != scale * dv:
+                raise InternalError(f"peeled vertex fails F v = 1 at row {i}")
     d, total = column_sums([w for w, _, _ in scaled], [(dv, v) for _, v, dv in scaled])
     if any(t != d for t in total):
         raise InternalError("peel recomposition identity failed")
-    rows = triple.transition._integer_rows
     atoms, weights = triple.target.atoms, triple.target.weights
     components = []
     for w, v, dv in scaled:
@@ -271,36 +279,119 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     return SplitResult(left, right, certificate)
 
 
-def _walk_to_vertex(rows, point: list[int], den: int) -> tuple[list[int], int]:
+class _Basis:
+    """The greedy basis of a support of F's columns, and each other column's dependency on it.
+
+    The greedy basis is the lexicographically first one: the support columns
+    that do not depend on the support columns before them, which is what
+    :func:`_echelon` finds. ``columns`` holds the basic column of each slot,
+    or ``None`` for a slot whose column left with no successor. ``deps`` maps
+    each other support column j, in column order, to ``(c_j, v)``: c_j times
+    column j plus the sum of ``v[s]`` times the column in slot s is zero, with
+    gcd 1 over c_j and v. Only basic columns before j take part, so this is
+    the dependency ``_echelon`` yields at j, up to sign. The first key of
+    ``deps`` is the first support column that depends on the ones before it.
+    """
+
+    __slots__ = ("columns", "deps")
+
+    def __init__(self, columns: list, deps: dict[int, tuple[int, list[int]]]) -> None:
+        self.columns = columns
+        self.deps = deps
+
+    @classmethod
+    def of(cls, rows, m: int) -> "_Basis":
+        """The state of all m columns of the integer ``rows``, by one elimination."""
+        found = list(_echelon(rows, range(m)))
+        columns = [k for k, d in enumerate(found) if d is None]
+        deps = {k: (d[k], [d[b] for b in columns]) for k, d in enumerate(found) if d is not None}
+        return cls(columns, deps)
+
+    def copy(self) -> "_Basis":
+        """An independent state: dependencies are replaced on a drop, never mutated."""
+        return _Basis(list(self.columns), dict(self.deps))
+
+    def dependency(self, j: int) -> list[tuple[int, int]]:
+        """Column j's dependency as ``(column, coefficient)`` pairs over its
+        nonzero entries, in column order, with the first coefficient positive:
+        what ``column_dependency`` of the support returns when j is the first
+        column that depends on the ones before it."""
+        cj, v = self.deps[j]
+        items = sorted([(b, x) for b, x in zip(self.columns, v) if x] + [(j, cj)])
+        if items[0][1] < 0:
+            return [(k, -x) for k, x in items]
+        return items
+
+    def drop(self, k: int) -> None:
+        """Remove column ``k`` from the support.
+
+        A non-basic column just leaves ``deps``: no dependency uses it, and
+        without it every prefix of the support spans what it spanned. A basic
+        column k is replaced in its slot by the first later column e whose
+        dependency uses it. That column no longer depends on the columns
+        before it, while every longer prefix spans what it spanned, so this
+        exchange is the only change to the greedy basis. Each later user j of
+        k trades k for e by one integer pivot, e_k d_j - d_k d_e with the
+        multipliers divided by their gcd, and the result by its own gcd.
+        """
+        deps = self.deps
+        if deps.pop(k, None) is not None:
+            return
+        s = self.columns.index(k)
+        users = [j for j, (_, v) in deps.items() if v[s]]
+        if not users:
+            self.columns[s] = None
+            return
+        ce, ve = deps.pop(users[0])
+        self.columns[s] = users[0]
+        for j in users[1:]:
+            cj, v = deps[j]
+            a, f = ve[s], v[s]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            w = [a * x - f * y for x, y in zip(v, ve)]
+            w[s] = -f * ce
+            cj *= a
+            g = gcd(cj, *w)
+            if g != 1:
+                cj //= g
+                w = [x // g for x in w]
+            deps[j] = (cj, w)
+
+
+def _walk_to_vertex(basis: _Basis, point: list[int], den: int) -> tuple[list[int], int]:
     """Walk from ``point / den`` in {s >= 0 : F s = 1} to a vertex of that polytope.
 
-    ``rows`` are F's integer rows, and a point is an integer vector over one
-    positive denominator. Each step takes the dependency c of F's support
-    columns and moves along -c until the first coordinate with c_k > 0
+    A point is an integer vector over one positive denominator, and ``basis``
+    the state of its support; the walk takes its steps on a copy. Each step
+    takes the dependency c of the first support column that depends on the
+    ones before it, which is what ``column_dependency`` of the support
+    returns, and moves along -c until the first coordinate with c_k > 0
     reaches zero: the zeroing step of ``split_once`` written on column
     scales. With P_a / c_a the least ratio, found by cross-multiplying, the
-    new point is (P c_a - P_a c) / (den c_a), reduced by its gcd. The walk
-    ends, returning its last point and denominator, when the support columns
-    are linearly independent.
+    new point is (P c_a - P_a c) / (den c_a), reduced by its gcd, and the
+    columns it zeroes leave the state. The walk ends, returning its last
+    point and denominator, when the support columns are linearly independent.
     """
-    while True:
-        support = [k for k, x in enumerate(point) if x]
-        c = column_dependency(rows, support)
-        if c is None:
-            return point, den
+    basis = basis.copy()
+    while basis.deps:
+        c = basis.dependency(next(iter(basis.deps)))
         pa = ca = 0
-        for k, ck in zip(support, c):
+        for k, ck in c:
             if ck > 0 and (not ca or point[k] * ca < pa * ck):
                 pa, ca = point[k], ck
         point = [x * ca for x in point]
-        for k, ck in zip(support, c):
-            if ck:
-                point[k] -= pa * ck
+        for k, ck in c:
+            point[k] -= pa * ck
         den *= ca
         g = gcd(den, *point)
         if g != 1:
             den //= g
             point = [x // g for x in point]
+        for k, _ in c:
+            if not point[k]:
+                basis.drop(k)
+    return point, den
 
 
 def decompose_full(triple: SmpcTriple) -> Mixture:
@@ -320,23 +411,26 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
 
     The peel runs on F's integer rows and keeps r and each v as an integer
     vector over one denominator; ``Fraction`` values are made only for the
-    weights and for the components' targets. The builder that ``split_once``
-    also uses makes the components from the peeled vertices, after verifying
-    the recomposition identity sum_k w_k v_k == 1, hence
-    sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are
-    ordered by descending weight and then by their atoms, so equal inputs
-    always produce the identical mixture.
+    weights and for the components' targets. The support of r only shrinks,
+    so one state serves the whole peel: the greedy basis of the support and
+    each other column's dependency on it (:class:`_Basis`), built by one
+    elimination over all m columns. Each walk takes its steps on a copy, and
+    r's own state drops the columns that each peel zeroes. The walk takes
+    the steps that re-eliminating the support at every step would take, so
+    the mixture is the same. The builder that ``split_once`` also uses makes
+    the components from the peeled vertices, after re-checking F v = dv for
+    each vertex and the recomposition identity sum_k w_k v_k == 1, hence
+    sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are ordered by descending weight and then by their
+    atoms, so equal inputs always produce the identical mixture.
     """
     n = len(triple.source.atoms)
-    int_rows = [ints for _, ints in triple.transition._integer_rows]
-    remainder, den = [1] * triple.transition.cols, 1
+    m = triple.transition.cols
+    basis = _Basis.of([ints for _, ints in triple.transition._integer_rows], m)
+    remainder, den = [1] * m, 1
     weight = Fraction(1)
     peeled: list[tuple[Fraction, list[int], int]] = []  # (weight, vertex, its denominator)
-    while True:
-        vertex, dv = _walk_to_vertex(int_rows, remainder, den)
-        if vertex == remainder:
-            peeled.append((weight, vertex, dv))
-            break
+    while basis.deps:
+        vertex, dv = _walk_to_vertex(basis, remainder, den)
         # lambda = min r_k / v_k over v_k > 0, which is R_a dv / (den V_a) at
         # the least R_a / V_a. It lies in (0, 1): supp(v) lies inside supp(r),
         # and lambda >= 1 would give r - v >= 0 in the null space of F,
@@ -349,12 +443,16 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
         peeled.append((weight * lam, vertex, dv))
         weight *= 1 - lam
         # (r - lambda v) / (1 - lambda), with the common factor den * V_a cancelled.
-        remainder = [r * va - ra * v for r, v in zip(remainder, vertex)]
-        den = den * va - ra * dv
+        rest = [r * va - ra * v for r, v in zip(remainder, vertex)]
+        for k, (r, x) in enumerate(zip(remainder, rest)):
+            if r and not x:
+                basis.drop(k)
+        remainder, den = rest, den * va - ra * dv
         g = gcd(den, *remainder)
         if g != 1:
             den //= g
             remainder = [r // g for r in remainder]
+    peeled.append((weight, remainder, den))
 
     components = _components(triple, peeled)
     for _, component in components:

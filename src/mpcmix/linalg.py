@@ -13,9 +13,10 @@ makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
 so there is one grammar. Elimination is fraction-free on the same rows: one
 kernel takes the columns in order and finds each that depends on the earlier
 ones. :func:`rank` counts the others; the first dependency gives
-:func:`null_space_vector`, and the decomposition's peel reads it directly
-through :func:`column_dependency`. That dependency depends on the matrix
-alone, never on a pivot choice, so every result is deterministic.
+:func:`null_space_vector` and :func:`column_dependency`, which the split
+reads. The decomposition's peel takes every column's dependency from one
+pass and keeps them as its support shrinks. Each dependency depends on the
+matrix alone, never on a pivot choice, so every result is deterministic.
 """
 
 from __future__ import annotations

@@ -130,9 +130,9 @@ def test_a_json_list_field_must_be_a_list(tmp_path, capsys, command, payload, me
 
 
 def test_internal_invariant_failure_is_exit_3(tmp_path, capsys, monkeypatch):
-    # With no dependency found, the walk stops at s = 1 and peels the whole
+    # With every column taken as basic, the walk stops at s = 1 and peels the whole
     # 4-atom target on 3 source atoms, which must trip the decomposition's own check.
-    monkeypatch.setattr(decomposition, "column_dependency", lambda rows, columns: None)
+    monkeypatch.setattr(decomposition, "_echelon", lambda rows, columns: (None for _ in columns))
     payload = {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}
     code = run_cli(tmp_path, "decompose", payload)
     captured = capsys.readouterr()

@@ -3,7 +3,8 @@
 ``null_space_vector`` and ``rank`` must equal the ``Fraction`` elimination
 kept in ``linalg_fraction_reference``, ``column_dependency`` must be its null
 vector as coprime integers, and ``decompose_full`` must return an equal
-``Mixture`` with equal JSON bytes. The instances are seeded and generated:
+``Mixture`` with equal JSON bytes, its first vertex equal to that of the
+from-scratch walk in ``peel_oracle``. The instances are seeded and generated:
 wide matrices, rank-deficient transitions, duplicate columns, zero rows,
 negative entries and coprime denominators near 10**6.
 """
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_fraction_reference as reference
-from mpcmix.decomposition import _walk_to_vertex, decompose_full
+import peel_oracle
+from mpcmix.decomposition import _Basis, _walk_to_vertex, decompose_full
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
 from mpcmix.linalg import Matrix, column_dependency, integer_row, null_space_vector, rank
 from mpcmix.randgen import random_smpc
@@ -60,7 +62,8 @@ def assert_same_peel(triple):
     assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
     m = triple.transition.cols
     rows = [ints for _, ints in triple.transition._integer_rows]
-    vertex, den = _walk_to_vertex(rows, [1] * m, 1)
+    vertex, den = peel_oracle.walk_to_vertex(rows, [1] * m, 1)
+    assert _walk_to_vertex(_Basis.of(rows, m), [1] * m, 1) == (vertex, den)
     assert den > 0 and gcd(den, *vertex) == 1
     start = [Fraction(1)] * m
     assert [Fraction(v, den) for v in vertex] == reference._walk_to_vertex(triple.transition.entries, start)
