@@ -15,7 +15,6 @@ from .decomposition import (
     SplitResult,
     UniquenessReport,
     decompose_full,
-    embed_transition,
     split_once,
     verify_uniqueness,
     zero_column,
@@ -64,7 +63,6 @@ __all__ = [
     "check_no_profitable_deviation",
     "decompose_full",
     "deviation_payoff",
-    "embed_transition",
     "find_witness",
     "is_mpc",
     "mpc_violation",

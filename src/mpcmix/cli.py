@@ -61,21 +61,21 @@ def _candidates(payload):
     return [parse_rational(x) for x in json_list(_field(payload, "candidates"), "'candidates'")]
 
 
-def _cmd_verify_smpc(payload, args):
-    SmpcTriple(
+def _garbled(payload):
+    """The certified triple of the payload's source garbled through its transition."""
+    return apply_transition(
         DiscreteDistribution.from_json(_field(payload, "source")),
         TransitionMatrix.from_json(_field(payload, "transition")),
-        DiscreteDistribution.from_json(_field(payload, "target")),
     )
+
+
+def _cmd_verify_smpc(payload, args):
+    SmpcTriple.from_json(payload)
     return {"valid": True}
 
 
 def _cmd_apply(payload, args):
-    triple = apply_transition(
-        DiscreteDistribution.from_json(_field(payload, "source")),
-        TransitionMatrix.from_json(_field(payload, "transition")),
-    )
-    return triple.to_json()
+    return _garbled(payload).to_json()
 
 
 def _cmd_is_mpc(payload, args):
@@ -96,18 +96,10 @@ def _cmd_find_witness(payload, args):
     return {"witness": None if witness is None else witness.to_json()}
 
 
-def _triple_from_payload(payload):
-    source = DiscreteDistribution.from_json(_field(payload, "source"))
-    transition = TransitionMatrix.from_json(_field(payload, "transition"))
-    if "target" in payload:
-        return SmpcTriple(
-            source, transition, DiscreteDistribution.from_json(payload["target"])
-        )
-    return apply_transition(source, transition)
-
-
 def _cmd_decompose(payload, args):
-    return decompose_full(_triple_from_payload(payload)).to_json()
+    if isinstance(payload, dict) and "target" in payload:
+        return decompose_full(SmpcTriple.from_json(payload)).to_json()
+    return decompose_full(_garbled(payload)).to_json()
 
 
 def _cmd_solve_persuasion(payload, args):

@@ -35,7 +35,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix
+from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
 from .errors import (
     DimensionError,
     EntryRangeError,
@@ -45,14 +45,16 @@ from .errors import (
     RankError,
 )
 from .linalg import (
-    Matrix,
     _echelon,
     canonical_row,
-    column_dependency,
     column_sums,
     integer_row,
+    json_list,
+    json_object,
+    null_space_vector,
     parse_rational,
     rank,
+    rationals,
 )
 
 
@@ -88,6 +90,7 @@ class Mixture:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        rationals([weight for weight, _ in self.components])
         total = Fraction(0)
         source = self.components[0][1].source
         for weight, component in self.components:
@@ -103,14 +106,17 @@ class Mixture:
     def source(self) -> DiscreteDistribution:
         return self.components[0][1].source
 
-    def recompose(self) -> DiscreteDistribution:
-        """The weighted sum of component targets, as one distribution."""
-        masses: dict[Fraction, Fraction] = {}
-        for weight, component in self.components:
-            for atom, w in zip(component.target.atoms, component.target.weights):
-                masses[atom] = masses.get(atom, Fraction(0)) + weight * w
-        atoms = tuple(sorted(masses))
-        return DiscreteDistribution(atoms, tuple(masses[a] for a in atoms))
+    def recompose(self) -> SmpcTriple:
+        """The certified triple of sum_k w_k F_k, each F_k's columns at their atoms.
+
+        The weighted components' columns stand side by side, and
+        ``apply_transition`` adds up those of one atom: a column's barycenter
+        is its atom, so exactly those merge. Hence
+        ``decompose_full(t).recompose() == t``.
+        """
+        rows = zip(*(component.transition.entries for _, component in self.components))
+        grid = [[w * x for (w, _), part in zip(self.components, parts) for x in part] for parts in rows]
+        return apply_transition(self.source, TransitionMatrix(grid))
 
     def to_json(self) -> dict:
         return {
@@ -131,7 +137,8 @@ class Mixture:
             raise ValueError("mixture JSON needs 'source' and 'components'")
         source = DiscreteDistribution.from_json(obj["source"])
         components = []
-        for entry in obj["components"]:
+        for k, entry in enumerate(json_list(obj["components"], "'components'")):
+            json_object(entry, f"mixture component {k}", ("weight", "target", "transition"))
             weight = parse_rational(entry["weight"])
             component = SmpcTriple(
                 source,
@@ -153,10 +160,13 @@ def zero_column(
     Row sums survive exactly, because sum_k (1 - c_k/c_j) f_ik equals
     sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c. If any scaled
     entry leaves [0, 1], ``j`` was not a maximizer of |c| within its sign
-    group and an ``EntryRangeError`` is raised.
+    group and an ``EntryRangeError`` is raised. A ``j`` that is not a column
+    index, 0 to m - 1, is a ``DimensionError``.
     """
-    c = tuple(Fraction(x) for x in coefficients)
     m = transition.cols
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < m:
+        raise DimensionError(f"column {j!r} is not an index of the {m} columns")
+    c = tuple(Fraction(x) for x in coefficients)
     if len(c) != m:
         raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
     # c over one positive denominator; only its integer numerators matter.
@@ -234,15 +244,16 @@ def split_once(triple: SmpcTriple) -> SplitResult:
 
     Raises ``NoSplitError`` when the transition's columns are linearly
     independent (then the target already has at most as many atoms as the
-    source). For the integer dependency d of the columns, branch j has the
-    scales 1 - d / d_j, kept as the integer vector sign(d_j) (d_j - d_k) over
-    |d_j|, and the recomposition identity alpha * left + (1 - alpha) * right
-    == transition is verified exactly on those scales before returning.
+    source). For the null vector c of the columns, as the coprime integer
+    vector d, branch j has the scales 1 - d / d_j, kept as the integer vector
+    sign(d_j) (d_j - d_k) over |d_j|, and the recomposition identity
+    alpha * left + (1 - alpha) * right == transition is verified exactly on
+    those scales before returning.
     """
-    rows = [ints for _, ints in triple.transition._integer_rows]
-    d = column_dependency(rows, range(triple.transition.cols))
-    if d is None:
+    c = null_space_vector(triple.transition)
+    if c is None:
         raise NoSplitError("transition columns are linearly independent; no split exists")
+    _, d = integer_row(c)
     positive = tuple(j for j, x in enumerate(d) if x > 0)
     negative = tuple(j for j, x in enumerate(d) if x < 0)
     if not positive or not negative:
@@ -267,9 +278,8 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     m = len(triple.target.atoms)
     if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
         raise InternalError("split did not reduce the atom count")
-    lead = next(x for x in d if x)
     certificate = SplitCertificate(
-        coefficients=tuple(Fraction(x, lead) for x in d),
+        coefficients=c,
         group_a=positive if d[j_star] > 0 else negative,
         group_b=negative if d[j_star] > 0 else positive,
         j_star=j_star,
@@ -314,8 +324,8 @@ class _Basis:
     def dependency(self, j: int) -> list[tuple[int, int]]:
         """Column j's dependency as ``(column, coefficient)`` pairs over its
         nonzero entries, in column order, with the first coefficient positive:
-        what ``column_dependency`` of the support returns when j is the first
-        column that depends on the ones before it."""
+        the first dependency that ``_echelon`` of the support yields when j is
+        the first column that depends on the ones before it."""
         cj, v = self.deps[j]
         items = sorted([(b, x) for b, x in zip(self.columns, v) if x] + [(j, cj)])
         if items[0][1] < 0:
@@ -365,8 +375,8 @@ def _walk_to_vertex(basis: _Basis, point: list[int], den: int) -> tuple[list[int
     A point is an integer vector over one positive denominator, and ``basis``
     the state of its support; the walk takes its steps on a copy. Each step
     takes the dependency c of the first support column that depends on the
-    ones before it, which is what ``column_dependency`` of the support
-    returns, and moves along -c until the first coordinate with c_k > 0
+    ones before it, the first dependency that ``_echelon`` of the support
+    yields, and moves along -c until the first coordinate with c_k > 0
     reaches zero: the zeroing step of ``split_once`` written on column
     scales. With P_a / c_a the least ratio, found by cross-multiplying, the
     new point is (P c_a - P_a c) / (den c_a), reduced by its gcd, and the
@@ -462,26 +472,6 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     # the vertex, so weight and atoms order them without ties.
     components.sort(key=lambda item: (-item[0], item[1].target.atoms))
     return Mixture(tuple(components))
-
-
-def embed_transition(component: SmpcTriple, atoms: tuple[Fraction, ...]) -> Matrix:
-    """Widen a component's transition onto a full atom grid.
-
-    Each column lands at the position of its atom within ``atoms``; missing
-    atoms get zero columns. This is the embedding under which mixture weights
-    recombine to the original transition: sum of w_k * embedded_k == original.
-    """
-    index = {atom: pos for pos, atom in enumerate(atoms)}
-    n = len(component.source.atoms)
-    grid = [[Fraction(0)] * len(atoms) for _ in range(n)]
-    for j, atom in enumerate(component.target.atoms):
-        if atom not in index:
-            raise DimensionError(f"component atom {atom} not in the grid")
-        pos = index[atom]
-        col = component.transition.column(j)
-        for i in range(n):
-            grid[i][pos] = col[i]
-    return Matrix(tuple(tuple(row) for row in grid))
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,22 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, parse_rational
+from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object, parse_rational, rationals
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Purely atomic distribution: strictly increasing atoms, positive weights."""
+    """Purely atomic distribution: strictly increasing atoms, positive weights.
+
+    Atoms and weights must be ``Fraction`` or ``int`` values, not floats.
+    """
 
     atoms: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        rationals(self.atoms)
+        rationals(self.weights)
         if not self.atoms or len(self.atoms) != len(self.weights):
             raise DistributionError("atoms and weights must be equally long and nonempty")
         for k in range(len(self.atoms) - 1):
@@ -190,11 +195,7 @@ class SmpcTriple:
 
     @classmethod
     def from_json(cls, obj) -> "SmpcTriple":
-        if not isinstance(obj, dict):
-            raise ValueError("triple JSON must be an object")
-        for key in ("source", "transition", "target"):
-            if key not in obj:
-                raise ValueError(f"triple JSON needs '{key}'")
+        json_object(obj, "triple JSON", ("source", "transition", "target"))
         return cls(
             DiscreteDistribution.from_json(obj["source"]),
             TransitionMatrix.from_json(obj["transition"]),

@@ -13,10 +13,10 @@ makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
 so there is one grammar. Elimination is fraction-free on the same rows: one
 kernel takes the columns in order and finds each that depends on the earlier
 ones. :func:`rank` counts the others; the first dependency gives
-:func:`null_space_vector` and :func:`column_dependency`, which the split
-reads. The decomposition's peel takes every column's dependency from one
-pass and keeps them as its support shrinks. Each dependency depends on the
-matrix alone, never on a pivot choice, so every result is deterministic.
+:func:`null_space_vector`, which the split reads. The decomposition's peel
+takes every column's dependency from one pass and keeps them as its support
+shrinks. Each dependency depends on the matrix alone, never on a pivot
+choice, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -51,6 +51,18 @@ def _check_size(text: str) -> None:
         raise ValueError(f"more than {MAX_DIGITS} digits in rational {text[:40]!r}")
 
 
+_RATIONAL_TYPES = frozenset((Fraction, int))
+
+
+def rationals(values):
+    """``values`` itself when each is a ``Fraction`` or an ``int`` that is not a
+    ``bool``, else a ``ValueError``; the common case costs one type test each."""
+    for x in values:
+        if type(x) not in _RATIONAL_TYPES and (isinstance(x, bool) or not isinstance(x, (Fraction, int))):
+            raise ValueError(f"not a rational: {repr(x)[:40]}")
+    return values
+
+
 def _ratio(value) -> tuple[int, int]:
     """``(p, q)`` with ``q > 0`` and ``parse_rational(value) == p / q``, not reduced.
 
@@ -74,9 +86,8 @@ def _ratio(value) -> tuple[int, int]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value[:40]!r}") from exc
         return parsed.numerator, parsed.denominator
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
-        return value.numerator, value.denominator
-    raise ValueError(f"not a rational: {repr(value)[:40]}")
+    rationals((value,))
+    return value.numerator, value.denominator
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
@@ -101,6 +112,16 @@ def json_list(value, name: str) -> list:
     """
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def json_object(value, name: str, keys) -> dict:
+    """``value`` itself when it is a JSON object with all of ``keys``, else a ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{name} needs {key!r}")
     return value
 
 
@@ -161,12 +182,13 @@ class Matrix:
     Row i is ``(scale, ints)`` with entry (i, j) equal to ``ints[j] / scale``,
     ``scale > 0`` and ``gcd(scale, *ints) == 1``. A row has only one such
     form, so two matrices are equal exactly when their integer rows are.
-    ``Matrix(entries)`` takes a grid of ``Fraction`` (or ``int``) rows and
-    ``from_rows`` one of rational text; ``entries`` is derived on first read.
+    ``Matrix(entries)`` takes a grid of ``Fraction`` or ``int`` values, and
+    no others, and ``from_rows`` one of rational text; ``entries`` is
+    derived on first read.
     """
 
     def __init__(self, entries) -> None:
-        self._set_rows(tuple(integer_row(row) for row in entries))
+        self._set_rows(tuple(integer_row(rationals(row)) for row in entries))
 
     def _set_rows(self, rows) -> None:
         """Hold ``rows`` after checking their shape; a subclass adds its checks."""
@@ -280,17 +302,6 @@ def _echelon(rows, columns):
         yield None
 
 
-def column_dependency(rows, columns) -> list[int] | None:
-    """The first of ``columns`` that depends on the earlier ones, as a dependency.
-
-    ``rows`` are integer rows and ``columns`` column indices into them. The
-    result is the integer vector d over ``columns`` that :func:`_echelon`
-    yields at the first dependent column, or ``None`` when the columns are
-    linearly independent.
-    """
-    return next((d for d in _echelon(rows, columns) if d is not None), None)
-
-
 def rank(matrix: Matrix) -> int:
     """Exact rank."""
     rows = [ints for _, ints in matrix._integer_rows]
@@ -305,7 +316,8 @@ def null_space_vector(matrix: Matrix) -> tuple[Fraction, ...] | None:
     the first column that depends on the earlier ones, with zeros after that
     column, so equal matrices always yield the identical vector.
     """
-    d = column_dependency([ints for _, ints in matrix._integer_rows], range(matrix.cols))
+    rows = [ints for _, ints in matrix._integer_rows]
+    d = next((d for d in _echelon(rows, range(matrix.cols)) if d is not None), None)
     if d is None:
         return None
     lead = next(x for x in d if x)

@@ -20,7 +20,7 @@ from . import lp
 from .decomposition import Mixture, decompose_full
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, json_list, parse_rational
+from .linalg import Matrix, json_list, parse_rational, rationals
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,15 @@ class PiecewiseLinearFn:
     """Piecewise-linear function given by knots; evaluation interpolates.
 
     Evaluation outside the knot range is an error rather than an
-    extrapolation.
+    extrapolation. Knot coordinates are ``Fraction`` or ``int`` values;
+    anything else, a float included, is a ``ValueError``.
     """
 
     knots: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
+        for knot in self.knots:
+            rationals(knot)
         if len(self.knots) < 2:
             raise DomainError("piecewise-linear function needs at least 2 knots")
         for k in range(len(self.knots) - 1):

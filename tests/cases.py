@@ -71,6 +71,17 @@ def worked_triple() -> SmpcTriple:
     return SmpcTriple(PRIOR, GARBLING, TARGET)
 
 
+def embedded(component, atoms):
+    """The component's transition as a ``Fraction`` grid on ``atoms``: each
+    column at the position of its atom, zero columns elsewhere. Kept apart
+    from ``Mixture.recompose`` so that tests can sum placed columns themselves."""
+    grid = [[Fraction(0)] * len(atoms) for _ in component.source.atoms]
+    for j, atom in enumerate(component.target.atoms):
+        for row, x in zip(grid, component.transition.column(j)):
+            row[atoms.index(atom)] = x
+    return grid
+
+
 # Two sellers, i.i.d. quality prior on {0, 1/2, 3/4}; candidate equilibrium cdf.
 DUEL_PRIOR = dist(["0", "1/2", "3/4"], ["1/6", "1/2", "1/3"])
 DUEL_CDF = PiecewiseLinearFn.from_pairs([("0", "0"), ("1/2", "1/3"), ("3/4", "1")])

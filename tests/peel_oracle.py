@@ -2,8 +2,8 @@
 
 ``mpcmix.decomposition`` keeps one state for the remainder's support, its
 greedy basis and each other column's dependency on it, and updates it as
-columns are zeroed. Here every walk step asks ``column_dependency`` for the
-first dependency of the whole support from scratch instead, so tests can
+columns are zeroed. Here every walk step takes the first dependency that
+``_echelon`` yields for the whole support, from scratch, so tests can
 require the same vertices and byte-identical mixtures from both.
 """
 
@@ -12,7 +12,7 @@ from math import gcd
 
 from mpcmix.decomposition import Mixture, _components
 from mpcmix.errors import InternalError
-from mpcmix.linalg import column_dependency
+from mpcmix.linalg import _echelon
 
 
 def walk_to_vertex(rows, point: list[int], den: int) -> tuple[list[int], int]:
@@ -28,7 +28,7 @@ def walk_to_vertex(rows, point: list[int], den: int) -> tuple[list[int], int]:
     """
     while True:
         support = [k for k, x in enumerate(point) if x]
-        c = column_dependency(rows, support)
+        c = next((d for d in _echelon(rows, support) if d is not None), None)
         if c is None:
             return point, den
         pa = ca = 0

@@ -14,7 +14,6 @@ from mpcmix import (
     check_no_profitable_deviation,
     decompose_full,
     deviation_payoff,
-    embed_transition,
     find_witness,
     is_mpc,
     solve_linear_persuasion,
@@ -44,6 +43,7 @@ from cases import (
     LEFT_TARGET,
     RIGHT_EMBEDDED,
     RIGHT_TARGET,
+    embedded,
     worked_triple,
 )
 from lp_oracle import oracle_solve
@@ -82,14 +82,15 @@ def test_criterion_2_recomposition_identity():
         m = rng.randint(2, 10)
         triple = random_smpc(rng, n, m)
         mixture = decompose_full(triple)
-        assert mixture.recompose() == triple.target
+        assert mixture.recompose() == triple
+        # The same identity summed here, independently of recompose.
         total = [[Fraction(0)] * len(triple.target.atoms) for _ in range(n)]
         for weight, component in mixture.components:
             assert len(component.target.atoms) <= n
             SmpcTriple(component.source, component.transition, component.target)
-            embedded = embed_transition(component, triple.target.atoms)
+            placed = embedded(component, triple.target.atoms)
             for i in range(n):
-                row = embedded.entries[i]
+                row = placed[i]
                 for j in range(len(row)):
                     total[i][j] += weight * row[j]
         assert Matrix(tuple(tuple(r) for r in total)) == Matrix(triple.transition.entries)

@@ -183,6 +183,28 @@ def test_missing_field_is_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        # A triple is read by SmpcTriple.from_json, which checks every key first.
+        ("verify-smpc", {"source": PRIOR.to_json(), "transition": GARBLING.to_json()}, "triple JSON needs 'target'"),
+        ("verify-smpc", {"transition": GARBLING.to_json(), "target": TARGET.to_json()}, "triple JSON needs 'source'"),
+        ("verify-smpc", ["target"], "triple JSON must be an object"),
+        ("decompose", {"source": PRIOR.to_json(), "target": TARGET.to_json()}, "triple JSON needs 'transition'"),
+        # Without a target, decompose reads a source and a transition as apply does.
+        ("decompose", {"source": PRIOR.to_json()}, "input JSON needs a 'transition' field"),
+        ("decompose", ["target"], "input JSON needs a 'source' field"),
+        ("decompose", "target", "input JSON needs a 'source' field"),
+        ("apply", {"transition": GARBLING.to_json()}, "input JSON needs a 'source' field"),
+    ],
+)
+def test_missing_keys_name_the_reader(tmp_path, capsys, command, payload, message):
+    assert run_cli(tmp_path, command, payload) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "parse", "message": message}}
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["decompose", str(tmp_path / "absent.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "io"

@@ -15,7 +15,6 @@ from mpcmix import (
     TransitionMatrix,
     apply_transition,
     decompose_full,
-    embed_transition,
     rank,
     split_once,
     verify_uniqueness,
@@ -47,6 +46,7 @@ from cases import (
     RIGHT_TARGET,
     TARGET,
     dist,
+    embedded,
     tm,
     worked_triple,
 )
@@ -79,6 +79,13 @@ class TestZeroColumn:
             zero_column(GARBLING, NULL_COEFFS, 0)
         assert (err.value.row, err.value.column) == (1, 2)
         assert str(err.value) == "zeroing column 0 drives entry (1,2) to 5/3, outside [0, 1]"
+
+    @pytest.mark.parametrize("j", [-1, 4, True])
+    def test_a_column_outside_the_matrix_is_a_dimension_error(self, j, monkeypatch):
+        # With integer_row gone, only a check made before any work can raise.
+        monkeypatch.setattr(decomposition, "integer_row", None)
+        with pytest.raises(DimensionError, match=f"^column {j!r} is not an index of the 4 columns$"):
+            zero_column(GARBLING, NULL_COEFFS, j)
 
     def test_requires_a_null_vector(self):
         with pytest.raises(NullVectorError):
@@ -139,15 +146,17 @@ class TestSplitOnce:
     def test_embedded_recomposition(self):
         triple = worked_triple()
         result = split_once(triple)
-        left = embed_transition(result.left, triple.target.atoms)
-        right = embed_transition(result.right, triple.target.atoms)
+        left = embedded(result.left, triple.target.atoms)
+        right = embedded(result.right, triple.target.atoms)
         for i in range(3):
             for k in range(4):
                 assert (
-                    result.certificate.alpha * left.entries[i][k]
-                    + (1 - result.certificate.alpha) * right.entries[i][k]
+                    result.certificate.alpha * left[i][k]
+                    + (1 - result.certificate.alpha) * right[i][k]
                     == triple.transition.entries[i][k]
                 )
+        alpha = result.certificate.alpha
+        assert Mixture(((alpha, result.left), (1 - alpha, result.right))).recompose() == triple
 
     def test_independent_columns_refuse_to_split(self):
         triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
@@ -165,7 +174,7 @@ class TestSplitOnce:
         assert result.left.target == DiscreteDistribution.point_mass(Fraction(1, 2))
         assert result.right.target == source
         mixture = Mixture(((result.certificate.alpha, result.left), (1 - result.certificate.alpha, result.right)))
-        assert mixture.recompose() == triple.target
+        assert mixture.recompose() == triple
 
     def test_alpha_strictly_interior(self):
         rng = Random(5)
@@ -308,14 +317,14 @@ def _assert_exact_mixture(triple, mixture):
     n = len(triple.source.atoms)
     m = len(triple.target.atoms)
     assert len(mixture.components) <= m - rank(triple.transition) + 1
-    assert mixture.recompose() == triple.target
+    assert mixture.recompose() == triple
+    # The same identity summed here, independently of recompose.
     total = [[Fraction(0)] * m for _ in range(n)]
     for weight, component in mixture.components:
         assert len(component.target.atoms) <= n
         SmpcTriple(component.source, component.transition, component.target)
         assert component.target.mean() == triple.source.mean()
-        embedded = embed_transition(component, triple.target.atoms)
-        for i, row in enumerate(embedded.entries):
+        for i, row in enumerate(embedded(component, triple.target.atoms)):
             for k, x in enumerate(row):
                 total[i][k] += weight * x
     assert Matrix(tuple(tuple(row) for row in total)) == Matrix(triple.transition.entries)
@@ -324,19 +333,28 @@ def _assert_exact_mixture(triple, mixture):
 class TestRecompose:
     def test_worked_mixture(self):
         mixture = decompose_full(worked_triple())
-        assert mixture.recompose() == TARGET
+        recomposed = mixture.recompose()
+        assert isinstance(recomposed, SmpcTriple)
+        assert recomposed == worked_triple()
+        assert recomposed.target == TARGET
+
+    def test_worked_split_mixture(self):
+        left = SmpcTriple(PRIOR, LEFT_REDUCED, LEFT_TARGET)
+        right = SmpcTriple(PRIOR, RIGHT_REDUCED, RIGHT_TARGET)
+        assert Mixture(((ALPHA, left), (1 - ALPHA, right))).recompose() == worked_triple()
 
     def test_singleton(self):
-        triple = worked_triple()
-        mixture = Mixture(((Fraction(1), triple),))
-        assert mixture.recompose() == TARGET
+        for triple in (worked_triple(), SmpcTriple(PRIOR, LEFT_REDUCED, LEFT_TARGET)):
+            assert Mixture(((Fraction(1), triple),)).recompose() == triple
 
     def test_disclosure_pooling_blend(self):
         source = dist(["0", "1"], ["1/2", "1/2"])
         disclosed = SmpcTriple(source, tm([["1", "0"], ["0", "1"]]), source)
         pooled = apply_transition(source, tm([["1"], ["1"]]))
         mixture = Mixture(((Fraction(1, 2), disclosed), (Fraction(1, 2), pooled)))
-        assert mixture.recompose() == dist(["0", "1/2", "1"], ["1/4", "1/2", "1/4"])
+        recomposed = mixture.recompose()
+        assert recomposed.target == dist(["0", "1/2", "1"], ["1/4", "1/2", "1/4"])
+        assert recomposed.transition == tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
 
     def test_mixture_weight_validation(self):
         triple = worked_triple()
@@ -344,18 +362,17 @@ class TestRecompose:
             Mixture(((Fraction(1, 2), triple),))
         with pytest.raises(ValueError):
             Mixture(((Fraction(3, 2), triple), (Fraction(-1, 2), triple)))
+        with pytest.raises(ValueError, match="^not a rational: 0.5$"):
+            Mixture(((0.5, triple), (0.5, triple)))
 
 
 class TestEmbedTransition:
+    """A split branch's transition, placed on the parent's atoms, is the zeroed transition."""
+
     def test_zeroed_columns_reappear(self):
         result = split_once(worked_triple())
-        assert embed_transition(result.left, TARGET.atoms) == Matrix(LEFT_EMBEDDED.entries)
-        assert embed_transition(result.right, TARGET.atoms) == Matrix(RIGHT_EMBEDDED.entries)
-
-    def test_unknown_atom_is_an_error(self):
-        result = split_once(worked_triple())
-        with pytest.raises(DimensionError):
-            embed_transition(result.left, (Fraction(0), Fraction(1)))
+        assert Matrix(embedded(result.left, TARGET.atoms)) == Matrix(LEFT_EMBEDDED.entries)
+        assert Matrix(embedded(result.right, TARGET.atoms)) == Matrix(RIGHT_EMBEDDED.entries)
 
 
 class TestVerifyUniqueness:
@@ -422,3 +439,23 @@ class TestMixtureJson:
         mixture = decompose_full(worked_triple())
         again = Mixture.from_json(mixture.to_json())
         assert again == mixture
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.update(components="ab"), "'components' must be a JSON list, not str"),
+            (lambda obj: obj.update(components={"weight": "1"}), "'components' must be a JSON list, not dict"),
+            (lambda obj: obj["components"].__setitem__(1, "ab"), "mixture component 1 must be an object"),
+            (lambda obj: obj["components"][0].pop("weight"), "mixture component 0 needs 'weight'"),
+            (lambda obj: obj["components"][1].pop("target"), "mixture component 1 needs 'target'"),
+            (lambda obj: obj["components"][0].pop("transition"), "mixture component 0 needs 'transition'"),
+        ],
+        ids=["components as text", "components as an object", "component as text", "weight", "target", "transition"],
+    )
+    def test_malformed_components_are_value_errors(self, edit, message):
+        obj = decompose_full(worked_triple()).to_json()
+        edit(obj)
+        with pytest.raises(ValueError) as err:
+            Mixture.from_json(obj)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message

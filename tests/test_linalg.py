@@ -5,7 +5,9 @@ from random import Random
 import pytest
 
 from mpcmix import (
+    DiscreteDistribution,
     Matrix,
+    PiecewiseLinearFn,
     SmpcTriple,
     TransitionMatrix,
     linalg,
@@ -104,6 +106,66 @@ class TestMatrix:
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert (m.rows, m.cols) == (2, 3)
         assert m.column(1) == (Fraction(2), Fraction(5))
+
+
+HALF = Fraction(1, 2)
+
+
+class _Int(int):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+# Each builds one public value with ``x`` in a slot where a rational belongs.
+CONSTRUCTORS = {
+    "atom": lambda x: DiscreteDistribution((x, Fraction(1)), (HALF, HALF)),
+    "weight": lambda x: DiscreteDistribution((Fraction(0), Fraction(1)), (x, HALF)),
+    "matrix entry": lambda x: Matrix(((x, Fraction(1)),)),
+    "transition entry": lambda x: TransitionMatrix(((x, HALF),)),
+    "knot x": lambda x: PiecewiseLinearFn(((x, Fraction(0)), (Fraction(2), Fraction(1)))),
+    "knot y": lambda x: PiecewiseLinearFn(((Fraction(0), x), (Fraction(2), Fraction(1)))),
+}
+
+
+class TestOnlyRationalsAreValues:
+    @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    @pytest.mark.parametrize("value", [0.5, True, False, "1/2", None, complex(1, 0)], ids=repr)
+    def test_other_values_are_value_errors(self, build, value):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"not a rational: {value!r}"
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    @pytest.mark.parametrize("value", [HALF, _Ratio(1, 2)], ids=["Fraction", "Fraction subclass"])
+    def test_fractions_are_accepted(self, build, value):
+        build(value)
+
+    def test_ints_are_accepted(self):
+        for value in (0, _Int(0)):
+            assert DiscreteDistribution((value, 1), (HALF, HALF)).atoms == (0, 1)
+            assert Matrix(((value, 1),)).entries == ((0, 1),)
+            assert TransitionMatrix(((value, 1),)) == TransitionMatrix.from_rows([["0", "1"]])
+            assert PiecewiseLinearFn(((value, value), (2, 1)))(Fraction(1, 3)) == Fraction(1, 6)
+
+    def test_the_reported_cases(self):
+        with pytest.raises(ValueError, match="^not a rational: 0.5$"):
+            DiscreteDistribution((0.5, 1.0), (HALF, HALF))
+        with pytest.raises(ValueError, match="^not a rational: 0.0$"):
+            PiecewiseLinearFn(((0.0, 0.0), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="^not a rational: 0.5$"):
+            TransitionMatrix(((0.5, 0.5),))
+        with pytest.raises(ValueError, match="^not a rational: True$"):
+            TransitionMatrix(((True, False), (False, True)))
+
+    def test_parse_rational_keeps_the_same_rule(self):
+        for value in (0.5, True, None):
+            with pytest.raises(ValueError, match=f"^not a rational: {value!r}$"):
+                parse_rational(value)
+        assert parse_rational(_Int(3)) == 3
 
 
 class TestNullSpace:

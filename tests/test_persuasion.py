@@ -323,7 +323,7 @@ class TestConstructMixedEquilibrium:
         mixture = decompose_full(worked_triple())
         weights = tuple(w for w, _ in mixture.components)
         assert weights == (Fraction(4, 7), Fraction(3, 7))
-        assert mixture.recompose() == worked_triple().target
+        assert mixture.recompose() == worked_triple()
 
     def test_small_support_strategy_is_already_pure(self):
         triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
@@ -336,5 +336,5 @@ class TestConstructMixedEquilibrium:
             n = rng.randint(2, 5)
             triple = random_smpc(rng, n, rng.randint(n, 9))
             mixture = decompose_full(triple)
-            assert mixture.recompose() == triple.target
+            assert mixture.recompose() == triple
             assert all(len(c.target.atoms) <= n for _, c in mixture.components)

@@ -10,10 +10,12 @@ one JSON object:
   seeded ``randgen.random_smpc`` triples of the best of ``--repeats`` calls
   of ``decompose_full``, in milliseconds of wall time.
 - ``decompose_wide_pass``: ``decompose_full`` over every item of the
-  benchmark's ``decompose-wide`` corpus at seed 1. ``column_dependency_calls``
-  counts the peel's calls of ``column_dependency`` in one pass;
-  ``walk_ms`` and ``decompose_ms`` are the medians over ``--repeats`` passes
-  of the time inside ``_walk_to_vertex`` and inside ``decompose_full``.
+  benchmark's ``decompose-wide`` corpus at seed 1. In one pass,
+  ``walk_steps`` counts the walk's steps (calls of ``_Basis.dependency``)
+  and ``basis_drops`` the columns dropped from a basis state (calls of
+  ``_Basis.drop``, in walks and in the remainder); ``walk_ms`` and
+  ``decompose_ms`` are the medians over ``--repeats`` passes of the time
+  inside ``_walk_to_vertex`` and inside ``decompose_full``.
 """
 
 from __future__ import annotations
@@ -63,15 +65,20 @@ def corpus_pass(repeats):
         )
         for _, payload, _ in corpus.build("decompose-wide", 1)
     ]
-    calls = 0
+    basis = decomposition._Basis
+    counts = {"dependency": 0, "drop": 0}
     walk = 0.0
-    column_dependency, walk_to_vertex = decomposition.column_dependency, decomposition._walk_to_vertex
+    walk_to_vertex = decomposition._walk_to_vertex
 
-    @functools.wraps(column_dependency)
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return column_dependency(*args)
+    def counted(name):
+        method = getattr(basis, name)
+
+        @functools.wraps(method)
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return wrapper
 
     @functools.wraps(walk_to_vertex)
     def timed(*args):
@@ -82,10 +89,13 @@ def corpus_pass(repeats):
         finally:
             walk += time.perf_counter() - start
 
-    decomposition.column_dependency = counted
+    originals = {name: getattr(basis, name) for name in counts}
+    for name in counts:
+        setattr(basis, name, counted(name))
     for triple in triples:
         decomposition.decompose_full(triple)
-    decomposition.column_dependency = column_dependency
+    for name, method in originals.items():
+        setattr(basis, name, method)
 
     decomposition._walk_to_vertex = timed
     walks, totals = [], []
@@ -99,7 +109,8 @@ def corpus_pass(repeats):
     decomposition._walk_to_vertex = walk_to_vertex
     return {
         "operations": len(triples),
-        "column_dependency_calls": calls,
+        "walk_steps": counts["dependency"],
+        "basis_drops": counts["drop"],
         "walk_ms": round(statistics.median(walks) * 1000, 2),
         "decompose_ms": round(statistics.median(totals) * 1000, 2),
     }
