@@ -8,23 +8,27 @@ components, after checking exactly that every scale is nonnegative and that
 the weighted scales sum to 1, so that the components recompose F entry for
 entry and the original target atom for atom.
 
-A split takes the dependency c of F's columns (sum of c_k * column_k = 0)
-and zeroes a column j with the scales v = 1 - c / c_j, which keep F v = 1.
-They stay nonnegative exactly when j maximizes |c| within its sign group, and
-the two group maximizers j*, j** give the unique pair of branches whose
-convex combination
+Every move on the polytope {s >= 0 : F s = 1} is one boundary step: from a
+point, along a direction c with F c = 0 (a null direction) or F c = dv (a
+peeled vertex v / dv), away from c until the first coordinate with c_k > 0
+reaches zero. A split takes the dependency c of F's columns (sum of
+c_k * column_k = 0) and steps from 1 along c and along -c. The two ends zero
+the maximizers j*, j** of |c| within the two sign groups, with the scales
+v(j) = 1 - c / c_j, and they are the unique pair of branches whose convex
+combination
 
     alpha * v(j*) + (1 - alpha) * v(j**) = 1,  alpha = |c_j*| / (|c_j*| + |c_j**|)
 
-reproduces the transition. The full decomposition walks v = 1 along such
-null directions to a vertex of {s >= 0 : F s = 1}, whose support columns are
-linearly independent, so its component has at most rank(F) <= n atoms.
-Carathéodory peeling removes one vertex at a time from the remainder,
-giving a mixture of at most m - rank(F) + 1 targets with at most n atoms
-each. The walk's null directions come from one persistent state of the
-remainder's support, its greedy basis and each other column's dependency on
-it, built once and updated as columns are zeroed; every peeled vertex is
-then re-checked exactly against F v = 1.
+reproduces the transition. The full decomposition walks from v = 1 by
+boundary steps along null directions to a vertex of the polytope, whose
+support columns are linearly independent, so its component has at most
+rank(F) <= n atoms. Carathéodory peeling removes one vertex at a time from
+the remainder, by one boundary step along the vertex, giving a mixture of at
+most m - rank(F) + 1 targets with at most n atoms each. The walk's null
+directions come from one persistent state of the remainder's support, its
+greedy basis and each other column's dependency on it, built once and
+updated as columns are zeroed; every peeled vertex is then re-checked
+exactly against F v = 1.
 """
 
 from __future__ import annotations
@@ -154,9 +158,11 @@ def zero_column(
 ) -> TransitionMatrix:
     """Empty column ``j`` by redistributing it across the other columns.
 
-    ``coefficients`` must be a null vector of the transition's columns with a
-    nonzero entry at ``j``. Column k is scaled by (1 - c_k / c_j): same-sign
-    columns shrink, opposite-sign columns grow, zero-coefficient columns stay.
+    ``coefficients`` must be a null vector of the transition's columns, each
+    a ``Fraction`` or an ``int`` (else ``ValueError("not a rational: ...")``),
+    with a nonzero entry at ``j``. Column k is scaled by (1 - c_k / c_j):
+    same-sign columns shrink, opposite-sign columns grow, zero-coefficient
+    columns stay.
     Row sums survive exactly, because sum_k (1 - c_k/c_j) f_ik equals
     sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c. If any scaled
     entry leaves [0, 1], ``j`` was not a maximizer of |c| within its sign
@@ -166,7 +172,7 @@ def zero_column(
     m = transition.cols
     if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < m:
         raise DimensionError(f"column {j!r} is not an index of the {m} columns")
-    c = tuple(Fraction(x) for x in coefficients)
+    c = rationals(tuple(coefficients))
     if len(c) != m:
         raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
     # c over one positive denominator; only its integer numerators matter.
@@ -177,7 +183,9 @@ def zero_column(
             raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
     if d[j] == 0:
         raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
-    # The scales 1 - c_k / c_j as integers t_k over |d_j|, as in split_once.
+    # The scales 1 - c_k / c_j as integers t_k over |d_j|: the boundary step
+    # from 1 along sign(d_j) d with column j taken as its a, which keeps
+    # every scale nonnegative only when j ties the step's least ratio.
     sign = 1 if d[j] > 0 else -1
     t = [sign * (d[j] - x) for x in d]
     den = sign * d[j]
@@ -239,49 +247,66 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
     return components
 
 
+def _boundary_step(point: list[int], den: int, c, mass: int) -> tuple[list[int], int, int]:
+    """Move ``point / den`` away from c to the boundary of {s >= 0 : F s = 1}.
+
+    A point is an integer vector over one positive denominator, and the
+    direction c is given by its nonzero entries as ``(column, coefficient)``
+    pairs, with F c = ``mass``: 0 for a null direction, dv for a vertex v / dv.
+    The step goes along -c until the first coordinate a with c_a > 0 reaches
+    zero, at the least ratio P_a / c_a, found by cross-multiplying; on a tie
+    the first such pair in c gives a, and every tied coordinate reaches zero
+    with it. The new point is (P c_a - P_a c) / (den c_a - P_a mass), on
+    which F is again 1, in lowest terms through ``canonical_row``. Returns
+    that point, its denominator and a.
+    """
+    pa = ca = a = 0
+    for k, ck in c:
+        if ck > 0 and (not ca or point[k] * ca < pa * ck):
+            pa, ca, a = point[k], ck, k
+    moved = [x * ca for x in point]
+    for k, ck in c:
+        moved[k] -= pa * ck
+    den, moved = canonical_row(den * ca - pa * mass, moved)
+    return moved, den, a
+
+
 def split_once(triple: SmpcTriple) -> SplitResult:
     """Split a triple into two with strictly fewer target atoms.
 
     Raises ``NoSplitError`` when the transition's columns are linearly
     independent (then the target already has at most as many atoms as the
-    source). For the null vector c of the columns, as the coprime integer
-    vector d, branch j has the scales 1 - d / d_j, kept as the integer vector
-    sign(d_j) (d_j - d_k) over |d_j|, and the recomposition identity
-    alpha * left + (1 - alpha) * right == transition is verified exactly on
-    those scales before returning.
+    source). For the null vector c of the columns, as the integer vector d,
+    the two branches are the ends of the segment through 1 along d: one
+    boundary step from 1 along d and one along -d, each zeroing the first
+    maximizer of |d| within one sign group, j, with the scales 1 - d / d_j.
+    The recomposition identity alpha * left + (1 - alpha) * right ==
+    transition is verified exactly on those scales before returning.
     """
     c = null_space_vector(triple.transition)
     if c is None:
         raise NoSplitError("transition columns are linearly independent; no split exists")
     _, d = integer_row(c)
-    positive = tuple(j for j, x in enumerate(d) if x > 0)
-    negative = tuple(j for j, x in enumerate(d) if x < 0)
-    if not positive or not negative:
+    if min(d) >= 0 or max(d) <= 0:
         raise NullVectorError("null vector of a stochastic garbling must mix signs")
-    # Each group's maximizer of |d| is its first extreme entry.
-    jp = max(positive, key=d.__getitem__)
-    jn = min(negative, key=d.__getitem__)
+    up = [(k, x) for k, x in enumerate(d) if x]
+    ends = []
+    for direction in (up, [(k, -x) for k, x in up]):
+        point, den, j = _boundary_step([1] * len(d), 1, direction, 0)
+        ends.append((abs(d[j]), j, point, den, direction))
     # The branch zeroed first comes from the group holding the larger
     # magnitude; on a cross-group tie the lower column index leads.
-    if -d[jn] > d[jp]:
-        j_star, j_second = jn, jp
-    elif d[jp] > -d[jn]:
-        j_star, j_second = jp, jn
-    else:
-        j_star, j_second = min(jp, jn), max(jp, jn)
-    alpha = Fraction(abs(d[j_star]), abs(d[j_star]) + abs(d[j_second]))
-    branches = []
-    for weight, j in ((alpha, j_star), (1 - alpha, j_second)):
-        sign = 1 if d[j] > 0 else -1
-        branches.append((weight, [sign * (d[j] - x) for x in d], sign * d[j]))
-    (_, left), (_, right) = _components(triple, branches)
+    ends.sort(key=lambda end: (-end[0], end[1]))
+    (size_a, j_star, left_v, left_den, lead), (size_b, j_second, right_v, right_den, _) = ends
+    alpha = Fraction(size_a, size_a + size_b)
+    (_, left), (_, right) = _components(triple, [(alpha, left_v, left_den), (1 - alpha, right_v, right_den)])
     m = len(triple.target.atoms)
     if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
         raise InternalError("split did not reduce the atom count")
     certificate = SplitCertificate(
         coefficients=c,
-        group_a=positive if d[j_star] > 0 else negative,
-        group_b=negative if d[j_star] > 0 else positive,
+        group_a=tuple(k for k, x in lead if x > 0),
+        group_b=tuple(k for k, x in lead if x < 0),
         j_star=j_star,
         j_star_star=j_second,
         alpha=alpha,
@@ -376,28 +401,14 @@ def _walk_to_vertex(basis: _Basis, point: list[int], den: int) -> tuple[list[int
     the state of its support; the walk takes its steps on a copy. Each step
     takes the dependency c of the first support column that depends on the
     ones before it, the first dependency that ``_echelon`` of the support
-    yields, and moves along -c until the first coordinate with c_k > 0
-    reaches zero: the zeroing step of ``split_once`` written on column
-    scales. With P_a / c_a the least ratio, found by cross-multiplying, the
-    new point is (P c_a - P_a c) / (den c_a), reduced by its gcd, and the
+    yields, and makes one boundary step along the null direction c; the
     columns it zeroes leave the state. The walk ends, returning its last
     point and denominator, when the support columns are linearly independent.
     """
     basis = basis.copy()
     while basis.deps:
         c = basis.dependency(next(iter(basis.deps)))
-        pa = ca = 0
-        for k, ck in c:
-            if ck > 0 and (not ca or point[k] * ca < pa * ck):
-                pa, ca = point[k], ck
-        point = [x * ca for x in point]
-        for k, ck in c:
-            point[k] -= pa * ck
-        den *= ca
-        g = gcd(den, *point)
-        if g != 1:
-            den //= g
-            point = [x // g for x in point]
+        point, den, _ = _boundary_step(point, den, c, 0)
         for k, _ in c:
             if not point[k]:
                 basis.drop(k)
@@ -412,8 +423,8 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     and s = 1 is F itself. Carathéodory peeling, starting from the remainder
     r = 1: walk from r to a vertex v, take the largest weight lambda that
     keeps r - lambda v nonnegative, and continue with
-    r <- (r - lambda v) / (1 - lambda), which has one more zero coordinate,
-    until r is itself a vertex. A vertex's support columns are linearly
+    r <- (r - lambda v) / (1 - lambda), the boundary step from r along v,
+    which has one more zero coordinate, until r is itself a vertex. A vertex's support columns are linearly
     independent, so each component has at most rank(F) <= n atoms, and there
     are at most m - rank(F) + 1 components. Peeled vertices are pairwise
     distinct, because each peel zeroes a coordinate of the vertex it peeled,
@@ -430,8 +441,9 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     the mixture is the same. The builder that ``split_once`` also uses makes
     the components from the peeled vertices, after re-checking F v = dv for
     each vertex and the recomposition identity sum_k w_k v_k == 1, hence
-    sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are ordered by descending weight and then by their
-    atoms, so equal inputs always produce the identical mixture.
+    sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are
+    ordered by descending weight and then by their atoms, so equal inputs
+    always produce the identical mixture.
     """
     n = len(triple.source.atoms)
     m = triple.transition.cols
@@ -441,27 +453,19 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     peeled: list[tuple[Fraction, list[int], int]] = []  # (weight, vertex, its denominator)
     while basis.deps:
         vertex, dv = _walk_to_vertex(basis, remainder, den)
-        # lambda = min r_k / v_k over v_k > 0, which is R_a dv / (den V_a) at
-        # the least R_a / V_a. It lies in (0, 1): supp(v) lies inside supp(r),
-        # and lambda >= 1 would give r - v >= 0 in the null space of F,
-        # impossible as no column is zero.
-        ra = va = 0
-        for r, v in zip(remainder, vertex):
-            if v > 0 and (not va or r * va < ra * v):
-                ra, va = r, v
-        lam = Fraction(ra * dv, den * va)
+        # One boundary step from r along v, where F v = dv, gives
+        # r' = (r - lambda v) / (1 - lambda) at lambda = min r_k / v_k over
+        # v_k > 0, which is R_a dv / (den V_a) at the returned a. It lies in
+        # (0, 1): supp(v) lies inside supp(r), and lambda >= 1 would give
+        # r - v >= 0 in the null space of F, impossible as no column is zero.
+        rest, rest_den, a = _boundary_step(remainder, den, [(k, v) for k, v in enumerate(vertex) if v], dv)
+        lam = Fraction(remainder[a] * dv, den * vertex[a])
         peeled.append((weight * lam, vertex, dv))
         weight *= 1 - lam
-        # (r - lambda v) / (1 - lambda), with the common factor den * V_a cancelled.
-        rest = [r * va - ra * v for r, v in zip(remainder, vertex)]
         for k, (r, x) in enumerate(zip(remainder, rest)):
             if r and not x:
                 basis.drop(k)
-        remainder, den = rest, den * va - ra * dv
-        g = gcd(den, *remainder)
-        if g != 1:
-            den //= g
-            remainder = [r // g for r in remainder]
+        remainder, den = rest, rest_den
     peeled.append((weight, remainder, den))
 
     components = _components(triple, peeled)

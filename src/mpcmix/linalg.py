@@ -250,7 +250,7 @@ class Matrix:
         return self._integer_rows == other._integer_rows
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash(tuple((scale, tuple(ints)) for scale, ints in self._integer_rows))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(entries={self.entries!r})"

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +17,7 @@ from mpcmix import (
     TransitionMatrix,
     apply_transition,
     decompose_full,
+    null_space_vector,
     rank,
     split_once,
     verify_uniqueness,
@@ -30,7 +33,7 @@ from mpcmix.errors import (
     NullVectorError,
     RankError,
 )
-from mpcmix.linalg import column_sums
+from mpcmix.linalg import column_sums, integer_row
 from mpcmix.randgen import random_smpc, random_split_instance
 
 from cases import (
@@ -91,6 +94,16 @@ class TestZeroColumn:
         with pytest.raises(NullVectorError):
             zero_column(GARBLING, (1, 1, 1, 1), 0)
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(1.0, -2.0, -4.0, 3.0), ("1", "-2", "-4", "3"), (True, -2, -4, 3)],
+        ids=["floats", "text", "bool"],
+    )
+    def test_coefficients_must_be_exact_values(self, coefficients):
+        # Each would give the left branch if it were taken as its value.
+        with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(coefficients[0]))}$"):
+            zero_column(GARBLING, coefficients, 2)
+
     def test_requires_nonzero_coefficient(self):
         two_equal = tm([["1/3", "1/3", "1/3"], ["1/4", "1/4", "1/2"]])
         with pytest.raises(NullVectorError):
@@ -127,6 +140,57 @@ class TestZeroColumn:
                     + half * merged_right.entries[i][k]
                     == m.entries[i][k]
                 )
+
+
+class TestBoundaryStep:
+    """The one step that the split, the walk and the peel take on {s >= 0 : F s = 1}."""
+
+    def test_the_ends_from_one_along_the_null_direction_are_the_split_branches(self):
+        result = split_once(worked_triple())
+        _, d = integer_row(NULL_COEFFS)
+        ends = {}
+        for direction in ([(k, x) for k, x in enumerate(d)], [(k, -x) for k, x in enumerate(d)]):
+            point, den, a = decomposition._boundary_step([1] * 4, 1, direction, 0)
+            ends[a] = [[x * Fraction(p, den) for x, p in zip(row, point)] for row in GARBLING.entries]
+            assert point[a] == 0
+        assert ends == {
+            result.certificate.j_star: embedded(result.left, TARGET.atoms),
+            result.certificate.j_star_star: embedded(result.right, TARGET.atoms),
+        }
+
+    def test_tied_coordinates_reach_zero_in_one_step(self):
+        # Columns 0 and 2 tie along (1, -1, 1): the first of them is a, and
+        # both reach zero; along (-1, 1, -1) column 1 alone does.
+        assert null_space_vector(tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])) == (1, -1, 1)
+        step = decomposition._boundary_step
+        assert step([1, 1, 1], 1, [(0, 1), (1, -1), (2, 1)], 0) == ([0, 2, 0], 1, 0)
+        assert step([1, 1, 1], 1, [(0, -1), (1, 1), (2, -1)], 0) == ([2, 0, 2], 1, 1)
+
+    def test_a_step_along_a_peeled_vertex_leaves_the_rest_of_the_remainder(self):
+        # With F v = dv, the step from r along v gives r' with
+        # r = lambda v + (1 - lambda) r' exactly, lambda = R_a dv / (den V_a).
+        rng = Random(23)
+        steps = 0
+        for _ in range(30):
+            triple = random_smpc(rng, rng.randint(2, 5), rng.randint(6, 10))
+            m = triple.transition.cols
+            basis = decomposition._Basis.of([ints for _, ints in triple.transition._integer_rows], m)
+            remainder, den = [1] * m, 1
+            while basis.deps:
+                vertex, dv = decomposition._walk_to_vertex(basis, remainder, den)
+                direction = [(k, v) for k, v in enumerate(vertex) if v]
+                rest, rest_den, a = decomposition._boundary_step(remainder, den, direction, dv)
+                lam = Fraction(remainder[a] * dv, den * vertex[a])
+                assert 0 < lam < 1 and rest[a] == 0
+                assert rest_den > 0 and math.gcd(rest_den, *rest) == 1
+                for r, v, x in zip(remainder, vertex, rest):
+                    assert Fraction(r, den) == lam * Fraction(v, dv) + (1 - lam) * Fraction(x, rest_den)
+                for k, (r, x) in enumerate(zip(remainder, rest)):
+                    if r and not x:
+                        basis.drop(k)
+                remainder, den = rest, rest_den
+                steps += 1
+        assert steps >= 30
 
 
 class TestSplitOnce:

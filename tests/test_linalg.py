@@ -107,6 +107,17 @@ class TestMatrix:
         assert (m.rows, m.cols) == (2, 3)
         assert m.column(1) == (Fraction(2), Fraction(5))
 
+    def test_hash_reads_the_integer_rows(self):
+        # Hashing a parsed matrix, or a triple that holds one, builds no Fraction grid.
+        parsed = TransitionMatrix.from_rows([["1/3", "2/3"], ["0.5", "1/2"]])
+        half = Fraction(1, 2)
+        assert hash(parsed) == hash(TransitionMatrix(((Fraction(1, 3), Fraction(2, 3)), (half, half))))
+        assert "entries" not in vars(parsed)
+        garbling = TransitionMatrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
+        built = TransitionMatrix(GARBLING.entries)
+        assert hash(SmpcTriple(PRIOR, garbling, TARGET)) == hash(SmpcTriple(PRIOR, built, TARGET))
+        assert "entries" not in vars(garbling)
+
 
 HALF = Fraction(1, 2)
 
