@@ -38,7 +38,6 @@ from .persuasion import (
     PiecewiseLinearFn,
     check_no_profitable_deviation,
     deviation_payoff,
-    reduce_support,
     solve_linear_persuasion,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "null_space_vector",
     "parse_rational",
     "rank",
-    "reduce_support",
     "solve_linear_persuasion",
     "solve_lp",
     "split_once",

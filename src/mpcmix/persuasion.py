@@ -9,6 +9,13 @@ linear, so mass at an interior atom can be slid to the two neighboring grid
 points without changing the objective or leaving the feasible set. The
 grid-restricted optimum then equals the unrestricted one; with a coarser
 grid it is still an exact lower bound.
+
+The LP's feasible set is exactly the contractions of the prior on the grid,
+and the simplex stops at a vertex of it. By the paper's theorem, a
+contraction with more than n atoms is a mixture of contractions with at most
+n atoms each, all on its own atoms and so on the grid; it is not a vertex.
+So the optimum already uses at most n signals, and no decomposition is
+needed to reach a small-support answer. The solver checks this exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .decomposition import Mixture, decompose_full
+from .decomposition import Mixture
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import Matrix, json_list, parse_rational, rationals
@@ -86,11 +93,12 @@ class PiecewiseLinearFn:
 
 @dataclass(frozen=True)
 class PersuasionSolution:
-    """LP optimum plus its reduction to a small-support signal.
+    """LP optimum, which is already a small-support signal.
 
-    ``reduced`` is the best single component of ``certificate`` (the full
-    decomposition of ``optimum``); its expected payoff is at least ``value``
-    because the original value is the weight-average over components.
+    ``optimum`` is a vertex of the weight LP, so its target has at most n
+    atoms (see the module docstring), and ``value`` is its exact expected
+    payoff. ``reduced`` and ``certificate`` are views of it: the optimum
+    itself, and the one-component mixture that it forms on its own.
     ``candidates_exact`` records whether the candidate grid contained every
     payoff kink inside the prior's range, in which case ``value`` solves the
     unrestricted problem rather than bounding it.
@@ -98,30 +106,15 @@ class PersuasionSolution:
 
     optimum: SmpcTriple
     value: Fraction
-    reduced: SmpcTriple
-    certificate: Mixture
     candidates_exact: bool
 
+    @property
+    def reduced(self) -> SmpcTriple:
+        return self.optimum
 
-def reduce_support(
-    triple: SmpcTriple, utility: PiecewiseLinearFn
-) -> tuple[SmpcTriple, Mixture]:
-    """Best few-atom component of the triple's full decomposition.
-
-    Returns (best, certificate) where certificate is the whole mixture and
-    best maximizes expected utility among its components. The weight-average
-    of component values equals the original expected utility, so the best one
-    weakly improves on it while using at most n atoms.
-    """
-    certificate = decompose_full(triple)
-    best_weight_component = certificate.components[0]
-    best_value = utility.expectation(best_weight_component[1].target)
-    for weight, component in certificate.components[1:]:
-        v = utility.expectation(component.target)
-        if v > best_value:
-            best_value = v
-            best_weight_component = (weight, component)
-    return best_weight_component[1], certificate
+    @property
+    def certificate(self) -> Mixture:
+        return Mixture(((Fraction(1), self.optimum),))
 
 
 def solve_linear_persuasion(
@@ -139,7 +132,9 @@ def solve_linear_persuasion(
     Rothschild-Stiglitz form of the problem). Full disclosure is always
     feasible because the candidates must contain every source atom. The
     positive-weight candidates are the optimum's target, and ``find_witness``
-    builds its garbling.
+    builds its garbling. The optimum is a vertex, so it has at most n atoms,
+    and its expected utility is the LP's value; both are checked exactly, and
+    a failure is an ``InternalError``.
     """
     candidates = tuple(parse_rational(x) for x in candidates)
     if not candidates:
@@ -175,20 +170,22 @@ def solve_linear_persuasion(
     if outcome.status != "optimal":  # full disclosure is feasible, weights are bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
     atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
+    if len(atoms) > len(source.atoms):
+        raise InternalError(
+            f"persuasion LP optimum is not a vertex: {len(atoms)} atoms on a {len(source.atoms)}-atom prior"
+        )
     target = DiscreteDistribution(atoms, weights)
+    if utility.expectation(target) != outcome.value:
+        raise InternalError("persuasion LP value differs from the optimum's expected utility")
     witness = find_witness(source, target)
     if witness is None:
         raise InternalError("persuasion LP optimum is not a contraction of the prior")
+    exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)
     # find_witness has already run the full SmpcTriple check on this source,
     # witness and target, so a second check would only repeat it.
-    optimum = SmpcTriple._trusted(source, witness, target)
-    reduced, certificate = reduce_support(optimum, utility)
-    exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)
     return PersuasionSolution(
-        optimum=optimum,
+        optimum=SmpcTriple._trusted(source, witness, target),
         value=outcome.value,
-        reduced=reduced,
-        certificate=certificate,
         candidates_exact=exact,
     )
 
@@ -212,12 +209,19 @@ def deviation_payoff(
 
 @dataclass(frozen=True)
 class DeviationCheck:
-    """Best deviation payoff against a fixed opponent cdf, with a witness."""
+    """Best deviation payoff against a fixed opponent cdf, with a witness.
+
+    ``witness`` is the persuasion optimum itself: an LP vertex, so a
+    contraction with at most n atoms that attains ``max_payoff`` exactly.
+    """
 
     max_payoff: Fraction
-    witness: SmpcTriple
     equilibrium_value: Fraction
     solution: PersuasionSolution
+
+    @property
+    def witness(self) -> SmpcTriple:
+        return self.solution.optimum
 
     @property
     def profitable(self) -> bool:
@@ -235,7 +239,8 @@ def check_no_profitable_deviation(
     The opponent's cdf acts as the deviator's utility. Folding the cdf knots
     into the candidate grid makes the grid restriction exact: the payoff is
     linear between knots, so some optimal deviation lives on the grid. The
-    witness has at most n atoms and attains ``max_payoff`` exactly.
+    witness is the LP's optimal vertex, which by the paper's theorem has at
+    most n atoms, and it attains ``max_payoff`` exactly.
     """
     if not opponent_cdf.is_cdf():
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
@@ -245,7 +250,6 @@ def check_no_profitable_deviation(
     solution = solve_linear_persuasion(source, opponent_cdf, sorted(merged))
     return DeviationCheck(
         max_payoff=solution.value,
-        witness=solution.reduced,
         equilibrium_value=parse_rational(equilibrium_value),
         solution=solution,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -240,22 +242,50 @@ def test_solve_persuasion(tmp_path, capsys):
     assert result["candidates_exact"] is True
 
 
-def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch):
+PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
+
+
+def _infeasible(solve, problem):
     # Full disclosure is always feasible, so an infeasible weight LP can only
     # come from a broken solver.
-    monkeypatch.setattr(lp, "solve", lambda problem: lp.LPOutcome("infeasible"))
+    return lp.LPOutcome("infeasible")
+
+
+def _non_vertex(solve, problem):
+    # TARGET is a feasible 4-atom contraction of the 3-atom PRIOR. By the
+    # paper's theorem it is a mixture of smaller ones, so it is no vertex.
+    weights = dict(zip(TARGET.atoms, TARGET.weights))
+    solution = tuple(weights.get(c, Fraction(0)) for c in PERSUASION_GRID)
+    return lp.LPOutcome("optimal", solution, sum(u * q for u, q in zip(problem.objective, solution)))
+
+
+def _wrong_value(solve, problem):
+    outcome = solve(problem)
+    return dataclasses.replace(outcome, value=outcome.value + Fraction(1, 1000))
+
+
+@pytest.mark.parametrize(
+    "broken_solve, message",
+    [
+        (_infeasible, "persuasion LP came back infeasible"),
+        (_non_vertex, "persuasion LP optimum is not a vertex: 4 atoms on a 3-atom prior"),
+        (_wrong_value, "persuasion LP value differs from the optimum's expected utility"),
+    ],
+    ids=["infeasible", "non-vertex", "wrong value"],
+)
+def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch, broken_solve, message):
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: broken_solve(solve, problem))
     payload = {
         "source": PRIOR.to_json(),
         "utility": {"knots": [["0", "1/5"], ["1", "9/10"]]},
-        "candidates": ["0", "1/2", "1"],
+        "candidates": [str(c) for c in PERSUASION_GRID],
     }
     code = run_cli(tmp_path, "solve-persuasion", payload)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "error": {"code": "internal", "message": "persuasion LP came back infeasible"}
-    }
+    assert json.loads(captured.err) == {"error": {"code": "internal", "message": message}}
 
 
 def test_check_deviation(tmp_path, capsys):

@@ -14,7 +14,6 @@ from mpcmix import (
     deviation_payoff,
     decompose_full,
     is_mpc,
-    reduce_support,
     solve_linear_persuasion,
 )
 from mpcmix import persuasion
@@ -25,9 +24,7 @@ from cases import (
     DUEL_CDF,
     DUEL_PRIOR,
     DUEL_VALUE,
-    LEFT_TARGET,
     PRIOR,
-    RIGHT_TARGET,
     dist,
     worked_triple,
 )
@@ -109,6 +106,7 @@ class TestSolveLinearPersuasion:
             assert len(solution.reduced.target.atoms) <= n
             assert u.expectation(solution.reduced.target) >= solution.value
             assert u.expectation(solution.optimum.target) == solution.value
+            assert solution.certificate.components == ((1, solution.optimum),)
 
     def test_widening_the_grid_never_hurts(self):
         rng = Random(17)
@@ -149,13 +147,17 @@ class TestSolveLinearPersuasion:
 
 
 def _assert_optimal(solution, source, utility, candidates):
-    """The weight LP's optimum against the garbling LP's value, on the same grid."""
+    """The weight LP's optimum against the garbling LP's value, on the same grid.
+
+    The optimum is an LP vertex, so it has at most as many atoms as the prior.
+    """
     assert solution.value == garbling_persuasion_value(source, utility, candidates)
     target = solution.optimum.target
     assert solution.optimum.source == source
     assert set(target.atoms) <= set(candidates)
     assert is_mpc(source, target)
     assert utility.expectation(target) == solution.value
+    assert len(target.atoms) <= len(source.atoms)
 
 
 def _merged_grid(source, cdf, candidates):
@@ -230,43 +232,6 @@ class TestWeightProgramMatchesTheGarblingProgram:
         _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, candidates))
 
 
-class TestReduceSupport:
-    def test_linear_utility_makes_all_components_equal(self):
-        u = pwl([("0", "0"), ("1", "1")])
-        best, certificate = reduce_support(worked_triple(), u)
-        values = {u.expectation(c.target) for _, c in certificate.components}
-        assert values == {Fraction(11, 20)}
-        assert u.expectation(best.target) == Fraction(11, 20)
-
-    def test_kinked_utility_prefers_one_branch(self):
-        u = pwl([("0", "0"), ("1/2", "0"), ("1", "1/2")])
-        best, certificate = reduce_support(worked_triple(), u)
-        assert u.expectation(LEFT_TARGET) == Fraction(7, 40)
-        assert u.expectation(RIGHT_TARGET) == Fraction(7, 60)
-        assert best.target == LEFT_TARGET
-        mixed = sum(w * u.expectation(c.target) for w, c in certificate.components)
-        assert mixed == u.expectation(worked_triple().target) == Fraction(3, 20)
-
-    def test_narrow_triple_is_returned_unchanged(self):
-        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
-        u = pwl([("0", "0"), ("1", "1")])
-        best, certificate = reduce_support(triple, u)
-        assert best == triple
-        assert certificate.components == ((Fraction(1), triple),)
-
-    def test_component_values_average_to_the_original(self):
-        rng = Random(19)
-        for _ in range(25):
-            n = rng.randint(2, 5)
-            triple = random_smpc(rng, n, rng.randint(n + 1, 9))
-            u = random_piecewise_linear(
-                rng, triple.source.atoms[0], triple.source.atoms[-1]
-            )
-            certificate = decompose_full(triple)
-            mixed = sum(w * u.expectation(c.target) for w, c in certificate.components)
-            assert mixed == u.expectation(triple.target)
-
-
 class TestDeviationPayoff:
     def test_full_disclosure_against_the_candidate_cdf(self):
         assert deviation_payoff(DUEL_PRIOR, DUEL_CDF) == Fraction(1, 2)
@@ -338,3 +303,15 @@ class TestConstructMixedEquilibrium:
             mixture = decompose_full(triple)
             assert mixture.recompose() == triple
             assert all(len(c.target.atoms) <= n for _, c in mixture.components)
+
+    def test_component_values_average_to_the_original(self):
+        rng = Random(19)
+        for _ in range(25):
+            n = rng.randint(2, 5)
+            triple = random_smpc(rng, n, rng.randint(n + 1, 9))
+            u = random_piecewise_linear(
+                rng, triple.source.atoms[0], triple.source.atoms[-1]
+            )
+            certificate = decompose_full(triple)
+            mixed = sum(w * u.expectation(c.target) for w, c in certificate.components)
+            assert mixed == u.expectation(triple.target)
