@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
 
-from .decomposition import decompose_full
+from .decomposition import Mixture, decompose_full
 from .distributions import (
     DiscreteDistribution,
     SmpcTriple,
@@ -108,12 +108,15 @@ def _cmd_solve_persuasion(payload, args):
         PiecewiseLinearFn.from_json(_field(payload, "utility")),
         _candidates(payload),
     )
+    # The optimum is an LP vertex with at most n atoms, so it is its own
+    # small-support answer ("reduced") and a one-component mixture.
+    optimum = solution.optimum
     return {
         "value": str(solution.value),
         "candidates_exact": solution.candidates_exact,
-        "optimum": solution.optimum.to_json(),
-        "reduced": solution.reduced.to_json(),
-        "certificate": solution.certificate.to_json(),
+        "optimum": optimum.to_json(),
+        "reduced": optimum.to_json(),
+        "certificate": Mixture(((Fraction(1), optimum),)).to_json(),
     }
 
 
@@ -128,7 +131,7 @@ def _cmd_check_deviation(payload, args):
         "max_payoff": str(check.max_payoff),
         "equilibrium_value": str(check.equilibrium_value),
         "profitable": check.profitable,
-        "witness": check.witness.to_json(),
+        "witness": check.solution.optimum.to_json(),
     }
 
 

@@ -137,8 +137,7 @@ class Mixture:
 
     @classmethod
     def from_json(cls, obj) -> "Mixture":
-        if not isinstance(obj, dict) or "source" not in obj or "components" not in obj:
-            raise ValueError("mixture JSON needs 'source' and 'components'")
+        json_object(obj, "mixture JSON", ("source", "components"))
         source = DiscreteDistribution.from_json(obj["source"])
         components = []
         for k, entry in enumerate(json_list(obj["components"], "'components'")):

@@ -62,10 +62,6 @@ class DiscreteDistribution:
             tuple(parse_rational(w) for w in weights),
         )
 
-    @classmethod
-    def point_mass(cls, atom) -> "DiscreteDistribution":
-        return cls((parse_rational(atom),), (Fraction(1),))
-
     def mean(self) -> Fraction:
         return sum(p * a for p, a in zip(self.weights, self.atoms))
 
@@ -81,8 +77,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, obj) -> "DiscreteDistribution":
-        if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
-            raise ValueError("distribution JSON needs 'atoms' and 'weights' lists")
+        json_object(obj, "distribution JSON", ("atoms", "weights"))
         return cls.from_pairs(json_list(obj["atoms"], "'atoms'"), json_list(obj["weights"], "'weights'"))
 
 
@@ -118,8 +113,7 @@ class TransitionMatrix(Matrix):
 
     @classmethod
     def from_json(cls, obj) -> "TransitionMatrix":
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ValueError("matrix JSON needs a 'rows' grid")
+        json_object(obj, "matrix JSON", ("rows",))
         rows = json_list(obj["rows"], "'rows'")
         return cls.from_rows(json_list(row, f"row {i} of 'rows'") for i, row in enumerate(rows))
 

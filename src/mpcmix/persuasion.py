@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .decomposition import Mixture
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, json_list, parse_rational, rationals
+from .linalg import Matrix, json_list, json_object, parse_rational, rationals
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,17 @@ class PiecewiseLinearFn:
     """Piecewise-linear function given by knots; evaluation interpolates.
 
     Evaluation outside the knot range is an error rather than an
-    extrapolation. Knot coordinates are ``Fraction`` or ``int`` values;
-    anything else, a float included, is a ``ValueError``.
+    extrapolation. Each knot is an (x, y) tuple of ``Fraction`` or ``int``
+    values; anything else, a float or a third coordinate included, is a
+    ``ValueError``.
     """
 
     knots: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        for knot in self.knots:
+        for k, knot in enumerate(self.knots):
+            if not isinstance(knot, tuple) or len(knot) != 2:
+                raise ValueError(f"knot {k} of 'knots' must be an (x, y) pair")
             rationals(knot)
         if len(self.knots) < 2:
             raise DomainError("piecewise-linear function needs at least 2 knots")
@@ -52,7 +54,7 @@ class PiecewiseLinearFn:
 
     @classmethod
     def from_pairs(cls, pairs) -> "PiecewiseLinearFn":
-        return cls(tuple((parse_rational(x), parse_rational(y)) for x, y in pairs))
+        return cls(tuple(tuple(map(parse_rational, knot)) for knot in pairs))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -85,8 +87,7 @@ class PiecewiseLinearFn:
 
     @classmethod
     def from_json(cls, obj) -> "PiecewiseLinearFn":
-        if not isinstance(obj, dict) or "knots" not in obj:
-            raise ValueError("piecewise-linear JSON needs 'knots'")
+        json_object(obj, "piecewise-linear JSON", ("knots",))
         knots = json_list(obj["knots"], "'knots'")
         return cls.from_pairs(json_list(knot, f"knot {k} of 'knots'") for k, knot in enumerate(knots))
 
@@ -97,9 +98,7 @@ class PersuasionSolution:
 
     ``optimum`` is a vertex of the weight LP, so its target has at most n
     atoms (see the module docstring), and ``value`` is its exact expected
-    payoff. ``reduced`` and ``certificate`` are views of it: the optimum
-    itself, and the one-component mixture that it forms on its own.
-    ``candidates_exact`` records whether the candidate grid contained every
+    payoff. ``candidates_exact`` records whether the candidate grid contained every
     payoff kink inside the prior's range, in which case ``value`` solves the
     unrestricted problem rather than bounding it.
     """
@@ -107,14 +106,6 @@ class PersuasionSolution:
     optimum: SmpcTriple
     value: Fraction
     candidates_exact: bool
-
-    @property
-    def reduced(self) -> SmpcTriple:
-        return self.optimum
-
-    @property
-    def certificate(self) -> Mixture:
-        return Mixture(((Fraction(1), self.optimum),))
 
 
 def solve_linear_persuasion(
@@ -209,19 +200,15 @@ def deviation_payoff(
 
 @dataclass(frozen=True)
 class DeviationCheck:
-    """Best deviation payoff against a fixed opponent cdf, with a witness.
+    """Best deviation payoff against a fixed opponent cdf.
 
-    ``witness`` is the persuasion optimum itself: an LP vertex, so a
+    ``solution.optimum`` is the best deviation: an LP vertex, so a
     contraction with at most n atoms that attains ``max_payoff`` exactly.
     """
 
     max_payoff: Fraction
     equilibrium_value: Fraction
     solution: PersuasionSolution
-
-    @property
-    def witness(self) -> SmpcTriple:
-        return self.solution.optimum
 
     @property
     def profitable(self) -> bool:
@@ -239,8 +226,8 @@ def check_no_profitable_deviation(
     The opponent's cdf acts as the deviator's utility. Folding the cdf knots
     into the candidate grid makes the grid restriction exact: the payoff is
     linear between knots, so some optimal deviation lives on the grid. The
-    witness is the LP's optimal vertex, which by the paper's theorem has at
-    most n atoms, and it attains ``max_payoff`` exactly.
+    best deviation is the LP's optimal vertex, which by the paper's theorem
+    has at most n atoms, and it attains ``max_payoff`` exactly.
     """
     if not opponent_cdf.is_cdf():
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")

@@ -9,6 +9,11 @@ def dist(atoms, weights):
     return DiscreteDistribution.from_pairs(atoms, weights)
 
 
+def point_mass(atom):
+    """All mass at ``atom``, read as ``parse_rational`` reads it."""
+    return dist([atom], ["1"])
+
+
 def tm(rows):
     return TransitionMatrix.from_rows(rows)
 

@@ -25,14 +25,7 @@ from mpcmix import (
 from mpcmix.errors import EntryRangeError
 from mpcmix.linalg import Matrix
 from mpcmix.persuasion import PiecewiseLinearFn
-from mpcmix.randgen import (
-    perturb_mean,
-    random_distribution,
-    random_lp,
-    random_piecewise_linear,
-    random_smpc,
-    random_split_instance,
-)
+from mpcmix.randgen import random_distribution, random_smpc
 
 from cases import (
     ALPHA,
@@ -47,6 +40,7 @@ from cases import (
     worked_triple,
 )
 from lp_oracle import oracle_solve
+from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_split_instance
 
 
 def _verdict(number, name, detail):
@@ -162,8 +156,8 @@ def test_criterion_5_small_support_optima():
         candidates = sorted(set(source.atoms) | {x for x, _ in utility.knots})
         solution = solve_linear_persuasion(source, utility, candidates)
         assert solution.candidates_exact
-        assert len(solution.reduced.target.atoms) <= n
-        assert utility.expectation(solution.reduced.target) >= solution.value
+        assert len(solution.optimum.target.atoms) <= n
+        assert utility.expectation(solution.optimum.target) >= solution.value
         if len(utility.knots) == 2:
             assert solution.value == utility(source.mean())
     _verdict(5, "small-support optima", f"{kinked} kinked + {affine} affine instances")

@@ -115,6 +115,17 @@ UTILITY = {"knots": [["0", "0"], ["1", "1"]]}
             {"source": TWO_ATOMS, "utility": {"knots": ["01", "12"]}, "candidates": ["0", "1"]},
             "knot 0 of 'knots' must be a JSON list, not str",
         ),
+        # A knot is a list, but of one (x, y) pair only.
+        (
+            "solve-persuasion",
+            {"source": TWO_ATOMS, "utility": {"knots": [["0", "0", "5"], ["1", "1"]]}, "candidates": ["0", "1"]},
+            "knot 0 of 'knots' must be an (x, y) pair",
+        ),
+        (
+            "solve-persuasion",
+            {"source": TWO_ATOMS, "utility": {"knots": [["0", "0"], ["1"]]}, "candidates": ["0", "1"]},
+            "knot 1 of 'knots' must be an (x, y) pair",
+        ),
         ("solve-persuasion", {"source": TWO_ATOMS, "utility": UTILITY, "candidates": "01"}, "'candidates' must be a JSON list, not str"),
         (
             "check-deviation",
@@ -122,7 +133,10 @@ UTILITY = {"knots": [["0", "0"], ["1", "1"]]}
             "'candidates' must be a JSON list, not str",
         ),
     ],
-    ids=["each row", "rows", "rows as an object", "atoms", "weights", "knots", "each knot", "candidates", "deviation candidates"],
+    ids=[
+        "each row", "rows", "rows as an object", "atoms", "weights", "knots", "each knot",
+        "knot of three values", "knot of one value", "candidates", "deviation candidates",
+    ],
 )
 def test_a_json_list_field_must_be_a_list(tmp_path, capsys, command, payload, message):
     assert run_cli(tmp_path, command, payload) == 2
@@ -198,6 +212,13 @@ def test_missing_field_is_exit_2(tmp_path, capsys):
         ("decompose", ["target"], "input JSON needs a 'source' field"),
         ("decompose", "target", "input JSON needs a 'source' field"),
         ("apply", {"transition": GARBLING.to_json()}, "input JSON needs a 'source' field"),
+        # Distributions, matrices and utilities are read by their own from_json.
+        ("is-mpc", {"source": {"atoms": ["0"]}, "target": TWO_ATOMS}, "distribution JSON needs 'weights'"),
+        ("is-mpc", {"source": TWO_ATOMS, "target": ["0", "1"]}, "distribution JSON must be an object"),
+        ("apply", {"source": PRIOR.to_json(), "transition": {"grid": [["1"]]}}, "matrix JSON needs 'rows'"),
+        ("apply", {"source": PRIOR.to_json(), "transition": [["1"]]}, "matrix JSON must be an object"),
+        ("solve-persuasion", {"source": TWO_ATOMS, "utility": {}, "candidates": ["0", "1"]}, "piecewise-linear JSON needs 'knots'"),
+        ("solve-persuasion", {"source": TWO_ATOMS, "utility": "u", "candidates": ["0", "1"]}, "piecewise-linear JSON must be an object"),
     ],
 )
 def test_missing_keys_name_the_reader(tmp_path, capsys, command, payload, message):
@@ -240,6 +261,10 @@ def test_solve_persuasion(tmp_path, capsys):
     # affine utility: value is u(mean) = 1/5 + (7/10)(11/20)
     assert result["value"] == "117/200"
     assert result["candidates_exact"] is True
+    # The optimum is its own small-support answer and a one-component mixture.
+    optimum = SmpcTriple.from_json(result["optimum"])
+    assert result["reduced"] == result["optimum"]
+    assert Mixture.from_json(result["certificate"]).components == ((1, optimum),)
 
 
 PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
@@ -299,6 +324,33 @@ def test_check_deviation(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["max_payoff"] == "1/2"
     assert result["profitable"] is False
+    witness = SmpcTriple.from_json(result["witness"])
+    assert witness.source == DUEL_PRIOR
+    assert DUEL_CDF.expectation(witness.target) == Fraction(1, 2)
+
+
+def test_check_deviation_needs_a_cdf(tmp_path, capsys):
+    payload = {
+        "source": DUEL_PRIOR.to_json(),
+        "opponent_cdf": {"knots": [["0", "0"], ["3/4", "2"]]},
+        "equilibrium_value": "1/2",
+        "candidates": ["0", "1/2", "3/4"],
+    }
+    assert run_cli(tmp_path, "check-deviation", payload) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"code": "not-a-cdf", "message": "opponent distribution must be a continuous cdf (0 to 1, nondecreasing)"}
+
+
+@pytest.mark.parametrize("key", ["n", "count"])
+@pytest.mark.parametrize("value", [0, True, "3"], ids=repr)
+def test_gen_random_sizes_must_be_positive_integers(tmp_path, capsys, key, value):
+    payload = {"n": 3, "m": 2, key: value}
+    assert run_cli(tmp_path, "gen-random", payload) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "parse", "message": f"{key!r} must be a positive integer"}}
 
 
 def test_gen_random_is_seeded_and_valid(tmp_path, capsys):

@@ -34,7 +34,7 @@ from mpcmix.errors import (
     RankError,
 )
 from mpcmix.linalg import column_sums, integer_row
-from mpcmix.randgen import random_smpc, random_split_instance
+from mpcmix.randgen import random_smpc
 
 from cases import (
     ALPHA,
@@ -50,9 +50,11 @@ from cases import (
     TARGET,
     dist,
     embedded,
+    point_mass,
     tm,
     worked_triple,
 )
+from random_instances import random_split_instance
 
 
 class TestZeroColumn:
@@ -103,6 +105,11 @@ class TestZeroColumn:
         # Each would give the left branch if it were taken as its value.
         with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(coefficients[0]))}$"):
             zero_column(GARBLING, coefficients, 2)
+
+    @pytest.mark.parametrize("coefficients", [NULL_COEFFS[:3], NULL_COEFFS + (0,)], ids=["short", "long"])
+    def test_coefficients_of_the_wrong_length(self, coefficients):
+        with pytest.raises(DimensionError, match=f"^coefficient vector has length {len(coefficients)}, expected 4$"):
+            zero_column(GARBLING, coefficients, 0)
 
     def test_requires_nonzero_coefficient(self):
         two_equal = tm([["1/3", "1/3", "1/3"], ["1/4", "1/4", "1/2"]])
@@ -235,7 +242,7 @@ class TestSplitOnce:
         triple = apply_transition(source, garbling)
         result = split_once(triple)
         assert result.certificate.alpha == Fraction(1, 2)
-        assert result.left.target == DiscreteDistribution.point_mass(Fraction(1, 2))
+        assert result.left.target == point_mass(Fraction(1, 2))
         assert result.right.target == source
         mixture = Mixture(((result.certificate.alpha, result.left), (1 - result.certificate.alpha, result.right)))
         assert mixture.recompose() == triple
@@ -429,6 +436,13 @@ class TestRecompose:
         with pytest.raises(ValueError, match="^not a rational: 0.5$"):
             Mixture(((0.5, triple), (0.5, triple)))
 
+    def test_mixture_needs_components_on_one_source(self):
+        with pytest.raises(ValueError, match="^mixture needs at least one component$"):
+            Mixture(())
+        other = apply_transition(dist(["0", "1"], ["1/2", "1/2"]), tm([["1"], ["1"]]))
+        with pytest.raises(ValueError, match="^mixture components must share one source$"):
+            Mixture(((Fraction(1, 2), worked_triple()), (Fraction(1, 2), other)))
+
 
 class TestEmbedTransition:
     """A split branch's transition, placed on the parent's atoms, is the zeroed transition."""
@@ -503,6 +517,21 @@ class TestMixtureJson:
         mixture = decompose_full(worked_triple())
         again = Mixture.from_json(mixture.to_json())
         assert again == mixture
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"components": []}, "mixture JSON needs 'source'"),
+            ({"source": {"atoms": ["0"], "weights": ["1"]}}, "mixture JSON needs 'components'"),
+            ([], "mixture JSON must be an object"),
+        ],
+        ids=["no source", "no components", "not an object"],
+    )
+    def test_from_json_needs_an_object_with_both_keys(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            Mixture.from_json(obj)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -22,7 +22,7 @@ from mpcmix.errors import (
 from mpcmix.linalg import Matrix
 from mpcmix.randgen import random_distribution, random_smpc, random_transition
 
-from cases import GARBLING, LEFT_EMBEDDED, LEFT_TARGET, PRIOR, TARGET, dist, tm, worked_triple
+from cases import GARBLING, LEFT_EMBEDDED, LEFT_TARGET, PRIOR, TARGET, dist, point_mass, tm, worked_triple
 
 
 class TestDiscreteDistribution:
@@ -43,7 +43,7 @@ class TestDiscreteDistribution:
     def test_mean(self):
         assert PRIOR.mean() == Fraction(11, 20)
         assert TARGET.mean() == Fraction(11, 20)
-        assert DiscreteDistribution.point_mass("5/6").mean() == Fraction(5, 6)
+        assert point_mass("5/6").mean() == Fraction(5, 6)
 
     def test_json_round_trip(self):
         again = DiscreteDistribution.from_json(PRIOR.to_json())
@@ -114,7 +114,7 @@ class TestValidateSmpc:
     def test_point_mass_admits_no_wider_contraction(self):
         # Splitting a point mass over {0, 1} keeps the weights but not the
         # barycenters: every contraction of a point mass is the point mass.
-        source = DiscreteDistribution.point_mass(Fraction(1, 2))
+        source = point_mass(Fraction(1, 2))
         target = dist(["0", "1"], ["1/2", "1/2"])
         with pytest.raises(BarycenterIdentityError):
             SmpcTriple(source, tm([["1/2", "1/2"]]), target)
@@ -127,10 +127,14 @@ class TestApplyTransition:
         assert triple.target == TARGET
         assert triple.transition == GARBLING
 
+    def test_wrong_row_count(self):
+        with pytest.raises(DimensionError, match="^transition has 2 rows, expected 3$"):
+            apply_transition(PRIOR, tm([["1", "0"], ["0", "1"]]))
+
     def test_full_pooling(self):
         ones = tm([["1"], ["1"], ["1"]])
         triple = apply_transition(PRIOR, ones)
-        assert triple.target == DiscreteDistribution.point_mass(Fraction(11, 20))
+        assert triple.target == point_mass(Fraction(11, 20))
 
     def test_zero_column_dropped(self):
         triple = apply_transition(PRIOR, LEFT_EMBEDDED)
@@ -171,14 +175,14 @@ class TestMpcOrder:
         assert is_mpc(PRIOR, TARGET)
 
     def test_full_pooling_is_mpc(self):
-        assert is_mpc(PRIOR, DiscreteDistribution.point_mass(Fraction(11, 20)))
+        assert is_mpc(PRIOR, point_mass(Fraction(11, 20)))
 
     def test_mean_mismatch(self):
         shifted = dist(["0", "1/2", "9/8"], ["3/10", "3/10", "2/5"])
         assert mpc_violation(PRIOR, shifted) == "mean mismatch"
 
     def test_spread_is_not_mpc(self):
-        pooled = DiscreteDistribution.point_mass(Fraction(1, 2))
+        pooled = point_mass(Fraction(1, 2))
         spread = dist(["0", "1"], ["1/2", "1/2"])
         assert not is_mpc(pooled, spread)
         assert is_mpc(spread, pooled)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcmix import (
-    DiscreteDistribution,
     Matrix,
     SmpcTriple,
     StandardFormLP,
@@ -18,12 +17,13 @@ from mpcmix import (
 )
 from mpcmix import lp as lp_module
 from mpcmix.errors import DimensionError
-from mpcmix.randgen import perturb_mean, random_lp, random_piecewise_linear, random_smpc
+from mpcmix.randgen import random_smpc
 
-from cases import PRIOR, TARGET, dist
+from cases import PRIOR, TARGET, dist, point_mass
 
 from lp_fraction_reference import reference_solve
 from lp_oracle import lp_witness, oracle_solve, oracle_status
+from random_instances import perturb_mean, random_lp, random_piecewise_linear
 
 
 def lp(objective, rows, rhs, senses):
@@ -128,6 +128,12 @@ class TestSolve:
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
             lp([1, 2], [[1]], [1], ["le"])
+        with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
+            lp([1], [[1]], [1, 2], ["le"])
+        with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
+            lp([1], [[1]], [1], ["le", "ge"])
+        with pytest.raises(ValueError, match="^unknown sense 'lt'$"):
+            lp([1], [[1]], [1], ["lt"])
 
 
 @st.composite
@@ -160,7 +166,7 @@ class TestFindWitness:
         SmpcTriple(PRIOR, witness, TARGET)
 
     def test_full_pooling_witness_is_the_ones_column(self):
-        target = DiscreteDistribution.point_mass(PRIOR.mean())
+        target = point_mass(PRIOR.mean())
         witness = find_witness(PRIOR, target)
         assert witness is not None
         assert witness.entries == ((Fraction(1),), (Fraction(1),), (Fraction(1),))
@@ -170,7 +176,7 @@ class TestFindWitness:
         assert find_witness(PRIOR, shifted) is None
 
     def test_spread_has_no_witness(self):
-        pooled = DiscreteDistribution.point_mass(Fraction(1, 2))
+        pooled = point_mass(Fraction(1, 2))
         spread = dist(["0", "1"], ["1/2", "1/2"])
         assert find_witness(pooled, spread) is None
         assert find_witness(spread, pooled) is not None

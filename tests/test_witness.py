@@ -26,7 +26,7 @@ from mpcmix import (
 from mpcmix import cli, distributions
 from mpcmix.errors import InternalError
 
-from cases import PRIOR, TARGET, dist
+from cases import PRIOR, TARGET, dist, point_mass
 from lp_oracle import lp_witness
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -105,7 +105,7 @@ def test_a_wide_prime_denominator_pair_gets_a_witness():
     SmpcTriple(triple.source, witness, triple.target)
 
 
-POOLED = DiscreteDistribution.point_mass(Fraction(1, 2))
+POOLED = point_mass(Fraction(1, 2))
 SPREAD = dist(["0", "1"], ["1/2", "1/2"])
 
 
