@@ -110,13 +110,13 @@ def _cmd_solve_persuasion(payload, args):
     )
     # The optimum is an LP vertex with at most n atoms, so it is its own
     # small-support answer ("reduced") and a one-component mixture.
-    optimum = solution.optimum
+    optimum = solution.optimum.to_json()
     return {
         "value": str(solution.value),
         "candidates_exact": solution.candidates_exact,
-        "optimum": optimum.to_json(),
-        "reduced": optimum.to_json(),
-        "certificate": Mixture(((Fraction(1), optimum),)).to_json(),
+        "optimum": optimum,
+        "reduced": optimum,
+        "certificate": Mixture(((Fraction(1), solution.optimum),)).to_json(),
     }
 
 

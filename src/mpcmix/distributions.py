@@ -65,10 +65,6 @@ class DiscreteDistribution:
     def mean(self) -> Fraction:
         return sum(p * a for p, a in zip(self.weights, self.atoms))
 
-    def integrated_cdf(self, t: Fraction) -> Fraction:
-        """Integral of the cdf from -inf to t: sum of w * max(t - a, 0)."""
-        return sum((w * (t - a) for a, w in zip(self.atoms, self.weights) if a < t), Fraction(0))
-
     def to_json(self) -> dict:
         return {
             "atoms": [str(a) for a in self.atoms],

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, json_list, json_object, parse_rational, rationals
+from .linalg import Matrix, canonical_row, integer_row, json_list, json_object, parse_rational, rationals
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,50 @@ class PersuasionSolution:
     candidates_exact: bool
 
 
+def _persuasion_lp(
+    source: DiscreteDistribution, utility: PiecewiseLinearFn, candidates: tuple[Fraction, ...]
+) -> lp.StandardFormLP:
+    """The weight LP of ``solve_linear_persuasion`` on its checked grid.
+
+    Column j is q_j. After the mass and mean rows, the row of each interior
+    candidate c_k bounds the target's integrated cdf there by the prior's:
+    sum_{j<k} q_j (c_k - c_j) <= I_P(c_k). The rows are built on integers:
+    over the grid's common denominator D each candidate is C_j = c_j D, and
+    so is each prior atom, which is a candidate. With the prior's weights
+    over their common denominator W, one sweep up the grid carries the
+    prior's mass and moment below c_k, and I_P(c_k) = (C_k mass - moment) /
+    (W D), as in ``mpc_violation``. ``canonical_row`` puts each row in lowest
+    terms, which ``Matrix._trusted`` takes unchecked. The utility at every
+    candidate comes from one sweep over its sorted knots.
+    """
+    m = len(candidates)
+    d = lcm(*(c.denominator for c in candidates))
+    grid = [c.numerator * (d // c.denominator) for c in candidates]
+    w, weights = integer_row(source.weights)
+    rows, bounds = [(1, [1] * m), canonical_row(d, grid)], []
+    mass = moment = i = 0
+    for k, (c, ck) in enumerate(zip(candidates, grid)):
+        if 0 < k < m - 1:
+            rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
+            bounds.append(Fraction(ck * mass - moment, w * d))
+        if i < len(weights) and source.atoms[i] == c:
+            mass, moment, i = mass + weights[i], moment + weights[i] * ck, i + 1
+    # u(c_j) is cut + slope c_j on the first knot segment that holds c_j.
+    knots, objective, j = utility.knots, [], 0
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        slope = Fraction(y1 - y0, x1 - x0)
+        scale, (cut, rise) = integer_row((y0 - slope * x0, slope))
+        while j < m and candidates[j] <= x1:
+            objective.append(Fraction(cut * d + rise * grid[j], scale * d))
+            j += 1
+    return lp.StandardFormLP(
+        objective=tuple(objective),
+        constraint_matrix=Matrix._trusted(tuple(rows)),
+        rhs=(Fraction(1), Fraction(moment, w * d), *bounds),
+        senses=("eq", "eq") + ("le",) * len(bounds),
+    )
+
+
 def solve_linear_persuasion(
     source: DiscreteDistribution,
     utility: PiecewiseLinearFn,
@@ -121,11 +166,15 @@ def solve_linear_persuasion(
     The grid holds every prior atom, so both integrated cdfs are linear
     between grid points and these rows decide the contraction order (the
     Rothschild-Stiglitz form of the problem). Full disclosure is always
-    feasible because the candidates must contain every source atom. The
+    feasible because the candidates must contain every source atom. The rows,
+    right-hand side and objective come from integer sweeps over the grid's
+    common denominator (``_persuasion_lp``); they are exactly those of a
+    per-entry ``Fraction`` build, so the simplex makes the same pivots. The
     positive-weight candidates are the optimum's target, and ``find_witness``
     builds its garbling. The optimum is a vertex, so it has at most n atoms,
     and its expected utility is the LP's value; both are checked exactly, and
-    a failure is an ``InternalError``.
+    a failure is an ``InternalError``. That value check evaluates the utility
+    knot by knot, independently of the sweep that built the objective.
     """
     candidates = tuple(parse_rational(x) for x in candidates)
     if not candidates:
@@ -143,21 +192,7 @@ def solve_linear_persuasion(
     if lo > a1 or hi < an:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    interior = candidates[1:-1]
-    zero, one = Fraction(0), Fraction(1)
-    # Column j is q_j. After the mass and mean rows, the row of each interior
-    # candidate c bounds the target's integrated cdf there by the prior's:
-    # sum_j q_j max(c - c_j, 0) <= I_P(c).
-    rows = [(one,) * len(candidates), candidates]
-    rows += [tuple(max(c - x, zero) for x in candidates) for c in interior]
-    outcome = lp.solve(
-        lp.StandardFormLP(
-            objective=tuple(utility(c) for c in candidates),
-            constraint_matrix=Matrix(tuple(rows)),
-            rhs=(one, source.mean(), *map(source.integrated_cdf, interior)),
-            senses=("eq", "eq") + ("le",) * len(interior),
-        )
-    )
+    outcome = lp.solve(_persuasion_lp(source, utility, candidates))
     if outcome.status != "optimal":  # full disclosure is feasible, weights are bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
     atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))

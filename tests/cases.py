@@ -14,6 +14,11 @@ def point_mass(atom):
     return dist([atom], ["1"])
 
 
+def integrated_cdf(dist, t):
+    """Integral of the cdf of ``dist`` from -inf to t: sum of w * max(t - a, 0)."""
+    return sum((w * (t - a) for a, w in zip(dist.atoms, dist.weights) if a < t), Fraction(0))
+
+
 def tm(rows):
     return TransitionMatrix.from_rows(rows)
 

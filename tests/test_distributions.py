@@ -22,7 +22,18 @@ from mpcmix.errors import (
 from mpcmix.linalg import Matrix
 from mpcmix.randgen import random_distribution, random_smpc, random_transition
 
-from cases import GARBLING, LEFT_EMBEDDED, LEFT_TARGET, PRIOR, TARGET, dist, point_mass, tm, worked_triple
+from cases import (
+    GARBLING,
+    LEFT_EMBEDDED,
+    LEFT_TARGET,
+    PRIOR,
+    TARGET,
+    dist,
+    integrated_cdf,
+    point_mass,
+    tm,
+    worked_triple,
+)
 
 
 class TestDiscreteDistribution:
@@ -224,7 +235,7 @@ def _violation_by_definition(source, candidate):
     if candidate.mean() != source.mean():
         return "mean mismatch"
     for t in sorted(set(source.atoms) | set(candidate.atoms)):
-        if candidate.integrated_cdf(t) > source.integrated_cdf(t):
+        if integrated_cdf(candidate, t) > integrated_cdf(source, t):
             return f"integrated cdf exceeds at {t}"
     return None
 

@@ -16,7 +16,7 @@ from mpcmix import (
     is_mpc,
     solve_linear_persuasion,
 )
-from mpcmix import persuasion
+from mpcmix import lp, persuasion
 from mpcmix.errors import CandidateError, CdfError, DomainError, InternalError
 from mpcmix.randgen import random_smpc
 
@@ -30,6 +30,7 @@ from cases import (
     worked_triple,
 )
 from lp_oracle import garbling_persuasion_value
+import persuasion_lp_reference as reference
 from random_instances import random_piecewise_linear
 
 
@@ -240,6 +241,85 @@ class TestWeightProgramMatchesTheGarblingProgram:
         _assert_optimal(solve_linear_persuasion(source, utility, candidates), source, utility, candidates)
         check = check_no_profitable_deviation(source, cdf, Fraction(1, 2), candidates)
         _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, candidates))
+
+
+def _assert_same_lp(source, utility, candidates):
+    """The integer-sweep build and the ``Fraction`` reference make one LP, and one solve.
+
+    ``Matrix._trusted`` checks nothing, so equal integer rows are what keep
+    the sweep's rows canonical.
+    """
+    candidates = tuple(Fraction(c) for c in candidates)
+    built = persuasion._persuasion_lp(source, utility, candidates)
+    expected = reference.persuasion_lp(source, utility, candidates)
+    assert built.constraint_matrix._integer_rows == expected.constraint_matrix._integer_rows
+    assert built.rhs == expected.rhs
+    assert built.objective == expected.objective
+    assert built.senses == expected.senses
+    assert lp.solve(built) == lp.solve(expected)
+
+
+class TestIntegerSweepBuild:
+    """``_persuasion_lp`` against the earlier ``Fraction`` build of the same LP."""
+
+    @pytest.mark.parametrize(
+        "source, utility, candidates",
+        [
+            (point_mass("1/3"), pwl([("0", "1"), ("1", "-2")]), ["1/3"]),
+            (dist(["0", "1"], ["1/4", "3/4"]), pwl([("0", "1"), ("1", "-2")]), ["0", "1"]),
+            (
+                PRIOR,
+                pwl([("0", "1"), ("1/4", "-1"), ("3/4", "2"), ("1", "0")]),
+                ["0", "1/4", "1/3", "1/2", "3/4", "1"],
+            ),
+            (
+                dist(["-2", "-1/3", "1/2"], ["1/5", "1/2", "3/10"]),
+                pwl([("-2", "3"), ("-1", "-1/2"), ("1/2", "1")]),
+                ["-2", "-1", "-2/3", "-1/3", "0", "1/2"],
+            ),
+            (
+                dist(["-3/7", "2/11", "12/13"], ["1/3", "1/6", "1/2"]),
+                pwl([("-1", "0"), ("1/11", "2/3"), ("5/13", "-1/7"), ("1", "1")]),
+                ["-3/7", "1/11", "2/11", "5/13", "12/13"],
+            ),
+            (
+                PRIOR,
+                pwl([("-5", "7"), ("-1/2", "0"), ("2/3", "5/2"), ("5", "-3")]),
+                ["0", "1/8", "1/2", "2/3", "1"],
+            ),
+        ],
+        ids=[
+            "one atom",
+            "no interior row",
+            "on and between knots",
+            "negative atoms",
+            "coprime denominators",  # the grid's denominator 1001 is no candidate's
+            "wide utility domain",
+        ],
+    )
+    def test_cases(self, source, utility, candidates):
+        _assert_same_lp(source, utility, candidates)
+
+    def test_seeded_instances(self):
+        rng = Random(89)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            source = random_smpc(rng, n, n).source
+            lo, hi = source.atoms[0], source.atoms[-1]
+            u = random_piecewise_linear(rng, lo - rng.randint(0, 2), hi + rng.randint(1, 2), rng.randint(1, 4))
+            knots = {x for x, _ in u.knots if lo < x < hi}
+            between = {lo + (hi - lo) * Fraction(rng.randint(1, 12), 13) for _ in range(rng.randint(0, 4))}
+            for candidates in (source.atoms, set(source.atoms) | knots, set(source.atoms) | knots | between):
+                _assert_same_lp(source, u, sorted(candidates))
+            cdf = _random_cdf(rng, lo - 1, hi + 1)
+            _assert_same_lp(source, cdf, _merged_grid(source, cdf, source.atoms))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(persuasion_problems())
+    def test_generated_instances(self, problem):
+        source, utility, cdf, candidates = problem
+        _assert_same_lp(source, utility, candidates)
+        _assert_same_lp(source, cdf, _merged_grid(source, cdf, candidates))
 
 
 class TestDeviationPayoff:
