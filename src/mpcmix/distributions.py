@@ -9,7 +9,7 @@ after both defining identities
     (weights(source) * atoms(source)) @ F == weights(target) * atoms(target)
 
 have been checked exactly, column by column. ``mpc_violation`` decides the
-contraction order, and ``find_witness`` builds a garbling that certifies it.
+contraction order and ``find_witness`` certifies it, both in integer sweeps.
 """
 
 from __future__ import annotations
@@ -245,28 +245,25 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
     equal means, and the integrated cdf of the candidate weakly below that of
     the source. Both integrated cdfs are piecewise linear with kinks only at
     atoms, so comparing at every atom of either distribution decides the
-    pointwise inequality. One merged sweep over both atom lists carries the
-    mass and first moment below t of each, since the integrated cdf at t is
-    t * mass - moment; the differences candidate minus source are enough.
+    pointwise inequality. With all atoms over one common denominator D and all
+    weights over another, W, one integer sweep up both atom lists, merged by
+    sorting, carries the mass and moment below T = t D of the candidate minus
+    the source, and the integrated cdf at t is (T * mass - moment) / (W D).
     """
-    if candidate.mean() != source.mean():
+    n = len(source.atoms)
+    d, atoms = integer_row(source.atoms + candidate.atoms)
+    _, weights = integer_row(source.weights + candidate.weights)
+    signed = [-x for x in weights[:n]] + weights[n:]
+    if sum(x * t for x, t in zip(signed, atoms)):
         return "mean mismatch"
-    a, p = source.atoms, source.weights
-    b, q = candidate.atoms, candidate.weights
-    mass = moment = Fraction(0)
-    i = j = 0
-    while i < len(a) or j < len(b):
-        t = b[j] if i == len(a) or (j < len(b) and b[j] < a[i]) else a[i]
+    mass = moment = 0
+    # Taking one atom at t leaves T * mass - moment unchanged, so atoms that
+    # tie may come in either order.
+    for t, x in sorted(zip(atoms, signed)):
         if t * mass > moment:
-            return f"integrated cdf exceeds at {t}"
-        if i < len(a) and a[i] == t:
-            mass -= p[i]
-            moment -= p[i] * t
-            i += 1
-        if j < len(b) and b[j] == t:
-            mass += q[j]
-            moment += q[j] * t
-            j += 1
+            return f"integrated cdf exceeds at {Fraction(t, d)}"
+        mass += x
+        moment += x * t
     return None
 
 
@@ -275,24 +272,24 @@ def is_mpc(source: DiscreteDistribution, candidate: DiscreteDistribution) -> boo
     return mpc_violation(source, candidate) is None
 
 
-def _shadow(
-    atoms: tuple[Fraction, ...], left: list[Fraction], mass: Fraction, at: Fraction
-) -> dict[int, Fraction]:
-    """The source mass that a target atom of ``mass`` at ``at`` takes.
+def _shadow(d: int, atoms: list[int], left: list[int], mass: int, at: Fraction) -> tuple[int, dict[int, int]]:
+    """The source mass that a target atom ``at`` of ``mass`` takes, as ``(k, taken)``.
 
-    ``left[i]`` is the mass of source atom i not yet taken. The shadow is the
-    quantile window of that mass, of total ``mass``, whose mean is ``at``; the
-    result maps each source index to the mass taken there.
-
-    As the window's start s slides right, its first moment grows at the rate
-    a[right end] - a[left end] >= 0, which changes only where either end
-    crosses from one atom to the next. The sweep walks those breakpoints, and
-    in the piece that reaches ``mass * at`` one linear equation gives s.
+    ``atoms[i] / d`` is source atom i, and ``left[i]`` the mass of it not yet
+    taken, over the masses' common denominator W. The shadow is the window of
+    that mass's quantiles, of total ``mass``, with mean ``at``. As its start
+    slides right, its moment grows at the rate a[right end] - a[left end] >= 0,
+    which changes only where an end crosses an atom. The walk steps over those
+    breakpoints; when its last step is no integer, W is multiplied by k, and
+    ``taken`` maps source indices to masses over k W.
     """
-    moment = mass * at
+    # The source atoms and at, over the lcm of d and at's denominator.
+    e = at.denominator // gcd(d, at.denominator)
+    atoms = [x * e for x in atoms]
+    moment = mass * at.numerator * (d * e // at.denominator)
     live = [i for i, x in enumerate(left) if x]
     # The leftmost window: all of live[:hi] and the first part of live[hi].
-    hi, below, window = 0, Fraction(0), Fraction(0)
+    hi = below = window = 0
     while below + left[live[hi]] < mass:
         below += left[live[hi]]
         window += left[live[hi]] * atoms[live[hi]]
@@ -300,7 +297,7 @@ def _shadow(
     window += (mass - below) * atoms[live[hi]]
     # head: mass of live[lo] from the window's start on; tail: mass of
     # live[hi] beyond the window's end.
-    lo, head, tail = 0, left[live[0]], below + left[live[hi]] - mass
+    lo, head, tail, k = 0, left[live[0]], below + left[live[hi]] - mass, 1
     if window > moment:
         raise InternalError(f"no shadow window for the target atom at {at}: every window's mean is above it")
     while window < moment:
@@ -312,9 +309,9 @@ def _shadow(
         rate = atoms[live[hi]] - atoms[live[lo]]
         step = min(head, tail)
         if window + rate * step >= moment:
-            step = (moment - window) / rate
-            head -= step
-            tail -= step
+            g = gcd(rate, moment - window)
+            k, step = rate // g, (moment - window) // g
+            head, tail = head * k - step, tail * k - step
             break
         window += rate * step
         head -= step
@@ -322,12 +319,11 @@ def _shadow(
         if not head:
             lo += 1
             head = left[live[lo]]
-    if lo == hi:
-        return {live[lo]: mass}
-    taken = {live[lo]: head, live[hi]: left[live[hi]] - tail}
-    for k in range(lo + 1, hi):
-        taken[live[k]] = left[live[k]]
-    return taken
+    # With lo == hi, the last line gives the whole mass.
+    taken = {live[t]: left[live[t]] * k for t in range(lo + 1, hi)}
+    taken[live[lo]] = head
+    taken[live[hi]] = left[live[hi]] * k - tail
+    return k, taken
 
 
 def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> TransitionMatrix | None:
@@ -337,25 +333,33 @@ def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> 
     builds nothing. Otherwise the matrix is the left-curtain coupling
     (Beiglböck & Juillet 2016): target atoms are taken from left to right,
     each takes its shadow (see ``_shadow``) in the source mass still unused,
-    and F[i][j] is the mass atom j takes from source atom i over p_i. The
-    construction is O(n * m) exact operations, deterministic, and the result
-    is revalidated by the full ``SmpcTriple`` check. A shadow that does not
-    exist, or a witness that fails the check, is an ``InternalError``.
+    and row i of F is the integer row of the masses taken from source atom i
+    over p_i W. ``TransitionMatrix`` checks its range and row sums, and the
+    full ``SmpcTriple`` check revalidates it; a missing shadow or a failed
+    check is an ``InternalError``.
     """
     if mpc_violation(source, target) is not None:
         return None
-    atoms, p = source.atoms, source.weights
-    left = list(p)
-    zero = Fraction(0)
-    columns = []
-    for q, b in zip(target.weights, target.atoms):
-        column = [zero] * len(p)
-        for i, x in _shadow(atoms, left, q, b).items():
+    n = len(source.atoms)
+    d, atoms = integer_row(source.atoms)
+    _, weights = integer_row(source.weights + target.weights)
+    left, scale, scales = weights[:n], 1, []
+    grid = [[0] * len(target.atoms) for _ in range(n)]
+    for j, at in enumerate(target.atoms):
+        k, taken = _shadow(d, atoms, left, weights[n + j] * scale, at)
+        if k != 1:
+            scale *= k
+            left = [x * k for x in left]
+        for i, x in taken.items():
             left[i] -= x
-            column[i] = x / p[i]
-        columns.append(column)
+            grid[i][j] = x
+        scales.append(scale)
+    # Column j's masses are over its own shadow's W; bring them to the last W.
+    factors = [scale // s for s in scales]
+    rows = tuple(canonical_row(p * scale, [x * f for x, f in zip(row, factors)]) for p, row in zip(weights, grid))
     try:
-        witness = TransitionMatrix(tuple(zip(*columns)))
+        witness = object.__new__(TransitionMatrix)
+        witness._set_rows(rows)
         SmpcTriple(source, witness, target)
     except MpcError as exc:
         raise InternalError(f"shadow witness failed revalidation: {exc}") from exc

@@ -121,9 +121,10 @@ def _persuasion_lp(
     so is each prior atom, which is a candidate. With the prior's weights
     over their common denominator W, one sweep up the grid carries the
     prior's mass and moment below c_k, and I_P(c_k) = (C_k mass - moment) /
-    (W D), as in ``mpc_violation``. ``canonical_row`` puts each row in lowest
-    terms, which ``Matrix._trusted`` takes unchecked. The utility at every
-    candidate comes from one sweep over its sorted knots.
+    (W D), the form that ``mpc_violation``'s integer sweep also uses.
+    ``canonical_row`` puts each row in lowest terms, which ``Matrix._trusted``
+    takes unchecked. The utility at every candidate comes from one sweep over
+    its sorted knots.
     """
     m = len(candidates)
     d = lcm(*(c.denominator for c in candidates))

@@ -4,7 +4,9 @@ A witness exists exactly when the target is a mean-preserving contraction of
 the source. The shadow construction must find one on every such pair, return
 None on every other pair, agree with the feasibility of the witness LP in
 ``lp_oracle.lp_witness``, and hand back only matrices that pass the full
-``SmpcTriple`` check.
+``SmpcTriple`` check. The integer sweeps of ``mpc_violation`` and
+``find_witness`` must give the reasons and the integer rows that the
+``Fraction`` versions in ``witness_fraction_reference`` give.
 """
 
 import json
@@ -25,9 +27,11 @@ from mpcmix import (
 )
 from mpcmix import cli, distributions
 from mpcmix.errors import InternalError
+from mpcmix.randgen import random_smpc
 
-from cases import PRIOR, TARGET, dist, point_mass
+from cases import PRIOR, TARGET, dist, point_mass, tm
 from lp_oracle import lp_witness
+import witness_fraction_reference as reference
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 PRIMES = (999_961, 999_979, 999_983, 1_000_003, 1_000_033, 1_000_037, 1_000_039)
@@ -107,6 +111,7 @@ def test_a_wide_prime_denominator_pair_gets_a_witness():
 
 POOLED = point_mass(Fraction(1, 2))
 SPREAD = dist(["0", "1"], ["1/2", "1/2"])
+SHIFTED = dist(["0", "1/2", "2"], ["3/10", "3/10", "2/5"])
 
 
 class TestInternalErrors:
@@ -121,9 +126,8 @@ class TestInternalErrors:
             find_witness(POOLED, SPREAD)
 
     def test_a_target_above_every_window_has_no_shadow(self, accept_everything):
-        shifted = dist(["0", "1/2", "2"], ["3/10", "3/10", "2/5"])
         with pytest.raises(InternalError, match="^no shadow window for the target atom at 2: every window's mean is below it$"):
-            find_witness(PRIOR, shifted)
+            find_witness(PRIOR, SHIFTED)
 
     def test_the_cli_reports_a_missing_shadow_with_exit_3(self, accept_everything, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -145,3 +149,104 @@ class TestInternalErrors:
         monkeypatch.setattr(distributions, "_masses_and_moments", one_off)
         with pytest.raises(InternalError, match="^shadow witness failed revalidation: weight identity fails at column 0"):
             find_witness(PRIOR, TARGET)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda ints: [ints[0] + 1, *ints[1:]], r"row 0 sums to 7/6, not 1"),
+            (lambda ints: [ints[0] + 1, -1, *ints[2:]], r"entry \(0,1\) = -1/6 outside \[0, 1\]"),
+        ],
+        ids=["row sum", "range"],
+    )
+    def test_a_corrupted_row_fails_the_matrix_checks(self, monkeypatch, corrupt, message):
+        # Row 0 of the worked pair's witness is (4, 0, 1, 1) / 6.
+        real = distributions.canonical_row
+
+        def corrupted(scale, ints):
+            scale, ints = real(scale, ints)
+            return scale, corrupt(ints)
+
+        monkeypatch.setattr(distributions, "canonical_row", corrupted)
+        with pytest.raises(InternalError, match=f"^shadow witness failed revalidation: {message}$"):
+            find_witness(PRIOR, TARGET)
+
+    def test_the_witness_rows_go_through_the_checks(self, monkeypatch):
+        checked = []
+        real = TransitionMatrix._set_rows
+
+        def spy(self, rows):
+            checked.append(rows)
+            real(self, rows)
+
+        monkeypatch.setattr(TransitionMatrix, "_set_rows", spy)
+        # A call of _trusted would fail.
+        monkeypatch.setattr(TransitionMatrix, "_trusted", None)
+        witness = find_witness(PRIOR, TARGET)
+        assert checked == [witness._integer_rows]
+
+
+def _assert_same_as_reference(source, target):
+    """The integer sweeps give the reference's reason and integer rows, in both orders."""
+    for a, b in ((source, target), (target, source)):
+        assert distributions.mpc_violation(a, b) == reference.mpc_violation(a, b)
+        ours, theirs = find_witness(a, b), reference.find_witness(a, b)
+        assert (ours is None) is (theirs is None)
+        if ours is not None:
+            assert type(ours) is TransitionMatrix
+            assert ours._integer_rows == theirs._integer_rows
+
+
+NEGATIVE = dist(["-3", "-1/2", "2"], ["1/4", "1/2", "1/4"])
+
+
+class TestIntegerSweeps:
+    """``mpc_violation`` and ``find_witness`` against their earlier ``Fraction`` versions."""
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (PRIOR, TARGET),
+            (SPREAD, POOLED),
+            (dist(["-1", "0", "1"], ["1/3", "1/3", "1/3"]), dist(["-1", "0", "1"], ["1/6", "2/3", "1/6"])),
+            (NEGATIVE, apply_transition(NEGATIVE, tm([["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "1/5", "4/5"]])).target),
+            (PRIOR, SHIFTED),
+        ],
+        ids=["worked pair", "point mass", "tied and shared atoms", "negative atoms", "mean mismatch"],
+    )
+    def test_cases(self, source, target):
+        _assert_same_as_reference(source, target)
+
+    def test_prime_denominators_rescale_the_mass_denominator(self, monkeypatch):
+        factors = []
+        real = distributions._shadow
+
+        def spy(*args):
+            k, taken = real(*args)
+            factors.append(k)
+            return k, taken
+
+        monkeypatch.setattr(distributions, "_shadow", spy)
+        triple = _prime_denominator_pair(20, 30, seed=5)
+        _assert_same_as_reference(triple.source, triple.target)
+        assert len(factors) == 30 and max(factors) > 1
+
+    def test_seeded_pairs(self):
+        rng = Random(19)
+        for n, m in ((1, 1), (1, 4), (2, 3), (3, 4), (4, 8), (6, 10), (10, 16), (20, 30), (40, 60), (60, 100)):
+            for _ in range(3 if n * m < 1000 else 1):
+                triple = random_smpc(rng, n, m)
+                source, target = triple.source, triple.target
+                shifted = DiscreteDistribution(target.atoms[:-1] + (target.atoms[-1] + Fraction(1, 3),), target.weights)
+                _assert_same_as_reference(source, target)
+                _assert_same_as_reference(source, shifted)
+        for n, m, seed in ((3, 4, 1), (8, 12, 2), (60, 100, 3)):
+            triple = _prime_denominator_pair(n, m, seed)
+            _assert_same_as_reference(triple.source, triple.target)
+
+    @PROFILE
+    @given(garblings(), st.integers(1, 9))
+    def test_generated_pairs(self, triple, shift):
+        source, target = triple.source, triple.target
+        shifted = DiscreteDistribution(target.atoms[:-1] + (target.atoms[-1] + Fraction(1, shift),), target.weights)
+        for pair in ((source, target), (source, shifted), (source, source)):
+            _assert_same_as_reference(*pair)
