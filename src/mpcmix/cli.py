@@ -149,7 +149,6 @@ def _cmd_gen_random(payload, args):
     for _ in range(count):
         source = random_distribution(rng, n)
         transition = random_transition(rng, n, m)
-        apply_transition(source, transition)  # generated pairs must certify
         instances.append(
             {"source": source.to_json(), "transition": transition.to_json()}
         )
@@ -184,6 +183,8 @@ def _decimalize(obj):
 
 
 def _table(rows):
+    # Cells are text, or the floats of a --decimals mirror.
+    rows = [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     return [
         "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
@@ -198,10 +199,7 @@ def _pretty(obj, indent=0):
             rows = [["atom", "weight"]] + [list(pair) for pair in zip(obj["atoms"], obj["weights"])]
             return [pad + line for line in _table(rows)]
         if set(obj) == {"rows"}:
-            return [pad + line for line in _table([[str(x) for x in row] for row in obj["rows"]])]
-        if set(obj) == {"knots"}:
-            rows = [["x", "y"]] + [list(pair) for pair in obj["knots"]]
-            return [pad + line for line in _table(rows)]
+            return [pad + line for line in _table(obj["rows"])]
         lines = []
         for key, value in obj.items():
             if isinstance(value, (dict, list)):
@@ -322,14 +320,16 @@ def main(argv=None) -> int:
     except InternalError as exc:
         _emit_error(exc.code, str(exc))
         return 3
+    except KeyError as exc:
+        # Every payload key is read through _field or json_object, so a
+        # KeyError that gets here is a bug, not a verdict on the input.
+        _emit_error(InternalError.code, f"unexpected KeyError: {exc}")
+        return 3
     except MpcError as exc:
         _emit_error(exc.code, str(exc))
         return 1
     except OSError as exc:
         _emit_error("io", str(exc))
-        return 2
-    except KeyError as exc:
-        _emit_error("parse", f"missing or malformed field: {exc}")
         return 2
     except (ValueError, TypeError) as exc:
         _emit_error("parse", str(exc))

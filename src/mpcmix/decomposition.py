@@ -285,9 +285,8 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     c = null_space_vector(triple.transition)
     if c is None:
         raise NoSplitError("transition columns are linearly independent; no split exists")
+    # q·c = p·F·c = 0 with every target weight q_j > 0, so d mixes signs.
     _, d = integer_row(c)
-    if min(d) >= 0 or max(d) <= 0:
-        raise NullVectorError("null vector of a stochastic garbling must mix signs")
     up = [(k, x) for k, x in enumerate(d) if x]
     ends = []
     for direction in (up, [(k, -x) for k, x in up]):

@@ -16,13 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from .errors import DimensionError, InternalError
-from .linalg import integer_row
-
-if TYPE_CHECKING:
-    from .linalg import Matrix
+from .linalg import Matrix, integer_row
 
 SENSES = ("le", "ge", "eq")
 
@@ -61,11 +57,6 @@ def _reduced(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(values) -> list[int]:
-    """A positive integer multiple of a rational row, with content 1."""
-    return _reduced(integer_row(values)[1])
-
-
 class _Tableau:
     """Bland's-rule simplex tableau kept in integer rows.
 
@@ -82,54 +73,44 @@ class _Tableau:
 
     def __init__(self, lp: StandardFormLP):
         n = len(lp.objective)
-        m = lp.constraint_matrix.rows
         n_slack = sum(1 for s in lp.senses if s != "eq")
-        width = n + n_slack
+        # A row starts on its slack when the slack's coefficient is positive
+        # after the rhs sign flip, and on an artificial column of its own
+        # otherwise.
+        on_artificial = [s == "eq" or (s == "le") == (b < 0) for b, s in zip(lp.rhs, lp.senses)]
+        n_artificial = sum(on_artificial)
+        zeros = [0] * (n_slack + n_artificial)
         rows: list[list[int]] = []
-        scales: list[int] = []
-        slack_of: list[int | None] = [None] * m
-        k = 0
-        for i, (scale, ints) in enumerate(lp.constraint_matrix._integer_rows):
-            # Row i of A with its slack and rhs, times the lcm of their
-            # denominators, and negated where the rhs is negative.
-            rhs = lp.rhs[i]
+        basis: list[int] = []
+        slack, artificial = n, n + n_slack
+        for (scale, ints), rhs, sense, starts_on_artificial in zip(
+            lp.constraint_matrix._integer_rows, lp.rhs, lp.senses, on_artificial
+        ):
+            # The row of A, its slack, its artificial and its rhs, times the
+            # lcm of their denominators and negated where the rhs is negative.
+            # An artificial column is 1 in its own row before scaling, as in
+            # the rational phase-1 program.
             mult = lcm(scale, rhs.denominator)
             sign = -1 if rhs < 0 else 1
             f = sign * (mult // scale)
-            row = [f * x for x in ints] + [0] * n_slack + [sign * rhs.numerator * (mult // rhs.denominator)]
-            if lp.senses[i] != "eq":
-                row[n + k] = sign * mult if lp.senses[i] == "le" else -sign * mult
-                slack_of[i] = n + k
-                k += 1
-            rows.append(row)
-            scales.append(mult)
-        basis: list[int] = []
-        n_artificial = 0
-        for i in range(m):
-            s = slack_of[i]
-            if s is not None and rows[i][s] > 0:
-                basis.append(s)
+            row = [f * x for x in ints] + zeros + [sign * rhs.numerator * (mult // rhs.denominator)]
+            if sense != "eq":
+                row[slack] = -mult if starts_on_artificial else mult
+                slack += 1
+            if starts_on_artificial:
+                row[artificial] = mult
+                basis.append(artificial)
+                artificial += 1
             else:
-                basis.append(width + n_artificial)
-                n_artificial += 1
-        for i in range(m):
-            # An artificial column is 1 in its own row before scaling, as in
-            # the rational phase-1 program.
-            extra = [0] * n_artificial
-            if basis[i] >= width:
-                extra[basis[i] - width] = scales[i]
-            rows[i] = _reduced(rows[i][:-1] + extra + rows[i][-1:])
+                basis.append(slack - 1)
+            rows.append(_reduced(row))
         self.rows = rows
         self.basis = basis
         self.n_original = n
         self.objective = lp.objective
-        self.first_artificial = width
+        self.first_artificial = n + n_slack
         self.n_artificial = n_artificial
         self.pivots = 0
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else 0
 
     def _pivot(self, r: int, s: int) -> None:
         rows = self.rows
@@ -202,11 +183,13 @@ class _Tableau:
             if any(row[-1] for row, b in zip(self.rows, self.basis) if b >= fa):
                 return LPOutcome("infeasible", pivots=self.pivots)
             self._expel_artificials()
-        costs = _integer_row(self.objective) + [0] * (self.width - self.n_original)
+        # Phase 2 runs on the first_artificial columns: _expel_artificials
+        # has cut the artificial ones, or there were none.
+        costs = _reduced(integer_row(self.objective)[1]) + [0] * (fa - self.n_original)
         status = self._run(costs)
         if status == "unbounded":
             return LPOutcome("unbounded", pivots=self.pivots)
-        x = [Fraction(0)] * max(self.width, self.n_original)
+        x = [Fraction(0)] * fa
         for row, b in zip(self.rows, self.basis):
             x[b] = Fraction(row[-1], row[b])
         solution = tuple(x[: self.n_original])

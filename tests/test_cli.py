@@ -159,6 +159,20 @@ def test_internal_invariant_failure_is_exit_3(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_an_escaping_key_error_is_internal(tmp_path, capsys, monkeypatch):
+    # Every payload key is read through a checked reader, so a KeyError can
+    # only come from a bug.
+    def broken(source, target):
+        raise KeyError("atoms")
+
+    monkeypatch.setattr(cli, "mpc_violation", broken)
+    code = run_cli(tmp_path, "is-mpc", {"source": PRIOR.to_json(), "target": TARGET.to_json()})
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "internal", "message": "unexpected KeyError: 'atoms'"}}
+
+
 def test_malformed_json_is_exit_2(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -451,6 +465,60 @@ def test_pretty_output(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "weight: 4/7" in text
     assert "atom" in text
+
+
+# One valid payload per command.
+EVERY_COMMAND = {
+    "verify-smpc": {"source": PRIOR.to_json(), "transition": GARBLING.to_json(), "target": TARGET.to_json()},
+    "apply": {"source": PRIOR.to_json(), "transition": GARBLING.to_json()},
+    "is-mpc": {"source": PRIOR.to_json(), "target": TARGET.to_json()},
+    "find-witness": {"source": PRIOR.to_json(), "target": TARGET.to_json()},
+    "decompose": {"source": PRIOR.to_json(), "transition": GARBLING.to_json()},
+    "solve-persuasion": {
+        "source": PRIOR.to_json(),
+        "utility": {"knots": [["0", "1/5"], ["1", "9/10"]]},
+        "candidates": ["0", "1/2", "1"],
+    },
+    "check-deviation": {
+        "source": DUEL_PRIOR.to_json(),
+        "opponent_cdf": DUEL_CDF.to_json(),
+        "equilibrium_value": "1/2",
+        "candidates": ["0", "1/2", "3/4"],
+    },
+    "gen-random": {"n": 2, "m": 3},
+}
+
+
+def test_every_command_is_covered():
+    assert set(EVERY_COMMAND) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_pretty_decimals_runs_every_command(tmp_path, capsys, command):
+    assert run_cli(tmp_path, command, EVERY_COMMAND[command], "--pretty", "--decimals") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "decimals:" in captured.out
+
+
+def test_pretty_decimals_tables_the_mirror_floats(tmp_path, capsys):
+    assert run_cli(tmp_path, "apply", EVERY_COMMAND["apply"], "--pretty", "--decimals") == 0
+    lines = capsys.readouterr().out.splitlines()
+    mirror = lines[lines.index("decimals:"):]
+    assert mirror[:6] == ["decimals:", "  source:", "    atom  weight", "    0.0   0.3", "    0.5   0.3", "    1.0   0.4"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, result",
+    [
+        ("is-mpc", EVERY_COMMAND["is-mpc"], {"is_mpc": True}),
+        ("find-witness", {"source": PRIOR.to_json(), "target": {"atoms": ["0", "1/2", "9/8"], "weights": ["3/10", "3/10", "2/5"]}}, {"witness": None}),
+    ],
+    ids=["boolean", "null"],
+)
+def test_decimals_pass_booleans_and_null_through(tmp_path, capsys, command, payload, result):
+    assert run_cli(tmp_path, command, payload, "--decimals") == 0
+    assert json.loads(capsys.readouterr().out) == {**result, "decimals": result}
 
 
 def test_stdin_input(capsys, monkeypatch):

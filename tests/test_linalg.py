@@ -107,6 +107,20 @@ class TestMatrix:
         assert (m.rows, m.cols) == (2, 3)
         assert m.column(1) == (Fraction(2), Fraction(5))
 
+    def test_is_immutable(self):
+        m = Matrix.from_rows([[1, 2]])
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+            m._integer_rows = ()
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+            del m._integer_rows
+        assert m == Matrix.from_rows([["1", "2"]])
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        m = Matrix.from_rows([[1]])
+        assert m.__eq__(object()) is NotImplemented
+        assert (m == object()) is False
+        assert (m != object()) is True
+
     def test_hash_reads_the_integer_rows(self):
         # Hashing a parsed matrix, or a triple that holds one, builds no Fraction grid.
         parsed = TransitionMatrix.from_rows([["1/3", "2/3"], ["0.5", "1/2"]])
