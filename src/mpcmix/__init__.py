@@ -29,7 +29,7 @@ from .distributions import (
     mpc_violation,
 )
 from .errors import MpcError
-from .linalg import Matrix, null_space_vector, parse_rational, rank
+from .linalg import Matrix, parse_rational
 from .lp import LPOutcome, StandardFormLP
 from .lp import solve as solve_lp
 from .persuasion import (
@@ -65,9 +65,7 @@ __all__ = [
     "find_witness",
     "is_mpc",
     "mpc_violation",
-    "null_space_vector",
     "parse_rational",
-    "rank",
     "solve_linear_persuasion",
     "solve_lp",
     "split_once",

@@ -11,7 +11,9 @@ entry and the original target atom for atom.
 Every move on the polytope {s >= 0 : F s = 1} is one boundary step: from a
 point, along a direction c with F c = 0 (a null direction) or F c = dv (a
 peeled vertex v / dv), away from c until the first coordinate with c_k > 0
-reaches zero. A split takes the dependency c of F's columns (sum of
+reaches zero. Every null direction is read from one state of F's columns,
+their greedy basis and each other column's dependency on it, built by one
+elimination. A split takes the first dependency c of F's columns (sum of
 c_k * column_k = 0) and steps from 1 along c and along -c. The two ends zero
 the maximizers j*, j** of |c| within the two sign groups, with the scales
 v(j) = 1 - c / c_j, and they are the unique pair of branches whose convex
@@ -25,10 +27,10 @@ support columns are linearly independent, so its component has at most
 rank(F) <= n atoms. Carathéodory peeling removes one vertex at a time from
 the remainder, by one boundary step along the vertex, giving a mixture of at
 most m - rank(F) + 1 targets with at most n atoms each. The walk's null
-directions come from one persistent state of the remainder's support, its
-greedy basis and each other column's dependency on it, built once and
+directions come from that state of the remainder's support, built once and
 updated as columns are zeroed; every peeled vertex is then re-checked
-exactly against F v = 1.
+exactly against F v = 1. The uniqueness probe reads the rank, the number
+of basic columns, and the split's direction from the same state.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ from .linalg import (
     integer_row,
     json_list,
     json_object,
-    null_space_vector,
     parse_rational,
-    rank,
     rationals,
 )
 
@@ -275,22 +275,30 @@ def split_once(triple: SmpcTriple) -> SplitResult:
 
     Raises ``NoSplitError`` when the transition's columns are linearly
     independent (then the target already has at most as many atoms as the
-    source). For the null vector c of the columns, as the integer vector d,
-    the two branches are the ends of the segment through 1 along d: one
-    boundary step from 1 along d and one along -d, each zeroing the first
-    maximizer of |d| within one sign group, j, with the scales 1 - d / d_j.
-    The recomposition identity alpha * left + (1 - alpha) * right ==
-    transition is verified exactly on those scales before returning.
+    source). The null direction is the first dependency of the columns'
+    basis state (:class:`_Basis`), built by one elimination: the integer
+    vector d with gcd 1 and first nonzero entry positive, and the
+    certificate's coefficients are d over that entry. The two branches are
+    the ends of the segment through 1 along d: one boundary step from 1
+    along d and one along -d, each zeroing the first maximizer of |d| within
+    one sign group, j, with the scales 1 - d / d_j. The recomposition
+    identity alpha * left + (1 - alpha) * right == transition is verified
+    exactly on those scales before returning.
     """
-    c = null_space_vector(triple.transition)
-    if c is None:
+    return _split(triple, _transition_basis(triple))
+
+
+def _split(triple: SmpcTriple, basis: _Basis) -> SplitResult:
+    """:func:`split_once` on ``basis``, the state of all of the triple's transition columns."""
+    if not basis.deps:
         raise NoSplitError("transition columns are linearly independent; no split exists")
     # q·c = p·F·c = 0 with every target weight q_j > 0, so d mixes signs.
-    _, d = integer_row(c)
-    up = [(k, x) for k, x in enumerate(d) if x]
+    up = basis.dependency(next(iter(basis.deps)))
+    d = dict(up)
+    m = triple.transition.cols
     ends = []
     for direction in (up, [(k, -x) for k, x in up]):
-        point, den, j = _boundary_step([1] * len(d), 1, direction, 0)
+        point, den, j = _boundary_step([1] * m, 1, direction, 0)
         ends.append((abs(d[j]), j, point, den, direction))
     # The branch zeroed first comes from the group holding the larger
     # magnitude; on a cross-group tie the lower column index leads.
@@ -298,11 +306,10 @@ def split_once(triple: SmpcTriple) -> SplitResult:
     (size_a, j_star, left_v, left_den, lead), (size_b, j_second, right_v, right_den, _) = ends
     alpha = Fraction(size_a, size_a + size_b)
     (_, left), (_, right) = _components(triple, [(alpha, left_v, left_den), (1 - alpha, right_v, right_den)])
-    m = len(triple.target.atoms)
     if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
         raise InternalError("split did not reduce the atom count")
     certificate = SplitCertificate(
-        coefficients=c,
+        coefficients=tuple(Fraction(d.get(k, 0), up[0][1]) for k in range(m)),
         group_a=tuple(k for k, x in lead if x > 0),
         group_b=tuple(k for k, x in lead if x < 0),
         j_star=j_star,
@@ -392,6 +399,11 @@ class _Basis:
             deps[j] = (cj, w)
 
 
+def _transition_basis(triple: SmpcTriple) -> _Basis:
+    """The state of all of the triple's transition columns, by one elimination."""
+    return _Basis.of([ints for _, ints in triple.transition._integer_rows], triple.transition.cols)
+
+
 def _walk_to_vertex(basis: _Basis, point: list[int], den: int) -> tuple[list[int], int]:
     """Walk from ``point / den`` in {s >= 0 : F s = 1} to a vertex of that polytope.
 
@@ -445,7 +457,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     """
     n = len(triple.source.atoms)
     m = triple.transition.cols
-    basis = _Basis.of([ints for _, ints in triple.transition._integer_rows], m)
+    basis = _transition_basis(triple)
     remainder, den = [1] * m, 1
     weight = Fraction(1)
     peeled: list[tuple[Fraction, list[int], int]] = []  # (weight, vertex, its denominator)
@@ -489,16 +501,20 @@ def verify_uniqueness(triple: SmpcTriple) -> UniquenessReport:
     """Probe all columns; exactly the two group maximizers admit zeroing.
 
     Requires one more target atom than source atoms and full row rank, so the
-    null direction is unique up to scale. Columns tied with a group maximizer
-    are emptied alongside it and therefore also pass the probe; they show up
-    in ``zeroable`` beyond the canonical pair.
+    null direction is unique up to scale. One elimination builds the basis
+    state of the columns (:class:`_Basis`): the rank is the number of basic
+    columns, and the split reads its null direction from the same state.
+    Columns tied with a group maximizer are emptied alongside it and
+    therefore also pass the probe; they show up in ``zeroable`` beyond the
+    canonical pair.
     """
     n, m = len(triple.source.atoms), len(triple.target.atoms)
     if m != n + 1:
         raise DimensionError(f"need n+1 target atoms, got n={n}, m={m}")
-    if rank(triple.transition) != n:
+    basis = _transition_basis(triple)
+    if len(basis.columns) != n:
         raise RankError("transition rank below source size: multiple null directions")
-    result = split_once(triple)
+    result = _split(triple, basis)
     c = result.certificate.coefficients
     zeroable = []
     for j in range(m):

@@ -62,9 +62,6 @@ class DiscreteDistribution:
             tuple(parse_rational(w) for w in weights),
         )
 
-    def mean(self) -> Fraction:
-        return sum(p * a for p, a in zip(self.weights, self.atoms))
-
     def to_json(self) -> dict:
         return {
             "atoms": [str(a) for a in self.atoms],
@@ -81,8 +78,8 @@ class TransitionMatrix(Matrix):
     """Row-stochastic (Markov) matrix: entries in [0, 1], every row sums to 1.
 
     A :class:`Matrix` whose construction also checks its integer rows. The
-    inherited ``from_rows`` and ``identity`` build this class, so what they
-    return is checked too.
+    inherited ``from_rows`` builds this class, so what it returns is checked
+    too.
     """
 
     def _set_rows(self, rows) -> None:

@@ -12,11 +12,12 @@ derived from them on first read. Rational text goes straight to those rows:
 makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
 so there is one grammar. Elimination is fraction-free on the same rows: one
 kernel takes the columns in order and finds each that depends on the earlier
-ones. :func:`rank` counts the others; the first dependency gives
-:func:`null_space_vector`, which the split reads. The decomposition's peel
-takes every column's dependency from one pass and keeps them as its support
-shrinks. Each dependency depends on the matrix alone, never on a pivot
-choice, so every result is deterministic.
+ones. Its one caller is the decomposition's basis state, which takes every
+column's dependency from one pass: the split and the uniqueness probe read
+the first dependency and the count of independent columns, the rank, and
+the peel keeps the dependencies as its support shrinks. Each dependency
+depends on the matrix alone, never on a pivot choice, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -218,10 +219,6 @@ class Matrix:
         self._set_rows(tuple(parse_row(row) for row in rows))
         return self
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The ``Fraction`` grid, derived from the integer rows on first read."""
@@ -234,9 +231,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self._integer_rows[0][1])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -301,24 +295,3 @@ def _echelon(rows, columns):
         basis.append((pivot, vec, combo))
         yield None
 
-
-def rank(matrix: Matrix) -> int:
-    """Exact rank."""
-    rows = [ints for _, ints in matrix._integer_rows]
-    return sum(d is None for d in _echelon(rows, range(matrix.cols)))
-
-
-def null_space_vector(matrix: Matrix) -> tuple[Fraction, ...] | None:
-    """One exact kernel vector, or ``None`` when the columns are independent.
-
-    The returned vector c satisfies ``M @ c == 0`` with c nonzero, and is
-    normalized so its first nonzero entry equals 1. It is the dependency of
-    the first column that depends on the earlier ones, with zeros after that
-    column, so equal matrices always yield the identical vector.
-    """
-    rows = [ints for _, ints in matrix._integer_rows]
-    d = next((d for d in _echelon(rows, range(matrix.cols)) if d is not None), None)
-    if d is None:
-        return None
-    lead = next(x for x in d if x)
-    return tuple(Fraction(x, lead) for x in d)

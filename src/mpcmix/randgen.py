@@ -4,7 +4,8 @@ Atoms are drawn as distinct small-denominator rationals, weights as random
 positive integers normalized to total 1, so every generated object stays
 exact end to end. All generators take an explicit ``random.Random`` so a seed
 reproduces the corpus byte for byte. The generators that only tests draw,
-split instances, LPs and utilities among them, live in the tests.
+garbling triples, split instances, LPs and utilities among them, live in the
+tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
+from .distributions import DiscreteDistribution, TransitionMatrix
 
 SPREAD = 12
 """Largest |a| of a generated atom a/b."""
@@ -50,8 +51,3 @@ def random_transition(rng: Random, n: int, m: int) -> TransitionMatrix:
         total = sum(row)
         grid.append(tuple(Fraction(x, total) for x in row))
     return TransitionMatrix(tuple(grid))
-
-
-def random_smpc(rng: Random, n: int, m: int) -> SmpcTriple:
-    """Random garbling triple; the target may have fewer than m atoms."""
-    return apply_transition(random_distribution(rng, n), random_transition(rng, n, m))

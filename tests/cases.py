@@ -1,6 +1,7 @@
 """Shared exact fixtures: the worked 4-atom split and the two-seller game."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from mpcmix import DiscreteDistribution, PiecewiseLinearFn, SmpcTriple, TransitionMatrix
 
@@ -12,6 +13,29 @@ def dist(atoms, weights):
 def point_mass(atom):
     """All mass at ``atom``, read as ``parse_rational`` reads it."""
     return dist([atom], ["1"])
+
+
+def mean(dist):
+    """The mean of ``dist``: sum of w * a."""
+    return sum(w * a for w, a in zip(dist.weights, dist.atoms))
+
+
+def column(matrix, j):
+    """Column ``j`` of ``matrix`` as a tuple of ``Fraction`` values."""
+    return tuple(row[j] for row in matrix.entries)
+
+
+def coprime_integers(vector):
+    """A rational vector times the positive scale that makes it coprime integers."""
+    scale = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (scale // v.denominator) for v in vector]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def identity(n):
+    """The n x n identity garbling."""
+    return TransitionMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def integrated_cdf(dist, t):
@@ -87,7 +111,7 @@ def embedded(component, atoms):
     from ``Mixture.recompose`` so that tests can sum placed columns themselves."""
     grid = [[Fraction(0)] * len(atoms) for _ in component.source.atoms]
     for j, atom in enumerate(component.target.atoms):
-        for row, x in zip(grid, component.transition.column(j)):
+        for row, x in zip(grid, column(component.transition, j)):
             row[atoms.index(atom)] = x
     return grid
 

@@ -108,7 +108,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
         if masses[j] == 0:
             continue
         barycenter = moments[j] / masses[j]
-        col = transition.column(j)
+        col = tuple(row[j] for row in transition.entries)
         if barycenter in cells:
             old_mass, old_col = cells[barycenter]
             cells[barycenter] = (

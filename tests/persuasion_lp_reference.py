@@ -14,7 +14,7 @@ from fractions import Fraction
 from mpcmix import lp
 from mpcmix.linalg import Matrix
 
-from cases import integrated_cdf
+from cases import integrated_cdf, mean
 
 
 def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
@@ -29,6 +29,6 @@ def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
     return lp.StandardFormLP(
         objective=tuple(utility(c) for c in candidates),
         constraint_matrix=Matrix(tuple(rows)),
-        rhs=(one, source.mean(), *(integrated_cdf(source, c) for c in interior)),
+        rhs=(one, mean(source), *(integrated_cdf(source, c) for c in interior)),
         senses=("eq", "eq") + ("le",) * len(interior),
     )

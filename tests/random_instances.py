@@ -1,22 +1,28 @@
 """Seeded random instances that only the tests draw.
 
-Split instances, mean-shifted targets, small LPs and piecewise-linear
-utilities, built on ``mpcmix.randgen``'s distributions and garblings. Every
-generator takes an explicit ``random.Random``, so a seed reproduces the same
-instances.
+Garbling triples, split instances, mean-shifted targets, small LPs and
+piecewise-linear utilities, built on ``mpcmix.randgen``'s distributions and
+garblings. Every generator takes an explicit ``random.Random``, so a seed
+reproduces the same instances.
 """
 
 from fractions import Fraction
 from random import Random
 
-from mpcmix.distributions import DiscreteDistribution, SmpcTriple
-from mpcmix.linalg import Matrix, null_space_vector, rank
+from linalg_fraction_reference import null_space_vector, rank
+from mpcmix.distributions import DiscreteDistribution, SmpcTriple, apply_transition
+from mpcmix.linalg import Matrix
 from mpcmix.lp import StandardFormLP
 from mpcmix.persuasion import PiecewiseLinearFn
-from mpcmix.randgen import random_smpc
+from mpcmix.randgen import random_distribution, random_transition
 
 MAX_LP_SIZE = 8
 """Largest nvars + nrows of a generated LP."""
+
+
+def random_smpc(rng: Random, n: int, m: int) -> SmpcTriple:
+    """Random garbling triple; the target may have fewer than m atoms."""
+    return apply_transition(random_distribution(rng, n), random_transition(rng, n, m))
 
 
 def random_split_instance(rng: Random, n: int, generic: bool = True) -> SmpcTriple:

@@ -25,7 +25,7 @@ from mpcmix import (
 from mpcmix.errors import EntryRangeError
 from mpcmix.linalg import Matrix
 from mpcmix.persuasion import PiecewiseLinearFn
-from mpcmix.randgen import random_distribution, random_smpc
+from mpcmix.randgen import random_distribution
 
 from cases import (
     ALPHA,
@@ -37,10 +37,11 @@ from cases import (
     RIGHT_EMBEDDED,
     RIGHT_TARGET,
     embedded,
+    mean,
     worked_triple,
 )
 from lp_oracle import oracle_solve
-from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_split_instance
+from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc, random_split_instance
 
 
 def _verdict(number, name, detail):
@@ -159,7 +160,7 @@ def test_criterion_5_small_support_optima():
         assert len(solution.optimum.target.atoms) <= n
         assert utility.expectation(solution.optimum.target) >= solution.value
         if len(utility.knots) == 2:
-            assert solution.value == utility(source.mean())
+            assert solution.value == utility(mean(source))
     _verdict(5, "small-support optima", f"{kinked} kinked + {affine} affine instances")
 
 

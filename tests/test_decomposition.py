@@ -17,13 +17,11 @@ from mpcmix import (
     TransitionMatrix,
     apply_transition,
     decompose_full,
-    null_space_vector,
-    rank,
     split_once,
     verify_uniqueness,
     zero_column,
 )
-from mpcmix import decomposition
+from mpcmix import decomposition, linalg
 from mpcmix.errors import (
     DimensionError,
     EntryRangeError,
@@ -34,7 +32,6 @@ from mpcmix.errors import (
     RankError,
 )
 from mpcmix.linalg import column_sums, integer_row
-from mpcmix.randgen import random_smpc
 
 from cases import (
     ALPHA,
@@ -48,13 +45,16 @@ from cases import (
     RIGHT_REDUCED,
     RIGHT_TARGET,
     TARGET,
+    column,
     dist,
     embedded,
+    identity,
+    mean,
     point_mass,
     tm,
     worked_triple,
 )
-from random_instances import random_split_instance
+from random_instances import random_smpc, random_split_instance
 
 
 class TestZeroColumn:
@@ -120,8 +120,8 @@ class TestZeroColumn:
         for j, result in ((2, LEFT_EMBEDDED), (3, RIGHT_EMBEDDED)):
             out = zero_column(GARBLING, NULL_COEFFS, j)
             for k in range(4):
-                old = GARBLING.column(k)
-                new = out.column(k)
+                old = column(GARBLING, k)
+                new = column(out, k)
                 scale = None
                 for a, b in zip(old, new):
                     if a != 0:
@@ -168,7 +168,7 @@ class TestBoundaryStep:
     def test_tied_coordinates_reach_zero_in_one_step(self):
         # Columns 0 and 2 tie along (1, -1, 1): the first of them is a, and
         # both reach zero; along (-1, 1, -1) column 1 alone does.
-        assert null_space_vector(tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])) == (1, -1, 1)
+        assert reference.null_space_vector(tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])) == (1, -1, 1)
         step = decomposition._boundary_step
         assert step([1, 1, 1], 1, [(0, 1), (1, -1), (2, 1)], 0) == ([0, 2, 0], 1, 0)
         assert step([1, 1, 1], 1, [(0, -1), (1, 1), (2, -1)], 0) == ([2, 0, 2], 1, 1)
@@ -230,7 +230,7 @@ class TestSplitOnce:
         assert Mixture(((alpha, result.left), (1 - alpha, result.right))).recompose() == triple
 
     def test_independent_columns_refuse_to_split(self):
-        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, identity(3), PRIOR)
         with pytest.raises(NoSplitError):
             split_once(triple)
 
@@ -267,7 +267,7 @@ class TestDecomposeFull:
         assert c2.target == RIGHT_TARGET
 
     def test_narrow_input_is_a_singleton(self):
-        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, identity(3), PRIOR)
         mixture = decompose_full(triple)
         assert mixture.components == ((Fraction(1), triple),)
 
@@ -358,7 +358,7 @@ class TestMatchesTheFractionSplit:
         for k in range(60):
             _assert_same_split(random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0))
         tied = apply_transition(dist(["0", "1"], ["1/2", "1/2"]), tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]]))
-        for triple in (worked_triple(), tied, SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)):
+        for triple in (worked_triple(), tied, SmpcTriple(PRIOR, identity(3), PRIOR)):
             _assert_same_split(triple)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -387,14 +387,14 @@ def _assert_exact_mixture(triple, mixture):
     """Small, valid components that recombine to the transition entry for entry."""
     n = len(triple.source.atoms)
     m = len(triple.target.atoms)
-    assert len(mixture.components) <= m - rank(triple.transition) + 1
+    assert len(mixture.components) <= m - reference.rank(triple.transition) + 1
     assert mixture.recompose() == triple
     # The same identity summed here, independently of recompose.
     total = [[Fraction(0)] * m for _ in range(n)]
     for weight, component in mixture.components:
         assert len(component.target.atoms) <= n
         SmpcTriple(component.source, component.transition, component.target)
-        assert component.target.mean() == triple.source.mean()
+        assert mean(component.target) == mean(triple.source)
         for i, row in enumerate(embedded(component, triple.target.atoms)):
             for k, x in enumerate(row):
                 total[i][k] += weight * x
@@ -453,6 +453,20 @@ class TestEmbedTransition:
         assert Matrix(embedded(result.right, TARGET.atoms)) == Matrix(RIGHT_EMBEDDED.entries)
 
 
+def rank_deficient_triple():
+    """Four columns in a two-dimensional space although the source has three
+    atoms, so the null direction is not unique."""
+    source = dist(["0", "1/2", "1"], ["1/3", "1/3", "1/3"])
+    garbling = tm(
+        [
+            ["9/16", "3/8", "1/16", "0"],
+            ["3/8", "3/8", "1/8", "1/8"],
+            ["0", "3/8", "1/4", "3/8"],
+        ]
+    )
+    return apply_transition(source, garbling)
+
+
 class TestVerifyUniqueness:
     def test_worked_example_pair(self):
         report = verify_uniqueness(worked_triple())
@@ -479,22 +493,12 @@ class TestVerifyUniqueness:
 
     def test_shape_precondition(self):
         with pytest.raises(DimensionError):
-            verify_uniqueness(SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR))
+            verify_uniqueness(SmpcTriple(PRIOR, identity(3), PRIOR))
 
     def test_rank_deficiency_is_reported(self):
-        # Columns live in a two-dimensional space although the source has
-        # three atoms, so the null direction is not unique.
-        source = dist(["0", "1/2", "1"], ["1/3", "1/3", "1/3"])
-        garbling = tm(
-            [
-                ["9/16", "3/8", "1/16", "0"],
-                ["3/8", "3/8", "1/8", "1/8"],
-                ["0", "3/8", "1/4", "3/8"],
-            ]
-        )
-        triple = apply_transition(source, garbling)
+        triple = rank_deficient_triple()
         assert len(triple.target.atoms) == 4
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match="^transition rank below source size: multiple null directions$"):
             verify_uniqueness(triple)
 
     def test_split_instances_need_two_source_atoms(self):
@@ -510,6 +514,43 @@ class TestVerifyUniqueness:
             report = verify_uniqueness(triple)
             assert len(report.zeroable) == 2
             assert tuple(sorted(report.pair)) == report.zeroable
+
+    def test_matches_the_report_from_the_fraction_rank_and_split(self):
+        rng = Random(43)
+        for k in range(80):
+            triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
+            n = len(triple.source.atoms)
+            assert reference.rank(triple.transition) == n
+            certificate = reference.split_once(triple).certificate
+            zeroable = []
+            for j in range(n + 1):
+                try:
+                    zero_column(triple.transition, certificate.coefficients, j)
+                except (EntryRangeError, NullVectorError):
+                    continue
+                zeroable.append(j)
+            pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
+            expected = decomposition.UniquenessReport(pair=pair, zeroable=tuple(zeroable), certificate=certificate)
+            report = verify_uniqueness(triple)
+            assert report == expected
+            assert repr(report) == repr(expected)
+
+
+def test_the_split_and_the_probe_each_eliminate_once(monkeypatch):
+    runs = []
+    echelon = linalg._echelon
+
+    def counted(rows, columns):
+        runs.append(len(columns))
+        return echelon(rows, columns)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(decomposition, "_echelon", counted)
+    split_once(worked_triple())
+    verify_uniqueness(worked_triple())
+    with pytest.raises(RankError):
+        verify_uniqueness(rank_deficient_triple())
+    assert runs == [4, 4, 4]
 
 
 class TestMixtureJson:

@@ -1,17 +1,18 @@
 """Fraction-free elimination and the integer peel against the Fraction reference.
 
-``null_space_vector`` and ``rank`` must equal the ``Fraction`` elimination
-kept in ``linalg_fraction_reference``, the first dependency that ``_echelon``
-yields must be its null vector as coprime integers, and ``decompose_full`` must return an equal
-``Mixture`` with equal JSON bytes, its first vertex equal to that of the
-from-scratch walk in ``peel_oracle``. The instances are seeded and generated:
+The basis state ``_Basis.of`` must count the rank of the ``Fraction``
+elimination kept in ``linalg_fraction_reference`` in its basic columns; its
+first dependency, and the first that ``_echelon`` yields on any column
+subset, must be that reference's null vector as coprime integers; and
+``decompose_full`` must return an equal ``Mixture`` with equal JSON bytes,
+its first vertex equal to that of the from-scratch walk in ``peel_oracle``. The instances are seeded and generated:
 wide matrices, rank-deficient transitions, duplicate columns, zero rows,
 negative entries and coprime denominators near 10**6.
 """
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from random import Random
 
 from hypothesis import given, settings
@@ -21,19 +22,13 @@ import linalg_fraction_reference as reference
 import peel_oracle
 from mpcmix.decomposition import _Basis, _walk_to_vertex, decompose_full
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
-from mpcmix.linalg import Matrix, _echelon, integer_row, null_space_vector, rank
-from mpcmix.randgen import random_smpc
+from mpcmix.linalg import Matrix, _echelon, integer_row
+
+from cases import coprime_integers
+from random_instances import random_smpc
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 LARGE_PRIMES = (1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081, 1_000_099)
-
-
-def coprime_integers(vector):
-    """A rational vector times the positive scale that makes it coprime integers."""
-    scale = lcm(*(v.denominator for v in vector))
-    ints = [v.numerator * (scale // v.denominator) for v in vector]
-    g = gcd(*ints)
-    return [x // g for x in ints]
 
 
 def first_dependency(rows, columns):
@@ -45,10 +40,16 @@ def columns_of(matrix, columns):
 
 
 def assert_same_elimination(matrix, subsets=(), row_scales=None):
-    """Equal null vectors and ranks, and the kernel's dependency on column subsets."""
-    assert null_space_vector(matrix) == reference.null_space_vector(matrix)
-    assert rank(matrix) == reference.rank(matrix)
+    """The basis state's rank and first dependency, and the kernel's dependency on column subsets."""
     rows = [integer_row(row)[1] for row in matrix.entries]
+    basis = _Basis.of(rows, matrix.cols)
+    assert len(basis.columns) == reference.rank(matrix)
+    expected = reference.null_space_vector(matrix)
+    if expected is None:
+        assert basis.deps == {}
+    else:
+        d = coprime_integers(expected)
+        assert basis.dependency(next(iter(basis.deps))) == [(k, x) for k, x in enumerate(d) if x]
     for columns in (range(matrix.cols), *subsets):
         expected = reference.null_space_vector(columns_of(matrix, columns))
         got = first_dependency(rows, columns)

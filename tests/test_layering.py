@@ -38,3 +38,28 @@ def test_persuasion_does_not_import(layer):
 
 def test_only_the_cli_imports_randgen():
     assert {name for name, imports in IMPORTS.items() if "randgen" in imports} == {"cli"}
+
+
+def callers(name):
+    """``module.qualname`` of each function in the package that calls ``name``."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+def test_only_the_basis_state_eliminates():
+    assert callers("_echelon") == ["decomposition._Basis.of"]

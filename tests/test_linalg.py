@@ -4,26 +4,53 @@ from random import Random
 
 import pytest
 
+import linalg_fraction_reference as reference
 from mpcmix import (
     DiscreteDistribution,
     Matrix,
     PiecewiseLinearFn,
     SmpcTriple,
     TransitionMatrix,
+    decompose_full,
     linalg,
-    null_space_vector,
     parse_rational,
-    rank,
+    split_once,
     verify_uniqueness,
 )
+from mpcmix.decomposition import _Basis
 from mpcmix.linalg import MAX_DIGITS, integer_row
 
-from cases import GARBLING, NULL_COEFFS, PRIOR, TARGET
+from cases import GARBLING, NULL_COEFFS, PRIOR, TARGET, coprime_integers, identity
 
 
 def times(matrix, vec):
     """The matrix-vector product ``matrix @ vec``."""
     return tuple(sum(x * v for x, v in zip(row, vec)) for row in matrix.entries)
+
+
+def basis_of(matrix):
+    """The basis state of all of ``matrix``'s columns, by one elimination."""
+    return _Basis.of([ints for _, ints in matrix._integer_rows], matrix.cols)
+
+
+def first_dependency(matrix):
+    """The state's first dependency as a dense integer vector, the null
+    direction that the split reads, or ``None`` when the columns are independent."""
+    basis = basis_of(matrix)
+    if not basis.deps:
+        return None
+    d = [0] * matrix.cols
+    for k, x in basis.dependency(next(iter(basis.deps))):
+        d[k] = x
+    return d
+
+
+def assert_matches_the_reference(matrix):
+    """The basic columns count the rank, and the first dependency is the
+    reference's null vector as coprime integers, ``None`` at full column rank."""
+    assert len(basis_of(matrix).columns) == reference.rank(matrix)
+    expected = reference.null_space_vector(matrix)
+    assert first_dependency(matrix) == (None if expected is None else coprime_integers(expected))
 
 
 class TestRationals:
@@ -105,7 +132,7 @@ class TestMatrix:
     def test_accessors(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert (m.rows, m.cols) == (2, 3)
-        assert m.column(1) == (Fraction(2), Fraction(5))
+        assert m.entries == ((1, 2, 3), (4, 5, 6))
 
     def test_is_immutable(self):
         m = Matrix.from_rows([[1, 2]])
@@ -194,18 +221,24 @@ class TestOnlyRationalsAreValues:
 
 
 class TestNullSpace:
+    """The basis state that the split reads against the ``Fraction`` reference's rank and null vector."""
+
     def test_worked_garbling_columns(self):
-        c = null_space_vector(GARBLING)
-        assert c == NULL_COEFFS
-        assert times(GARBLING, c) == (Fraction(0),) * 3
+        d = first_dependency(GARBLING)
+        assert d == list(NULL_COEFFS)
+        assert times(GARBLING, d) == (Fraction(0),) * 3
+        assert_matches_the_reference(GARBLING)
 
     def test_full_column_rank_gives_none(self):
-        assert null_space_vector(Matrix.identity(2)) is None
-        assert null_space_vector(Matrix.from_rows([[1, 0], [0, 1], [1, 1]])) is None
+        for m in (identity(2), Matrix.from_rows([[1, 0], [0, 1], [1, 1]])):
+            assert basis_of(m).deps == {}
+            assert first_dependency(m) is None
+            assert_matches_the_reference(m)
 
     def test_duplicate_columns(self):
         m = Matrix.from_rows([["1/3", "1/3"], ["2/5", "2/5"]])
-        assert null_space_vector(m) == (Fraction(1), Fraction(-1))
+        assert first_dependency(m) == [1, -1]
+        assert_matches_the_reference(m)
 
     def test_random_wide_matrices_have_exact_kernels(self):
         rng = Random(11)
@@ -216,22 +249,20 @@ class TestNullSpace:
                 for _ in range(n)
             ]
             m = Matrix.from_rows(grid)
-            c = null_space_vector(m)
-            assert c is not None
-            assert any(v != 0 for v in c)
-            assert times(m, c) == (Fraction(0),) * n
-            lead = next(v for v in c if v != 0)
-            assert lead == 1
+            d = first_dependency(m)
+            assert d is not None
+            assert times(m, d) == (Fraction(0),) * n
+            assert next(x for x in d if x) > 0 and math.gcd(*d) == 1
+            assert_matches_the_reference(m)
 
     def test_deterministic(self):
-        first = null_space_vector(GARBLING)
         rebuilt = Matrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
-        assert null_space_vector(rebuilt) == first
+        assert first_dependency(rebuilt) == first_dependency(GARBLING)
 
     def test_rank(self):
-        assert rank(Matrix.identity(3)) == 3
-        assert rank(GARBLING) == 3
-        assert rank(Matrix.from_rows([[1, 2], [2, 4]])) == 1
+        for m, expected in ((identity(3), 3), (GARBLING, 3), (Matrix.from_rows([[1, 2], [2, 4]]), 1)):
+            assert len(basis_of(m).columns) == expected
+            assert_matches_the_reference(m)
 
     def test_elimination_reuses_a_transitions_cached_rows(self, monkeypatch):
         # A row is converted to integers from text by parse_row, or from
@@ -249,7 +280,8 @@ class TestNullSpace:
         monkeypatch.setattr(linalg, "parse_row", counting(linalg.parse_row))
         monkeypatch.setattr(linalg, "integer_row", counting(linalg.integer_row))
         transition = TransitionMatrix.from_rows([[str(x) for x in row] for row in GARBLING.entries])
-        assert rank(transition) == 3
-        assert null_space_vector(transition) == NULL_COEFFS
-        verify_uniqueness(SmpcTriple(PRIOR, transition, TARGET))
+        triple = SmpcTriple(PRIOR, transition, TARGET)
+        assert split_once(triple).certificate.coefficients == NULL_COEFFS
+        verify_uniqueness(triple)
+        decompose_full(triple)
         assert [converted.count(row) for row in transition.entries] == [1, 1, 1]

@@ -17,13 +17,12 @@ from mpcmix import (
 )
 from mpcmix import lp as lp_module
 from mpcmix.errors import DimensionError
-from mpcmix.randgen import random_smpc
 
-from cases import PRIOR, TARGET, dist, point_mass
+from cases import PRIOR, TARGET, dist, mean, point_mass
 
 from lp_fraction_reference import reference_solve
 from lp_oracle import lp_witness, oracle_solve, oracle_status
-from random_instances import perturb_mean, random_lp, random_piecewise_linear
+from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
 def lp(objective, rows, rhs, senses):
@@ -166,7 +165,7 @@ class TestFindWitness:
         SmpcTriple(PRIOR, witness, TARGET)
 
     def test_full_pooling_witness_is_the_ones_column(self):
-        target = point_mass(PRIOR.mean())
+        target = point_mass(mean(PRIOR))
         witness = find_witness(PRIOR, target)
         assert witness is not None
         assert witness.entries == ((Fraction(1),), (Fraction(1),), (Fraction(1),))

@@ -21,9 +21,10 @@ from mpcmix.decomposition import _Basis, decompose_full
 from mpcmix.distributions import TransitionMatrix, apply_transition
 from mpcmix.errors import InternalError
 from mpcmix.linalg import _echelon
-from mpcmix.randgen import random_distribution, random_smpc
+from mpcmix.randgen import random_distribution
 
 from cases import worked_triple
+from random_instances import random_smpc
 
 
 def fresh_state(rows, support):

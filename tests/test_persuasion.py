@@ -9,7 +9,6 @@ from mpcmix import (
     DiscreteDistribution,
     PiecewiseLinearFn,
     SmpcTriple,
-    TransitionMatrix,
     check_no_profitable_deviation,
     deviation_payoff,
     decompose_full,
@@ -18,7 +17,6 @@ from mpcmix import (
 )
 from mpcmix import lp, persuasion
 from mpcmix.errors import CandidateError, CdfError, DomainError, InternalError
-from mpcmix.randgen import random_smpc
 
 from cases import (
     DUEL_CDF,
@@ -26,12 +24,14 @@ from cases import (
     DUEL_VALUE,
     PRIOR,
     dist,
+    identity,
+    mean,
     point_mass,
     worked_triple,
 )
 from lp_oracle import garbling_persuasion_value
 import persuasion_lp_reference as reference
-from random_instances import random_piecewise_linear
+from random_instances import random_piecewise_linear, random_smpc
 
 
 def pwl(pairs):
@@ -89,7 +89,7 @@ class TestSolveLinearPersuasion:
         u = pwl([("0", "1/5"), ("1", "9/10")])
         for candidates in (PRIOR.atoms, tuple(sorted(set(PRIOR.atoms) | {Fraction(11, 20)}))):
             solution = solve_linear_persuasion(PRIOR, u, candidates)
-            assert solution.value == u(PRIOR.mean())
+            assert solution.value == u(mean(PRIOR))
             assert solution.candidates_exact
 
     def test_convex_utility_wants_full_disclosure(self):
@@ -99,12 +99,12 @@ class TestSolveLinearPersuasion:
         assert solution.optimum.target == PRIOR
 
     def test_concave_utility_wants_full_pooling(self):
-        mean = PRIOR.mean()
+        mu = mean(PRIOR)
         u = pwl([("0", "0"), ("11/20", "11/20"), ("1", "0")])
-        candidates = tuple(sorted(set(PRIOR.atoms) | {mean}))
+        candidates = tuple(sorted(set(PRIOR.atoms) | {mu}))
         solution = solve_linear_persuasion(PRIOR, u, candidates)
-        assert solution.value == mean
-        assert solution.optimum.target == point_mass(mean)
+        assert solution.value == mu
+        assert solution.optimum.target == point_mass(mu)
 
     def test_reduced_solution_is_small_and_no_worse(self):
         rng = Random(13)
@@ -382,7 +382,7 @@ class TestConstructMixedEquilibrium:
         assert mixture.recompose() == worked_triple()
 
     def test_small_support_strategy_is_already_pure(self):
-        triple = SmpcTriple(PRIOR, TransitionMatrix.identity(3), PRIOR)
+        triple = SmpcTriple(PRIOR, identity(3), PRIOR)
         mixture = decompose_full(triple)
         assert mixture.components == ((Fraction(1), triple),)
 

@@ -27,10 +27,10 @@ from mpcmix import (
 )
 from mpcmix import cli, distributions
 from mpcmix.errors import InternalError
-from mpcmix.randgen import random_smpc
 
 from cases import PRIOR, TARGET, dist, point_mass, tm
 from lp_oracle import lp_witness
+from random_instances import random_smpc
 import witness_fraction_reference as reference
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)

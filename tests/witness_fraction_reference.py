@@ -27,7 +27,8 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
     mass and first moment below t of each, since the integrated cdf at t is
     t * mass - moment; the differences candidate minus source are enough.
     """
-    if candidate.mean() != source.mean():
+    means = [sum(p * a for p, a in zip(d.weights, d.atoms)) for d in (candidate, source)]
+    if means[0] != means[1]:
         return "mean mismatch"
     a, p = source.atoms, source.weights
     b, q = candidate.atoms, candidate.weights

@@ -7,8 +7,10 @@ one's), so two checkouts can be compared with the same script. The output is
 one JSON object:
 
 - ``decompose_ms``: for each shape n x m, the median over ``--instances``
-  seeded ``randgen.random_smpc`` triples of the best of ``--repeats`` calls
-  of ``decompose_full``, in milliseconds of wall time.
+  seeded triples, a ``randgen.random_distribution`` garbled through a
+  ``randgen.random_transition`` drawn after it from the same stream, of the
+  best of ``--repeats`` calls of ``decompose_full``, in milliseconds of wall
+  time.
 - ``decompose_wide_pass``: ``decompose_full`` over every item of the
   benchmark's ``decompose-wide`` corpus at seed 1. In one pass,
   ``walk_steps`` counts the walk's steps (calls of ``_Basis.dependency``)
@@ -44,11 +46,15 @@ def _best_ms(fn, arg, repeats):
 
 def sweep(instances, repeats):
     from mpcmix.decomposition import decompose_full
-    from mpcmix.randgen import random_smpc
+    from mpcmix.distributions import apply_transition
+    from mpcmix.randgen import random_distribution, random_transition
+
+    def triple(rng, n, m):
+        return apply_transition(random_distribution(rng, n), random_transition(rng, n, m))
 
     table = []
     for n, m in SHAPES:
-        times = [_best_ms(decompose_full, random_smpc(Random(f"{n}x{m}:{k}"), n, m), repeats) for k in range(instances)]
+        times = [_best_ms(decompose_full, triple(Random(f"{n}x{m}:{k}"), n, m), repeats) for k in range(instances)]
         table.append({"n": n, "m": m, "m_minus_n": m - n, "ms": round(statistics.median(times), 3)})
     return table
 
