@@ -228,19 +228,18 @@ def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]
         for i, (scale, ints) in enumerate(rows):
             if sum(map(mul, ints, v)) != scale * dv:
                 raise InternalError(f"peeled vertex fails F v = 1 at row {i}")
-    d, total = column_sums([w for w, _, _ in scaled], [(dv, v) for _, v, dv in scaled])
+    d, total = column_sums(integer_row([w for w, _, _ in scaled]), [(dv, v) for _, v, dv in scaled])
     if any(t != d for t in total):
         raise InternalError("peel recomposition identity failed")
-    atoms, weights = triple.target.atoms, triple.target.weights
+    (e, atoms), (q, weights) = triple.target._integer_rows
     components = []
     for w, v, dv in scaled:
-        # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (v_k / dv).
+        # Entry (i, k) of F diag(v) is (ints_i[k] / scale_i) * (v_k / dv), and
+        # the target keeps atom k with weight (weights[k] / q) * (v_k / dv).
         support = [(k, x) for k, x in enumerate(v) if x]
         grid = tuple(canonical_row(scale * dv, [ints[k] * x for k, x in support]) for scale, ints in rows)
-        target = DiscreteDistribution(
-            tuple(atoms[k] for k, _ in support),
-            tuple(weights[k] * Fraction(x, dv) for k, x in support),
-        )
+        kept = canonical_row(e, [atoms[k] for k, _ in support])
+        target = DiscreteDistribution._checked((kept, canonical_row(q * dv, [weights[k] * x for k, x in support])))
         transition = TransitionMatrix._trusted(grid)
         components.append((w, SmpcTriple._trusted(triple.source, transition, target)))
     return components
@@ -306,7 +305,7 @@ def _split(triple: SmpcTriple, basis: _Basis) -> SplitResult:
     (size_a, j_star, left_v, left_den, lead), (size_b, j_second, right_v, right_den, _) = ends
     alpha = Fraction(size_a, size_a + size_b)
     (_, left), (_, right) = _components(triple, [(alpha, left_v, left_den), (1 - alpha, right_v, right_den)])
-    if len(left.target.atoms) >= m or len(right.target.atoms) >= m:
+    if left.target.cols >= m or right.target.cols >= m:
         raise InternalError("split did not reduce the atom count")
     certificate = SplitCertificate(
         coefficients=tuple(Fraction(d.get(k, 0), up[0][1]) for k in range(m)),
@@ -455,7 +454,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     ordered by descending weight and then by their atoms, so equal inputs
     always produce the identical mixture.
     """
-    n = len(triple.source.atoms)
+    n = triple.source.cols
     m = triple.transition.cols
     basis = _transition_basis(triple)
     remainder, den = [1] * m, 1
@@ -480,7 +479,7 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
 
     components = _components(triple, peeled)
     for _, component in components:
-        if len(component.target.atoms) > n:
+        if component.target.cols > n:
             raise InternalError("peeled component has more atoms than the source")
     # Components with equal atoms would have equal support columns, which fix
     # the vertex, so weight and atoms order them without ties.
@@ -508,7 +507,7 @@ def verify_uniqueness(triple: SmpcTriple) -> UniquenessReport:
     therefore also pass the probe; they show up in ``zeroable`` beyond the
     canonical pair.
     """
-    n, m = len(triple.source.atoms), len(triple.target.atoms)
+    n, m = triple.source.cols, triple.target.cols
     if m != n + 1:
         raise DimensionError(f"need n+1 target atoms, got n={n}, m={m}")
     basis = _transition_basis(triple)

@@ -1,22 +1,27 @@
 """Finitely supported distributions, Markov garblings, and the contraction order.
 
 A distribution is a sorted list of atoms with positive rational weights that
-sum to one. Garbling it through a row-stochastic matrix pools mass parcels at
-their barycenters; a triple (source, transition, target) is only constructed
-after both defining identities
+sum to one, held and parsed as its integer rows, the way a matrix is: one
+row of atoms and one of weights, each over its own scale. Garbling it
+through a row-stochastic matrix pools mass parcels at their barycenters; a
+triple (source, transition, target) is only constructed after both defining
+identities
 
     weights(source) @ F == weights(target)
     (weights(source) * atoms(source)) @ F == weights(target) * atoms(target)
 
-have been checked exactly, column by column. ``mpc_violation`` decides the
-contraction order and ``find_witness`` certifies it, both in integer sweeps.
+have been checked exactly, column by column, on those rows.
+``mpc_violation`` decides the contraction order and ``find_witness``
+certifies it, both in integer sweeps over the two distributions' rows.
+Every target built here goes through ``DiscreteDistribution``'s checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BarycenterIdentityError,
@@ -28,45 +33,53 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object, parse_rational, rationals
+from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(Matrix):
     """Purely atomic distribution: strictly increasing atoms, positive weights.
 
-    Atoms and weights must be ``Fraction`` or ``int`` values, not floats.
+    A :class:`Matrix` of two rows, held as its integer rows: row 0 holds the
+    atoms and row 1 the weights, each ``(scale, ints)`` in lowest terms, and
+    construction checks them there. ``DiscreteDistribution(atoms, weights)``
+    takes ``Fraction`` or ``int`` values, not floats, and ``from_rows``,
+    ``from_pairs`` and ``from_json`` take rational text straight to the
+    rows. ``atoms`` and ``weights`` are tuples of ``Fraction``, read from
+    ``entries`` on first use; equality and hashing read the integer rows.
     """
 
-    atoms: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
+    def __init__(self, atoms, weights) -> None:
+        super().__init__((atoms, weights))
 
-    def __post_init__(self) -> None:
-        rationals(self.atoms)
-        rationals(self.weights)
-        if not self.atoms or len(self.atoms) != len(self.weights):
+    def _set_rows(self, rows) -> None:
+        if len(rows) != 2 or not rows[0][1] or len(rows[0][1]) != len(rows[1][1]):
             raise DistributionError("atoms and weights must be equally long and nonempty")
-        for k in range(len(self.atoms) - 1):
-            if self.atoms[k] >= self.atoms[k + 1]:
-                raise DistributionError("atoms must be strictly increasing")
-        scale, ints = integer_row(self.weights)
-        if min(ints) <= 0:
+        (_, atoms), (scale, weights) = rows
+        # Over one positive scale, the order of the atoms and the signs and
+        # sum of the weights are those of their integers.
+        if any(x >= y for x, y in zip(atoms, atoms[1:])):
+            raise DistributionError("atoms must be strictly increasing")
+        if min(weights) <= 0:
             raise DistributionError("weights must be positive")
-        if sum(ints) != scale:
+        if sum(weights) != scale:
             raise DistributionError("weights must sum to exactly 1")
+        super()._set_rows(rows)
+
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        return self.entries[0]
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return self.entries[1]
 
     @classmethod
     def from_pairs(cls, atoms, weights) -> "DiscreteDistribution":
-        return cls(
-            tuple(parse_rational(a) for a in atoms),
-            tuple(parse_rational(w) for w in weights),
-        )
+        return cls.from_rows((atoms, weights))
 
     def to_json(self) -> dict:
-        return {
-            "atoms": [str(a) for a in self.atoms],
-            "weights": [str(w) for w in self.weights],
-        }
+        atoms, weights = ([_text(x, scale) for x in ints] for scale, ints in self._integer_rows)
+        return {"atoms": atoms, "weights": weights}
 
     @classmethod
     def from_json(cls, obj) -> "DiscreteDistribution":
@@ -130,29 +143,29 @@ class SmpcTriple:
     target: DiscreteDistribution
 
     def __post_init__(self) -> None:
-        n, m = len(self.source.atoms), len(self.target.atoms)
+        n, m = self.source.cols, self.target.cols
         if self.transition.rows != n or self.transition.cols != m:
             raise DimensionError(
                 f"transition is {self.transition.rows}x{self.transition.cols}, "
                 f"expected {n}x{m}"
             )
-        q, b = self.target.weights, self.target.atoms
+        (e, b), (w, q) = self.target._integer_rows
         d_w, s_w, d_mom, s_mom = _masses_and_moments(self.source, self.transition)
-        # S / D == q exactly when S * den(q) == num(q) * D; for q_j * b_j the
-        # numerators and denominators of both factors are multiplied.
+        # With the target's atoms b / e and weights q / w, S / D == q_j / w
+        # exactly when S * w == q_j * D, and S / D == q_j b_j / (w e) when
+        # S * w * e == q_j * b_j * D.
         for j in range(m):
-            if s_w[j] * q[j].denominator != q[j].numerator * d_w:
+            if s_w[j] * w != q[j] * d_w:
                 raise WeightIdentityError(
                     f"weight identity fails at column {j}: "
-                    f"{Fraction(s_w[j], d_w)} != {q[j]}",
+                    f"{Fraction(s_w[j], d_w)} != {Fraction(q[j], w)}",
                     column=j,
                 )
         for j in range(m):
-            qj, bj = q[j], b[j]
-            if s_mom[j] * qj.denominator * bj.denominator != qj.numerator * bj.numerator * d_mom:
+            if s_mom[j] * w * e != q[j] * b[j] * d_mom:
                 raise BarycenterIdentityError(
                     f"barycenter identity fails at column {j}: "
-                    f"{Fraction(s_mom[j], d_mom)} != {qj * bj}",
+                    f"{Fraction(s_mom[j], d_mom)} != {Fraction(q[j] * b[j], w * e)}",
                     column=j,
                 )
 
@@ -196,12 +209,14 @@ def _masses_and_moments(
     """Column masses s_w / d_w and first moments s_mom / d_mom of a garbling.
 
     Column j's mass is sum_i p_i F_ij and its first moment sum_i p_i a_i F_ij,
-    each computed on F's integer rows.
+    each computed on F's integer rows from the source's: with atoms a / e and
+    weights p / w, the moment coefficients are the integer row of p a over
+    w e.
     """
-    p, a = source.weights, source.atoms
+    (e, a), (w, p) = source._integer_rows
     rows = transition._integer_rows
-    d_w, s_w = column_sums(p, rows)
-    d_mom, s_mom = column_sums([pi * ai for pi, ai in zip(p, a)], rows)
+    d_w, s_w = column_sums((w, p), rows)
+    d_mom, s_mom = column_sums((w * e, list(map(mul, p, a))), rows)
     return d_w, s_w, d_mom, s_mom
 
 
@@ -213,7 +228,7 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     matrix is a legal input. Target atoms come out sorted with the matrix
     columns permuted to match.
     """
-    n = len(source.atoms)
+    n = source.cols
     if transition.rows != n:
         raise DimensionError(f"transition has {transition.rows} rows, expected {n}")
     d_w, s_w, d_mom, s_mom = _masses_and_moments(source, transition)
@@ -221,15 +236,15 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     for j, mass in enumerate(s_w):
         if mass:
             merged.setdefault(Fraction(s_mom[j] * d_w, d_mom * mass), []).append(j)
-    atoms = tuple(sorted(merged))
+    atoms = sorted(merged)
     groups = [merged[barycenter] for barycenter in atoms]
-    weights = tuple(Fraction(sum(s_w[j] for j in group), d_w) for group in groups)
     # Each output column is the sum of its group's columns, on the integer rows.
     grid = tuple(
         canonical_row(scale, [ints[g[0]] if len(g) == 1 else sum(ints[j] for j in g) for g in groups])
         for scale, ints in transition._integer_rows
     )
-    target = DiscreteDistribution(atoms, weights)
+    masses = canonical_row(d_w, [sum(s_w[j] for j in group) for group in groups])
+    target = DiscreteDistribution._checked((integer_row(atoms), masses))
     # Both identities hold by the arithmetic above: the target weights are the
     # computed column masses and each atom is its column's exact barycenter.
     return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)
@@ -242,14 +257,15 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
     equal means, and the integrated cdf of the candidate weakly below that of
     the source. Both integrated cdfs are piecewise linear with kinks only at
     atoms, so comparing at every atom of either distribution decides the
-    pointwise inequality. With all atoms over one common denominator D and all
-    weights over another, W, one integer sweep up both atom lists, merged by
-    sorting, carries the mass and moment below T = t D of the candidate minus
-    the source, and the integrated cdf at t is (T * mass - moment) / (W D).
+    pointwise inequality. The two distributions' integer rows are joined
+    over the lcm of their scales: all atoms over one common denominator D and
+    all weights over another, W. One integer sweep up both atom lists, merged
+    by sorting, carries the mass and moment below T = t D of the candidate
+    minus the source, and the integrated cdf at t is (T * mass - moment) /
+    (W D).
     """
-    n = len(source.atoms)
-    d, atoms = integer_row(source.atoms + candidate.atoms)
-    _, weights = integer_row(source.weights + candidate.weights)
+    n = source.cols
+    (d, atoms), (_, weights) = map(_joined, source._integer_rows, candidate._integer_rows)
     signed = [-x for x in weights[:n]] + weights[n:]
     if sum(x * t for x, t in zip(signed, atoms)):
         return "mean mismatch"
@@ -262,6 +278,13 @@ def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution)
         mass += x
         moment += x * t
     return None
+
+
+def _joined(row, other) -> tuple[int, list[int]]:
+    """The integer rows ``row`` and ``other`` over the lcm of their scales, as one row."""
+    (s, xs), (t, ys) = row, other
+    d = lcm(s, t)
+    return d, [x * (d // s) for x in xs] + [y * (d // t) for y in ys]
 
 
 def is_mpc(source: DiscreteDistribution, candidate: DiscreteDistribution) -> bool:
@@ -337,13 +360,13 @@ def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> 
     """
     if mpc_violation(source, target) is not None:
         return None
-    n = len(source.atoms)
-    d, atoms = integer_row(source.atoms)
-    _, weights = integer_row(source.weights + target.weights)
+    n = source.cols
+    (d, atoms), (e, targets) = source._integer_rows[0], target._integer_rows[0]
+    _, weights = _joined(source._integer_rows[1], target._integer_rows[1])
     left, scale, scales = weights[:n], 1, []
-    grid = [[0] * len(target.atoms) for _ in range(n)]
-    for j, at in enumerate(target.atoms):
-        k, taken = _shadow(d, atoms, left, weights[n + j] * scale, at)
+    grid = [[0] * len(targets) for _ in range(n)]
+    for j, b in enumerate(targets):
+        k, taken = _shadow(d, atoms, left, weights[n + j] * scale, Fraction(b, e))
         if k != 1:
             scale *= k
             left = [x * k for x in left]
@@ -355,8 +378,7 @@ def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> 
     factors = [scale // s for s in scales]
     rows = tuple(canonical_row(p * scale, [x * f for x, f in zip(row, factors)]) for p, row in zip(weights, grid))
     try:
-        witness = object.__new__(TransitionMatrix)
-        witness._set_rows(rows)
+        witness = TransitionMatrix._checked(rows)
         SmpcTriple(source, witness, target)
     except MpcError as exc:
         raise InternalError(f"shadow witness failed revalidation: {exc}") from exc

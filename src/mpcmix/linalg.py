@@ -4,10 +4,14 @@ Every scalar in the package is a :class:`fractions.Fraction`, which keeps
 values gcd-reduced with a positive denominator, so all comparisons and
 equality tests downstream are exact. The per-entry loops work on integer
 rows instead: :func:`integer_row` scales a rational row to integers, and
-:func:`column_sums` forms weighted column sums of such rows for
-certification. A :class:`Matrix` is its integer rows: each row is held as
-``(scale, ints)`` in lowest terms, and the ``Fraction`` grid ``entries`` is
-derived from them on first read. Rational text goes straight to those rows:
+:func:`column_sums` forms the column sums of such rows weighted by an
+integer coefficient row, for certification. A :class:`Matrix` is its integer
+rows: each row is held as ``(scale, ints)`` in lowest terms, and the
+``Fraction`` grid ``entries`` is derived from them on first read. A
+distribution is such a matrix too, of two rows, its atoms and its weights,
+and every row built in the package goes through its class's checks in
+``Matrix._checked``, unless its construction already guarantees them.
+Rational text goes straight to those rows:
 :func:`parse_row` reads plain ``"a/b"`` and ``"a"`` text with ``int`` and
 makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
 so there is one grammar. Elimination is fraction-free on the same rows: one
@@ -65,22 +69,23 @@ def rationals(values):
 
 
 def _ratio(value) -> tuple[int, int]:
-    """``(p, q)`` with ``q > 0`` and ``parse_rational(value) == p / q``, not reduced.
+    """``(p, q)`` in lowest terms with ``q > 0`` and ``parse_rational(value) == p / q``.
 
     Text of the plain form ``-?D+`` or ``-?D+/D+`` with a nonzero denominator,
     where D is a decimal digit (``str.isdecimal``, which is what both ``int``
     and ``Fraction``'s ``\\d`` read), no longer than ``MAX_DIGITS``, is split at
-    the slash and read with ``int``. Any other text goes through
-    ``Fraction(str)`` behind the size check, so the grammar, the values and
-    the error messages are ``Fraction``'s.
+    the slash, read with ``int`` and divided by its gcd. Any other text goes
+    through ``Fraction(str)`` behind the size check, so the grammar, the
+    values and the error messages are ``Fraction``'s.
     """
     if isinstance(value, str):
         if len(value) <= MAX_DIGITS:
             num, slash, den = value.partition("/")
             if (num[1:] if num[:1] == "-" else num).isdecimal() and (not slash or den.isdecimal()):
-                q = int(den) if slash else 1
+                p, q = int(num), int(den) if slash else 1
                 if q:
-                    return int(num), q
+                    g = gcd(p, q)
+                    return (p, q) if g == 1 else (p // g, q // g)
         _check_size(value)
         try:
             parsed = Fraction(value.strip())
@@ -155,26 +160,31 @@ def parse_row(values) -> tuple[int, list[int]]:
     """``integer_row`` of the parsed ``values``, made without a ``Fraction``.
 
     Each value is read as :func:`parse_rational` reads it, as a numerator and
-    a denominator; the row is scaled by the lcm of the denominators and then
-    put in lowest terms.
+    a denominator in lowest terms, and the row is scaled by the lcm of the
+    denominators, so it is in lowest terms too. A gcd over the scaled row
+    would do the same at a large cost when the row has many distinct large
+    denominators: its first terms share most of the scale, so each step of
+    that gcd works on numbers about as long as the scale.
     """
     ratios = [_ratio(x) for x in values]
     scale = lcm(*(q for _, q in ratios))
-    return canonical_row(scale, [p * (scale // q) for p, q in ratios])
+    return scale, [p * (scale // q) for p, q in ratios]
 
 
 def column_sums(coefficients, rows) -> tuple[int, list[int]]:
-    """``(D, S)`` with ``S[j] / D == sum_i coefficients[i] * values_i[j]``.
+    """``(D, S)`` with ``S[j] / D == sum_i c_i * values_i[j]``.
 
-    ``rows[i]`` is ``integer_row(values_i)``, a ``(scale, ints)`` pair. Each
-    row's multiplier ``coefficients[i] / scale`` is brought to the common
-    denominator ``D``, so every column sum is one integer dot product. ``S``
-    is not reduced against ``D``.
+    ``coefficients`` is an integer row ``(scale, ints)`` of the c_i, with
+    ``c_i == ints[i] / scale`` and ``scale > 0``, not necessarily in lowest
+    terms, and ``rows[i]`` is ``integer_row(values_i)``. Each row's multiplier
+    ``ints[i] / (scale * scale_i)`` is brought to the common denominator
+    ``D``, so every column sum is one integer dot product. ``S`` is not
+    reduced against ``D``.
     """
-    ts = [Fraction(c, scale) for c, (scale, _) in zip(coefficients, rows)]
-    d = lcm(*(t.denominator for t in ts))
-    k = [t.numerator * (d // t.denominator) for t in ts]
-    return d, [sum(map(mul, k, column)) for column in zip(*(ints for _, ints in rows))]
+    scale, ints = coefficients
+    d = lcm(*(s // gcd(c, s) for c, (s, _) in zip(ints, rows)))
+    k = [c * d // s for c, (s, _) in zip(ints, rows)]
+    return scale * d, [sum(map(mul, k, column)) for column in zip(*(row for _, row in rows))]
 
 
 class Matrix:
@@ -189,7 +199,7 @@ class Matrix:
     """
 
     def __init__(self, entries) -> None:
-        self._set_rows(tuple(integer_row(rationals(row)) for row in entries))
+        self._set_rows(tuple(integer_row(rationals(tuple(row))) for row in entries))
 
     def _set_rows(self, rows) -> None:
         """Hold ``rows`` after checking their shape; a subclass adds its checks."""
@@ -213,11 +223,16 @@ class Matrix:
         return self
 
     @classmethod
+    def _checked(cls, rows) -> "Matrix":
+        """The matrix of ``rows``, integer rows in lowest terms, through every check of ``cls``."""
+        self = object.__new__(cls)
+        self._set_rows(rows)
+        return self
+
+    @classmethod
     def from_rows(cls, rows) -> "Matrix":
         """The matrix of a grid of values that :func:`parse_rational` reads."""
-        self = object.__new__(cls)
-        self._set_rows(tuple(parse_row(row) for row in rows))
-        return self
+        return cls._checked(tuple(parse_row(row) for row in rows))
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:

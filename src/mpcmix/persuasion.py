@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
@@ -118,25 +117,25 @@ def _persuasion_lp(
     candidate c_k bounds the target's integrated cdf there by the prior's:
     sum_{j<k} q_j (c_k - c_j) <= I_P(c_k). The rows are built on integers:
     over the grid's common denominator D each candidate is C_j = c_j D, and
-    so is each prior atom, which is a candidate. With the prior's weights
-    over their common denominator W, one sweep up the grid carries the
-    prior's mass and moment below c_k, and I_P(c_k) = (C_k mass - moment) /
-    (W D), the form that ``mpc_violation``'s integer sweep also uses.
+    each prior atom, A_i over the scale a of the prior's atom row, is the
+    candidate with A_i D == C_k a. With the prior's weights over their
+    scale W, one sweep up the grid carries the prior's mass and moment
+    below c_k, and I_P(c_k) = (C_k mass - moment) / (W D), the form that
+    ``mpc_violation``'s integer sweep also uses.
     ``canonical_row`` puts each row in lowest terms, which ``Matrix._trusted``
     takes unchecked. The utility at every candidate comes from one sweep over
     its sorted knots.
     """
     m = len(candidates)
-    d = lcm(*(c.denominator for c in candidates))
-    grid = [c.numerator * (d // c.denominator) for c in candidates]
-    w, weights = integer_row(source.weights)
+    d, grid = integer_row(candidates)
+    (a, atoms), (w, weights) = source._integer_rows
     rows, bounds = [(1, [1] * m), canonical_row(d, grid)], []
     mass = moment = i = 0
-    for k, (c, ck) in enumerate(zip(candidates, grid)):
+    for k, ck in enumerate(grid):
         if 0 < k < m - 1:
             rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
             bounds.append(Fraction(ck * mass - moment, w * d))
-        if i < len(weights) and source.atoms[i] == c:
+        if i < len(weights) and atoms[i] * d == ck * a:
             mass, moment, i = mass + weights[i], moment + weights[i] * ck, i + 1
     # u(c_j) is cut + slope c_j on the first knot segment that holds c_j.
     knots, objective, j = utility.knots, [], 0

@@ -179,6 +179,6 @@ def test_column_sums_match_fraction_sums():
         for row in values:
             scale, ints = integer_row(row)
             assert scale > 0 and [Fraction(x, scale) for x in ints] == row
-        d, sums = column_sums(coefficients, [integer_row(row) for row in values])
+        d, sums = column_sums(integer_row(coefficients), [integer_row(row) for row in values])
         expected = [sum(c * row[j] for c, row in zip(coefficients, values)) for j in range(m)]
         assert [Fraction(s, d) for s in sums] == expected

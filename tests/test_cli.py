@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpcmix import Mixture, SmpcTriple, decompose_full
+from mpcmix import Mixture, PiecewiseLinearFn, SmpcTriple, decompose_full
 from mpcmix import cli, decomposition, linalg, lp
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
@@ -557,6 +557,39 @@ def test_repeated_calls_match_fresh_processes(tmp_path):
         fresh = subprocess.run([sys.executable, "-m", "mpcmix", *argv], capture_output=True)
         assert fresh.returncode == 0
         assert out.read_bytes() == fresh.stdout
+
+
+def _hash_seed_cases():
+    """The solving commands on README's worked prior and on the duel's prior."""
+    cdf = PiecewiseLinearFn.from_pairs([("0", "0"), ("1/2", "1/3"), ("1", "1")])
+    for prior, opponent in ((PRIOR, cdf), (DUEL_PRIOR, DUEL_CDF)):
+        atoms = prior.atoms
+        grid = [str(c) for c in sorted({*atoms, *((a + b) / 2 for a, b in zip(atoms, atoms[1:]))})]
+        source = prior.to_json()
+        yield "decompose", {"source": source, "transition": GARBLING.to_json()}
+        yield "find-witness", {"source": source, "target": apply_transition(prior, GARBLING).target.to_json()}
+        yield "solve-persuasion", {"source": source, "utility": opponent.to_json(), "candidates": grid}
+        yield "check-deviation", {
+            "source": source,
+            "opponent_cdf": opponent.to_json(),
+            "equilibrium_value": "1/2",
+            "candidates": grid,
+        }
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and dict keys of Fraction values iterate in hash order, which
+    # PYTHONHASHSEED changes from one process to the next.
+    for k, (command, payload) in enumerate(_hash_seed_cases()):
+        path = tmp_path / f"input-{k}.json"
+        path.write_text(json.dumps(payload))
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-m", "mpcmix", command, str(path)], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command
 
 
 def test_each_transition_row_is_converted_once(tmp_path, capsys, monkeypatch):

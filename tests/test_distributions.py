@@ -8,6 +8,7 @@ from mpcmix import (
     SmpcTriple,
     TransitionMatrix,
     apply_transition,
+    decompose_full,
     is_mpc,
     mpc_violation,
 )
@@ -19,7 +20,7 @@ from mpcmix.errors import (
     RowSumError,
     WeightIdentityError,
 )
-from mpcmix.linalg import Matrix
+from mpcmix.linalg import Matrix, integer_row
 from mpcmix.randgen import random_distribution, random_transition
 
 from cases import (
@@ -63,6 +64,43 @@ class TestDiscreteDistribution:
     def test_json_round_trip(self):
         again = DiscreteDistribution.from_json(PRIOR.to_json())
         assert again == PRIOR
+
+    def test_equality_and_hash_do_not_depend_on_the_container(self):
+        half = Fraction(1, 2)
+        built = DiscreteDistribution((Fraction(0), Fraction(1)), (half, half))
+        atoms = [0, 1]
+        for d in (
+            DiscreteDistribution(atoms, [half, half]),
+            DiscreteDistribution((0, 1), [half, half]),
+            DiscreteDistribution((x for x in (0, 1)), (w for w in (half, half))),
+            DiscreteDistribution.from_pairs(["0", "1"], ("1/2", "0.5")),
+        ):
+            assert d == built
+            assert hash(d) == hash(built)
+            assert type(d.atoms) is tuple and type(d.weights) is tuple
+            assert all(type(x) is Fraction for x in d.atoms + d.weights)
+        # A list the caller still holds does not reach into a checked distribution.
+        held = DiscreteDistribution(atoms, [half, half])
+        atoms.append(2)
+        assert held == built and held.atoms == (0, 1)
+
+    def test_many_large_denominators_round_trip(self):
+        # The atom row's scale is the lcm of every atom's denominator, here
+        # thousands of bits; each atom is read and written in lowest terms.
+        rng = Random(3)
+        atoms = sorted({Fraction(rng.getrandbits(64), rng.getrandbits(64) | 1) for _ in range(40)})
+        raw = [rng.randint(1, 9) for _ in atoms]
+        text = {"atoms": [str(a) for a in atoms], "weights": [str(Fraction(w, sum(raw))) for w in raw]}
+        d = DiscreteDistribution.from_json(text)
+        assert d._integer_rows[0] == integer_row(atoms)
+        assert d.to_json() == text
+        assert d.atoms == tuple(atoms)
+
+    def test_the_inherited_row_reader_is_checked(self):
+        assert DiscreteDistribution.from_rows([["0", "1"], ["1/2", "1/2"]]) == dist(["0", "1"], ["1/2", "1/2"])
+        for rows in ([["0", "1"]], [["0", "1"], ["1/2", "1/2"], ["1/2", "1/2"]], [["1", "0"], ["1/2", "1/2"]]):
+            with pytest.raises(DistributionError):
+                DiscreteDistribution.from_rows(rows)
 
 
 class TestTransitionMatrix:
@@ -183,6 +221,24 @@ class TestApplyTransition:
             assert mean(triple.target) == mean(triple.source)
             atoms = triple.target.atoms
             assert all(atoms[k] < atoms[k + 1] for k in range(len(atoms) - 1))
+
+    def test_built_targets_go_through_the_checks(self, monkeypatch):
+        # The garbled target and every mixture component's target are built
+        # as integer rows, and each goes through DiscreteDistribution's checks.
+        checked = []
+        real = DiscreteDistribution._set_rows
+
+        def spy(self, rows):
+            checked.append(rows)
+            real(self, rows)
+
+        monkeypatch.setattr(DiscreteDistribution, "_set_rows", spy)
+        monkeypatch.setattr(DiscreteDistribution, "_trusted", None)
+        triple = apply_transition(PRIOR, GARBLING)
+        mixture = decompose_full(triple)
+        targets = [triple.target] + [component.target for _, component in mixture.components]
+        # The peel builds its components before it sorts them.
+        assert sorted(map(id, checked)) == sorted(id(target._integer_rows) for target in targets)
 
 
 class TestMpcOrder:

@@ -11,8 +11,10 @@ from mpcmix import (
     PiecewiseLinearFn,
     SmpcTriple,
     TransitionMatrix,
+    apply_transition,
     decompose_full,
     linalg,
+    mpc_violation,
     parse_rational,
     split_once,
     verify_uniqueness,
@@ -158,6 +160,23 @@ class TestMatrix:
         built = TransitionMatrix(GARBLING.entries)
         assert hash(SmpcTriple(PRIOR, garbling, TARGET)) == hash(SmpcTriple(PRIOR, built, TARGET))
         assert "entries" not in vars(garbling)
+
+    def test_distributions_read_from_json_build_no_fraction_grid(self):
+        # The order test, certification, garbling, hashing and equality all
+        # read a distribution's integer rows.
+        prior, target = (DiscreteDistribution.from_json(d.to_json()) for d in (PRIOR, TARGET))
+        garbling = TransitionMatrix.from_json(GARBLING.to_json())
+        assert mpc_violation(prior, target) is None
+        assert mpc_violation(target, prior) == "integrated cdf exceeds at 1/6"
+        SmpcTriple(prior, garbling, target)
+        applied = apply_transition(prior, garbling)
+        assert applied.target == target
+        assert hash(prior) == hash(PRIOR) and hash(applied.target) == hash(TARGET)
+        assert prior == PRIOR and prior != target
+        for d in (prior, target, applied.target):
+            assert "entries" not in vars(d)
+        # The grid is what the Fraction atoms are read from.
+        assert prior.atoms == PRIOR.atoms and "entries" in vars(prior)
 
 
 HALF = Fraction(1, 2)
