@@ -476,14 +476,16 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
                 basis.drop(k)
         remainder, den = rest, rest_den
     peeled.append((weight, remainder, den))
+    # A component's atoms are the target's atoms at its vertex's support
+    # columns, and those increase with the column index, so ordering by
+    # weight and then support columns is ordering by weight and then atoms.
+    # Equal support columns fix the vertex, so there are no ties.
+    peeled.sort(key=lambda item: (-item[0], [k for k, x in enumerate(item[1]) if x]))
 
     components = _components(triple, peeled)
     for _, component in components:
         if component.target.cols > n:
             raise InternalError("peeled component has more atoms than the source")
-    # Components with equal atoms would have equal support columns, which fix
-    # the vertex, so weight and atoms order them without ties.
-    components.sort(key=lambda item: (-item[0], item[1].target.atoms))
     return Mixture(tuple(components))
 
 

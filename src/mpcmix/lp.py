@@ -5,10 +5,13 @@ x >= 0, everything rational. Bland's pivoting (lowest eligible index in and
 out) guarantees termination under the heavy degeneracy these feasibility
 systems produce, and exact arithmetic makes the reported optimum a certificate
 rather than an approximation. The tableau holds integer rows and pivots
-without fractions (see ``_Tableau``). Persuasion states its LP over the
-target's weights on a candidate grid (see
-``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
-contraction order, come from ``distributions.find_witness`` with no LP.
+without fractions (see ``_Tableau``). A caller that knows a feasible basis
+can hand it to ``solve`` as ``start``: its pivots are forced, the basis is
+checked to be feasible, and phase 2 runs from it with no phase 1.
+Persuasion states its LP over the target's weights on a candidate grid and
+starts it at full disclosure (see ``persuasion.solve_linear_persuasion``);
+garblings, and witnesses for the contraction order, come from
+``distributions.find_witness`` with no LP.
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ class _Tableau:
     so only their signs are read. Every pivot choice matches the one a
     rational tableau makes, so the pivot sequence, and the outcome, are the
     same.
+
+    ``solve`` runs phase 1 from the slack and artificial basis, or, given a
+    start, pivots that start's pairs in and checks it instead: every forced
+    pivot entry is nonzero, every basic level is nonnegative and every
+    artificial still basic sits at level 0. Phase 2 then runs once, from
+    that feasible basis with the artificial columns cut.
     """
 
     def __init__(self, lp: StandardFormLP):
@@ -116,7 +125,7 @@ class _Tableau:
         rows = self.rows
         row_r = rows[r]
         a = row_r[s]
-        if a < 0:  # only when expelling an artificial; keep the basic coefficient positive
+        if a < 0:  # a forced pivot, never a ratio-test one; keep the basic coefficient positive
             row_r = rows[r] = [-x for x in row_r]
             a = -a
         for r2, row in enumerate(rows):
@@ -172,9 +181,24 @@ class _Tableau:
         self.rows = [_reduced(self.rows[r][:fa] + self.rows[r][-1:]) for r in keep]
         self.basis = [self.basis[r] for r in keep]
 
-    def solve(self) -> LPOutcome:
+    def _start(self, pairs) -> None:
+        """Pivot each ``(row, column)`` pair in, check the basis feasible, cut the artificials."""
+        for r, s in pairs:
+            if not self.rows[r][s]:
+                raise InternalError(f"starting pivot ({r}, {s}) has a zero entry")
+            self._pivot(r, s)
         fa = self.first_artificial
-        if self.n_artificial:
+        # x_B = rhs / coefficient and every basic coefficient is positive.
+        for r, (row, b) in enumerate(zip(self.rows, self.basis)):
+            if row[-1] < 0 or (b >= fa and row[-1]):
+                raise InternalError(f"starting basis is infeasible at row {r}")
+        self._expel_artificials()
+
+    def solve(self, start=None) -> LPOutcome:
+        fa = self.first_artificial
+        if start is not None:
+            self._start(start)
+        elif self.n_artificial:
             status = self._run([0] * fa + [-1] * self.n_artificial)
             if status != "optimal":  # the phase-1 objective is bounded above by 0
                 raise InternalError("phase 1 reported unbounded")
@@ -197,6 +221,12 @@ class _Tableau:
         return LPOutcome("optimal", solution, value, self.pivots)
 
 
-def solve(lp: StandardFormLP) -> LPOutcome:
-    """Exact optimum, or infeasible/unbounded status."""
-    return _Tableau(lp).solve()
+def solve(lp: StandardFormLP, *, start=None) -> LPOutcome:
+    """Exact optimum, or infeasible/unbounded status.
+
+    ``start``, a sequence of ``(row, column)`` pairs, names a feasible basis
+    to begin phase 2 from; the pairs are pivoted in order and the result is
+    checked, and a start that is singular or infeasible is an
+    ``InternalError``. Without it, phase 1 finds a feasible basis.
+    """
+    return _Tableau(lp).solve(start)

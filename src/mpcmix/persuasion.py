@@ -153,6 +153,25 @@ def _persuasion_lp(
     )
 
 
+def _full_disclosure(atom_columns: list[int]) -> list[tuple[int, int]]:
+    """The weight LP's basis at Q = P, as ``lp.solve`` start pairs.
+
+    ``atom_columns`` holds k_1 < ... < k_n, the candidate index of each prior
+    atom a_i. Row 0 is mass, row 1 is mean and row k + 1 belongs to interior
+    candidate k, so the pairs are (0, k_n), (1, k_{n-1}) and then
+    (k_i + 1, k_{i-1}) for i = n-1 down to 2. Each pivot entry is nonzero:
+    the mass row's is 1; the mean row's becomes c_{k_{n-1}} - c_{k_n} < 0
+    after the first pivot; and the row at a_i is a_i - a_{i-1} > 0 there,
+    untouched by the pivots before it, which are on columns where that row is
+    zero. The n atom columns are then basic at the prior's weights, and every
+    other interior row stays on its slack at I_P - I_P = 0. With n = 1 only
+    (0, k_1) is pivoted, and the mean row, 0 = 0 by then, keeps its
+    artificial at level 0 for ``lp.solve`` to drop.
+    """
+    rows = [0, 1] + [k + 1 for k in reversed(atom_columns[1:-1])]
+    return list(zip(rows, reversed(atom_columns)))
+
+
 def solve_linear_persuasion(
     source: DiscreteDistribution,
     utility: PiecewiseLinearFn,
@@ -169,7 +188,8 @@ def solve_linear_persuasion(
     feasible because the candidates must contain every source atom. The rows,
     right-hand side and objective come from integer sweeps over the grid's
     common denominator (``_persuasion_lp``); they are exactly those of a
-    per-entry ``Fraction`` build, so the simplex makes the same pivots. The
+    per-entry ``Fraction`` build. The simplex starts at full disclosure, a
+    feasible vertex (``_full_disclosure``), so it runs no phase 1. The
     positive-weight candidates are the optimum's target, and ``find_witness``
     builds its garbling. The optimum is a vertex, so it has at most n atoms,
     and its expected utility is the LP's value; both are checked exactly, and
@@ -185,14 +205,15 @@ def solve_linear_persuasion(
     a1, an = source.atoms[0], source.atoms[-1]
     if candidates[0] < a1 or candidates[-1] > an:
         raise CandidateError("candidates must lie within the prior's atom range")
-    candidate_set = set(candidates)
-    if not set(source.atoms) <= candidate_set:
+    column = {c: k for k, c in enumerate(candidates)}
+    if not all(a in column for a in source.atoms):
         raise CandidateError("candidates must include every atom of the prior")
     lo, hi = utility.domain
     if lo > a1 or hi < an:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    outcome = lp.solve(_persuasion_lp(source, utility, candidates))
+    start = _full_disclosure([column[a] for a in source.atoms])
+    outcome = lp.solve(_persuasion_lp(source, utility, candidates), start=start)
     if outcome.status != "optimal":  # full disclosure is feasible, weights are bounded
         raise InternalError(f"persuasion LP came back {outcome.status}")
     atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
@@ -206,7 +227,7 @@ def solve_linear_persuasion(
     witness = find_witness(source, target)
     if witness is None:
         raise InternalError("persuasion LP optimum is not a contraction of the prior")
-    exact = all(x in candidate_set for x, _ in utility.knots if a1 < x < an)
+    exact = all(x in column for x, _ in utility.knots if a1 < x < an)
     # find_witness has already run the full SmpcTriple check on this source,
     # witness and target, so a second check would only repeat it.
     return PersuasionSolution(

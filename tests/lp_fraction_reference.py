@@ -3,7 +3,9 @@
 ``mpcmix.lp`` pivots on integer rows. This is the earlier tableau, kept
 unchanged so tests can require the integer version to return the same
 ``LPOutcome`` (status, solution, value and pivot count) on the same LP: the
-same Bland's-rule pivots, done in rational arithmetic.
+same Bland's-rule pivots, done in rational arithmetic. A ``start`` is taken
+as ``mpcmix.lp.solve`` takes it: its pivots are forced and checked, and
+phase 2 runs from it.
 """
 
 from fractions import Fraction
@@ -127,8 +129,20 @@ class _Tableau:
         self.rhs = [self.rhs[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
 
-    def solve(self) -> LPOutcome:
-        if self.n_artificial:
+    def _start(self, pairs) -> None:
+        for r, s in pairs:
+            if self.rows[r][s] == 0:
+                raise InternalError(f"starting pivot ({r}, {s}) has a zero entry")
+            self._pivot(r, s, None)
+        for r, b in enumerate(self.basis):
+            if self.rhs[r] < 0 or (b >= self.first_artificial and self.rhs[r] != 0):
+                raise InternalError(f"starting basis is infeasible at row {r}")
+        self._expel_artificials()
+
+    def solve(self, start=None) -> LPOutcome:
+        if start is not None:
+            self._start(start)
+        elif self.n_artificial:
             costs = [Fraction(0)] * self.width
             for j in range(self.first_artificial, self.width):
                 costs[j] = Fraction(-1)
@@ -155,5 +169,5 @@ class _Tableau:
         return LPOutcome("optimal", solution, value, self.pivots)
 
 
-def reference_solve(lp: StandardFormLP) -> LPOutcome:
-    return _Tableau(lp).solve()
+def reference_solve(lp: StandardFormLP, start=None) -> LPOutcome:
+    return _Tableau(lp).solve(start)

@@ -284,13 +284,13 @@ def test_solve_persuasion(tmp_path, capsys):
 PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
 
 
-def _infeasible(solve, problem):
+def _infeasible(solve, problem, start):
     # Full disclosure is always feasible, so an infeasible weight LP can only
     # come from a broken solver.
     return lp.LPOutcome("infeasible")
 
 
-def _non_vertex(solve, problem):
+def _non_vertex(solve, problem, start):
     # TARGET is a feasible 4-atom contraction of the 3-atom PRIOR. By the
     # paper's theorem it is a mixture of smaller ones, so it is no vertex.
     weights = dict(zip(TARGET.atoms, TARGET.weights))
@@ -298,8 +298,8 @@ def _non_vertex(solve, problem):
     return lp.LPOutcome("optimal", solution, sum(u * q for u, q in zip(problem.objective, solution)))
 
 
-def _wrong_value(solve, problem):
-    outcome = solve(problem)
+def _wrong_value(solve, problem, start):
+    outcome = solve(problem, start=start)
     return dataclasses.replace(outcome, value=outcome.value + Fraction(1, 1000))
 
 
@@ -314,7 +314,7 @@ def _wrong_value(solve, problem):
 )
 def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch, broken_solve, message):
     solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda problem: broken_solve(solve, problem))
+    monkeypatch.setattr(lp, "solve", lambda problem, *, start=None: broken_solve(solve, problem, start))
     payload = {
         "source": PRIOR.to_json(),
         "utility": {"knots": [["0", "1/5"], ["1", "9/10"]]},

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mpcmix import (
     Matrix,
+    PiecewiseLinearFn,
     SmpcTriple,
     StandardFormLP,
     find_witness,
@@ -16,7 +17,8 @@ from mpcmix import (
     solve_lp,
 )
 from mpcmix import lp as lp_module
-from mpcmix.errors import DimensionError
+from mpcmix import persuasion
+from mpcmix.errors import DimensionError, InternalError
 
 from cases import PRIOR, TARGET, dist, mean, point_mass
 
@@ -196,13 +198,13 @@ class TestFindWitness:
 
 
 def _recorded_lps(monkeypatch, run):
-    """Every LP that ``run`` hands to ``mpcmix.lp.solve``."""
+    """Every LP that ``run`` hands to ``mpcmix.lp.solve``, as ``(problem, start)``."""
     seen = []
     real = lp_module.solve
 
-    def record(problem):
-        seen.append(problem)
-        return real(problem)
+    def record(problem, *, start=None):
+        seen.append((problem, start))
+        return real(problem, start=start)
 
     monkeypatch.setattr(lp_module, "solve", record)
     run()
@@ -212,13 +214,13 @@ def _recorded_lps(monkeypatch, run):
 class TestMatchesTheFractionTableau:
     """The integer tableau makes the rational tableau's pivots: equal outcomes, pivot counts included."""
 
-    def assert_same(self, problems):
-        for problem in problems:
-            assert solve_lp(problem) == reference_solve(problem)
+    def assert_same(self, runs):
+        for problem, start in runs:
+            assert solve_lp(problem, start=start) == reference_solve(problem, start)
 
     def test_random_instances(self):
         rng = Random(61)
-        self.assert_same([random_lp(rng) for _ in range(80)])
+        self.assert_same([(random_lp(rng), None) for _ in range(80)])
 
     def test_witness_programs(self, monkeypatch):
         def run():
@@ -230,10 +232,11 @@ class TestMatchesTheFractionTableau:
                 lp_witness(target, source)
                 lp_witness(source, perturb_mean(rng, target))
 
-        problems = _recorded_lps(monkeypatch, run)
-        assert len(problems) == 60
-        assert {solve_lp(p).status for p in problems} == {"optimal", "infeasible"}
-        self.assert_same(problems)
+        runs = _recorded_lps(monkeypatch, run)
+        assert len(runs) == 60
+        assert all(start is None for _, start in runs)
+        assert {solve_lp(p).status for p, _ in runs} == {"optimal", "infeasible"}
+        self.assert_same(runs)
 
     def test_persuasion_programs(self, monkeypatch):
         def run():
@@ -244,9 +247,10 @@ class TestMatchesTheFractionTableau:
                 u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
                 solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in u.knots}))
 
-        problems = _recorded_lps(monkeypatch, run)
-        assert len(problems) == 40
-        self.assert_same(problems)
+        runs = _recorded_lps(monkeypatch, run)
+        assert len(runs) == 40
+        assert all(start is not None for _, start in runs)
+        self.assert_same(runs)
 
     def test_large_coprime_denominators(self):
         problem = lp(
@@ -282,3 +286,144 @@ class TestMatchesTheFractionTableau:
         assert out == lp_module.LPOutcome(
             "optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2
         )
+
+
+def _weight_lp(source, utility, candidates):
+    """``solve_linear_persuasion``'s weight LP on ``candidates`` and its full-disclosure start."""
+    candidates = tuple(Fraction(c) for c in candidates)
+    problem = persuasion._persuasion_lp(source, utility, candidates)
+    return problem, persuasion._full_disclosure([candidates.index(a) for a in source.atoms])
+
+
+def _pwl(*knots):
+    return PiecewiseLinearFn.from_pairs(knots)
+
+
+def _grid_probe(m):
+    """A 5-atom prior on the grid j/(m-1), with a utility knot at every candidate."""
+    rng = Random(7)
+    grid = [Fraction(j, m - 1) for j in range(m)]
+    utility = PiecewiseLinearFn(tuple((x, Fraction(rng.randint(-8, 8), rng.randint(1, 3))) for x in grid))
+    prior = dist(["0", "1/4", "1/2", "3/4", "1"], ["1/10", "1/5", "2/5", "1/5", "1/10"])
+    return _weight_lp(prior, utility, grid)
+
+
+class TestFullDisclosureStart:
+    """The persuasion LP starts at Q = P and runs phase 2 alone; a bad start is an ``InternalError``."""
+
+    @pytest.mark.parametrize(
+        "source, candidates, rows",
+        [
+            (point_mass("0"), ["0"], 1),
+            (point_mass("1/2"), ["1/2"], 1),
+            (dist(["0", "1"], ["1/4", "3/4"]), ["0", "1"], 2),
+            (dist(["0", "1"], ["1/4", "3/4"]), ["0", "1/3", "1"], 3),
+            (PRIOR, ["0", "1/6", "1/2", "3/4", "1"], 5),
+        ],
+        ids=["n=1 at 0", "n=1 at 1/2", "n=2", "n=2 interior", "n=3"],
+    )
+    def test_start_is_the_prior(self, source, candidates, rows):
+        utility = _pwl(("0", "1/5"), ("1/3", "1"), ("1", "-1/2"))
+        problem, start = _weight_lp(source, utility, candidates)
+        tableau = lp_module._Tableau(problem)
+        tableau._start(start)
+        # The artificial columns are cut, and with n = 1 so is the mean row.
+        assert len(tableau.rows) == rows
+        assert all(len(row) == tableau.first_artificial + 1 for row in tableau.rows)
+        levels = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau.rows, tableau.basis)}
+        # Each atom column is basic at its weight. The row of every other
+        # interior candidate c_k stays on its slack, column m + k - 1, at
+        # I_P - I_Q = 0.
+        weights = dict(zip(source.atoms, source.weights))
+        grid = [Fraction(c) for c in candidates]
+        m = len(grid)
+        expected = {j: weights[c] for j, c in enumerate(grid) if c in weights}
+        expected.update({m + k - 1: 0 for k in range(1, m - 1) if grid[k] not in weights})
+        assert levels == expected
+        out = solve_lp(problem, start=start)
+        assert out == reference_solve(problem, start)
+        assert out.value == solve_lp(problem).value
+
+    def test_a_point_mass_at_zero_has_an_all_zero_mean_row(self):
+        problem, start = _weight_lp(point_mass("0"), _pwl(("0", "1"), ("1", "2")), ["0"])
+        assert problem.constraint_matrix._integer_rows[1] == (1, [0])
+        assert problem.rhs[1] == 0
+        assert start == [(0, 0)]
+        assert solve_lp(problem, start=start) == lp_module.LPOutcome("optimal", (1,), 1, pivots=1)
+
+    def test_interior_rows_take_the_interior_atoms(self):
+        prior = dist(["0", "1/4", "1/2", "1"], ["1/4", "1/4", "1/4", "1/4"])
+        candidates = ["0", "1/8", "1/4", "3/8", "1/2", "3/4", "1"]
+        _, start = _weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
+        # Atoms at candidates 0, 2, 4 and 6; the rows of 1/2 and 1/4 are 5 and 3.
+        assert start == [(0, 6), (1, 4), (5, 2), (3, 0)]
+
+    def test_zero_pivot_entry_is_an_internal_error(self):
+        # The mean row of a point mass at 0 is all zero.
+        problem, _ = _weight_lp(point_mass("0"), _pwl(("0", "1"), ("1", "2")), ["0"])
+        message = r"^starting pivot \(1, 0\) has a zero entry$"
+        with pytest.raises(InternalError, match=message):
+            solve_lp(problem, start=[(1, 0)])
+        with pytest.raises(InternalError, match=message):
+            reference_solve(problem, [(1, 0)])
+
+    @pytest.mark.parametrize(
+        "problem, start, row",
+        [
+            # x1 = 1 leaves the slack of x1 <= 1/2 at -1/2.
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [(0, 0)], 1),
+            # No pivot: the equality row's artificial stays basic at level 1.
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [], 0),
+            # All mass on 0: the mean row's artificial is basic at 3/4.
+            (_weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0], [(0, 0)], 1),
+            # All mass on 1: the mean row's artificial would sit at -1/4.
+            (_weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0], [(0, 1)], 1),
+        ],
+        ids=["negative slack", "artificial at 1", "artificial at 3/4", "artificial at -1/4"],
+    )
+    def test_infeasible_start_is_an_internal_error(self, problem, start, row):
+        message = f"^starting basis is infeasible at row {row}$"
+        with pytest.raises(InternalError, match=message):
+            solve_lp(problem, start=start)
+        with pytest.raises(InternalError, match=message):
+            reference_solve(problem, start)
+
+    def test_persuasion_runs_one_simplex_phase(self, monkeypatch):
+        runs = []
+        real = lp_module._Tableau._run
+
+        def counted(self, costs):
+            runs.append(len(costs))
+            return real(self, costs)
+
+        monkeypatch.setattr(lp_module._Tableau, "_run", counted)
+        utility = _pwl(("0", "1"), ("1/4", "-1"), ("3/4", "2"), ("1", "0"))
+        candidates = ["0", "1/4", "1/3", "1/2", "3/4", "1"]
+        solve_linear_persuasion(PRIOR, utility, candidates)
+        # Phase 2 alone, on the 6 weights and 4 slacks with no artificial column.
+        assert runs == [10]
+        # Without the start, phase 1 runs first, with the 2 artificial columns.
+        solve_lp(_weight_lp(PRIOR, utility, candidates)[0])
+        assert runs == [10, 12, 10]
+
+    def test_start_and_phase_1_reach_equal_values(self):
+        rng = Random(83)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            source = random_smpc(rng, n, n).source
+            lo, hi = source.atoms[0], source.atoms[-1]
+            u = random_piecewise_linear(rng, lo, hi, interior=rng.randint(1, 4))
+            extra = {lo + (hi - lo) * Fraction(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 4))}
+            candidates = sorted(set(source.atoms) | {x for x, _ in u.knots} | extra)
+            problem, start = _weight_lp(source, u, candidates)
+            started, phase_1 = solve_lp(problem, start=start), solve_lp(problem)
+            assert started.status == phase_1.status == "optimal"
+            assert started.value == phase_1.value
+            assert sum(1 for q in started.solution if q) <= n
+
+    def test_grid_probe_pivots(self):
+        problem, start = _grid_probe(41)
+        started, phase_1 = solve_lp(problem, start=start), solve_lp(problem)
+        assert phase_1.pivots == 87
+        assert started.pivots <= 25
+        assert started.value == phase_1.value == Fraction(287, 60)
