@@ -10,6 +10,13 @@ points without changing the objective or leaving the feasible set. The
 grid-restricted optimum then equals the unrestricted one; with a coarser
 grid it is still an exact lower bound.
 
+The contraction order needs one row per interior prior atom, not one per
+candidate: the target's integrated cdf is convex, the prior's is affine
+between consecutive prior atoms, and the two agree at the prior's extreme
+atoms once mass and mean agree. So the LP has max(n, 2) rows however fine the
+grid, and a basic solution has at most that many positive weights: for
+n >= 2, the bound of the theorem below.
+
 The LP's feasible set is exactly the contractions of the prior on the grid,
 and the simplex stops at a vertex of it. By the paper's theorem, a
 contraction with more than n atoms is a mixture of contractions with at most
@@ -114,28 +121,35 @@ def _persuasion_lp(
     """The weight LP of ``solve_linear_persuasion`` on its checked grid.
 
     Column j is q_j. After the mass and mean rows, the row of each interior
-    candidate c_k bounds the target's integrated cdf there by the prior's:
-    sum_{j<k} q_j (c_k - c_j) <= I_P(c_k). The rows are built on integers:
-    over the grid's common denominator D each candidate is C_j = c_j D, and
-    each prior atom, A_i over the scale a of the prior's atom row, is the
-    candidate with A_i D == C_k a. With the prior's weights over their
-    scale W, one sweep up the grid carries the prior's mass and moment
-    below c_k, and I_P(c_k) = (C_k mass - moment) / (W D), the form that
-    ``mpc_violation``'s integer sweep also uses.
-    ``canonical_row`` puts each row in lowest terms, which ``Matrix._trusted``
-    takes unchecked. The utility at every candidate comes from one sweep over
-    its sorted knots.
+    prior atom a_i, i = 2..n-1, bounds the target's integrated cdf there by
+    the prior's: sum_{c_j < a_i} q_j (a_i - c_j) <= I_P(a_i). That is
+    max(n, 2) rows, whatever the grid. They decide the contraction order on
+    the whole grid: I_Q is convex and I_P is affine between consecutive prior
+    atoms, so I_Q <= I_P at both ends of such an interval holds across it;
+    and with the mass and mean rows both sides are 0 at a_1 and a_n - mu at
+    a_n.
+
+    The rows are built on integers: over the grid's common denominator D
+    each candidate is C_j = c_j D, and each prior atom, A_i over the scale a
+    of the prior's atom row, is the candidate with A_i D == C_k a. With the
+    prior's weights over their scale W, one sweep up the grid carries the
+    prior's mass and moment below each atom, and I_P(a_i) = (C_k mass -
+    moment) / (W D), the form that ``mpc_violation``'s integer sweep also
+    uses. ``canonical_row`` puts each row in lowest terms, which
+    ``Matrix._trusted`` takes unchecked. The utility at every candidate
+    comes from one sweep over its sorted knots.
     """
     m = len(candidates)
     d, grid = integer_row(candidates)
     (a, atoms), (w, weights) = source._integer_rows
+    n = len(weights)
     rows, bounds = [(1, [1] * m), canonical_row(d, grid)], []
     mass = moment = i = 0
     for k, ck in enumerate(grid):
-        if 0 < k < m - 1:
-            rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
-            bounds.append(Fraction(ck * mass - moment, w * d))
-        if i < len(weights) and atoms[i] * d == ck * a:
+        if i < n and atoms[i] * d == ck * a:
+            if 0 < i < n - 1:
+                rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
+                bounds.append(Fraction(ck * mass - moment, w * d))
             mass, moment, i = mass + weights[i], moment + weights[i] * ck, i + 1
     # u(c_j) is cut + slope c_j on the first knot segment that holds c_j.
     knots, objective, j = utility.knots, [], 0
@@ -157,18 +171,18 @@ def _full_disclosure(atom_columns: list[int]) -> list[tuple[int, int]]:
     """The weight LP's basis at Q = P, as ``lp.solve`` start pairs.
 
     ``atom_columns`` holds k_1 < ... < k_n, the candidate index of each prior
-    atom a_i. Row 0 is mass, row 1 is mean and row k + 1 belongs to interior
-    candidate k, so the pairs are (0, k_n), (1, k_{n-1}) and then
-    (k_i + 1, k_{i-1}) for i = n-1 down to 2. Each pivot entry is nonzero:
-    the mass row's is 1; the mean row's becomes c_{k_{n-1}} - c_{k_n} < 0
-    after the first pivot; and the row at a_i is a_i - a_{i-1} > 0 there,
-    untouched by the pivots before it, which are on columns where that row is
-    zero. The n atom columns are then basic at the prior's weights, and every
-    other interior row stays on its slack at I_P - I_P = 0. With n = 1 only
-    (0, k_1) is pivoted, and the mean row, 0 = 0 by then, keeps its
-    artificial at level 0 for ``lp.solve`` to drop.
+    atom a_i. Row 0 is mass, row 1 is mean and row i belongs to the interior
+    atom a_i, so the pairs are (0, k_n), (1, k_{n-1}) and then (i, k_{i-1})
+    for i = n-1 down to 2: every row gets a pivot, and no slack starts
+    basic. Each pivot entry is nonzero: the mass row's is 1; the mean row's
+    becomes c_{k_{n-1}} - c_{k_n} < 0 after the first pivot; and the row of
+    a_i has a_i - a_{i-1} > 0 there, untouched by the pivots before it,
+    which are on columns where that row is zero. The n atom columns are then
+    basic at the prior's weights, with every slack at I_P - I_P = 0. With
+    n = 1 only (0, k_1) is pivoted, and the mean row, 0 = 0 by then, keeps
+    its artificial at level 0 for ``lp.solve`` to drop.
     """
-    rows = [0, 1] + [k + 1 for k in reversed(atom_columns[1:-1])]
+    rows = [0, 1, *range(len(atom_columns) - 1, 1, -1)]
     return list(zip(rows, reversed(atom_columns)))
 
 
@@ -180,11 +194,12 @@ def solve_linear_persuasion(
     """Maximize expected utility over contractions supported on the candidates.
 
     Variables are the target's weights q_j on the candidates c_j. They sum to
-    1, their mean is the prior's, and at every interior candidate the
-    target's integrated cdf sum_{j<k} q_j (c_k - c_j) is at most the prior's.
-    The grid holds every prior atom, so both integrated cdfs are linear
-    between grid points and these rows decide the contraction order (the
-    Rothschild-Stiglitz form of the problem). Full disclosure is always
+    1, their mean is the prior's, and at every interior prior atom a_i the
+    target's integrated cdf sum_{c_j < a_i} q_j (a_i - c_j) is at most the
+    prior's (the Rothschild-Stiglitz form of the problem). The target's
+    integrated cdf is convex and the prior's is affine between its atoms, so
+    these n - 2 rows decide the contraction order on the whole grid, and the
+    LP has max(n, 2) rows however fine the grid is. Full disclosure is always
     feasible because the candidates must contain every source atom. The rows,
     right-hand side and objective come from integer sweeps over the grid's
     common denominator (``_persuasion_lp``); they are exactly those of a
@@ -287,12 +302,13 @@ def check_no_profitable_deviation(
     """
     if not opponent_cdf.is_cdf():
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
+    equilibrium_value = parse_rational(equilibrium_value)
     a1, an = source.atoms[0], source.atoms[-1]
     merged = set(parse_rational(x) for x in candidates)
     merged.update(x for x, _ in opponent_cdf.knots if a1 <= x <= an)
     solution = solve_linear_persuasion(source, opponent_cdf, sorted(merged))
     return DeviationCheck(
         max_payoff=solution.value,
-        equilibrium_value=parse_rational(equilibrium_value),
+        equilibrium_value=equilibrium_value,
         solution=solution,
     )

@@ -1,12 +1,16 @@
-"""The persuasion weight LP as it was built over ``Fraction`` entries: a test-only reference.
+"""The persuasion weight LP built over ``Fraction`` entries: a test-only reference.
 
 ``mpcmix.persuasion._persuasion_lp`` builds the LP in integer sweeps over one
-common denominator. This is the earlier build, kept unchanged: every
-``(c_k - c_j)+`` entry is a ``Fraction`` and ``Matrix`` converts each row to
+common denominator. ``persuasion_lp`` builds the same LP entry by entry: every
+``(a_i - c_j)+`` entry is a ``Fraction`` and ``Matrix`` converts each row to
 integers, the utility is evaluated at each candidate by scanning its knots,
-and the prior's integrated cdf takes one sum per interior candidate. Tests
+and the prior's integrated cdf takes one sum per interior prior atom. Tests
 require the same integer rows, right-hand side, objective and senses from
 both.
+
+``full_grid_lp`` is the earlier form of the LP, with one integrated-cdf row
+per interior candidate rather than per interior prior atom. Tests use it to
+check that the fewer rows cut out the same feasible set.
 """
 
 from fractions import Fraction
@@ -17,18 +21,28 @@ from mpcmix.linalg import Matrix
 from cases import integrated_cdf, mean
 
 
-def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
-    """``solve_linear_persuasion``'s LP on the checked ``candidates``, a tuple of ``Fraction``."""
-    interior = candidates[1:-1]
+def _order_lp(source, utility, candidates, points) -> lp.StandardFormLP:
+    """Mass and mean rows, then one row per point c in ``points``:
+    sum_j q_j max(c - c_j, 0) <= I_P(c)."""
     zero, one = Fraction(0), Fraction(1)
-    # Column j is q_j. After the mass and mean rows, the row of each interior
-    # candidate c bounds the target's integrated cdf there by the prior's:
-    # sum_j q_j max(c - c_j, 0) <= I_P(c).
     rows = [(one,) * len(candidates), candidates]
-    rows += [tuple(max(c - x, zero) for x in candidates) for c in interior]
+    rows += [tuple(max(c - x, zero) for x in candidates) for c in points]
     return lp.StandardFormLP(
         objective=tuple(utility(c) for c in candidates),
         constraint_matrix=Matrix(tuple(rows)),
-        rhs=(one, mean(source), *(integrated_cdf(source, c) for c in interior)),
-        senses=("eq", "eq") + ("le",) * len(interior),
+        rhs=(one, mean(source), *(integrated_cdf(source, c) for c in points)),
+        senses=("eq", "eq") + ("le",) * len(points),
     )
+
+
+def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
+    """``solve_linear_persuasion``'s LP on the checked ``candidates``, a tuple of ``Fraction``.
+
+    Column j is q_j; the order rows sit at the prior's interior atoms.
+    """
+    return _order_lp(source, utility, candidates, source.atoms[1:-1])
+
+
+def full_grid_lp(source, utility, candidates) -> lp.StandardFormLP:
+    """The same weight LP with an order row at every interior candidate."""
+    return _order_lp(source, utility, candidates, candidates[1:-1])

@@ -24,6 +24,7 @@ from cases import PRIOR, TARGET, dist, mean, point_mass
 
 from lp_fraction_reference import reference_solve
 from lp_oracle import lp_witness, oracle_solve, oracle_status
+from persuasion_lp_reference import full_grid_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
@@ -299,13 +300,18 @@ def _pwl(*knots):
     return PiecewiseLinearFn.from_pairs(knots)
 
 
-def _grid_probe(m):
-    """A 5-atom prior on the grid j/(m-1), with a utility knot at every candidate."""
+def _grid_probe_instance(m):
+    """A 5-atom prior, a utility with a knot at every candidate, and the grid j/(m-1)."""
     rng = Random(7)
-    grid = [Fraction(j, m - 1) for j in range(m)]
+    grid = tuple(Fraction(j, m - 1) for j in range(m))
     utility = PiecewiseLinearFn(tuple((x, Fraction(rng.randint(-8, 8), rng.randint(1, 3))) for x in grid))
     prior = dist(["0", "1/4", "1/2", "3/4", "1"], ["1/10", "1/5", "2/5", "1/5", "1/10"])
-    return _weight_lp(prior, utility, grid)
+    return prior, utility, grid
+
+
+def _grid_probe(m):
+    """The weight LP of ``_grid_probe_instance(m)`` and its full-disclosure start."""
+    return _weight_lp(*_grid_probe_instance(m))
 
 
 class TestFullDisclosureStart:
@@ -317,8 +323,8 @@ class TestFullDisclosureStart:
             (point_mass("0"), ["0"], 1),
             (point_mass("1/2"), ["1/2"], 1),
             (dist(["0", "1"], ["1/4", "3/4"]), ["0", "1"], 2),
-            (dist(["0", "1"], ["1/4", "3/4"]), ["0", "1/3", "1"], 3),
-            (PRIOR, ["0", "1/6", "1/2", "3/4", "1"], 5),
+            (dist(["0", "1"], ["1/4", "3/4"]), ["0", "1/3", "1"], 2),
+            (PRIOR, ["0", "1/6", "1/2", "3/4", "1"], 3),
         ],
         ids=["n=1 at 0", "n=1 at 1/2", "n=2", "n=2 interior", "n=3"],
     )
@@ -331,15 +337,10 @@ class TestFullDisclosureStart:
         assert len(tableau.rows) == rows
         assert all(len(row) == tableau.first_artificial + 1 for row in tableau.rows)
         levels = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau.rows, tableau.basis)}
-        # Each atom column is basic at its weight. The row of every other
-        # interior candidate c_k stays on its slack, column m + k - 1, at
-        # I_P - I_Q = 0.
+        # Each atom column is basic at its weight, and no slack is basic.
         weights = dict(zip(source.atoms, source.weights))
         grid = [Fraction(c) for c in candidates]
-        m = len(grid)
-        expected = {j: weights[c] for j, c in enumerate(grid) if c in weights}
-        expected.update({m + k - 1: 0 for k in range(1, m - 1) if grid[k] not in weights})
-        assert levels == expected
+        assert levels == {j: weights[c] for j, c in enumerate(grid) if c in weights}
         out = solve_lp(problem, start=start)
         assert out == reference_solve(problem, start)
         assert out.value == solve_lp(problem).value
@@ -355,8 +356,8 @@ class TestFullDisclosureStart:
         prior = dist(["0", "1/4", "1/2", "1"], ["1/4", "1/4", "1/4", "1/4"])
         candidates = ["0", "1/8", "1/4", "3/8", "1/2", "3/4", "1"]
         _, start = _weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
-        # Atoms at candidates 0, 2, 4 and 6; the rows of 1/2 and 1/4 are 5 and 3.
-        assert start == [(0, 6), (1, 4), (5, 2), (3, 0)]
+        # Atoms at candidates 0, 2, 4 and 6; the rows of 1/2 and 1/4 are 3 and 2.
+        assert start == [(0, 6), (1, 4), (3, 2), (2, 0)]
 
     def test_zero_pivot_entry_is_an_internal_error(self):
         # The mean row of a point mass at 0 is all zero.
@@ -400,11 +401,12 @@ class TestFullDisclosureStart:
         utility = _pwl(("0", "1"), ("1/4", "-1"), ("3/4", "2"), ("1", "0"))
         candidates = ["0", "1/4", "1/3", "1/2", "3/4", "1"]
         solve_linear_persuasion(PRIOR, utility, candidates)
-        # Phase 2 alone, on the 6 weights and 4 slacks with no artificial column.
-        assert runs == [10]
+        # Phase 2 alone, on the 6 weights and the slack of the one interior
+        # atom's row, with no artificial column.
+        assert runs == [7]
         # Without the start, phase 1 runs first, with the 2 artificial columns.
         solve_lp(_weight_lp(PRIOR, utility, candidates)[0])
-        assert runs == [10, 12, 10]
+        assert runs == [7, 9, 7]
 
     def test_start_and_phase_1_reach_equal_values(self):
         rng = Random(83)
@@ -424,6 +426,16 @@ class TestFullDisclosureStart:
     def test_grid_probe_pivots(self):
         problem, start = _grid_probe(41)
         started, phase_1 = solve_lp(problem, start=start), solve_lp(problem)
-        assert phase_1.pivots == 87
+        assert phase_1.pivots == 61
         assert started.pivots <= 25
-        assert started.value == phase_1.value == Fraction(287, 60)
+        # With an order row at every interior candidate, phase 1 took 87 pivots.
+        full_grid = solve_lp(full_grid_lp(*_grid_probe_instance(41)))
+        assert full_grid.pivots == 87
+        assert started.value == phase_1.value == full_grid.value == Fraction(287, 60)
+
+    def test_grid_probe_rows_do_not_grow_with_the_grid(self):
+        problem, start = _grid_probe(321)
+        assert problem.constraint_matrix.rows == 5
+        started = solve_lp(problem, start=start)
+        assert started.status == "optimal"
+        assert started.pivots <= 40

@@ -260,7 +260,7 @@ def _assert_same_lp(source, utility, candidates):
 
 
 class TestIntegerSweepBuild:
-    """``_persuasion_lp`` against the earlier ``Fraction`` build of the same LP."""
+    """``_persuasion_lp`` against the per-entry ``Fraction`` build of the same LP."""
 
     @pytest.mark.parametrize(
         "source, utility, candidates",
@@ -322,6 +322,31 @@ class TestIntegerSweepBuild:
         _assert_same_lp(source, cdf, _merged_grid(source, cdf, candidates))
 
 
+class TestPriorAtomRows:
+    """Order rows at the prior's interior atoms cut out the contractions that rows at every candidate do."""
+
+    def test_seeded_instances(self):
+        rng = Random(97)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            source = random_smpc(rng, n, n).source
+            lo, hi = source.atoms[0], source.atoms[-1]
+            u = random_piecewise_linear(rng, lo - 1, hi + 1, interior=rng.randint(1, 4))
+            knots = {x for x, _ in u.knots if lo < x < hi}
+            extra = {lo + (hi - lo) * Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 5))}
+            candidates = tuple(sorted(set(source.atoms) | knots | extra))
+            problem = persuasion._persuasion_lp(source, u, candidates)
+            assert problem.constraint_matrix.rows == max(len(source.atoms), 2)
+            full = reference.full_grid_lp(source, u, candidates)
+            rows, full_grid = lp.solve(problem), lp.solve(full)
+            assert rows.status == full_grid.status == "optimal"
+            assert rows.value == full_grid.value
+            # The optimum of the fewer rows satisfies every row of the full grid.
+            for row, b, sense in zip(full.constraint_matrix.entries, full.rhs, full.senses):
+                lhs = sum(a * q for a, q in zip(row, rows.solution))
+                assert lhs == b if sense == "eq" else lhs <= b
+
+
 class TestDeviationPayoff:
     def test_full_disclosure_against_the_candidate_cdf(self):
         assert deviation_payoff(DUEL_PRIOR, DUEL_CDF) == Fraction(1, 2)
@@ -364,6 +389,22 @@ class TestCheckNoProfitableDeviation:
         assert check.max_payoff == 1
         assert check.profitable
         assert deviation_payoff(DUEL_PRIOR, steep) == Fraction(5, 6)
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", 0.5, None])
+    def test_a_malformed_equilibrium_value_fails_before_the_solve(self, monkeypatch, value):
+        solves = []
+        real = lp.solve
+
+        def counted(problem, *, start=None):
+            solves.append(problem)
+            return real(problem, start=start)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        with pytest.raises(ValueError, match="^not a rational: "):
+            check_no_profitable_deviation(DUEL_PRIOR, DUEL_CDF, value, DUEL_PRIOR.atoms)
+        assert solves == []
+        check_no_profitable_deviation(DUEL_PRIOR, DUEL_CDF, DUEL_VALUE, DUEL_PRIOR.atoms)
+        assert len(solves) == 1
 
     def test_witness_is_a_contraction_of_the_prior(self):
         check = check_no_profitable_deviation(
