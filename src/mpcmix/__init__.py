@@ -30,8 +30,6 @@ from .distributions import (
 )
 from .errors import MpcError
 from .linalg import Matrix, parse_rational
-from .lp import LPOutcome, StandardFormLP
-from .lp import solve as solve_lp
 from .persuasion import (
     DeviationCheck,
     PersuasionSolution,
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DeviationCheck",
     "DiscreteDistribution",
-    "LPOutcome",
     "Matrix",
     "Mixture",
     "MpcError",
@@ -55,7 +52,6 @@ __all__ = [
     "SmpcTriple",
     "SplitCertificate",
     "SplitResult",
-    "StandardFormLP",
     "TransitionMatrix",
     "UniquenessReport",
     "apply_transition",
@@ -67,7 +63,6 @@ __all__ = [
     "mpc_violation",
     "parse_rational",
     "solve_linear_persuasion",
-    "solve_lp",
     "split_once",
     "verify_uniqueness",
     "zero_column",

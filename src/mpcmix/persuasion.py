@@ -13,9 +13,10 @@ grid it is still an exact lower bound.
 The contraction order needs one row per interior prior atom, not one per
 candidate: the target's integrated cdf is convex, the prior's is affine
 between consecutive prior atoms, and the two agree at the prior's extreme
-atoms once mass and mean agree. So the LP has max(n, 2) rows however fine the
-grid, and a basic solution has at most that many positive weights: for
-n >= 2, the bound of the theorem below.
+atoms once mass and mean agree. So the LP has n rows however fine the grid
+(with n = 1 the mass row alone, as the one candidate is the prior's mean),
+and a basic solution has at most n positive weights: the bound of the
+theorem below.
 
 The LP's feasible set is exactly the contractions of the prior on the grid,
 and the simplex stops at a vertex of it. By the paper's theorem, a
@@ -116,41 +117,45 @@ class PersuasionSolution:
 
 
 def _persuasion_lp(
-    source: DiscreteDistribution, utility: PiecewiseLinearFn, candidates: tuple[Fraction, ...]
+    source: DiscreteDistribution,
+    utility: PiecewiseLinearFn,
+    candidates: tuple[Fraction, ...],
+    atom_columns: list[int],
 ) -> lp.StandardFormLP:
     """The weight LP of ``solve_linear_persuasion`` on its checked grid.
 
-    Column j is q_j. After the mass and mean rows, the row of each interior
-    prior atom a_i, i = 2..n-1, bounds the target's integrated cdf there by
-    the prior's: sum_{c_j < a_i} q_j (a_i - c_j) <= I_P(a_i). That is
-    max(n, 2) rows, whatever the grid. They decide the contraction order on
-    the whole grid: I_Q is convex and I_P is affine between consecutive prior
-    atoms, so I_Q <= I_P at both ends of such an interval holds across it;
-    and with the mass and mean rows both sides are 0 at a_1 and a_n - mu at
-    a_n.
+    Column j is q_j, and ``atom_columns`` holds k_i, the candidate index of
+    each prior atom a_i. The mass row comes first and, for n >= 2, the mean
+    row; a one-atom prior's one candidate is its mean, so there the mean row
+    is implied. Then the row of each interior prior atom a_i, i = 2..n-1,
+    bounds the target's integrated cdf there by the prior's: sum_{c_j < a_i}
+    q_j (a_i - c_j) <= I_P(a_i). That is n rows, whatever the grid. They
+    decide the contraction order on the whole grid: I_Q is convex and I_P is
+    affine between consecutive prior atoms, so I_Q <= I_P at both ends of
+    such an interval holds across it; and with the mass and mean rows both
+    sides are 0 at a_1 and a_n - mu at a_n.
 
     The rows are built on integers: over the grid's common denominator D
-    each candidate is C_j = c_j D, and each prior atom, A_i over the scale a
-    of the prior's atom row, is the candidate with A_i D == C_k a. With the
-    prior's weights over their scale W, one sweep up the grid carries the
-    prior's mass and moment below each atom, and I_P(a_i) = (C_k mass -
-    moment) / (W D), the form that ``mpc_violation``'s integer sweep also
-    uses. ``canonical_row`` puts each row in lowest terms, which
-    ``Matrix._trusted`` takes unchecked. The utility at every candidate
-    comes from one sweep over its sorted knots.
+    each candidate is C_j = c_j D. With the prior's weights over their scale
+    W, one sweep up the prior's atoms carries the mass and moment below each
+    atom, and I_P(a_i) = (C_{k_i} mass - moment) / (W D), the form that
+    ``mpc_violation``'s integer sweep also uses. ``canonical_row`` puts each
+    row in lowest terms, which ``Matrix._trusted`` takes unchecked. The
+    utility at every candidate comes from one sweep over its sorted knots.
     """
     m = len(candidates)
     d, grid = integer_row(candidates)
-    (a, atoms), (w, weights) = source._integer_rows
+    w, weights = source._integer_rows[1]
     n = len(weights)
-    rows, bounds = [(1, [1] * m), canonical_row(d, grid)], []
-    mass = moment = i = 0
-    for k, ck in enumerate(grid):
-        if i < n and atoms[i] * d == ck * a:
-            if 0 < i < n - 1:
-                rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
-                bounds.append(Fraction(ck * mass - moment, w * d))
-            mass, moment, i = mass + weights[i], moment + weights[i] * ck, i + 1
+    # The mass row, and the mean row unless n = 1.
+    rows, bounds = [(1, [1] * m), canonical_row(d, grid)][:n], []
+    mass = moment = 0
+    for i, (k, weight) in enumerate(zip(atom_columns, weights)):
+        ck = grid[k]
+        if 0 < i < n - 1:
+            rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
+            bounds.append(Fraction(ck * mass - moment, w * d))
+        mass, moment = mass + weight, moment + weight * ck
     # u(c_j) is cut + slope c_j on the first knot segment that holds c_j.
     knots, objective, j = utility.knots, [], 0
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
@@ -162,13 +167,13 @@ def _persuasion_lp(
     return lp.StandardFormLP(
         objective=tuple(objective),
         constraint_matrix=Matrix._trusted(tuple(rows)),
-        rhs=(Fraction(1), Fraction(moment, w * d), *bounds),
-        senses=("eq", "eq") + ("le",) * len(bounds),
+        rhs=(Fraction(1), Fraction(moment, w * d), *bounds)[: len(rows)],
+        senses=("eq",) * (len(rows) - len(bounds)) + ("le",) * len(bounds),
     )
 
 
 def _full_disclosure(atom_columns: list[int]) -> list[tuple[int, int]]:
-    """The weight LP's basis at Q = P, as ``lp.solve`` start pairs.
+    """The weight LP's basis at Q = P, as ``lp.solve`` start pairs, one per row.
 
     ``atom_columns`` holds k_1 < ... < k_n, the candidate index of each prior
     atom a_i. Row 0 is mass, row 1 is mean and row i belongs to the interior
@@ -179,8 +184,7 @@ def _full_disclosure(atom_columns: list[int]) -> list[tuple[int, int]]:
     a_i has a_i - a_{i-1} > 0 there, untouched by the pivots before it,
     which are on columns where that row is zero. The n atom columns are then
     basic at the prior's weights, with every slack at I_P - I_P = 0. With
-    n = 1 only (0, k_1) is pivoted, and the mean row, 0 = 0 by then, keeps
-    its artificial at level 0 for ``lp.solve`` to drop.
+    n = 1 the LP is the mass row alone, and (0, k_1) is its pair.
     """
     rows = [0, 1, *range(len(atom_columns) - 1, 1, -1)]
     return list(zip(rows, reversed(atom_columns)))
@@ -199,12 +203,12 @@ def solve_linear_persuasion(
     prior's (the Rothschild-Stiglitz form of the problem). The target's
     integrated cdf is convex and the prior's is affine between its atoms, so
     these n - 2 rows decide the contraction order on the whole grid, and the
-    LP has max(n, 2) rows however fine the grid is. Full disclosure is always
+    LP has n rows however fine the grid is. Full disclosure is always
     feasible because the candidates must contain every source atom. The rows,
     right-hand side and objective come from integer sweeps over the grid's
     common denominator (``_persuasion_lp``); they are exactly those of a
     per-entry ``Fraction`` build. The simplex starts at full disclosure, a
-    feasible vertex (``_full_disclosure``), so it runs no phase 1. The
+    feasible vertex (``_full_disclosure``), and ``lp.solve`` needs one. The
     positive-weight candidates are the optimum's target, and ``find_witness``
     builds its garbling. The optimum is a vertex, so it has at most n atoms,
     and its expected utility is the LP's value; both are checked exactly, and
@@ -227,9 +231,10 @@ def solve_linear_persuasion(
     if lo > a1 or hi < an:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    start = _full_disclosure([column[a] for a in source.atoms])
-    outcome = lp.solve(_persuasion_lp(source, utility, candidates), start=start)
-    if outcome.status != "optimal":  # full disclosure is feasible, weights are bounded
+    atom_columns = [column[a] for a in source.atoms]
+    problem = _persuasion_lp(source, utility, candidates, atom_columns)
+    outcome = lp.solve(problem, start=_full_disclosure(atom_columns))
+    if outcome.status != "optimal":  # the mass row bounds every weight
         raise InternalError(f"persuasion LP came back {outcome.status}")
     atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
     if len(atoms) > len(source.atoms):

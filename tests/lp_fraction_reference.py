@@ -1,11 +1,14 @@
-"""The exact simplex as it was over ``Fraction`` rows: a test-only reference.
+"""The exact two-phase simplex over ``Fraction`` rows: a test-only reference.
 
-``mpcmix.lp`` pivots on integer rows. This is the earlier tableau, kept
-unchanged so tests can require the integer version to return the same
-``LPOutcome`` (status, solution, value and pivot count) on the same LP: the
-same Bland's-rule pivots, done in rational arithmetic. A ``start`` is taken
-as ``mpcmix.lp.solve`` takes it: its pivots are forced and checked, and
-phase 2 runs from it.
+``mpcmix.lp`` pivots on integer rows, from a feasible basis that its caller
+names. This is the earlier rational tableau, kept so tests can require the
+integer version to return the same ``LPOutcome`` (status, solution, value
+and pivot count) on the same LP and start: the same Bland's-rule pivots,
+done in rational arithmetic. A ``start`` is taken as ``mpcmix.lp.solve``
+takes it: its pivots are forced, every row must end them with a basic column
+at a nonnegative level, and phase 2 runs from there. Without a start, phase
+1 finds a feasible basis from the slack and artificial columns, or reports
+the LP infeasible, so the tests can solve LPs that have no known vertex.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ class _Tableau:
         for i in range(m):
             row = list(lp.constraint_matrix.entries[i]) + [zero] * n_slack
             if lp.senses[i] != "eq":
-                row[n + k] = one if lp.senses[i] == "le" else -one
+                row[n + k] = one
                 slack_of[i] = n + k
                 k += 1
             rows.append(row)
@@ -130,13 +133,19 @@ class _Tableau:
         self.basis = [self.basis[r] for r in keep]
 
     def _start(self, pairs) -> None:
+        pivoted = set()
         for r, s in pairs:
             if self.rows[r][s] == 0:
                 raise InternalError(f"starting pivot ({r}, {s}) has a zero entry")
             self._pivot(r, s, None)
-        for r, b in enumerate(self.basis):
-            if self.rhs[r] < 0 or (b >= self.first_artificial and self.rhs[r] != 0):
-                raise InternalError(f"starting basis is infeasible at row {r}")
+            pivoted.add(r)
+        # As in mpcmix.lp, no column starts basic: a row that the start
+        # leaves on its slack or artificial has no basic column.
+        for r in range(len(self.rows)):
+            if r not in pivoted:
+                raise InternalError(f"starting basis has no column in row {r}")
+            if self.rhs[r] < 0:
+                raise InternalError(f"starting basis has a negative level at row {r}")
         self._expel_artificials()
 
     def solve(self, start=None) -> LPOutcome:

@@ -8,10 +8,11 @@ bounded, which the random corpus guarantees by including a simplex row.
 
 ``oracle_status`` adds the unbounded case by searching the recession cone
 the same way. ``solve_garbling`` states an LP over the entries of a garbling
-matrix and solves it with the package's simplex. Two oracles are built on it:
-``lp_witness``, the witness search as a feasibility LP, which checks
-``find_witness``'s shadow coupling against an independent decision and
-supplies the witness programs that the simplex is tested on; and
+matrix and solves it with the two-phase ``Fraction`` simplex of
+``lp_fraction_reference``, as no feasible basis is known in advance. Two
+oracles are built on it: ``lp_witness``, the witness search as a feasibility
+LP, which checks ``find_witness``'s shadow coupling against an independent
+decision; and
 ``garbling_persuasion_value``, the persuasion LP over the garbling's entries,
 which checks the value of ``solve_linear_persuasion``'s LP over target weights.
 """
@@ -19,9 +20,10 @@ which checks the value of ``solve_linear_persuasion``'s LP over target weights.
 from fractions import Fraction
 from itertools import combinations
 
-from mpcmix import lp as lp_module
 from mpcmix.linalg import Matrix
 from mpcmix.lp import StandardFormLP
+
+from lp_fraction_reference import reference_solve
 
 
 def _to_equality_form(lp):
@@ -32,9 +34,6 @@ def _to_equality_form(lp):
         ext = [Fraction(0)] * n_slack
         if s == "le":
             ext[k] = Fraction(1)
-            k += 1
-        elif s == "ge":
-            ext[k] = Fraction(-1)
             k += 1
         rows.append(list(lp.constraint_matrix.entries[i]) + ext)
     costs = list(lp.objective) + [Fraction(0)] * n_slack
@@ -174,8 +173,7 @@ def solve_garbling(n, width, column_rows, objective=None):
         row[j::width] = coefficients
         rows.append(row)
         rhs.append(b)
-    # Through the module, so that tests recording lp.solve see these programs.
-    outcome = lp_module.solve(
+    outcome = reference_solve(
         StandardFormLP(
             objective=tuple(objective) if objective is not None else (zero,) * nvars,
             constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),

@@ -68,7 +68,9 @@ def random_lp(rng: Random) -> StandardFormLP:
     """Random LP with nvars + nrows <= MAX_LP_SIZE and a bounded feasible set.
 
     The first row caps the variable sum, so no generated instance is
-    unbounded; feasibility varies with the remaining random rows.
+    unbounded; feasibility varies with the remaining random rows. A row drawn
+    as a x >= b is stated as -a x <= -b, since ``StandardFormLP`` has no
+    ``ge`` sense.
     """
     nvars = rng.randint(1, MAX_LP_SIZE // 2)
     nextra = rng.randint(1, MAX_LP_SIZE - nvars - 1)
@@ -76,9 +78,14 @@ def random_lp(rng: Random) -> StandardFormLP:
     rhs = [Fraction(rng.randint(1, 8))]
     senses = ["le"]
     for _ in range(nextra):
-        rows.append([Fraction(rng.randint(-3, 3)) for _ in range(nvars)])
-        rhs.append(Fraction(rng.randint(-4, 6)))
-        senses.append(rng.choice(["le", "ge", "eq"]))
+        row = [Fraction(rng.randint(-3, 3)) for _ in range(nvars)]
+        b = Fraction(rng.randint(-4, 6))
+        sense = rng.choice(["le", "ge", "eq"])
+        if sense == "ge":
+            row, b, sense = [-x for x in row], -b, "le"
+        rows.append(row)
+        rhs.append(b)
+        senses.append(sense)
     objective = tuple(Fraction(rng.randint(-4, 4)) for _ in range(nvars))
     return StandardFormLP(
         objective=objective,
@@ -91,7 +98,13 @@ def random_lp(rng: Random) -> StandardFormLP:
 def random_piecewise_linear(
     rng: Random, lo: Fraction, hi: Fraction, interior: int = 2
 ) -> PiecewiseLinearFn:
-    """Random piecewise-linear function whose domain is exactly [lo, hi]."""
+    """Random piecewise-linear function whose domain is exactly [lo, hi].
+
+    Raises ``ValueError`` before drawing anything when lo >= hi and
+    ``interior`` >= 1: no interior knot fits.
+    """
+    if interior >= 1 and lo >= hi:
+        raise ValueError(f"interior knots need lo < hi, got [{lo}, {hi}]")
     xs: set[Fraction] = set()
     while len(xs) < interior:
         den = rng.randint(2, 6)

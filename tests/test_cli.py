@@ -284,10 +284,10 @@ def test_solve_persuasion(tmp_path, capsys):
 PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
 
 
-def _infeasible(solve, problem, start):
-    # Full disclosure is always feasible, so an infeasible weight LP can only
+def _unbounded(solve, problem, start):
+    # The mass row bounds every weight, so an unbounded weight LP can only
     # come from a broken solver.
-    return lp.LPOutcome("infeasible")
+    return lp.LPOutcome("unbounded")
 
 
 def _non_vertex(solve, problem, start):
@@ -306,15 +306,15 @@ def _wrong_value(solve, problem, start):
 @pytest.mark.parametrize(
     "broken_solve, message",
     [
-        (_infeasible, "persuasion LP came back infeasible"),
+        (_unbounded, "persuasion LP came back unbounded"),
         (_non_vertex, "persuasion LP optimum is not a vertex: 4 atoms on a 3-atom prior"),
         (_wrong_value, "persuasion LP value differs from the optimum's expected utility"),
     ],
-    ids=["infeasible", "non-vertex", "wrong value"],
+    ids=["unbounded", "non-vertex", "wrong value"],
 )
 def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch, broken_solve, message):
     solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda problem, *, start=None: broken_solve(solve, problem, start))
+    monkeypatch.setattr(lp, "solve", lambda problem, *, start: broken_solve(solve, problem, start))
     payload = {
         "source": PRIOR.to_json(),
         "utility": {"knots": [["0", "1/5"], ["1", "9/10"]]},

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import mpcmix
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mpcmix"
 
 
@@ -63,3 +65,12 @@ def callers(name):
 
 def test_only_the_basis_state_eliminates():
     assert callers("_echelon") == ["decomposition._Basis.of"]
+
+
+def test_only_persuasion_solves_an_lp():
+    assert [c for c in callers("solve") if not c.startswith("lp.")] == ["persuasion.solve_linear_persuasion"]
+
+
+def test_the_top_level_api_names_no_lp_type():
+    assert not [name for name in mpcmix.__all__ if getattr(mpcmix, name).__module__ == "mpcmix.lp"]
+    assert not {"LPOutcome", "StandardFormLP", "solve_lp"} & set(dir(mpcmix))

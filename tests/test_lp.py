@@ -10,21 +10,19 @@ from mpcmix import (
     Matrix,
     PiecewiseLinearFn,
     SmpcTriple,
-    StandardFormLP,
     find_witness,
     is_mpc,
     solve_linear_persuasion,
-    solve_lp,
 )
 from mpcmix import lp as lp_module
-from mpcmix import persuasion
 from mpcmix.errors import DimensionError, InternalError
+from mpcmix.lp import LPOutcome, StandardFormLP, solve
 
 from cases import PRIOR, TARGET, dist, mean, point_mass
 
 from lp_fraction_reference import reference_solve
-from lp_oracle import lp_witness, oracle_solve, oracle_status
-from persuasion_lp_reference import full_grid_lp
+from lp_oracle import oracle_solve, oracle_status
+from persuasion_lp_reference import full_grid_lp, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
@@ -37,37 +35,45 @@ def lp(objective, rows, rhs, senses):
     )
 
 
+def solve_lp(problem, start):
+    """``mpcmix.lp.solve`` as imported, so a test's patch of ``lp.solve`` does not reach it."""
+    return solve(problem, start=start)
+
+
 class TestSolve:
+    """The reference's two-phase simplex, which decides the LPs that have no known vertex."""
+
     def test_box(self):
-        out = solve_lp(lp([1, 1], [[1, 0], [0, 1]], [1, 1], ["le", "le"]))
+        out = reference_solve(lp([1, 1], [[1, 0], [0, 1]], [1, 1], ["le", "le"]))
         assert out.status == "optimal"
         assert out.value == 2
         assert out.solution == (Fraction(1), Fraction(1))
 
     def test_contradictory(self):
-        out = solve_lp(lp([1], [[1], [1]], [1, 0], ["eq", "le"]))
+        out = reference_solve(lp([1], [[1], [1]], [1, 0], ["eq", "le"]))
         assert out.status == "infeasible"
 
     def test_unbounded(self):
-        out = solve_lp(lp([1], [[1]], [1], ["ge"]))
+        # -x <= -1 is x >= 1
+        out = reference_solve(lp([1], [[-1]], [-1], ["le"]))
         assert out.status == "unbounded"
 
     def test_equality_and_ge(self):
-        # max x + 2y s.t. x + y = 3, y >= 1, x >= 0, y >= 0
-        out = solve_lp(lp([1, 2], [[1, 1], [0, 1]], [3, 1], ["eq", "ge"]))
+        # max x + 2y s.t. x + y = 3, y >= 1 (as -y <= -1), x >= 0, y >= 0
+        out = reference_solve(lp([1, 2], [[1, 1], [0, -1]], [3, -1], ["eq", "le"]))
         assert out.status == "optimal"
         assert out.value == 6
         assert out.solution == (Fraction(0), Fraction(3))
 
     def test_negative_rhs(self):
         # -x <= -2 is x >= 2
-        out = solve_lp(lp([-1], [[-1]], [-2], ["le"]))
+        out = reference_solve(lp([-1], [[-1]], [-2], ["le"]))
         assert out.status == "optimal"
         assert out.solution == (Fraction(2),)
         assert out.value == -2
 
     def test_degenerate_vertex_terminates(self):
-        out = solve_lp(
+        out = reference_solve(
             lp(
                 [1, 1, 1],
                 [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
@@ -79,7 +85,7 @@ class TestSolve:
         assert out.value == Fraction(3, 2)
 
     def test_exact_fractional_answer(self):
-        out = solve_lp(
+        out = reference_solve(
             lp(
                 [Fraction(1, 3), Fraction(1, 7)],
                 [[Fraction(2, 5), 1], [1, Fraction(3, 11)]],
@@ -102,7 +108,7 @@ class TestSolve:
         rng = Random(61)
         for _ in range(80):
             problem = random_lp(rng)
-            out = solve_lp(problem)
+            out = reference_solve(problem)
             status, value, _ = oracle_solve(problem)
             assert out.status == status
             if status == "optimal":
@@ -112,16 +118,14 @@ class TestSolve:
                     problem.constraint_matrix.entries, problem.rhs, problem.senses
                 ):
                     lhs = sum(a * x for a, x in zip(row, out.solution))
-                    assert (
-                        lhs <= b if sense == "le" else lhs >= b if sense == "ge" else lhs == b
-                    )
+                    assert lhs <= b if sense == "le" else lhs == b
                 assert all(x >= 0 for x in out.solution)
 
     def test_pivot_counts_stay_below_the_basis_bound(self):
         rng = Random(67)
         for _ in range(40):
             problem = random_lp(rng)
-            out = solve_lp(problem)
+            out = reference_solve(problem)
             rows = problem.constraint_matrix.rows
             n_slack = sum(1 for s in problem.senses if s != "eq")
             width = len(problem.objective) + n_slack + rows
@@ -133,31 +137,38 @@ class TestSolve:
         with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
             lp([1], [[1]], [1, 2], ["le"])
         with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
-            lp([1], [[1]], [1], ["le", "ge"])
-        with pytest.raises(ValueError, match="^unknown sense 'lt'$"):
-            lp([1], [[1]], [1], ["lt"])
+            lp([1], [[1]], [1], ["le", "eq"])
+        for sense in ("lt", "ge"):
+            with pytest.raises(ValueError, match=f"^unknown sense '{sense}'$"):
+                lp([1], [[1]], [1], [sense])
 
 
 @st.composite
 def small_lps(draw):
-    """Up to 4 variables and 4 rows of small rationals, any senses; some are unbounded."""
+    """Up to 4 variables and 4 rows of small rationals, any senses; some are unbounded.
+
+    A row drawn as a x >= b is stated as -a x <= -b.
+    """
     nvars = draw(st.integers(1, 4), label="nvars")
     nrows = draw(st.integers(1, 4), label="nrows")
     small = st.fractions(-3, 3, max_denominator=3)
+    objective = tuple(draw(st.lists(small, min_size=nvars, max_size=nvars), label="objective"))
+    rows = [draw(st.lists(small, min_size=nvars, max_size=nvars)) for _ in range(nrows)]
+    rhs = draw(st.lists(st.fractions(-4, 6, max_denominator=2), min_size=nrows, max_size=nrows), label="rhs")
+    senses = draw(st.lists(st.sampled_from(["le", "ge", "eq"]), min_size=nrows, max_size=nrows), label="senses")
+    signs = [-1 if sense == "ge" else 1 for sense in senses]
     return StandardFormLP(
-        objective=tuple(draw(st.lists(small, min_size=nvars, max_size=nvars), label="objective")),
-        constraint_matrix=Matrix(
-            tuple(tuple(draw(st.lists(small, min_size=nvars, max_size=nvars))) for _ in range(nrows))
-        ),
-        rhs=tuple(draw(st.lists(st.fractions(-4, 6, max_denominator=2), min_size=nrows, max_size=nrows), label="rhs")),
-        senses=tuple(draw(st.lists(st.sampled_from(["le", "ge", "eq"]), min_size=nrows, max_size=nrows), label="senses")),
+        objective=objective,
+        constraint_matrix=Matrix(tuple(tuple(sign * a for a in row) for sign, row in zip(signs, rows))),
+        rhs=tuple(sign * b for sign, b in zip(signs, rhs)),
+        senses=tuple("eq" if sense == "eq" else "le" for sense in senses),
     )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(small_lps())
 def test_simplex_matches_the_oracle_on_generated_programs(problem):
-    out = solve_lp(problem)
+    out = reference_solve(problem)
     assert (out.status, out.value) == oracle_status(problem)
 
 
@@ -203,7 +214,7 @@ def _recorded_lps(monkeypatch, run):
     seen = []
     real = lp_module.solve
 
-    def record(problem, *, start=None):
+    def record(problem, *, start):
         seen.append((problem, start))
         return real(problem, start=start)
 
@@ -212,32 +223,36 @@ def _recorded_lps(monkeypatch, run):
     return seen
 
 
+def _outcome_or_error(solve, problem, start):
+    try:
+        return solve(problem, start)
+    except InternalError as err:
+        return str(err)
+
+
 class TestMatchesTheFractionTableau:
     """The integer tableau makes the rational tableau's pivots: equal outcomes, pivot counts included."""
 
     def assert_same(self, runs):
         for problem, start in runs:
-            assert solve_lp(problem, start=start) == reference_solve(problem, start)
+            assert solve_lp(problem, start) == reference_solve(problem, start)
 
     def test_random_instances(self):
+        # Random starts on random programs: most are singular or infeasible,
+        # and both tableaus must refuse those with the same message.
         rng = Random(61)
-        self.assert_same([(random_lp(rng), None) for _ in range(80)])
-
-    def test_witness_programs(self, monkeypatch):
-        def run():
-            rng = Random(73)
-            for _ in range(20):
-                triple = random_smpc(rng, rng.randint(1, 5), rng.randint(1, 5))
-                source, target = triple.source, triple.target
-                lp_witness(source, target)
-                lp_witness(target, source)
-                lp_witness(source, perturb_mean(rng, target))
-
-        runs = _recorded_lps(monkeypatch, run)
-        assert len(runs) == 60
-        assert all(start is None for _, start in runs)
-        assert {solve_lp(p).status for p, _ in runs} == {"optimal", "infeasible"}
-        self.assert_same(runs)
+        seen = set()
+        for _ in range(80):
+            problem = random_lp(rng)
+            rows = problem.constraint_matrix.rows
+            width = len(problem.objective) + problem.senses.count("le")
+            for _ in range(10):
+                start = list(zip(range(rows), rng.sample(range(width), min(rows, width))))
+                rng.shuffle(start)
+                out = _outcome_or_error(solve_lp, problem, start)
+                assert out == _outcome_or_error(reference_solve, problem, start)
+                seen.add(out.status if isinstance(out, LPOutcome) else out.split(" (")[0].split(" at ")[0])
+        assert seen == {"optimal", "starting pivot", "starting basis has a negative level"}
 
     def test_persuasion_programs(self, monkeypatch):
         def run():
@@ -250,28 +265,32 @@ class TestMatchesTheFractionTableau:
 
         runs = _recorded_lps(monkeypatch, run)
         assert len(runs) == 40
-        assert all(start is not None for _, start in runs)
         self.assert_same(runs)
 
     def test_large_coprime_denominators(self):
+        # The second row is 5/1000037 x1 + ... >= 1/999953, stated as <=.
         problem = lp(
             [Fraction(1, 1000081), Fraction(-1, 999907), Fraction(1, 1000099)],
             [
                 [Fraction(1, 999983), Fraction(2, 1000003), Fraction(3, 1000033)],
-                [Fraction(5, 1000037), Fraction(7, 999979), Fraction(-1, 999961)],
+                [Fraction(-5, 1000037), Fraction(-7, 999979), Fraction(1, 999961)],
                 [1, 1, 1],
             ],
-            [Fraction(1, 1000039), Fraction(1, 999953), 1],
-            ["le", "ge", "le"],
+            [Fraction(1, 1000039), Fraction(-1, 999953), 1],
+            ["le", "le", "le"],
         )
-        out = solve_lp(problem)
-        assert out == reference_solve(problem)
+        # x1 on the first row and the other two rows on their slacks.
+        start = [(0, 0), (1, 4), (2, 5)]
+        out = solve_lp(problem, start)
+        assert out == reference_solve(problem, start)
         assert out.solution == (Fraction(999983, 1000039), 0, 0)
 
     def test_rank_deficient_equalities_expel_artificials(self):
-        # The third row is the sum of the first two. Phase 1 ends with two
-        # artificials basic at level zero: one leaves on a negative structural
-        # entry, and the other's row is redundant and is dropped.
+        # The third row is the sum of the first two. The reference's phase 1
+        # ends with two artificials basic at level zero: one leaves on a
+        # negative structural entry, and the other's row is redundant and is
+        # dropped. A start has no row to drop: its pivots leave the third row
+        # all zero, so both tableaus refuse every start on this program.
         problem = lp(
             [1, -3, 1, -1],
             [
@@ -282,18 +301,21 @@ class TestMatchesTheFractionTableau:
             [Fraction(-2, 3), 0, Fraction(-2, 3)],
             ["eq", "eq", "eq"],
         )
-        out = solve_lp(problem)
-        assert out == reference_solve(problem)
-        assert out == lp_module.LPOutcome(
-            "optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2
-        )
+        assert reference_solve(problem) == LPOutcome("optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2)
+        for start, message in [
+            ([(0, 0), (1, 1)], "starting basis has no column in row 2"),
+            ([(0, 0), (1, 1), (2, 3)], r"starting pivot \(2, 3\) has a zero entry"),
+        ]:
+            for solver in (solve_lp, reference_solve):
+                with pytest.raises(InternalError, match=f"^{message}$"):
+                    solver(problem, start)
 
-
-def _weight_lp(source, utility, candidates):
-    """``solve_linear_persuasion``'s weight LP on ``candidates`` and its full-disclosure start."""
-    candidates = tuple(Fraction(c) for c in candidates)
-    problem = persuasion._persuasion_lp(source, utility, candidates)
-    return problem, persuasion._full_disclosure([candidates.index(a) for a in source.atoms])
+    def test_unbounded_program(self):
+        # max x s.t. -x <= -1: x = 1 is a vertex, and x grows without bound.
+        problem = lp([1], [[-1]], [-1], ["le"])
+        out = solve_lp(problem, [(0, 0)])
+        assert out == reference_solve(problem, [(0, 0)])
+        assert out == LPOutcome("unbounded", pivots=1)
 
 
 def _pwl(*knots):
@@ -311,11 +333,14 @@ def _grid_probe_instance(m):
 
 def _grid_probe(m):
     """The weight LP of ``_grid_probe_instance(m)`` and its full-disclosure start."""
-    return _weight_lp(*_grid_probe_instance(m))
+    return weight_lp(*_grid_probe_instance(m))
 
 
 class TestFullDisclosureStart:
-    """The persuasion LP starts at Q = P and runs phase 2 alone; a bad start is an ``InternalError``."""
+    """The persuasion LP starts at Q = P, one pair per row; a bad start is an ``InternalError``.
+
+    The reference's phase 1, which ``mpcmix.lp`` does not have, reaches the same values.
+    """
 
     @pytest.mark.parametrize(
         "source, candidates, rows",
@@ -330,62 +355,98 @@ class TestFullDisclosureStart:
     )
     def test_start_is_the_prior(self, source, candidates, rows):
         utility = _pwl(("0", "1/5"), ("1/3", "1"), ("1", "-1/2"))
-        problem, start = _weight_lp(source, utility, candidates)
+        problem, start = weight_lp(source, utility, candidates)
+        assert problem.constraint_matrix.rows == len(start) == rows
         tableau = lp_module._Tableau(problem)
         tableau._start(start)
-        # The artificial columns are cut, and with n = 1 so is the mean row.
-        assert len(tableau.rows) == rows
-        assert all(len(row) == tableau.first_artificial + 1 for row in tableau.rows)
+        # The weights, one slack per interior atom's row, and the rhs.
+        assert all(len(row) == len(candidates) + max(rows - 2, 0) + 1 for row in tableau.rows)
         levels = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau.rows, tableau.basis)}
         # Each atom column is basic at its weight, and no slack is basic.
         weights = dict(zip(source.atoms, source.weights))
         grid = [Fraction(c) for c in candidates]
         assert levels == {j: weights[c] for j, c in enumerate(grid) if c in weights}
-        out = solve_lp(problem, start=start)
+        out = solve_lp(problem, start)
         assert out == reference_solve(problem, start)
-        assert out.value == solve_lp(problem).value
+        assert out.value == reference_solve(problem).value
 
-    def test_a_point_mass_at_zero_has_an_all_zero_mean_row(self):
-        problem, start = _weight_lp(point_mass("0"), _pwl(("0", "1"), ("1", "2")), ["0"])
-        assert problem.constraint_matrix._integer_rows[1] == (1, [0])
-        assert problem.rhs[1] == 0
+    @pytest.mark.parametrize("atom", ["0", "1/2"])
+    def test_a_one_atom_prior_has_the_mass_row_alone(self, atom):
+        problem, start = weight_lp(point_mass(atom), _pwl(("0", "1"), ("1", "2")), [atom])
+        assert problem.constraint_matrix._integer_rows == ((1, [1]),)
+        assert problem.rhs == (1,)
+        assert problem.senses == ("eq",)
         assert start == [(0, 0)]
-        assert solve_lp(problem, start=start) == lp_module.LPOutcome("optimal", (1,), 1, pivots=1)
+        value = 1 + Fraction(atom)
+        assert solve_lp(problem, start) == LPOutcome("optimal", (1,), value, pivots=1)
 
     def test_interior_rows_take_the_interior_atoms(self):
         prior = dist(["0", "1/4", "1/2", "1"], ["1/4", "1/4", "1/4", "1/4"])
         candidates = ["0", "1/8", "1/4", "3/8", "1/2", "3/4", "1"]
-        _, start = _weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
+        _, start = weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
         # Atoms at candidates 0, 2, 4 and 6; the rows of 1/2 and 1/4 are 3 and 2.
         assert start == [(0, 6), (1, 4), (3, 2), (2, 0)]
 
     def test_zero_pivot_entry_is_an_internal_error(self):
-        # The mean row of a point mass at 0 is all zero.
-        problem, _ = _weight_lp(point_mass("0"), _pwl(("0", "1"), ("1", "2")), ["0"])
+        # The mean row is 0 q_1 + 1 q_2 = 3/4.
+        problem, _ = weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "1"), ("1", "2")), ["0", "1"])
         message = r"^starting pivot \(1, 0\) has a zero entry$"
         with pytest.raises(InternalError, match=message):
-            solve_lp(problem, start=[(1, 0)])
+            solve_lp(problem, [(1, 0)])
         with pytest.raises(InternalError, match=message):
             reference_solve(problem, [(1, 0)])
 
     @pytest.mark.parametrize(
-        "problem, start, row",
+        "problem, start, message",
         [
             # x1 = 1 leaves the slack of x1 <= 1/2 at -1/2.
-            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [(0, 0)], 1),
-            # No pivot: the equality row's artificial stays basic at level 1.
-            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [], 0),
-            # All mass on 0: the mean row's artificial is basic at 3/4.
-            (_weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0], [(0, 0)], 1),
-            # All mass on 1: the mean row's artificial would sit at -1/4.
-            (_weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0], [(0, 1)], 1),
+            (
+                lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]),
+                [(0, 0), (1, 2)],
+                "has a negative level at row 1",
+            ),
+            # Weights on 0 and 1/2 with mean 3/4: q_1 = -1/2.
+            (
+                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1/2", "1"])[0],
+                [(0, 0), (1, 1)],
+                "has a negative level at row 0",
+            ),
+            # All mass on 0 leaves the mean row 3/4 short, a residual that a phase-1
+            # artificial would carry; with no artificial the row has no pivot.
+            (
+                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0],
+                [(0, 0)],
+                "has no column in row 1",
+            ),
+            # All mass on 1 overshoots the mean row by 1/4: the same, at -1/4.
+            (
+                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0],
+                [(0, 1)],
+                "has no column in row 1",
+            ),
         ],
-        ids=["negative slack", "artificial at 1", "artificial at 3/4", "artificial at -1/4"],
+        ids=["negative slack", "negative weight", "artificial at 3/4", "artificial at -1/4"],
     )
-    def test_infeasible_start_is_an_internal_error(self, problem, start, row):
-        message = f"^starting basis is infeasible at row {row}$"
+    def test_infeasible_start_is_an_internal_error(self, problem, start, message):
+        message = f"^starting basis {message}$"
         with pytest.raises(InternalError, match=message):
-            solve_lp(problem, start=start)
+            solve_lp(problem, start)
+        with pytest.raises(InternalError, match=message):
+            reference_solve(problem, start)
+
+    @pytest.mark.parametrize(
+        "problem, start, row",
+        [
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [], 0),
+            # No slack starts basic: x1 = 1 would leave it at 1/2, but the start must name it.
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(3, 2)], ["eq", "le"]), [(0, 0)], 1),
+        ],
+        ids=["no pivot", "slack row"],
+    )
+    def test_a_row_without_a_start_pivot_is_an_internal_error(self, problem, start, row):
+        message = f"^starting basis has no column in row {row}$"
+        with pytest.raises(InternalError, match=message):
+            solve_lp(problem, start)
         with pytest.raises(InternalError, match=message):
             reference_solve(problem, start)
 
@@ -401,12 +462,8 @@ class TestFullDisclosureStart:
         utility = _pwl(("0", "1"), ("1/4", "-1"), ("3/4", "2"), ("1", "0"))
         candidates = ["0", "1/4", "1/3", "1/2", "3/4", "1"]
         solve_linear_persuasion(PRIOR, utility, candidates)
-        # Phase 2 alone, on the 6 weights and the slack of the one interior
-        # atom's row, with no artificial column.
+        # One run, on the 6 weights and the slack of the one interior atom's row.
         assert runs == [7]
-        # Without the start, phase 1 runs first, with the 2 artificial columns.
-        solve_lp(_weight_lp(PRIOR, utility, candidates)[0])
-        assert runs == [7, 9, 7]
 
     def test_start_and_phase_1_reach_equal_values(self):
         rng = Random(83)
@@ -417,25 +474,25 @@ class TestFullDisclosureStart:
             u = random_piecewise_linear(rng, lo, hi, interior=rng.randint(1, 4))
             extra = {lo + (hi - lo) * Fraction(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 4))}
             candidates = sorted(set(source.atoms) | {x for x, _ in u.knots} | extra)
-            problem, start = _weight_lp(source, u, candidates)
-            started, phase_1 = solve_lp(problem, start=start), solve_lp(problem)
+            problem, start = weight_lp(source, u, candidates)
+            started, phase_1 = solve_lp(problem, start), reference_solve(problem)
             assert started.status == phase_1.status == "optimal"
             assert started.value == phase_1.value
             assert sum(1 for q in started.solution if q) <= n
 
     def test_grid_probe_pivots(self):
         problem, start = _grid_probe(41)
-        started, phase_1 = solve_lp(problem, start=start), solve_lp(problem)
+        started, phase_1 = solve_lp(problem, start), reference_solve(problem)
         assert phase_1.pivots == 61
         assert started.pivots <= 25
         # With an order row at every interior candidate, phase 1 took 87 pivots.
-        full_grid = solve_lp(full_grid_lp(*_grid_probe_instance(41)))
+        full_grid = reference_solve(full_grid_lp(*_grid_probe_instance(41)))
         assert full_grid.pivots == 87
         assert started.value == phase_1.value == full_grid.value == Fraction(287, 60)
 
     def test_grid_probe_rows_do_not_grow_with_the_grid(self):
         problem, start = _grid_probe(321)
         assert problem.constraint_matrix.rows == 5
-        started = solve_lp(problem, start=start)
+        started = solve_lp(problem, start)
         assert started.status == "optimal"
         assert started.pivots <= 40

@@ -29,6 +29,7 @@ from cases import (
     point_mass,
     worked_triple,
 )
+from lp_fraction_reference import reference_solve
 from lp_oracle import garbling_persuasion_value
 import persuasion_lp_reference as reference
 from random_instances import random_piecewise_linear, random_smpc
@@ -82,6 +83,18 @@ class TestPiecewiseLinearFn:
 
     def test_json_round_trip(self):
         assert PiecewiseLinearFn.from_json(DUEL_CDF.to_json()) == DUEL_CDF
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0))], ids=["one point", "reversed"]
+)
+def test_random_piecewise_linear_needs_room_for_interior_knots(lo, hi):
+    rng = Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^interior knots need lo < hi, got \[{lo}, {hi}\]$"):
+        random_piecewise_linear(rng, lo, hi, interior=1)
+    assert rng.getstate() == state
+    assert random_piecewise_linear(rng, Fraction(0), Fraction(1), interior=1).domain == (0, 1)
 
 
 class TestSolveLinearPersuasion:
@@ -244,19 +257,19 @@ class TestWeightProgramMatchesTheGarblingProgram:
 
 
 def _assert_same_lp(source, utility, candidates):
-    """The integer-sweep build and the ``Fraction`` reference make one LP, and one solve.
+    """The integer-sweep build and the ``Fraction`` reference make one LP, of n rows, and one solve.
 
     ``Matrix._trusted`` checks nothing, so equal integer rows are what keep
     the sweep's rows canonical.
     """
-    candidates = tuple(Fraction(c) for c in candidates)
-    built = persuasion._persuasion_lp(source, utility, candidates)
-    expected = reference.persuasion_lp(source, utility, candidates)
+    built, start = reference.weight_lp(source, utility, candidates)
+    expected = reference.persuasion_lp(source, utility, tuple(Fraction(c) for c in candidates))
     assert built.constraint_matrix._integer_rows == expected.constraint_matrix._integer_rows
     assert built.rhs == expected.rhs
     assert built.objective == expected.objective
     assert built.senses == expected.senses
-    assert lp.solve(built) == lp.solve(expected)
+    assert built.constraint_matrix.rows == len(start) == len(source.atoms)
+    assert lp.solve(built, start=start) == lp.solve(expected, start=start)
 
 
 class TestIntegerSweepBuild:
@@ -322,8 +335,21 @@ class TestIntegerSweepBuild:
         _assert_same_lp(source, cdf, _merged_grid(source, cdf, candidates))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(persuasion_problems())
+def test_started_solve_matches_the_fraction_tableau(problem):
+    """From full disclosure, the integer tableau makes the rational tableau's pivots."""
+    source, utility, cdf, candidates = problem
+    for u, grid in ((utility, candidates), (cdf, _merged_grid(source, cdf, candidates))):
+        weight_lp, start = reference.weight_lp(source, u, grid)
+        assert lp.solve(weight_lp, start=start) == reference_solve(weight_lp, start)
+
+
 class TestPriorAtomRows:
-    """Order rows at the prior's interior atoms cut out the contractions that rows at every candidate do."""
+    """Order rows at the prior's interior atoms cut out the contractions that rows at every candidate do.
+
+    The full-grid LP has no known vertex, so the reference's two-phase simplex solves it.
+    """
 
     def test_seeded_instances(self):
         rng = Random(97)
@@ -335,10 +361,10 @@ class TestPriorAtomRows:
             knots = {x for x, _ in u.knots if lo < x < hi}
             extra = {lo + (hi - lo) * Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 5))}
             candidates = tuple(sorted(set(source.atoms) | knots | extra))
-            problem = persuasion._persuasion_lp(source, u, candidates)
-            assert problem.constraint_matrix.rows == max(len(source.atoms), 2)
+            problem, start = reference.weight_lp(source, u, candidates)
+            assert problem.constraint_matrix.rows == len(source.atoms)
             full = reference.full_grid_lp(source, u, candidates)
-            rows, full_grid = lp.solve(problem), lp.solve(full)
+            rows, full_grid = lp.solve(problem, start=start), reference_solve(full)
             assert rows.status == full_grid.status == "optimal"
             assert rows.value == full_grid.value
             # The optimum of the fewer rows satisfies every row of the full grid.
@@ -395,7 +421,7 @@ class TestCheckNoProfitableDeviation:
         solves = []
         real = lp.solve
 
-        def counted(problem, *, start=None):
+        def counted(problem, *, start):
             solves.append(problem)
             return real(problem, start=start)
 
