@@ -336,7 +336,7 @@ def main(argv=None) -> int:
         return 2
     if args.decimals:
         result = dict(result)
-        result["decimals"] = _decimalize({k: v for k, v in result.items()})
+        result["decimals"] = _decimalize(result)
     if args.pretty:
         text = "\n".join(_pretty(result)) + "\n"
     else:

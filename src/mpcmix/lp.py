@@ -1,16 +1,17 @@
 """Exact linear programming: a dense simplex with Bland's rule, started from a feasible basis.
 
 Problems are stated as: maximize c @ x subject to A x (<=, =) b and x >= 0,
-everything rational. The caller names a feasible basis as ``start``: its
-pivots are forced, the basis is checked to cover every row at a nonnegative
-level, and the simplex runs from it. Bland's pivoting (lowest eligible index
-in and out) guarantees termination under degeneracy, and exact arithmetic
-makes the reported optimum a certificate rather than an approximation. The
-tableau holds integer rows and pivots without fractions (see ``_Tableau``).
+everything rational. The caller names a feasible basis as ``start``, one
+column per row: each is pivoted into its row in row order, on a positive
+pivot entry, the basis is checked to sit at a nonnegative level, and the
+simplex runs from it. Bland's pivoting (lowest eligible index in and out)
+guarantees termination under degeneracy, and exact arithmetic makes the
+reported optimum a certificate rather than an approximation. The tableau
+holds integer rows and pivots without fractions (see ``_Tableau``).
 Persuasion states its LP over the target's weights on a candidate grid and
-starts it at full disclosure (see ``persuasion.solve_linear_persuasion``);
-garblings, and witnesses for the contraction order, come from
-``distributions.find_witness`` with no LP.
+starts it on the prior's atom columns (see
+``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
+contraction order, come from ``distributions.find_witness`` with no LP.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class _Tableau:
     the one a rational tableau makes, so the pivot sequence, and the outcome,
     are the same.
 
-    No column is basic at first: ``_start`` pivots the caller's pairs in and
-    checks that every row then has a basic column at a nonnegative level.
+    No column is basic at first: ``_start`` pivots one column into each row,
+    and every pivot, forced or chosen, is on a positive entry.
     """
 
     def __init__(self, lp: StandardFormLP):
@@ -103,9 +104,6 @@ class _Tableau:
         rows = self.rows
         row_r = rows[r]
         a = row_r[s]
-        if a < 0:  # a forced pivot, never a ratio-test one; keep the basic coefficient positive
-            row_r = rows[r] = [-x for x in row_r]
-            a = -a
         for r2, row in enumerate(rows):
             f = row[s]
             if f and r2 != r:
@@ -142,18 +140,17 @@ class _Tableau:
             f = d[enter]
             d = _reduced([row_r[enter] * x - f * y for x, y in zip(d, row_r)])
 
-    def _start(self, pairs) -> None:
-        """Pivot each ``(row, column)`` pair in and check the basis feasible."""
-        for r, s in pairs:
-            if not self.rows[r][s]:
-                raise InternalError(f"starting pivot ({r}, {s}) has a zero entry")
+    def _start(self, columns) -> None:
+        """Pivot ``columns[r]`` into row r, in row order, and check the basis feasible."""
+        if len(columns) != len(self.rows):
+            raise InternalError(f"starting basis has length {len(columns)}, not the row count {len(self.rows)}")
+        for r, s in enumerate(columns):
+            # A column already basic in an earlier row is 0 here.
+            if self.rows[r][s] <= 0:
+                raise InternalError(f"starting pivot ({r}, {s}) is not positive")
             self._pivot(r, s)
-        # A pivot on a column basic in another row would meet a zero entry
-        # there, so each row pivoted keeps its own basic column. x_B = rhs /
-        # coefficient and every basic coefficient is positive.
-        for r, (row, b) in enumerate(zip(self.rows, self.basis)):
-            if b is None:
-                raise InternalError(f"starting basis has no column in row {r}")
+        # x_B = rhs / coefficient, and every basic coefficient is positive.
+        for r, row in enumerate(self.rows):
             if row[-1] < 0:
                 raise InternalError(f"starting basis has a negative level at row {r}")
 
@@ -173,9 +170,10 @@ class _Tableau:
 def solve(lp: StandardFormLP, *, start) -> LPOutcome:
     """Exact optimum, or unbounded status, from the feasible basis ``start``.
 
-    ``start`` is a sequence of ``(row, column)`` pairs, pivoted in order; a
+    ``start`` holds the basic column of each row, pivoted in row order; a
     column past the LP's variables is the slack of the ``le`` rows in order.
-    A zero pivot entry, a row left with no basic column or a negative basic
-    level is an ``InternalError``.
+    A start whose length is not the row count, a pivot entry that is not
+    positive when its turn comes or a negative basic level is an
+    ``InternalError``.
     """
     return _Tableau(lp).solve(start)

@@ -10,13 +10,13 @@ points without changing the objective or leaving the feasible set. The
 grid-restricted optimum then equals the unrestricted one; with a coarser
 grid it is still an exact lower bound.
 
-The contraction order needs one row per interior prior atom, not one per
-candidate: the target's integrated cdf is convex, the prior's is affine
-between consecutive prior atoms, and the two agree at the prior's extreme
-atoms once mass and mean agree. So the LP has n rows however fine the grid
-(with n = 1 the mass row alone, as the one candidate is the prior's mean),
-and a basic solution has at most n positive weights: the bound of the
-theorem below.
+The contraction order needs one row per prior atom above the first, not one
+per candidate: the target's integrated cdf I_Q is convex, the prior's I_P is
+affine between consecutive prior atoms, and both are 0 at the lowest atom.
+So I_Q <= I_P at a_2, ..., a_{n-1} with I_Q = I_P at a_n, which with mass 1
+is the mean, decides the order on the whole grid. With the mass row the LP
+has n rows however fine the grid, and a basic solution has at most n
+positive weights: the bound of the theorem below.
 
 The LP's feasible set is exactly the contractions of the prior on the grid,
 and the simplex stops at a vertex of it. By the paper's theorem, a
@@ -125,15 +125,13 @@ def _persuasion_lp(
     """The weight LP of ``solve_linear_persuasion`` on its checked grid.
 
     Column j is q_j, and ``atom_columns`` holds k_i, the candidate index of
-    each prior atom a_i. The mass row comes first and, for n >= 2, the mean
-    row; a one-atom prior's one candidate is its mean, so there the mean row
-    is implied. Then the row of each interior prior atom a_i, i = 2..n-1,
-    bounds the target's integrated cdf there by the prior's: sum_{c_j < a_i}
-    q_j (a_i - c_j) <= I_P(a_i). That is n rows, whatever the grid. They
-    decide the contraction order on the whole grid: I_Q is convex and I_P is
-    affine between consecutive prior atoms, so I_Q <= I_P at both ends of
-    such an interval holds across it; and with the mass and mean rows both
-    sides are 0 at a_1 and a_n - mu at a_n.
+    each prior atom a_i. Row i - 2, for i = 2..n, bounds the target's
+    integrated cdf at a_i by the prior's: sum_{c_j < a_i} q_j (a_i - c_j)
+    <= I_P(a_i), with equality at a_n. The mass row comes last. So the LP
+    has n rows, and a one-atom prior's is the mass row alone. Pivoting
+    ``atom_columns`` into the rows in order starts at Q = P: row i - 2 is 0
+    on every atom column from k_i up, so its pivot on k_{i-1} has entry
+    a_i - a_{i-1} > 0, and the mass row's on k_n has entry 1.
 
     The rows are built on integers: over the grid's common denominator D
     each candidate is C_j = c_j D. With the prior's weights over their scale
@@ -147,12 +145,11 @@ def _persuasion_lp(
     d, grid = integer_row(candidates)
     w, weights = source._integer_rows[1]
     n = len(weights)
-    # The mass row, and the mean row unless n = 1.
-    rows, bounds = [(1, [1] * m), canonical_row(d, grid)][:n], []
+    rows, bounds = [], []
     mass = moment = 0
-    for i, (k, weight) in enumerate(zip(atom_columns, weights)):
+    for k, weight in zip(atom_columns, weights):
         ck = grid[k]
-        if 0 < i < n - 1:
+        if mass:  # every atom above the first
             rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
             bounds.append(Fraction(ck * mass - moment, w * d))
         mass, moment = mass + weight, moment + weight * ck
@@ -166,28 +163,10 @@ def _persuasion_lp(
             j += 1
     return lp.StandardFormLP(
         objective=tuple(objective),
-        constraint_matrix=Matrix._trusted(tuple(rows)),
-        rhs=(Fraction(1), Fraction(moment, w * d), *bounds)[: len(rows)],
-        senses=("eq",) * (len(rows) - len(bounds)) + ("le",) * len(bounds),
+        constraint_matrix=Matrix._trusted((*rows, (1, [1] * m))),
+        rhs=(*bounds, Fraction(1)),
+        senses=("le",) * (n - 2) + ("eq",) * min(n, 2),
     )
-
-
-def _full_disclosure(atom_columns: list[int]) -> list[tuple[int, int]]:
-    """The weight LP's basis at Q = P, as ``lp.solve`` start pairs, one per row.
-
-    ``atom_columns`` holds k_1 < ... < k_n, the candidate index of each prior
-    atom a_i. Row 0 is mass, row 1 is mean and row i belongs to the interior
-    atom a_i, so the pairs are (0, k_n), (1, k_{n-1}) and then (i, k_{i-1})
-    for i = n-1 down to 2: every row gets a pivot, and no slack starts
-    basic. Each pivot entry is nonzero: the mass row's is 1; the mean row's
-    becomes c_{k_{n-1}} - c_{k_n} < 0 after the first pivot; and the row of
-    a_i has a_i - a_{i-1} > 0 there, untouched by the pivots before it,
-    which are on columns where that row is zero. The n atom columns are then
-    basic at the prior's weights, with every slack at I_P - I_P = 0. With
-    n = 1 the LP is the mass row alone, and (0, k_1) is its pair.
-    """
-    rows = [0, 1, *range(len(atom_columns) - 1, 1, -1)]
-    return list(zip(rows, reversed(atom_columns)))
 
 
 def solve_linear_persuasion(
@@ -198,17 +177,17 @@ def solve_linear_persuasion(
     """Maximize expected utility over contractions supported on the candidates.
 
     Variables are the target's weights q_j on the candidates c_j. They sum to
-    1, their mean is the prior's, and at every interior prior atom a_i the
-    target's integrated cdf sum_{c_j < a_i} q_j (a_i - c_j) is at most the
-    prior's (the Rothschild-Stiglitz form of the problem). The target's
-    integrated cdf is convex and the prior's is affine between its atoms, so
-    these n - 2 rows decide the contraction order on the whole grid, and the
-    LP has n rows however fine the grid is. Full disclosure is always
-    feasible because the candidates must contain every source atom. The rows,
-    right-hand side and objective come from integer sweeps over the grid's
-    common denominator (``_persuasion_lp``); they are exactly those of a
-    per-entry ``Fraction`` build. The simplex starts at full disclosure, a
-    feasible vertex (``_full_disclosure``), and ``lp.solve`` needs one. The
+    1, and at every prior atom a_i above the first the target's integrated
+    cdf sum_{c_j < a_i} q_j (a_i - c_j) is at most the prior's, and equal to
+    it at the top atom, which fixes the mean (the Rothschild-Stiglitz form of
+    the problem). The target's integrated cdf is convex and the prior's is
+    affine between its atoms, so these n - 1 rows decide the contraction
+    order on the whole grid, and the LP has n rows however fine the grid is.
+    The rows, right-hand side and objective come from integer sweeps over
+    the grid's common denominator (``_persuasion_lp``); they are exactly
+    those of a per-entry ``Fraction`` build. The simplex starts at full
+    disclosure, Q = P, a feasible vertex because the candidates must contain
+    every source atom: the prior's atom columns, one per row. The
     positive-weight candidates are the optimum's target, and ``find_witness``
     builds its garbling. The optimum is a vertex, so it has at most n atoms,
     and its expected utility is the LP's value; both are checked exactly, and
@@ -233,7 +212,7 @@ def solve_linear_persuasion(
 
     atom_columns = [column[a] for a in source.atoms]
     problem = _persuasion_lp(source, utility, candidates, atom_columns)
-    outcome = lp.solve(problem, start=_full_disclosure(atom_columns))
+    outcome = lp.solve(problem, start=atom_columns)
     if outcome.status != "optimal":  # the mass row bounds every weight
         raise InternalError(f"persuasion LP came back {outcome.status}")
     atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
@@ -309,6 +288,9 @@ def check_no_profitable_deviation(
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
     equilibrium_value = parse_rational(equilibrium_value)
     a1, an = source.atoms[0], source.atoms[-1]
+    lo, hi = opponent_cdf.domain
+    if lo > a1 or hi < an:
+        raise DomainError("opponent cdf domain must cover the prior's atom range")
     merged = set(parse_rational(x) for x in candidates)
     merged.update(x for x, _ in opponent_cdf.knots if a1 <= x <= an)
     solution = solve_linear_persuasion(source, opponent_cdf, sorted(merged))

@@ -5,10 +5,11 @@ names. This is the earlier rational tableau, kept so tests can require the
 integer version to return the same ``LPOutcome`` (status, solution, value
 and pivot count) on the same LP and start: the same Bland's-rule pivots,
 done in rational arithmetic. A ``start`` is taken as ``mpcmix.lp.solve``
-takes it: its pivots are forced, every row must end them with a basic column
-at a nonnegative level, and phase 2 runs from there. Without a start, phase
-1 finds a feasible basis from the slack and artificial columns, or reports
-the LP infeasible, so the tests can solve LPs that have no known vertex.
+takes it: one column per row, each pivoted into its row in row order on an
+entry that is positive in the row as stated, then a check that every level
+is nonnegative, and phase 2 runs from there. Without a start, phase 1 finds
+a feasible basis from the slack and artificial columns, or reports the LP
+infeasible, so the tests can solve LPs that have no known vertex.
 """
 
 from fractions import Fraction
@@ -35,6 +36,9 @@ class _Tableau:
                 k += 1
             rows.append(row)
         rhs = list(lp.rhs)
+        # Phase 1 wants every rhs nonnegative; a start's pivot entries are
+        # read with the sign of the row as stated.
+        self.signs = [-1 if b < 0 else 1 for b in rhs]
         for i in range(m):
             if rhs[i] < 0:
                 rows[i] = [-x for x in rows[i]]
@@ -132,20 +136,17 @@ class _Tableau:
         self.rhs = [self.rhs[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
 
-    def _start(self, pairs) -> None:
-        pivoted = set()
-        for r, s in pairs:
-            if self.rows[r][s] == 0:
-                raise InternalError(f"starting pivot ({r}, {s}) has a zero entry")
+    def _start(self, columns) -> None:
+        if len(columns) != len(self.rows):
+            raise InternalError(f"starting basis has length {len(columns)}, not the row count {len(self.rows)}")
+        for r, s in enumerate(columns):
+            if self.signs[r] * self.rows[r][s] <= 0:
+                raise InternalError(f"starting pivot ({r}, {s}) is not positive")
             self._pivot(r, s, None)
-            pivoted.add(r)
-        # As in mpcmix.lp, no column starts basic: a row that the start
-        # leaves on its slack or artificial has no basic column.
         for r in range(len(self.rows)):
-            if r not in pivoted:
-                raise InternalError(f"starting basis has no column in row {r}")
             if self.rhs[r] < 0:
                 raise InternalError(f"starting basis has a negative level at row {r}")
+        # Every row now has a basic column, so no artificial is basic.
         self._expel_artificials()
 
     def solve(self, start=None) -> LPOutcome:

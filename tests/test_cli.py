@@ -357,6 +357,20 @@ def test_check_deviation_needs_a_cdf(tmp_path, capsys):
     assert error == {"code": "not-a-cdf", "message": "opponent distribution must be a continuous cdf (0 to 1, nondecreasing)"}
 
 
+def test_check_deviation_needs_a_cdf_over_the_prior(tmp_path, capsys):
+    payload = {
+        "source": {"atoms": ["0", "1"], "weights": ["1/2", "1/2"]},
+        "opponent_cdf": {"knots": [["1/4", "0"], ["3/4", "1"]]},
+        "equilibrium_value": "1/2",
+        "candidates": ["0", "1"],
+    }
+    assert run_cli(tmp_path, "check-deviation", payload) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"code": "domain", "message": "opponent cdf domain must cover the prior's atom range"}
+
+
 @pytest.mark.parametrize("key", ["n", "count"])
 @pytest.mark.parametrize("value", [0, True, "3"], ids=repr)
 def test_gen_random_sizes_must_be_positive_integers(tmp_path, capsys, key, value):

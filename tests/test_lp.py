@@ -238,8 +238,9 @@ class TestMatchesTheFractionTableau:
             assert solve_lp(problem, start) == reference_solve(problem, start)
 
     def test_random_instances(self):
-        # Random starts on random programs: most are singular or infeasible,
-        # and both tableaus must refuse those with the same message.
+        # Random starts on random programs, one column per row: most are
+        # singular or infeasible, and both tableaus must refuse those with the
+        # same message.
         rng = Random(61)
         seen = set()
         for _ in range(80):
@@ -247,8 +248,7 @@ class TestMatchesTheFractionTableau:
             rows = problem.constraint_matrix.rows
             width = len(problem.objective) + problem.senses.count("le")
             for _ in range(10):
-                start = list(zip(range(rows), rng.sample(range(width), min(rows, width))))
-                rng.shuffle(start)
+                start = [rng.randrange(width) for _ in range(rows)]
                 out = _outcome_or_error(solve_lp, problem, start)
                 assert out == _outcome_or_error(reference_solve, problem, start)
                 seen.add(out.status if isinstance(out, LPOutcome) else out.split(" (")[0].split(" at ")[0])
@@ -280,7 +280,7 @@ class TestMatchesTheFractionTableau:
             ["le", "le", "le"],
         )
         # x1 on the first row and the other two rows on their slacks.
-        start = [(0, 0), (1, 4), (2, 5)]
+        start = [0, 4, 5]
         out = solve_lp(problem, start)
         assert out == reference_solve(problem, start)
         assert out.solution == (Fraction(999983, 1000039), 0, 0)
@@ -291,6 +291,7 @@ class TestMatchesTheFractionTableau:
         # negative structural entry, and the other's row is redundant and is
         # dropped. A start has no row to drop: its pivots leave the third row
         # all zero, so both tableaus refuse every start on this program.
+        # (The first row's entry on x1 is -2, so x3 goes there.)
         problem = lp(
             [1, -3, 1, -1],
             [
@@ -303,18 +304,18 @@ class TestMatchesTheFractionTableau:
         )
         assert reference_solve(problem) == LPOutcome("optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2)
         for start, message in [
-            ([(0, 0), (1, 1)], "starting basis has no column in row 2"),
-            ([(0, 0), (1, 1), (2, 3)], r"starting pivot \(2, 3\) has a zero entry"),
+            ([2, 3], "starting basis has length 2, not the row count 3"),
+            ([2, 3, 0], r"starting pivot \(2, 0\) is not positive"),
         ]:
             for solver in (solve_lp, reference_solve):
                 with pytest.raises(InternalError, match=f"^{message}$"):
                     solver(problem, start)
 
     def test_unbounded_program(self):
-        # max x s.t. -x <= -1: x = 1 is a vertex, and x grows without bound.
-        problem = lp([1], [[-1]], [-1], ["le"])
-        out = solve_lp(problem, [(0, 0)])
-        assert out == reference_solve(problem, [(0, 0)])
+        # max x s.t. x - y = 1: x = 1 is a vertex, and x grows with y without bound.
+        problem = lp([1, 0], [[1, -1]], [1], ["eq"])
+        out = solve_lp(problem, [0])
+        assert out == reference_solve(problem, [0])
         assert out == LPOutcome("unbounded", pivots=1)
 
 
@@ -337,7 +338,7 @@ def _grid_probe(m):
 
 
 class TestFullDisclosureStart:
-    """The persuasion LP starts at Q = P, one pair per row; a bad start is an ``InternalError``.
+    """The persuasion LP starts at Q = P, one atom column per row; a bad start is an ``InternalError``.
 
     The reference's phase 1, which ``mpcmix.lp`` does not have, reaches the same values.
     """
@@ -376,25 +377,51 @@ class TestFullDisclosureStart:
         assert problem.constraint_matrix._integer_rows == ((1, [1]),)
         assert problem.rhs == (1,)
         assert problem.senses == ("eq",)
-        assert start == [(0, 0)]
+        assert start == [0]
         value = 1 + Fraction(atom)
         assert solve_lp(problem, start) == LPOutcome("optimal", (1,), value, pivots=1)
 
     def test_interior_rows_take_the_interior_atoms(self):
         prior = dist(["0", "1/4", "1/2", "1"], ["1/4", "1/4", "1/4", "1/4"])
         candidates = ["0", "1/8", "1/4", "3/8", "1/2", "3/4", "1"]
-        _, start = weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
-        # Atoms at candidates 0, 2, 4 and 6; the rows of 1/2 and 1/4 are 3 and 2.
-        assert start == [(0, 6), (1, 4), (3, 2), (2, 0)]
+        problem, start = weight_lp(prior, _pwl(("0", "0"), ("1", "1")), candidates)
+        # Atoms at candidates 0, 2, 4 and 6. The rows of 1/4, 1/2 and 1
+        # pivot on the atom below each, and the mass row on the top atom.
+        assert start == [0, 2, 4, 6]
+        assert problem.constraint_matrix.entries[:3] == (
+            tuple(Fraction(x) for x in ("1/4", "1/8", "0", "0", "0", "0", "0")),
+            tuple(Fraction(x) for x in ("1/2", "3/8", "1/4", "1/8", "0", "0", "0")),
+            tuple(Fraction(x) for x in ("1", "7/8", "3/4", "5/8", "1/2", "1/4", "0")),
+        )
+        assert problem.rhs == (Fraction(1, 16), Fraction(3, 16), Fraction(9, 16), 1)
+        assert problem.senses == ("le", "le", "eq", "eq")
 
     def test_zero_pivot_entry_is_an_internal_error(self):
-        # The mean row is 0 q_1 + 1 q_2 = 3/4.
+        # The top atom's row is 1 q_1 + 0 q_2 = 1/4.
         problem, _ = weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "1"), ("1", "2")), ["0", "1"])
-        message = r"^starting pivot \(1, 0\) has a zero entry$"
+        message = r"^starting pivot \(0, 1\) is not positive$"
         with pytest.raises(InternalError, match=message):
-            solve_lp(problem, [(1, 0)])
+            solve_lp(problem, [1, 0])
         with pytest.raises(InternalError, match=message):
-            reference_solve(problem, [(1, 0)])
+            reference_solve(problem, [1, 0])
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            # All mass on 0: the top atom's row puts q_1 at 1/4, and leaves
+            # q_1 at 0 in the mass row.
+            [0, 0],
+            # The top atom's row puts q_2 at 1/2 - 2 q_1, and leaves q_1 at
+            # -1 in the mass row.
+            [1, 0],
+        ],
+        ids=["repeated", "negative entry"],
+    )
+    def test_a_nonpositive_pivot_is_an_internal_error(self, start):
+        problem, _ = weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "1"), ("1", "2")), ["0", "1/2", "1"])
+        for solver in (solve_lp, reference_solve):
+            with pytest.raises(InternalError, match=r"^starting pivot \(1, 0\) is not positive$"):
+                solver(problem, start)
 
     @pytest.mark.parametrize(
         "problem, start, message",
@@ -402,30 +429,17 @@ class TestFullDisclosureStart:
             # x1 = 1 leaves the slack of x1 <= 1/2 at -1/2.
             (
                 lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]),
-                [(0, 0), (1, 2)],
+                [0, 2],
                 "has a negative level at row 1",
             ),
             # Weights on 0 and 1/2 with mean 3/4: q_1 = -1/2.
             (
                 weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1/2", "1"])[0],
-                [(0, 0), (1, 1)],
+                [0, 1],
                 "has a negative level at row 0",
             ),
-            # All mass on 0 leaves the mean row 3/4 short, a residual that a phase-1
-            # artificial would carry; with no artificial the row has no pivot.
-            (
-                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0],
-                [(0, 0)],
-                "has no column in row 1",
-            ),
-            # All mass on 1 overshoots the mean row by 1/4: the same, at -1/4.
-            (
-                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1"])[0],
-                [(0, 1)],
-                "has no column in row 1",
-            ),
         ],
-        ids=["negative slack", "negative weight", "artificial at 3/4", "artificial at -1/4"],
+        ids=["negative slack", "negative weight"],
     )
     def test_infeasible_start_is_an_internal_error(self, problem, start, message):
         message = f"^starting basis {message}$"
@@ -435,16 +449,16 @@ class TestFullDisclosureStart:
             reference_solve(problem, start)
 
     @pytest.mark.parametrize(
-        "problem, start, row",
+        "problem, start",
         [
-            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), [], 0),
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(1, 2)], ["eq", "le"]), []),
             # No slack starts basic: x1 = 1 would leave it at 1/2, but the start must name it.
-            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(3, 2)], ["eq", "le"]), [(0, 0)], 1),
+            (lp([1, 0], [[1, 1], [1, 0]], [1, Fraction(3, 2)], ["eq", "le"]), [0]),
         ],
         ids=["no pivot", "slack row"],
     )
-    def test_a_row_without_a_start_pivot_is_an_internal_error(self, problem, start, row):
-        message = f"^starting basis has no column in row {row}$"
+    def test_a_row_without_a_start_pivot_is_an_internal_error(self, problem, start):
+        message = f"^starting basis has length {len(start)}, not the row count 2$"
         with pytest.raises(InternalError, match=message):
             solve_lp(problem, start)
         with pytest.raises(InternalError, match=message):
@@ -483,7 +497,7 @@ class TestFullDisclosureStart:
     def test_grid_probe_pivots(self):
         problem, start = _grid_probe(41)
         started, phase_1 = solve_lp(problem, start), reference_solve(problem)
-        assert phase_1.pivots == 61
+        assert phase_1.pivots == 60
         assert started.pivots <= 25
         # With an order row at every interior candidate, phase 1 took 87 pivots.
         full_grid = reference_solve(full_grid_lp(*_grid_probe_instance(41)))

@@ -432,6 +432,18 @@ class TestCheckNoProfitableDeviation:
         check_no_profitable_deviation(DUEL_PRIOR, DUEL_CDF, DUEL_VALUE, DUEL_PRIOR.atoms)
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("candidates", [["0", "1"], ["0", "2"]], ids=["grid", "bad candidate"])
+    def test_a_short_cdf_fails_first(self, monkeypatch, candidates):
+        # A cdf over [1/4, 3/4] against a prior over [0, 1] is refused before
+        # the solve, and before a candidate past the prior would be.
+        solves = []
+        monkeypatch.setattr(lp, "solve", lambda problem, *, start: solves.append(problem))
+        narrow = pwl([("1/4", "0"), ("3/4", "1")])
+        message = "^opponent cdf domain must cover the prior's atom range$"
+        with pytest.raises(DomainError, match=message):
+            check_no_profitable_deviation(dist(["0", "1"], ["1/2", "1/2"]), narrow, "1/2", candidates)
+        assert solves == []
+
     def test_witness_is_a_contraction_of_the_prior(self):
         check = check_no_profitable_deviation(
             DUEL_PRIOR, DUEL_CDF, DUEL_VALUE, DUEL_PRIOR.atoms

@@ -1,0 +1,96 @@
+"""Count the CLI runs whose results differ between two source trees.
+
+    python3 tools/compare_outputs.py --src A --src B [--seeds 1 2 3]
+
+``A`` and ``B`` are the ``src`` directories of two checkouts (the same one
+twice is a determinism check). Every item of the four ``bench/corpus.py``
+corpora at each seed runs through each tree's ``mpcmix.cli.main`` in this
+process, three times: plain, with ``--pretty`` and with ``--decimals``. A
+run's result is its exit status, stdout and stderr; an exception that
+escapes ``main`` counts as a result too. The output is one JSON object:
+``runs``, the number of runs per tree, ``differ``, the number whose results
+are not equal, and ``first``, up to ten of those as
+``[workload, seed, item, mode]``. The exit status is 1 when any run differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = {"plain": [], "pretty": ["--pretty"], "decimals": ["--decimals"]}
+
+
+def _fresh_main(src: Path):
+    """``mpcmix.cli.main`` imported from ``src``, dropping any earlier import."""
+    for name in [k for k in sys.modules if k == "mpcmix" or k.startswith("mpcmix.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        cli = importlib.import_module("mpcmix.cli")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise ImportError(f"mpcmix was imported from {cli.__file__}, not from {src}")
+    return cli.main
+
+
+def _result(main, argv) -> str:
+    """A digest of the exit status, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = repr(main(argv))
+        except Exception as exc:  # an escaping exception is a result to compare
+            status = f"raised {type(exc).__name__}: {exc}"
+    text = "\0".join((status, out.getvalue(), err.getvalue()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def results(src: Path, items, work: Path) -> list[str]:
+    """The digest of every run of ``items`` through ``src``'s CLI, in ``MODES`` order per item."""
+    main = _fresh_main(src)
+    return [
+        _result(main, [command, str(work / f"{k}.json"), *flags])
+        for k, (_, command, _) in enumerate(items)
+        for flags in MODES.values()
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, action="append", required=True, help="a src directory; give two")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    if len(args.src) != 2:
+        parser.error("give --src exactly twice")
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpus
+
+    items = [
+        ([workload, seed, k], command, payload)
+        for workload in corpus.WORKLOADS
+        for seed in args.seeds
+        for k, (command, payload, _) in enumerate(corpus.build(workload, seed))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for k, (_, _, payload) in enumerate(items):
+            (work / f"{k}.json").write_text(json.dumps(payload), encoding="utf-8")
+        a, b = (results(src.resolve(), items, work) for src in args.src)
+    labels = [[*label, mode] for label, _, _ in items for mode in MODES]
+    differ = [label for label, x, y in zip(labels, a, b) if x != y]
+    print(json.dumps({"runs": len(labels), "differ": len(differ), "first": differ[:10]}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
