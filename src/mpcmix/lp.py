@@ -1,15 +1,16 @@
 """Exact linear programming: a dense simplex with Bland's rule, started from a feasible basis.
 
 Problems are stated as: maximize c @ x subject to A x (<=, =) b and x >= 0,
-everything rational. The caller names a feasible basis as ``start``, one
-column per row: each is pivoted into its row in row order, on a positive
-pivot entry, the basis is checked to sit at a nonnegative level, and the
-simplex runs from it. Bland's pivoting (lowest eligible index in and out)
-guarantees termination under degeneracy, and exact arithmetic makes the
-reported optimum a certificate rather than an approximation. The tableau
-holds integer rows and pivots without fractions (see ``_Tableau``).
-Persuasion states its LP over the target's weights on a candidate grid and
-starts it on the prior's atom columns (see
+everything rational: A is a ``Matrix``, and c and b are integer rows
+``(scale, ints)``, as a ``Matrix`` row is. The caller names a feasible
+basis as ``start``, one column per row: each is pivoted into its row in row
+order, on a positive pivot entry, the basis is checked to sit at a
+nonnegative level, and the simplex runs from it. Bland's pivoting (lowest
+eligible index in and out) guarantees termination under degeneracy, and
+exact arithmetic makes the reported optimum a certificate rather than an
+approximation. The tableau holds integer rows and pivots without fractions
+(see ``_Tableau``). Persuasion states its LP over the target's weights on a
+candidate grid and starts it on the prior's atom columns (see
 ``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
 contraction order, come from ``distributions.find_witness`` with no LP.
 """
@@ -21,25 +22,38 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionError, InternalError
-from .linalg import Matrix, integer_row
+from .linalg import Matrix
 
 SENSES = ("le", "eq")
 
 
 @dataclass(frozen=True)
 class StandardFormLP:
-    """maximize objective @ x  s.t.  A x (senses) rhs,  x >= 0."""
+    """maximize objective @ x  s.t.  A x (senses) rhs,  x >= 0.
 
-    objective: tuple[Fraction, ...]
+    ``objective`` and ``rhs`` are integer rows ``(scale, ints)``, not
+    necessarily in lowest terms: entry j is ``ints[j] / scale``, for an
+    ``int`` scale above 0 and ``int`` entries.
+    """
+
+    objective: tuple[int, list[int]]
     constraint_matrix: Matrix
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int, list[int]]
     senses: tuple[str, ...]
 
     def __post_init__(self) -> None:
         m, n = self.constraint_matrix.rows, self.constraint_matrix.cols
-        if len(self.objective) != n:
+        for name, row in (("objective", self.objective), ("rhs", self.rhs)):
+            if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[1], (list, tuple))):
+                raise ValueError(f"{name} must be an integer row (scale, ints)")
+            scale, ints = row
+            if type(scale) is not int or scale <= 0:
+                raise ValueError(f"{name} scale must be a positive int")
+            if not {int}.issuperset(map(type, ints)):
+                raise ValueError(f"{name} entries must be ints")
+        if len(self.objective[1]) != n:
             raise DimensionError("objective length does not match variable count")
-        if len(self.rhs) != m or len(self.senses) != m:
+        if len(self.rhs[1]) != m or len(self.senses) != m:
             raise DimensionError("rhs/senses length does not match row count")
         for s in self.senses:
             if s not in SENSES:
@@ -69,26 +83,31 @@ class _Tableau:
     every other row, so the row is a positive multiple of the rational
     tableau row with a 1 in that column, and x_B = rhs / coefficient. Pivots
     are fraction-free: a row becomes a·row − f·pivot_row, divided by its
-    content gcd. The reduced costs are an integer row with an implicit
-    positive scale, so only their signs are read. Every pivot choice matches
-    the one a rational tableau makes, so the pivot sequence, and the outcome,
-    are the same.
+    content gcd. The reduced costs start as the objective's integer row and
+    keep an implicit positive scale, so only their signs are read. Every
+    pivot choice matches the one a rational tableau makes, so the pivot
+    sequence, and the outcome, are the same.
 
     No column is basic at first: ``_start`` pivots one column into each row,
-    and every pivot, forced or chosen, is on a positive entry.
+    and every pivot, forced or chosen, is on a positive entry. The value
+    sums over the basic columns only.
     """
 
     def __init__(self, lp: StandardFormLP):
-        n = len(lp.objective)
+        n = len(lp.objective[1])
         n_slack = lp.senses.count("le")
         zeros = [0] * n_slack
         rows: list[list[int]] = []
         slack = n
-        for (scale, ints), rhs, sense in zip(lp.constraint_matrix._integer_rows, lp.rhs, lp.senses):
-            # The row of A, its slack and its rhs, times the lcm of their denominators.
-            mult = lcm(scale, rhs.denominator)
+        b_scale, b = lp.rhs
+        for (scale, ints), rhs, sense in zip(lp.constraint_matrix._integer_rows, b, lp.senses):
+            # The row of A, its slack and its rhs in lowest terms, times the
+            # lcm of their scales.
+            g = gcd(rhs, b_scale)
+            rhs, rhs_scale = rhs // g, b_scale // g
+            mult = lcm(scale, rhs_scale)
             f = mult // scale
-            row = [f * x for x in ints] + zeros + [rhs.numerator * (mult // rhs.denominator)]
+            row = [f * x for x in ints] + zeros + [rhs * (mult // rhs_scale)]
             if sense == "le":
                 row[slack] = mult
                 slack += 1
@@ -156,15 +175,19 @@ class _Tableau:
 
     def solve(self, start) -> LPOutcome:
         self._start(start)
-        status = self._run(_reduced(integer_row(self.objective)[1]) + [0] * self.n_slack)
+        scale, objective = self.objective
+        status = self._run(_reduced(objective) + [0] * self.n_slack)
         if status == "unbounded":
             return LPOutcome("unbounded", pivots=self.pivots)
-        x = [Fraction(0)] * (self.n_original + self.n_slack)
+        n = self.n_original
+        x = [Fraction(0)] * n
+        num, den = 0, 1  # the value, num / (den * scale)
         for row, b in zip(self.rows, self.basis):
-            x[b] = Fraction(row[-1], row[b])
-        solution = tuple(x[: self.n_original])
-        value = sum(c * v for c, v in zip(self.objective, solution))
-        return LPOutcome("optimal", solution, value, self.pivots)
+            if b < n:
+                x[b] = level = Fraction(row[-1], row[b])
+                p, q = level.numerator, level.denominator
+                num, den = num * q + objective[b] * p * den, den * q
+        return LPOutcome("optimal", tuple(x), Fraction(num, den * scale), self.pivots)
 
 
 def solve(lp: StandardFormLP, *, start) -> LPOutcome:
@@ -172,6 +195,7 @@ def solve(lp: StandardFormLP, *, start) -> LPOutcome:
 
     ``start`` holds the basic column of each row, pivoted in row order; a
     column past the LP's variables is the slack of the ``le`` rows in order.
+    The solution and value are the only ``Fraction`` values made.
     A start whose length is not the row count, a pivot entry that is not
     positive when its turn comes or a negative basic level is an
     ``InternalError``.

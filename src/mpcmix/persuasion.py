@@ -28,13 +28,15 @@ needed to reach a small-support answer. The solver checks this exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, canonical_row, integer_row, json_list, json_object, parse_rational, rationals
+from .linalg import Matrix, canonical_row, integer_row, json_list, json_object, parse_rational, parse_row, rationals
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,39 @@ class PiecewiseLinearFn:
         )
 
     def expectation(self, dist: DiscreteDistribution) -> Fraction:
-        return sum(w * self(a) for a, w in zip(dist.atoms, dist.weights))
+        """E u(X) for X drawn from ``dist``, in one integer sweep up its rows and knots.
+
+        An atom a = A / e of weight W / w falls to the first segment with
+        a <= x1, as in ``__call__``. With the segment's knots over one scale s,
+        its atoms add ((Y0 dx - dy X0) e M + dy s S) / (w e s dx), for
+        dx = X1 - X0, dy = Y1 - Y0, M = sum W and S = sum W A. An atom
+        outside the domain raises ``__call__``'s ``DomainError``.
+        """
+        (e, atoms), (w, weights) = dist._integer_rows
+        lo, hi = self.domain
+        if atoms[0] * lo.denominator < lo.numerator * e:
+            raise DomainError(f"{Fraction(atoms[0], e)} outside domain [{lo}, {hi}]")
+        knots, n, i = self.knots, len(atoms), 0
+        num, den = 0, 1
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            if i == n:
+                break
+            p, q = x1.numerator * e, x1.denominator
+            mass = moment = 0
+            while i < n and atoms[i] * q <= p:
+                mass += weights[i]
+                moment += weights[i] * atoms[i]
+                i += 1
+            if mass:
+                s, (x0, x1, y0, y1) = integer_row((x0, x1, y0, y1))
+                dx, dy = x1 - x0, y1 - y0
+                top = lcm(den, s * dx)
+                total = (y0 * dx - dy * x0) * e * mass + dy * s * moment
+                num = num * (top // den) + total * (top // (s * dx))
+                den = top
+        if i < n:
+            raise DomainError(f"{Fraction(atoms[i], e)} outside domain [{lo}, {hi}]")
+        return Fraction(num, den * w * e)
 
     def to_json(self) -> dict:
         return {"knots": [[str(x), str(y)] for x, y in self.knots]}
@@ -116,14 +150,27 @@ class PersuasionSolution:
     candidates_exact: bool
 
 
+def _grid_columns(d: int, grid: list[int], ratios) -> list[int] | None:
+    """The index on the increasing grid ``grid / d`` of each increasing ``p / q``, or None."""
+    columns, j = [], 0
+    for p, q in ratios:
+        c, r = divmod(p * d, q)
+        j = bisect_left(grid, c, j)
+        if r or j == len(grid) or grid[j] != c:
+            return None
+        columns.append(j)
+    return columns
+
+
 def _persuasion_lp(
     source: DiscreteDistribution,
     utility: PiecewiseLinearFn,
-    candidates: tuple[Fraction, ...],
+    grid: tuple[int, list[int]],
     atom_columns: list[int],
 ) -> lp.StandardFormLP:
     """The weight LP of ``solve_linear_persuasion`` on its checked grid.
 
+    ``grid`` is the candidates' integer row ``(D, C)``, with c_j = C_j / D.
     Column j is q_j, and ``atom_columns`` holds k_i, the candidate index of
     each prior atom a_i. Row i - 2, for i = 2..n, bounds the target's
     integrated cdf at a_i by the prior's: sum_{c_j < a_i} q_j (a_i - c_j)
@@ -133,38 +180,51 @@ def _persuasion_lp(
     on every atom column from k_i up, so its pivot on k_{i-1} has entry
     a_i - a_{i-1} > 0, and the mass row's on k_n has entry 1.
 
-    The rows are built on integers: over the grid's common denominator D
-    each candidate is C_j = c_j D. With the prior's weights over their scale
-    W, one sweep up the prior's atoms carries the mass and moment below each
-    atom, and I_P(a_i) = (C_{k_i} mass - moment) / (W D), the form that
-    ``mpc_violation``'s integer sweep also uses. ``canonical_row`` puts each
-    row in lowest terms, which ``Matrix._trusted`` takes unchecked. The
-    utility at every candidate comes from one sweep over its sorted knots.
+    Every row is built on integers and goes to ``lp.solve`` as one. With
+    the prior's weights over their scale W, one sweep up the prior's atoms
+    carries the mass and moment below each, and the rhs is over W D:
+    I_P(a_i) is C_{k_i} mass - moment, as in ``mpc_violation``, and the mass
+    row's 1 is W D. ``Matrix._trusted`` takes the rows of A, each put in
+    lowest terms by ``canonical_row``. One sweep up the knots gives the
+    objective over L D, for L the lcm of the integer scales of the segments
+    that hold a candidate.
     """
-    m = len(candidates)
-    d, grid = integer_row(candidates)
+    d, cs = grid
+    m = len(cs)
     w, weights = source._integer_rows[1]
-    n = len(weights)
     rows, bounds = [], []
     mass = moment = 0
     for k, weight in zip(atom_columns, weights):
-        ck = grid[k]
+        ck = cs[k]
         if mass:  # every atom above the first
-            rows.append(canonical_row(d, [ck - cj for cj in grid[:k]] + [0] * (m - k)))
-            bounds.append(Fraction(ck * mass - moment, w * d))
+            rows.append(canonical_row(d, [ck - cj for cj in cs[:k]] + [0] * (m - k)))
+            bounds.append(ck * mass - moment)
         mass, moment = mass + weight, moment + weight * ck
-    # u(c_j) is cut + slope c_j on the first knot segment that holds c_j.
-    knots, objective, j = utility.knots, [], 0
+    # Candidates j in [start, end) lie on the first knot segment with
+    # c_j <= x1. With its two knots over one scale s, there
+    # u(c) = (y0 (x1 - c) + y1 (c - x0)) / (x1 - x0) is (cut + rise c) / t,
+    # for cut = Y0 X1 - Y1 X0, rise = (Y1 - Y0) s and t = (X1 - X0) s.
+    knots, segments, j = utility.knots, [], 0
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        slope = Fraction(y1 - y0, x1 - x0)
-        scale, (cut, rise) = integer_row((y0 - slope * x0, slope))
-        while j < m and candidates[j] <= x1:
-            objective.append(Fraction(cut * d + rise * grid[j], scale * d))
+        if j == m:
+            break
+        p, q, start = x1.numerator * d, x1.denominator, j
+        while j < m and cs[j] * q <= p:
             j += 1
+        if j > start:
+            s, (x0, x1, y0, y1) = integer_row((x0, x1, y0, y1))
+            segments.append(((x1 - x0) * s, y0 * x1 - y1 * x0, (y1 - y0) * s, start, j))
+    top = lcm(*(t for t, *_ in segments))
+    objective = []
+    for t, cut, rise, start, end in segments:
+        f = top // t
+        cut, rise = cut * f * d, rise * f
+        objective += [cut + rise * c for c in cs[start:end]]
+    n, scale = len(weights), w * d
     return lp.StandardFormLP(
-        objective=tuple(objective),
+        objective=(top * d, objective),
         constraint_matrix=Matrix._trusted((*rows, (1, [1] * m))),
-        rhs=(*bounds, Fraction(1)),
+        rhs=(scale, [*bounds, scale]),
         senses=("le",) * (n - 2) + ("eq",) * min(n, 2),
     )
 
@@ -183,56 +243,63 @@ def solve_linear_persuasion(
     the problem). The target's integrated cdf is convex and the prior's is
     affine between its atoms, so these n - 1 rows decide the contraction
     order on the whole grid, and the LP has n rows however fine the grid is.
-    The rows, right-hand side and objective come from integer sweeps over
-    the grid's common denominator (``_persuasion_lp``); they are exactly
-    those of a per-entry ``Fraction`` build. The simplex starts at full
-    disclosure, Q = P, a feasible vertex because the candidates must contain
-    every source atom: the prior's atom columns, one per row. The
-    positive-weight candidates are the optimum's target, and ``find_witness``
-    builds its garbling. The optimum is a vertex, so it has at most n atoms,
-    and its expected utility is the LP's value; both are checked exactly, and
-    a failure is an ``InternalError``. That value check evaluates the utility
-    knot by knot, independently of the sweep that built the objective.
+
+    The candidates go straight to their integer row, the grid, and are
+    checked there; one sweep up the grid finds the prior's atom columns and
+    another ``candidates_exact``. The LP comes from integer sweeps over the
+    grid's common denominator (``_persuasion_lp``), exactly as a per-entry
+    ``Fraction`` build makes it, and goes to ``lp.solve`` as integer rows.
+    The simplex starts at full disclosure, Q = P, a feasible vertex because
+    the candidates must contain every source atom: the prior's atom columns,
+    one per row. The positive-weight candidates, with their basic levels,
+    are the optimum's target, and ``find_witness`` builds its garbling. The
+    optimum is a vertex, so it has at most n atoms, and its expected utility
+    is the LP's value; both are checked exactly, and a failure is an
+    ``InternalError``. That value check, ``PiecewiseLinearFn.expectation``,
+    is its own sweep of the target's atoms against the knots.
     """
-    candidates = tuple(parse_rational(x) for x in candidates)
-    if not candidates:
+    d, grid = parse_row(candidates)
+    if not grid:
         raise CandidateError("candidate list is empty")
-    for k in range(len(candidates) - 1):
-        if candidates[k] >= candidates[k + 1]:
-            raise CandidateError("candidates must be strictly increasing")
-    a1, an = source.atoms[0], source.atoms[-1]
-    if candidates[0] < a1 or candidates[-1] > an:
+    if any(x >= y for x, y in zip(grid, grid[1:])):
+        raise CandidateError("candidates must be strictly increasing")
+    e, atoms = source._integer_rows[0]
+    if grid[0] * e < atoms[0] * d or grid[-1] * e > atoms[-1] * d:
         raise CandidateError("candidates must lie within the prior's atom range")
-    column = {c: k for k, c in enumerate(candidates)}
-    if not all(a in column for a in source.atoms):
+    atom_columns = _grid_columns(d, grid, ((a, e) for a in atoms))
+    if atom_columns is None:
         raise CandidateError("candidates must include every atom of the prior")
+    # The grid holds a_1 and a_n, so its ends are the prior's.
     lo, hi = utility.domain
-    if lo > a1 or hi < an:
+    if lo.numerator * d > grid[0] * lo.denominator or hi.numerator * d < grid[-1] * hi.denominator:
         raise DomainError("utility domain must cover the prior's atom range")
 
-    atom_columns = [column[a] for a in source.atoms]
-    problem = _persuasion_lp(source, utility, candidates, atom_columns)
+    problem = _persuasion_lp(source, utility, (d, grid), atom_columns)
     outcome = lp.solve(problem, start=atom_columns)
     if outcome.status != "optimal":  # the mass row bounds every weight
         raise InternalError(f"persuasion LP came back {outcome.status}")
-    atoms, weights = zip(*((c, q) for c, q in zip(candidates, outcome.solution) if q))
-    if len(atoms) > len(source.atoms):
+    support = [j for j, q in enumerate(outcome.solution) if q]
+    if len(support) > len(atoms):
         raise InternalError(
-            f"persuasion LP optimum is not a vertex: {len(atoms)} atoms on a {len(source.atoms)}-atom prior"
+            f"persuasion LP optimum is not a vertex: {len(support)} atoms on a {len(atoms)}-atom prior"
         )
-    target = DiscreteDistribution(atoms, weights)
+    target = DiscreteDistribution._checked(
+        (canonical_row(d, [grid[j] for j in support]), integer_row([outcome.solution[j] for j in support]))
+    )
     if utility.expectation(target) != outcome.value:
         raise InternalError("persuasion LP value differs from the optimum's expected utility")
     witness = find_witness(source, target)
     if witness is None:
         raise InternalError("persuasion LP optimum is not a contraction of the prior")
-    exact = all(x in column for x, _ in utility.knots if a1 < x < an)
+    # The knots strictly between a_1 and a_n, where u may kink.
+    knots = ((x.numerator, x.denominator) for x, _ in utility.knots)
+    kinks = ((p, q) for p, q in knots if grid[0] * q < p * d < grid[-1] * q)
     # find_witness has already run the full SmpcTriple check on this source,
     # witness and target, so a second check would only repeat it.
     return PersuasionSolution(
         optimum=SmpcTriple._trusted(source, witness, target),
         value=outcome.value,
-        candidates_exact=exact,
+        candidates_exact=_grid_columns(d, grid, kinks) is not None,
     )
 
 

@@ -10,17 +10,39 @@ entry that is positive in the row as stated, then a check that every level
 is nonnegative, and phase 2 runs from there. Without a start, phase 1 finds
 a feasible basis from the slack and artificial columns, or reports the LP
 infeasible, so the tests can solve LPs that have no known vertex.
+
+``StandardFormLP`` takes its objective and rhs as integer rows
+``(scale, ints)``. Every test states its LPs in ``Fraction`` tuples through
+``standard_form``, and reads such a row back with ``fractions_of``.
 """
 
 from fractions import Fraction
 
 from mpcmix.errors import InternalError
+from mpcmix.linalg import Matrix, integer_row
 from mpcmix.lp import LPOutcome, StandardFormLP
+
+
+def standard_form(objective, rows, rhs, senses) -> StandardFormLP:
+    """The LP of ``Fraction`` or ``int`` tuples: ``objective`` and ``rhs`` go in
+    as their integer rows, and ``rows`` as a ``Matrix`` unless it is one."""
+    return StandardFormLP(
+        objective=integer_row(tuple(objective)),
+        constraint_matrix=rows if isinstance(rows, Matrix) else Matrix(tuple(tuple(row) for row in rows)),
+        rhs=integer_row(tuple(rhs)),
+        senses=tuple(senses),
+    )
+
+
+def fractions_of(row) -> tuple[Fraction, ...]:
+    """The entries of the integer row ``(scale, ints)``."""
+    scale, ints = row
+    return tuple(Fraction(x, scale) for x in ints)
 
 
 class _Tableau:
     def __init__(self, lp: StandardFormLP):
-        n = len(lp.objective)
+        n = len(lp.objective[1])
         m = lp.constraint_matrix.rows
         zero, one = Fraction(0), Fraction(1)
         n_slack = sum(1 for s in lp.senses if s != "eq")
@@ -35,7 +57,7 @@ class _Tableau:
                 slack_of[i] = n + k
                 k += 1
             rows.append(row)
-        rhs = list(lp.rhs)
+        rhs = list(fractions_of(lp.rhs))
         # Phase 1 wants every rhs nonnegative; a start's pivot entries are
         # read with the sign of the row as stated.
         self.signs = [-1 if b < 0 else 1 for b in rhs]
@@ -59,7 +81,7 @@ class _Tableau:
         self.rhs = rhs
         self.basis = basis
         self.n_original = n
-        self.objective = lp.objective
+        self.objective = fractions_of(lp.objective)
         self.first_artificial = width
         self.n_artificial = n_artificial
         self.pivots = 0

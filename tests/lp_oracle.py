@@ -20,10 +20,7 @@ which checks the value of ``solve_linear_persuasion``'s LP over target weights.
 from fractions import Fraction
 from itertools import combinations
 
-from mpcmix.linalg import Matrix
-from mpcmix.lp import StandardFormLP
-
-from lp_fraction_reference import reference_solve
+from lp_fraction_reference import fractions_of, reference_solve, standard_form
 
 
 def _to_equality_form(lp):
@@ -36,8 +33,8 @@ def _to_equality_form(lp):
             ext[k] = Fraction(1)
             k += 1
         rows.append(list(lp.constraint_matrix.entries[i]) + ext)
-    costs = list(lp.objective) + [Fraction(0)] * n_slack
-    return rows, list(lp.rhs), costs
+    costs = list(fractions_of(lp.objective)) + [Fraction(0)] * n_slack
+    return rows, list(fractions_of(lp.rhs)), costs
 
 
 def _drop_redundant(rows, rhs):
@@ -90,7 +87,7 @@ def oracle_solve(lp):
     if reduced is None:
         return "infeasible", None, None
     rows, rhs = reduced
-    nvars = len(lp.objective)
+    nvars = len(lp.objective[1])
     if not rows:
         return "optimal", Fraction(0), tuple([Fraction(0)] * nvars)
     nrows, ncols = len(rows), len(rows[0])
@@ -124,12 +121,12 @@ def oracle_status(lp):
     status, value, _ = oracle_solve(lp)
     if status == "infeasible":
         return status, None
-    n = len(lp.objective)
-    ray = StandardFormLP(
-        objective=lp.objective,
-        constraint_matrix=Matrix(lp.constraint_matrix.entries + ((Fraction(1),) * n,)),
-        rhs=(Fraction(0),) * len(lp.rhs) + (Fraction(1),),
-        senses=lp.senses + ("le",),
+    n = len(lp.objective[1])
+    ray = standard_form(
+        fractions_of(lp.objective),
+        lp.constraint_matrix.entries + ((Fraction(1),) * n,),
+        (Fraction(0),) * lp.constraint_matrix.rows + (Fraction(1),),
+        lp.senses + ("le",),
     )
     if oracle_solve(ray)[1] > 0:
         return "unbounded", None
@@ -174,12 +171,7 @@ def solve_garbling(n, width, column_rows, objective=None):
         rows.append(row)
         rhs.append(b)
     outcome = reference_solve(
-        StandardFormLP(
-            objective=tuple(objective) if objective is not None else (zero,) * nvars,
-            constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),
-            rhs=tuple(rhs),
-            senses=("eq",) * len(rows),
-        )
+        standard_form(objective if objective is not None else (zero,) * nvars, rows, rhs, ("eq",) * len(rows))
     )
     if outcome.status != "optimal":
         return outcome, None

@@ -5,8 +5,8 @@ common denominator. ``persuasion_lp`` builds the same LP entry by entry: every
 ``(a_i - c_j)+`` entry is a ``Fraction`` and ``Matrix`` converts each row to
 integers, the utility is evaluated at each candidate by scanning its knots,
 and the prior's integrated cdf takes one sum per prior atom above the first.
-Tests require the same integer rows, right-hand side, objective and senses
-from both.
+Tests require the same integer rows of A, the same values of the right-hand
+side and the objective, and the same senses from both.
 
 ``full_grid_lp`` states the order with more rows: the mass row, the mean
 row, and one integrated-cdf row per interior candidate rather than per prior
@@ -20,18 +20,14 @@ columns, as ``solve_linear_persuasion`` hands them to ``mpcmix.lp.solve``.
 from fractions import Fraction
 
 from mpcmix import lp, persuasion
-from mpcmix.linalg import Matrix
+from mpcmix.linalg import integer_row
 
 from cases import integrated_cdf, mean
+from lp_fraction_reference import standard_form
 
 
 def _lp(utility, candidates, rows, rhs, senses) -> lp.StandardFormLP:
-    return lp.StandardFormLP(
-        objective=tuple(utility(c) for c in candidates),
-        constraint_matrix=Matrix(tuple(rows)),
-        rhs=tuple(rhs),
-        senses=tuple(senses),
-    )
+    return standard_form((utility(c) for c in candidates), rows, rhs, senses)
 
 
 def _cdf_row(candidates, point):
@@ -77,4 +73,4 @@ def weight_lp(source, utility, candidates):
     """``persuasion._persuasion_lp`` on ``candidates`` and its start, the prior's atom columns."""
     candidates = tuple(Fraction(c) for c in candidates)
     atom_columns = [candidates.index(a) for a in source.atoms]
-    return persuasion._persuasion_lp(source, utility, candidates, atom_columns), atom_columns
+    return persuasion._persuasion_lp(source, utility, integer_row(candidates), atom_columns), atom_columns

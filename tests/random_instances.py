@@ -10,8 +10,8 @@ from fractions import Fraction
 from random import Random
 
 from linalg_fraction_reference import null_space_vector, rank
+from lp_fraction_reference import standard_form
 from mpcmix.distributions import DiscreteDistribution, SmpcTriple, apply_transition
-from mpcmix.linalg import Matrix
 from mpcmix.lp import StandardFormLP
 from mpcmix.persuasion import PiecewiseLinearFn
 from mpcmix.randgen import random_distribution, random_transition
@@ -87,12 +87,7 @@ def random_lp(rng: Random) -> StandardFormLP:
         rhs.append(b)
         senses.append(sense)
     objective = tuple(Fraction(rng.randint(-4, 4)) for _ in range(nvars))
-    return StandardFormLP(
-        objective=objective,
-        constraint_matrix=Matrix(tuple(tuple(r) for r in rows)),
-        rhs=tuple(rhs),
-        senses=tuple(senses),
-    )
+    return standard_form(objective, rows, rhs, senses)
 
 
 def random_piecewise_linear(

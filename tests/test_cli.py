@@ -17,6 +17,7 @@ from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_t
 from mpcmix.linalg import parse_rational
 
 from cases import DUEL_CDF, DUEL_PRIOR, GARBLING, PRIOR, TARGET, worked_triple
+from lp_fraction_reference import fractions_of
 
 
 def run_cli(tmp_path, command, payload, *flags):
@@ -281,6 +282,21 @@ def test_solve_persuasion(tmp_path, capsys):
     assert Mixture.from_json(result["certificate"]).components == ((1, optimum),)
 
 
+@pytest.mark.parametrize("constant", ["0", "3/2"])
+def test_solve_persuasion_with_a_constant_utility(tmp_path, capsys, constant):
+    # Every signal pays the same, so the start, full disclosure, is optimal.
+    payload = {
+        "source": PRIOR.to_json(),
+        "utility": {"knots": [["0", constant], ["1/3", constant], ["1", constant]]},
+        "candidates": ["0", "1/3", "1/2", "3/4", "1"],
+    }
+    assert run_cli(tmp_path, "solve-persuasion", payload) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["value"] == constant
+    assert result["candidates_exact"] is True
+    assert result["optimum"]["target"] == PRIOR.to_json()
+
+
 PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
 
 
@@ -295,7 +311,7 @@ def _non_vertex(solve, problem, start):
     # paper's theorem it is a mixture of smaller ones, so it is no vertex.
     weights = dict(zip(TARGET.atoms, TARGET.weights))
     solution = tuple(weights.get(c, Fraction(0)) for c in PERSUASION_GRID)
-    return lp.LPOutcome("optimal", solution, sum(u * q for u, q in zip(problem.objective, solution)))
+    return lp.LPOutcome("optimal", solution, sum(u * q for u, q in zip(fractions_of(problem.objective), solution)))
 
 
 def _wrong_value(solve, problem, start):

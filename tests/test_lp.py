@@ -20,19 +20,14 @@ from mpcmix.lp import LPOutcome, StandardFormLP, solve
 
 from cases import PRIOR, TARGET, dist, mean, point_mass
 
-from lp_fraction_reference import reference_solve
+from lp_fraction_reference import fractions_of, reference_solve, standard_form
 from lp_oracle import oracle_solve, oracle_status
 from persuasion_lp_reference import full_grid_lp, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
 def lp(objective, rows, rhs, senses):
-    return StandardFormLP(
-        objective=tuple(Fraction(c) for c in objective),
-        constraint_matrix=Matrix.from_rows(rows),
-        rhs=tuple(Fraction(b) for b in rhs),
-        senses=tuple(senses),
-    )
+    return standard_form(map(Fraction, objective), Matrix.from_rows(rows), map(Fraction, rhs), senses)
 
 
 def solve_lp(problem, start):
@@ -115,7 +110,7 @@ class TestSolve:
                 assert out.value == value
                 # the reported point must satisfy every constraint exactly
                 for row, b, sense in zip(
-                    problem.constraint_matrix.entries, problem.rhs, problem.senses
+                    problem.constraint_matrix.entries, fractions_of(problem.rhs), problem.senses
                 ):
                     lhs = sum(a * x for a, x in zip(row, out.solution))
                     assert lhs <= b if sense == "le" else lhs == b
@@ -128,7 +123,7 @@ class TestSolve:
             out = reference_solve(problem)
             rows = problem.constraint_matrix.rows
             n_slack = sum(1 for s in problem.senses if s != "eq")
-            width = len(problem.objective) + n_slack + rows
+            width = len(problem.objective[1]) + n_slack + rows
             assert out.pivots <= 2 * comb(width, rows)
 
     def test_dimension_validation(self):
@@ -141,6 +136,58 @@ class TestSolve:
         for sense in ("lt", "ge"):
             with pytest.raises(ValueError, match=f"^unknown sense '{sense}'$"):
                 lp([1], [[1]], [1], [sense])
+
+
+class TestStandardForm:
+    """``StandardFormLP`` takes its objective and rhs as integer rows ``(scale, ints)``."""
+
+    @staticmethod
+    def problem(objective=(2, [1, 3]), rhs=(3, [1])):
+        return StandardFormLP(objective, Matrix.from_rows([["1/2", "1"]]), rhs, ("le",))
+
+    def test_rows_are_read_over_their_scales(self):
+        # max x/2 + 3y/2  s.t.  x/2 + y <= 1/3: y = 1/3.
+        assert solve_lp(self.problem(), [1]) == LPOutcome("optimal", (0, Fraction(1, 3)), Fraction(1, 2), pivots=1)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+    def test_the_column_count_is_the_objective_length(self, nvars):
+        # An objective is a pair whatever its length; its ints give the column count.
+        problem = lp([1] * nvars, [[1] * nvars], [1], ["eq"])
+        assert lp_module._Tableau(problem).n_original == nvars
+        assert solve_lp(problem, [0]) == LPOutcome("optimal", (1,) + (0,) * (nvars - 1), 1, pivots=1)
+
+    @pytest.mark.parametrize(
+        "objective, rhs, message",
+        [
+            ((Fraction(1, 2), Fraction(3, 2)), (3, [1]), r"objective must be an integer row \(scale, ints\)"),
+            ((1, 2, 3), (3, [1]), r"objective must be an integer row \(scale, ints\)"),
+            ([2, [1, 3]], (3, [1]), r"objective must be an integer row \(scale, ints\)"),
+            ((1, 3), (3, [1]), r"objective must be an integer row \(scale, ints\)"),
+            ((2, [1, 3]), (0, [1]), "rhs scale must be a positive int"),
+            ((-2, [1, 3]), (3, [1]), "objective scale must be a positive int"),
+            ((Fraction(2), [1, 3]), (3, [1]), "objective scale must be a positive int"),
+            ((True, [1, 3]), (3, [1]), "objective scale must be a positive int"),
+            ((2, [1, Fraction(3)]), (3, [1]), "objective entries must be ints"),
+            ((2, [1, 3]), (3, [1.0]), "rhs entries must be ints"),
+            ((2, [1, 3]), (3, [True]), "rhs entries must be ints"),
+        ],
+        ids=[
+            "a Fraction tuple",
+            "a triple",
+            "a list",
+            "a pair of ints",
+            "zero scale",
+            "negative scale",
+            "a Fraction scale",
+            "a bool scale",
+            "a Fraction entry",
+            "a float entry",
+            "a bool entry",
+        ],
+    )
+    def test_refusals(self, objective, rhs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.problem(objective, rhs)
 
 
 @st.composite
@@ -157,11 +204,11 @@ def small_lps(draw):
     rhs = draw(st.lists(st.fractions(-4, 6, max_denominator=2), min_size=nrows, max_size=nrows), label="rhs")
     senses = draw(st.lists(st.sampled_from(["le", "ge", "eq"]), min_size=nrows, max_size=nrows), label="senses")
     signs = [-1 if sense == "ge" else 1 for sense in senses]
-    return StandardFormLP(
-        objective=objective,
-        constraint_matrix=Matrix(tuple(tuple(sign * a for a in row) for sign, row in zip(signs, rows))),
-        rhs=tuple(sign * b for sign, b in zip(signs, rhs)),
-        senses=tuple("eq" if sense == "eq" else "le" for sense in senses),
+    return standard_form(
+        objective,
+        [[sign * a for a in row] for sign, row in zip(signs, rows)],
+        [sign * b for sign, b in zip(signs, rhs)],
+        ["eq" if sense == "eq" else "le" for sense in senses],
     )
 
 
@@ -246,7 +293,7 @@ class TestMatchesTheFractionTableau:
         for _ in range(80):
             problem = random_lp(rng)
             rows = problem.constraint_matrix.rows
-            width = len(problem.objective) + problem.senses.count("le")
+            width = len(problem.objective[1]) + problem.senses.count("le")
             for _ in range(10):
                 start = [rng.randrange(width) for _ in range(rows)]
                 out = _outcome_or_error(solve_lp, problem, start)
@@ -375,7 +422,7 @@ class TestFullDisclosureStart:
     def test_a_one_atom_prior_has_the_mass_row_alone(self, atom):
         problem, start = weight_lp(point_mass(atom), _pwl(("0", "1"), ("1", "2")), [atom])
         assert problem.constraint_matrix._integer_rows == ((1, [1]),)
-        assert problem.rhs == (1,)
+        assert fractions_of(problem.rhs) == (1,)
         assert problem.senses == ("eq",)
         assert start == [0]
         value = 1 + Fraction(atom)
@@ -393,7 +440,7 @@ class TestFullDisclosureStart:
             tuple(Fraction(x) for x in ("1/2", "3/8", "1/4", "1/8", "0", "0", "0")),
             tuple(Fraction(x) for x in ("1", "7/8", "3/4", "5/8", "1/2", "1/4", "0")),
         )
-        assert problem.rhs == (Fraction(1, 16), Fraction(3, 16), Fraction(9, 16), 1)
+        assert fractions_of(problem.rhs) == (Fraction(1, 16), Fraction(3, 16), Fraction(9, 16), 1)
         assert problem.senses == ("le", "le", "eq", "eq")
 
     def test_zero_pivot_entry_is_an_internal_error(self):

@@ -29,7 +29,7 @@ from cases import (
     point_mass,
     worked_triple,
 )
-from lp_fraction_reference import reference_solve
+from lp_fraction_reference import fractions_of, reference_solve
 from lp_oracle import garbling_persuasion_value
 import persuasion_lp_reference as reference
 from random_instances import random_piecewise_linear, random_smpc
@@ -83,6 +83,75 @@ class TestPiecewiseLinearFn:
 
     def test_json_round_trip(self):
         assert PiecewiseLinearFn.from_json(DUEL_CDF.to_json()) == DUEL_CDF
+
+
+def _random_rational(rng, lo, hi, big):
+    """A rational in [lo, hi], with a denominator of up to about 2^80 when ``big``."""
+    den = rng.randint(1, 2**80) if big else rng.randint(1, 6)
+    return lo + (hi - lo) * Fraction(rng.randint(0, den), den)
+
+
+def _expectation_by_calls(u, dist):
+    """sum w u(a) through ``__call__``, or the text of the ``DomainError`` that it raises."""
+    try:
+        return sum(w * u(a) for a, w in zip(dist.atoms, dist.weights))
+    except DomainError as err:
+        return str(err)
+
+
+def _expectation_or_error(u, dist):
+    try:
+        return u.expectation(dist)
+    except DomainError as err:
+        return str(err)
+
+
+class TestExpectationSweep:
+    """``expectation``'s sweep against the sum of ``__call__`` values, on seeded pairs."""
+
+    def test_seeded_pairs(self):
+        rng = Random(101)
+        seen = {"on a knot": 0, "at lo": 0, "at hi": 0, "negative": 0, "big": 0, "below": 0, "above": 0}
+        for _ in range(300):
+            big = rng.random() < 0.3
+            lo = _random_rational(rng, Fraction(-5), Fraction(1), big)
+            hi = lo + 1 + _random_rational(rng, Fraction(0), Fraction(4), big)
+            xs = sorted({lo, hi, *(_random_rational(rng, lo, hi, big) for _ in range(rng.randint(0, 4)))})
+            u = PiecewiseLinearFn(tuple((x, _random_rational(rng, Fraction(-3), Fraction(3), big)) for x in xs))
+            pool = [*xs, *(_random_rational(rng, lo, hi, big) for _ in range(4))]
+            if rng.random() < 0.2:
+                pool.append(lo - _random_rational(rng, Fraction(1, 2**70), Fraction(1), big))
+            if rng.random() < 0.2:
+                pool.append(hi + _random_rational(rng, Fraction(1, 2**70), Fraction(1), big))
+            atoms = sorted(set(rng.sample(pool, rng.randint(1, min(6, len(pool))))))
+            raw = [rng.randint(1, 2**40 if big else 9) for _ in atoms]
+            dist = DiscreteDistribution(tuple(atoms), tuple(Fraction(r, sum(raw)) for r in raw))
+            expected = _expectation_by_calls(u, dist)
+            assert _expectation_or_error(u, dist) == expected
+            seen["on a knot"] += any(a in xs[1:-1] for a in atoms)
+            seen["at lo"] += lo in atoms
+            seen["at hi"] += hi in atoms
+            seen["negative"] += atoms[0] < 0
+            seen["big"] += any(a.denominator > 2**60 for a in atoms)
+            seen["below"] += atoms[0] < lo
+            seen["above"] += atoms[-1] > hi
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (["-1/2", "1/2", "3"], "-1/2 outside domain [0, 1]"),
+            (["1/2", "5/4", "3"], "5/4 outside domain [0, 1]"),
+            (["-1", "2"], "-1 outside domain [0, 1]"),
+        ],
+        ids=["below", "above, the lowest one", "both"],
+    )
+    def test_an_atom_outside_the_domain(self, atoms, message):
+        u = pwl([("0", "0"), ("1", "1")])
+        d = dist(atoms, [f"1/{len(atoms)}"] * len(atoms))
+        with pytest.raises(DomainError) as err:
+            u.expectation(d)
+        assert str(err.value) == message == _expectation_by_calls(u, d)
 
 
 @pytest.mark.parametrize(
@@ -142,21 +211,58 @@ class TestSolveLinearPersuasion:
         assert wide_value >= narrow_value
 
     def test_candidate_preconditions(self):
+        # In the order the solver checks them; each case fails only the checks from its own on.
         u = pwl([("0", "0"), ("1", "1")])
-        with pytest.raises(CandidateError):
-            solve_linear_persuasion(PRIOR, u, [])
-        with pytest.raises(CandidateError):
-            solve_linear_persuasion(PRIOR, u, [Fraction(1, 2), Fraction(1, 2)])
-        with pytest.raises(CandidateError):
-            solve_linear_persuasion(PRIOR, u, [Fraction(0), Fraction(1)])
-        with pytest.raises(CandidateError):
-            solve_linear_persuasion(
-                PRIOR, u, [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
-            )
-        with pytest.raises(DomainError):
+        for candidates, message in [
+            ([], "candidate list is empty"),
+            ([Fraction(1, 2), Fraction(1, 2)], "candidates must be strictly increasing"),
+            (["1/2", "2/4"], "candidates must be strictly increasing"),
+            (["1", "0", "-1"], "candidates must be strictly increasing"),
+            ([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)], "candidates must lie within the prior's atom range"),
+            (["0", "1/2", "2"], "candidates must lie within the prior's atom range"),
+            ([Fraction(0), Fraction(1)], "candidates must include every atom of the prior"),
+            (["0", "1/2"], "candidates must include every atom of the prior"),
+            (["0", "1/3", "2/3", "1"], "candidates must include every atom of the prior"),
+        ]:
+            with pytest.raises(CandidateError, match=f"^{message}$"):
+                solve_linear_persuasion(PRIOR, u, candidates)
+        with pytest.raises(DomainError, match="^utility domain must cover the prior's atom range$"):
             solve_linear_persuasion(
                 PRIOR, pwl([("0", "0"), ("1/2", "1")]), PRIOR.atoms
             )
+
+    @pytest.mark.parametrize("constant", ["0", "3/2"])
+    def test_a_constant_utility_keeps_the_prior(self, monkeypatch, constant):
+        # Every weight costs the same, so the start is optimal: no pivot after
+        # the n starting ones. For u = 0 the objective row is all zeros.
+        outcomes = []
+        real = lp.solve
+
+        def record(problem, *, start):
+            outcomes.append(real(problem, start=start))
+            return outcomes[-1]
+
+        monkeypatch.setattr(lp, "solve", record)
+        u = pwl([("-1", constant), ("1/3", constant), ("2", constant)])
+        for source in (PRIOR, point_mass("1/2"), dist(["-1", "0", "1/3", "2"], ["1/8", "1/4", "1/8", "1/2"])):
+            lo, hi = source.atoms[0], source.atoms[-1]
+            candidates = sorted({*source.atoms, mean(source), *(x for x in (Fraction(1, 3),) if lo <= x <= hi)})
+            solution = solve_linear_persuasion(source, u, candidates)
+            assert solution.value == Fraction(constant)
+            assert solution.optimum.target == source
+            assert outcomes.pop().pivots == len(source.atoms)
+
+    def test_the_lp_holds_only_ints(self):
+        # Its objective and rhs go to lp.solve as integer rows, with no Fraction.
+        rng = Random(103)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            source = random_smpc(rng, n, n).source
+            u = random_piecewise_linear(rng, source.atoms[0] - 1, source.atoms[-1] + 1, rng.randint(1, 3))
+            problem, _ = reference.weight_lp(source, u, sorted({*source.atoms, *(x for x, _ in u.knots[1:-1])}))
+            for scale, ints in (problem.objective, problem.rhs):
+                assert type(scale) is int and scale > 0
+                assert {type(x) for x in ints} == {int}
 
     def test_inexact_grid_is_flagged(self):
         u = pwl([("0", "1"), ("1/3", "-1"), ("1", "2")])
@@ -265,8 +371,8 @@ def _assert_same_lp(source, utility, candidates):
     built, start = reference.weight_lp(source, utility, candidates)
     expected = reference.persuasion_lp(source, utility, tuple(Fraction(c) for c in candidates))
     assert built.constraint_matrix._integer_rows == expected.constraint_matrix._integer_rows
-    assert built.rhs == expected.rhs
-    assert built.objective == expected.objective
+    assert fractions_of(built.rhs) == fractions_of(expected.rhs)
+    assert fractions_of(built.objective) == fractions_of(expected.objective)
     assert built.senses == expected.senses
     assert built.constraint_matrix.rows == len(start) == len(source.atoms)
     assert lp.solve(built, start=start) == lp.solve(expected, start=start)
@@ -368,7 +474,7 @@ class TestPriorAtomRows:
             assert rows.status == full_grid.status == "optimal"
             assert rows.value == full_grid.value
             # The optimum of the fewer rows satisfies every row of the full grid.
-            for row, b, sense in zip(full.constraint_matrix.entries, full.rhs, full.senses):
+            for row, b, sense in zip(full.constraint_matrix.entries, fractions_of(full.rhs), full.senses):
                 lhs = sum(a * q for a, q in zip(row, rows.solution))
                 assert lhs == b if sense == "eq" else lhs <= b
 
