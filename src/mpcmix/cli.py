@@ -58,7 +58,7 @@ def _positive_int(payload, key, default=None):
 
 
 def _candidates(payload):
-    return [parse_rational(x) for x in json_list(_field(payload, "candidates"), "'candidates'")]
+    return json_list(_field(payload, "candidates"), "'candidates'")
 
 
 def _garbled(payload):

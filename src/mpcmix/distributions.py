@@ -42,10 +42,10 @@ class DiscreteDistribution(Matrix):
     A :class:`Matrix` of two rows, held as its integer rows: row 0 holds the
     atoms and row 1 the weights, each ``(scale, ints)`` in lowest terms, and
     construction checks them there. ``DiscreteDistribution(atoms, weights)``
-    takes ``Fraction`` or ``int`` values, not floats, and ``from_rows``,
-    ``from_pairs`` and ``from_json`` take rational text straight to the
-    rows. ``atoms`` and ``weights`` are tuples of ``Fraction``, read from
-    ``entries`` on first use; equality and hashing read the integer rows.
+    takes ``Fraction`` or ``int`` values, not floats, and ``from_rows``
+    and ``from_json`` take rational text straight to the rows. ``atoms``
+    and ``weights`` are tuples of ``Fraction``, read from ``entries`` on
+    first use; equality and hashing read the integer rows.
     """
 
     def __init__(self, atoms, weights) -> None:
@@ -73,10 +73,6 @@ class DiscreteDistribution(Matrix):
     def weights(self) -> tuple[Fraction, ...]:
         return self.entries[1]
 
-    @classmethod
-    def from_pairs(cls, atoms, weights) -> "DiscreteDistribution":
-        return cls.from_rows((atoms, weights))
-
     def to_json(self) -> dict:
         atoms, weights = ([_text(x, scale) for x in ints] for scale, ints in self._integer_rows)
         return {"atoms": atoms, "weights": weights}
@@ -84,7 +80,7 @@ class DiscreteDistribution(Matrix):
     @classmethod
     def from_json(cls, obj) -> "DiscreteDistribution":
         json_object(obj, "distribution JSON", ("atoms", "weights"))
-        return cls.from_pairs(json_list(obj["atoms"], "'atoms'"), json_list(obj["weights"], "'weights'"))
+        return cls.from_rows((json_list(obj["atoms"], "'atoms'"), json_list(obj["weights"], "'weights'")))
 
 
 class TransitionMatrix(Matrix):

@@ -9,6 +9,7 @@ integer coefficient row, for certification. A :class:`Matrix` is its integer
 rows: each row is held as ``(scale, ints)`` in lowest terms, and the
 ``Fraction`` grid ``entries`` is derived from them on first read. A
 distribution is such a matrix too, of two rows, its atoms and its weights,
+and so is a piecewise-linear function, of its knots' x and y values,
 and every row built in the package goes through its class's checks in
 ``Matrix._checked``, unless its construction already guarantees them.
 Rational text goes straight to those rows:
@@ -166,7 +167,15 @@ def parse_row(values) -> tuple[int, list[int]]:
     denominators: its first terms share most of the scale, so each step of
     that gcd works on numbers about as long as the scale.
     """
-    ratios = [_ratio(x) for x in values]
+    return ratio_row([_ratio(x) for x in values])
+
+
+def ratio_row(ratios) -> tuple[int, list[int]]:
+    """The integer row of a list of ``(p, q)``, each in lowest terms with ``q > 0``.
+
+    It is in lowest terms too; :func:`parse_row` makes its ``ratios`` with
+    ``_ratio``.
+    """
     scale = lcm(*(q for _, q in ratios))
     return scale, [p * (scale // q) for p, q in ratios]
 

@@ -24,6 +24,11 @@ contraction with more than n atoms is a mixture of contractions with at most
 n atoms each, all on its own atoms and so on the grid; it is not a vertex.
 So the optimum already uses at most n signals, and no decomposition is
 needed to reach a small-support answer. The solver checks this exactly.
+
+The payoff is a ``PiecewiseLinearFn``, a two-row ``Matrix`` of its knots'
+x and y values held as integer rows, as a distribution holds its atoms and
+weights. The LP's build, the solver's checks and ``expectation`` read those
+rows, so a solve makes no ``Fraction`` from a knot.
 """
 
 from __future__ import annotations
@@ -36,93 +41,100 @@ from math import lcm
 from . import lp
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, canonical_row, integer_row, json_list, json_object, parse_rational, parse_row, rationals
+from .linalg import Matrix, _ratio, canonical_row, json_list, json_object, parse_rational, parse_row, ratio_row
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
+class PiecewiseLinearFn(Matrix):
     """Piecewise-linear function given by knots; evaluation interpolates.
 
-    Evaluation outside the knot range is an error rather than an
-    extrapolation. Each knot is an (x, y) tuple of ``Fraction`` or ``int``
-    values; anything else, a float or a third coordinate included, is a
-    ``ValueError``.
+    A :class:`Matrix` of two rows, held as its integer rows, the way a
+    distribution is: row 0 holds the knots' x values and row 1 their y
+    values, each ``(scale, ints)`` in lowest terms, and construction checks
+    them there. ``PiecewiseLinearFn(knots)`` takes a tuple of ``(x, y)``
+    tuples of ``Fraction`` or ``int`` values; anything else, a float or a
+    third coordinate included, is a ``ValueError``. ``from_pairs`` and
+    ``from_json`` take rational text straight to the rows. ``knots`` and
+    ``domain`` are read from ``entries``, and evaluation outside the knot
+    range is an error rather than an extrapolation.
     """
 
-    knots: tuple[tuple[Fraction, Fraction], ...]
+    def __init__(self, knots) -> None:
+        super().__init__(zip(*_pairs(knots)))
 
-    def __post_init__(self) -> None:
-        for k, knot in enumerate(self.knots):
-            if not isinstance(knot, tuple) or len(knot) != 2:
-                raise ValueError(f"knot {k} of 'knots' must be an (x, y) pair")
-            rationals(knot)
-        if len(self.knots) < 2:
+    def _set_rows(self, rows) -> None:
+        if len(rows) != 2 or len(rows[0][1]) < 2:
             raise DomainError("piecewise-linear function needs at least 2 knots")
-        for k in range(len(self.knots) - 1):
-            if self.knots[k][0] >= self.knots[k + 1][0]:
-                raise DomainError("knot x-coordinates must be strictly increasing")
+        # Over one positive scale, the order of the x values is that of their integers.
+        xs = rows[0][1]
+        if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):
+            raise DomainError("knot x-coordinates must be strictly increasing")
+        super()._set_rows(rows)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PiecewiseLinearFn":
-        return cls(tuple(tuple(map(parse_rational, knot)) for knot in pairs))
+        knots = _pairs([tuple(map(_ratio, knot)) for knot in pairs])
+        return cls._checked(tuple(ratio_row(column) for column in zip(*knots)))
+
+    @property
+    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(*self.entries))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return self.knots[0][0], self.knots[-1][0]
+        return self.entries[0][0], self.entries[0][-1]
+
+    def _outside(self, x: Fraction) -> DomainError:
+        lo, hi = self.domain
+        return DomainError(f"{x} outside domain [{lo}, {hi}]")
 
     def __call__(self, x: Fraction) -> Fraction:
         lo, hi = self.domain
         if x < lo or x > hi:
-            raise DomainError(f"{x} outside domain [{lo}, {hi}]")
-        for k in range(len(self.knots) - 1):
-            x0, y0 = self.knots[k]
-            x1, y1 = self.knots[k + 1]
+            raise self._outside(x)
+        knots = self.knots
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
             if x <= x1:
                 return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         raise AssertionError("unreachable")
 
     def is_cdf(self) -> bool:
         """Continuous cdf shape: starts at 0, ends at 1, never decreases."""
-        if self.knots[0][1] != 0 or self.knots[-1][1] != 1:
-            return False
-        return all(
-            self.knots[k][1] <= self.knots[k + 1][1] for k in range(len(self.knots) - 1)
-        )
+        t, ys = self._integer_rows[1]
+        return ys[0] == 0 and ys[-1] == t and all(y0 <= y1 for y0, y1 in zip(ys, ys[1:]))
 
     def expectation(self, dist: DiscreteDistribution) -> Fraction:
-        """E u(X) for X drawn from ``dist``, in one integer sweep up its rows and knots.
+        """E u(X) for X drawn from ``dist``, in one integer sweep up its rows and the knots'.
 
-        An atom a = A / e of weight W / w falls to the first segment with
-        a <= x1, as in ``__call__``. With the segment's knots over one scale s,
-        its atoms add ((Y0 dx - dy X0) e M + dy s S) / (w e s dx), for
-        dx = X1 - X0, dy = Y1 - Y0, M = sum W and S = sum W A. An atom
+        With the knots at X / s and Y / t, an atom a = A / e of weight W / w
+        falls to the first segment with a <= x1, as in ``__call__``, and a
+        segment's atoms add ((Y0 dX - dY X0) e M + dY s S) / (t w e dX), for
+        dX = X1 - X0, dY = Y1 - Y0, M = sum W and S = sum W A. An atom
         outside the domain raises ``__call__``'s ``DomainError``.
         """
         (e, atoms), (w, weights) = dist._integer_rows
-        lo, hi = self.domain
-        if atoms[0] * lo.denominator < lo.numerator * e:
-            raise DomainError(f"{Fraction(atoms[0], e)} outside domain [{lo}, {hi}]")
-        knots, n, i = self.knots, len(atoms), 0
+        (s, xs), (t, ys) = self._integer_rows
+        if atoms[0] * s < xs[0] * e:
+            raise self._outside(Fraction(atoms[0], e))
+        n, i = len(atoms), 0
         num, den = 0, 1
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
             if i == n:
                 break
-            p, q = x1.numerator * e, x1.denominator
+            p = x1 * e
             mass = moment = 0
-            while i < n and atoms[i] * q <= p:
+            while i < n and atoms[i] * s <= p:
                 mass += weights[i]
                 moment += weights[i] * atoms[i]
                 i += 1
             if mass:
-                s, (x0, x1, y0, y1) = integer_row((x0, x1, y0, y1))
                 dx, dy = x1 - x0, y1 - y0
-                top = lcm(den, s * dx)
+                top = lcm(den, dx)
                 total = (y0 * dx - dy * x0) * e * mass + dy * s * moment
-                num = num * (top // den) + total * (top // (s * dx))
+                num = num * (top // den) + total * (top // dx)
                 den = top
         if i < n:
-            raise DomainError(f"{Fraction(atoms[i], e)} outside domain [{lo}, {hi}]")
-        return Fraction(num, den * w * e)
+            raise self._outside(Fraction(atoms[i], e))
+        return Fraction(num, den * t * w * e)
 
     def to_json(self) -> dict:
         return {"knots": [[str(x), str(y)] for x, y in self.knots]}
@@ -132,6 +144,14 @@ class PiecewiseLinearFn:
         json_object(obj, "piecewise-linear JSON", ("knots",))
         knots = json_list(obj["knots"], "'knots'")
         return cls.from_pairs(json_list(knot, f"knot {k} of 'knots'") for k, knot in enumerate(knots))
+
+
+def _pairs(knots):
+    """``knots`` itself when each knot is an ``(x, y)`` tuple, else a ``ValueError``."""
+    for k, knot in enumerate(knots):
+        if not isinstance(knot, tuple) or len(knot) != 2:
+            raise ValueError(f"knot {k} of 'knots' must be an (x, y) pair")
+    return knots
 
 
 @dataclass(frozen=True)
@@ -185,9 +205,9 @@ def _persuasion_lp(
     carries the mass and moment below each, and the rhs is over W D:
     I_P(a_i) is C_{k_i} mass - moment, as in ``mpc_violation``, and the mass
     row's 1 is W D. ``Matrix._trusted`` takes the rows of A, each put in
-    lowest terms by ``canonical_row``. One sweep up the knots gives the
-    objective over L D, for L the lcm of the integer scales of the segments
-    that hold a candidate.
+    lowest terms by ``canonical_row``. One sweep up the utility's integer
+    rows, its knots at X / s and Y / t, gives the objective over t L D, for
+    L the lcm of the widths X1 - X0 of the segments that hold a candidate.
     """
     d, cs = grid
     m = len(cs)
@@ -201,28 +221,28 @@ def _persuasion_lp(
             bounds.append(ck * mass - moment)
         mass, moment = mass + weight, moment + weight * ck
     # Candidates j in [start, end) lie on the first knot segment with
-    # c_j <= x1. With its two knots over one scale s, there
-    # u(c) = (y0 (x1 - c) + y1 (c - x0)) / (x1 - x0) is (cut + rise c) / t,
-    # for cut = Y0 X1 - Y1 X0, rise = (Y1 - Y0) s and t = (X1 - X0) s.
-    knots, segments, j = utility.knots, [], 0
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+    # c_j <= x1. With the knots at X / s and Y / t, there
+    # u(c) = (y0 (x1 - c) + y1 (c - x0)) / (x1 - x0) is (cut + rise c) / (t dX),
+    # for cut = Y0 X1 - Y1 X0, rise = (Y1 - Y0) s and dX = X1 - X0.
+    (s, xs), (t, ys) = utility._integer_rows
+    segments, j = [], 0
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
         if j == m:
             break
-        p, q, start = x1.numerator * d, x1.denominator, j
-        while j < m and cs[j] * q <= p:
+        p, start = x1 * d, j
+        while j < m and cs[j] * s <= p:
             j += 1
         if j > start:
-            s, (x0, x1, y0, y1) = integer_row((x0, x1, y0, y1))
-            segments.append(((x1 - x0) * s, y0 * x1 - y1 * x0, (y1 - y0) * s, start, j))
-    top = lcm(*(t for t, *_ in segments))
+            segments.append((x1 - x0, y0 * x1 - y1 * x0, (y1 - y0) * s, start, j))
+    top = lcm(*(dx for dx, *_ in segments))
     objective = []
-    for t, cut, rise, start, end in segments:
-        f = top // t
+    for dx, cut, rise, start, end in segments:
+        f = top // dx
         cut, rise = cut * f * d, rise * f
         objective += [cut + rise * c for c in cs[start:end]]
     n, scale = len(weights), w * d
     return lp.StandardFormLP(
-        objective=(top * d, objective),
+        objective=(top * t * d, objective),
         constraint_matrix=Matrix._trusted((*rows, (1, [1] * m))),
         rhs=(scale, [*bounds, scale]),
         senses=("le",) * (n - 2) + ("eq",) * min(n, 2),
@@ -246,9 +266,10 @@ def solve_linear_persuasion(
 
     The candidates go straight to their integer row, the grid, and are
     checked there; one sweep up the grid finds the prior's atom columns and
-    another ``candidates_exact``. The LP comes from integer sweeps over the
-    grid's common denominator (``_persuasion_lp``), exactly as a per-entry
-    ``Fraction`` build makes it, and goes to ``lp.solve`` as integer rows.
+    another, over the utility's x row, ``candidates_exact``. The LP comes
+    from integer sweeps over the grid's common denominator
+    (``_persuasion_lp``), exactly as a per-entry ``Fraction`` build makes
+    it, and goes to ``lp.solve`` as integer rows.
     The simplex starts at full disclosure, Q = P, a feasible vertex because
     the candidates must contain every source atom: the prior's atom columns,
     one per row. The positive-weight candidates, with their basic levels,
@@ -270,8 +291,8 @@ def solve_linear_persuasion(
     if atom_columns is None:
         raise CandidateError("candidates must include every atom of the prior")
     # The grid holds a_1 and a_n, so its ends are the prior's.
-    lo, hi = utility.domain
-    if lo.numerator * d > grid[0] * lo.denominator or hi.numerator * d < grid[-1] * hi.denominator:
+    s, xs = utility._integer_rows[0]
+    if xs[0] * d > grid[0] * s or xs[-1] * d < grid[-1] * s:
         raise DomainError("utility domain must cover the prior's atom range")
 
     problem = _persuasion_lp(source, utility, (d, grid), atom_columns)
@@ -284,7 +305,7 @@ def solve_linear_persuasion(
             f"persuasion LP optimum is not a vertex: {len(support)} atoms on a {len(atoms)}-atom prior"
         )
     target = DiscreteDistribution._checked(
-        (canonical_row(d, [grid[j] for j in support]), integer_row([outcome.solution[j] for j in support]))
+        (canonical_row(d, [grid[j] for j in support]), parse_row([outcome.solution[j] for j in support]))
     )
     if utility.expectation(target) != outcome.value:
         raise InternalError("persuasion LP value differs from the optimum's expected utility")
@@ -292,8 +313,7 @@ def solve_linear_persuasion(
     if witness is None:
         raise InternalError("persuasion LP optimum is not a contraction of the prior")
     # The knots strictly between a_1 and a_n, where u may kink.
-    knots = ((x.numerator, x.denominator) for x, _ in utility.knots)
-    kinks = ((p, q) for p, q in knots if grid[0] * q < p * d < grid[-1] * q)
+    kinks = ((x, s) for x in xs if grid[0] * s < x * d < grid[-1] * s)
     # find_witness has already run the full SmpcTriple check on this source,
     # witness and target, so a second check would only repeat it.
     return PersuasionSolution(
@@ -309,14 +329,11 @@ def deviation_payoff(
     """Win probability of a posterior-mean distribution against an atomless rival.
 
     With the opponent's posterior mean drawn from a continuous cdf, ties have
-    probability zero and the payoff is just the expected cdf value.
+    probability zero and the payoff is just the expected cdf value. An atom
+    outside the cdf's domain is ``expectation``'s ``DomainError``.
     """
     if not opponent_cdf.is_cdf():
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
-    lo, hi = opponent_cdf.domain
-    for atom in deviation.atoms:
-        if atom < lo or atom > hi:
-            raise DomainError(f"deviation atom {atom} outside the cdf domain")
     return opponent_cdf.expectation(deviation)
 
 

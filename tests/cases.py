@@ -7,7 +7,7 @@ from mpcmix import DiscreteDistribution, PiecewiseLinearFn, SmpcTriple, Transiti
 
 
 def dist(atoms, weights):
-    return DiscreteDistribution.from_pairs(atoms, weights)
+    return DiscreteDistribution.from_rows((atoms, weights))
 
 
 def point_mass(atom):

@@ -387,6 +387,25 @@ def test_check_deviation_needs_a_cdf_over_the_prior(tmp_path, capsys):
     assert error == {"code": "domain", "message": "opponent cdf domain must cover the prior's atom range"}
 
 
+@pytest.mark.parametrize(
+    "knots, code",
+    [([["0", "0"], ["3/4", "2"]], "not-a-cdf"), ([["1/4", "0"], ["3/4", "1"]], "domain")],
+    ids=["not a cdf", "short cdf"],
+)
+def test_check_deviation_checks_the_cdf_before_it_reads_candidates(tmp_path, capsys, knots, code):
+    payload = {
+        "source": {"atoms": ["0", "3/4"], "weights": ["1/2", "1/2"]},
+        "opponent_cdf": {"knots": knots},
+        "equilibrium_value": "1/2",
+        "candidates": ["0", "abc", "3/4"],
+    }
+    assert run_cli(tmp_path, "check-deviation", payload) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == code
+    payload["opponent_cdf"] = DUEL_CDF.to_json()
+    assert run_cli(tmp_path, "check-deviation", payload) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {"code": "parse", "message": "not a rational: 'abc'"}
+
+
 @pytest.mark.parametrize("key", ["n", "count"])
 @pytest.mark.parametrize("value", [0, True, "3"], ids=repr)
 def test_gen_random_sizes_must_be_positive_integers(tmp_path, capsys, key, value):

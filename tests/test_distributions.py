@@ -73,7 +73,7 @@ class TestDiscreteDistribution:
             DiscreteDistribution(atoms, [half, half]),
             DiscreteDistribution((0, 1), [half, half]),
             DiscreteDistribution((x for x in (0, 1)), (w for w in (half, half))),
-            DiscreteDistribution.from_pairs(["0", "1"], ("1/2", "0.5")),
+            DiscreteDistribution.from_rows((["0", "1"], ("1/2", "0.5"))),
         ):
             assert d == built
             assert hash(d) == hash(built)

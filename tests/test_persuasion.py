@@ -17,6 +17,7 @@ from mpcmix import (
 )
 from mpcmix import lp, persuasion
 from mpcmix.errors import CandidateError, CdfError, DomainError, InternalError
+from mpcmix.linalg import Matrix
 
 from cases import (
     DUEL_CDF,
@@ -83,6 +84,25 @@ class TestPiecewiseLinearFn:
 
     def test_json_round_trip(self):
         assert PiecewiseLinearFn.from_json(DUEL_CDF.to_json()) == DUEL_CDF
+
+    def test_ints_fractions_and_text_build_one_function(self):
+        built = PiecewiseLinearFn(((-1, 1), (Fraction(1, 2), -3), (2, Fraction(5, 3))))
+        assert isinstance(built, Matrix)
+        assert built.knots == ((-1, 1), (Fraction(1, 2), -3), (2, Fraction(5, 3)))
+        for u in (
+            PiecewiseLinearFn(((Fraction(-1), Fraction(1)), (Fraction(2, 4), Fraction(-3)), (Fraction(2), Fraction(10, 6)))),
+            pwl([("-1", "1"), ("2/4", "-3"), ("2", "10/6")]),
+            pwl([("-1.0", "1"), ("0.5", "-3"), ("2", "5/3")]),
+            PiecewiseLinearFn.from_json(built.to_json()),
+        ):
+            assert u == built
+            assert hash(u) == hash(built)
+
+    def test_never_equal_to_a_distribution_with_the_same_rows(self):
+        u = PiecewiseLinearFn(((0, Fraction(1, 4)), (1, Fraction(3, 4))))
+        d = DiscreteDistribution((0, 1), (Fraction(1, 4), Fraction(3, 4)))
+        assert u._integer_rows == d._integer_rows
+        assert u != d and d != u
 
 
 def _random_rational(rng, lo, hi, big):
@@ -230,6 +250,10 @@ class TestSolveLinearPersuasion:
             solve_linear_persuasion(
                 PRIOR, pwl([("0", "0"), ("1/2", "1")]), PRIOR.atoms
             )
+        # Ends a third inside a prior on [0, 1], one unit apart on the integer rows.
+        for short in (pwl([("1/3", "0"), ("1", "1")]), pwl([("0", "0"), ("2/3", "1")])):
+            with pytest.raises(DomainError, match="^utility domain must cover the prior's atom range$"):
+                solve_linear_persuasion(dist(["0", "1"], ["1/2", "1/2"]), short, ["0", "1"])
 
     @pytest.mark.parametrize("constant", ["0", "3/2"])
     def test_a_constant_utility_keeps_the_prior(self, monkeypatch, constant):
@@ -268,6 +292,16 @@ class TestSolveLinearPersuasion:
         u = pwl([("0", "1"), ("1/3", "-1"), ("1", "2")])
         solution = solve_linear_persuasion(PRIOR, u, PRIOR.atoms)
         assert not solution.candidates_exact
+
+    def test_the_solve_reads_only_integer_rows(self):
+        # Neither the prior nor the utility read from JSON builds its Fraction grid.
+        source = DiscreteDistribution.from_json({"atoms": ["-1/2", "1/3", "1"], "weights": ["1/4", "1/4", "1/2"]})
+        u = PiecewiseLinearFn.from_json({"knots": [["-1", "2"], ["0", "-1"], ["1/2", "3/2"], ["3/2", "0"]]})
+        solution = solve_linear_persuasion(source, u, ["-1/2", "0", "1/3", "1/2", "1"])
+        assert "entries" not in vars(source)
+        assert "entries" not in vars(u)
+        assert solution.candidates_exact
+        assert solution.value == _expectation_by_calls(u, solution.optimum.target)
 
     def test_an_optimum_without_a_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(persuasion, "find_witness", lambda source, target: None)
@@ -493,7 +527,7 @@ class TestDeviationPayoff:
 
     def test_atom_outside_the_domain(self):
         dev = point_mass(Fraction(9, 10))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^9/10 outside domain \[0, 3/4\]$"):
             deviation_payoff(dev, DUEL_CDF)
 
     def test_rejects_non_cdfs(self):

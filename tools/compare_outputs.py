@@ -5,12 +5,16 @@
 ``A`` and ``B`` are the ``src`` directories of two checkouts (the same one
 twice is a determinism check). Every item of the four ``bench/corpus.py``
 corpora at each seed runs through each tree's ``mpcmix.cli.main`` in this
-process, three times: plain, with ``--pretty`` and with ``--decimals``. A
-run's result is its exit status, stdout and stderr; an exception that
-escapes ``main`` counts as a result too. The output is one JSON object:
-``runs``, the number of runs per tree, ``differ``, the number whose results
-are not equal, and ``first``, up to ten of those as
-``[workload, seed, item, mode]``. The exit status is 1 when any run differs.
+process. The corpus payloads are all valid, so each item also runs as
+variants that reach the error paths: one with each top-level key dropped
+and one with each top-level value replaced by ``"x"``. Each payload runs
+three times: plain, with ``--pretty`` and with ``--decimals``. A run's
+result is its exit status, stdout and stderr; an exception that escapes
+``main`` counts as a result too. The output is one JSON object: ``runs``,
+the number of runs per tree, ``differ``, the number whose results are not
+equal, and ``first``, up to ten of those as
+``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
+``-key`` or ``key=x``. The exit status is 1 when any run differs.
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ def _fresh_main(src: Path):
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise ImportError(f"mpcmix was imported from {cli.__file__}, not from {src}")
     return cli.main
+
+
+def variants(payload: dict):
+    """``(name, payload)`` for the payload itself, then each top-level key dropped or set to ``"x"``."""
+    yield "valid", payload
+    for key in payload:
+        yield f"-{key}", {k: v for k, v in payload.items() if k != key}
+        yield f"{key}=x", {**payload, key: "x"}
 
 
 def _result(main, argv) -> str:
@@ -76,10 +88,11 @@ def main(argv=None) -> int:
     import corpus
 
     items = [
-        ([workload, seed, k], command, payload)
+        ([workload, seed, k, name], command, variant)
         for workload in corpus.WORKLOADS
         for seed in args.seeds
         for k, (command, payload, _) in enumerate(corpus.build(workload, seed))
+        for name, variant in variants(payload)
     ]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
