@@ -165,8 +165,12 @@ def parse_row(values) -> tuple[int, list[int]]:
     denominators, so it is in lowest terms too. A gcd over the scaled row
     would do the same at a large cost when the row has many distinct large
     denominators: its first terms share most of the scale, so each step of
-    that gcd works on numbers about as long as the scale.
+    that gcd works on numbers about as long as the scale. Text is refused
+    with a ``ValueError``: read as a row, it would be taken one character
+    at a time.
     """
+    if isinstance(values, str):
+        raise ValueError(f"not a row of rationals: {values[:40]!r}")
     return ratio_row([_ratio(x) for x in values])
 
 

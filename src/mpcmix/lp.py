@@ -8,8 +8,9 @@ order, on a positive pivot entry, the basis is checked to sit at a
 nonnegative level, and the simplex runs from it. Bland's pivoting (lowest
 eligible index in and out) guarantees termination under degeneracy, and
 exact arithmetic makes the reported optimum a certificate rather than an
-approximation. The tableau holds integer rows and pivots without fractions
-(see ``_Tableau``). Persuasion states its LP over the target's weights on a
+approximation. The tableau holds integer rows and pivots without fractions,
+and its reduced costs are one more row that every pivot updates (see
+``_Tableau``). Persuasion states its LP over the target's weights on a
 candidate grid and starts it on the prior's atom columns (see
 ``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
 contraction order, come from ``distributions.find_witness`` with no LP.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionError, InternalError
 from .linalg import Matrix
@@ -81,12 +82,15 @@ class _Tableau:
     order. Row r holds the equation ``rows[r][:-1] @ x == rows[r][-1]``. Its
     basic column ``basis[r]`` has a positive coefficient there and zero in
     every other row, so the row is a positive multiple of the rational
-    tableau row with a 1 in that column, and x_B = rhs / coefficient. Pivots
-    are fraction-free: a row becomes a·row − f·pivot_row, divided by its
-    content gcd. The reduced costs start as the objective's integer row and
-    keep an implicit positive scale, so only their signs are read. Every
-    pivot choice matches the one a rational tableau makes, so the pivot
-    sequence, and the outcome, are the same.
+    tableau row with a 1 in that column, and x_B = rhs / coefficient.
+    ``costs`` is one more row, the reduced costs, with no rhs entry: it
+    starts as the objective's integer row, 0 on every slack, and every
+    pivot updates it as it updates the other rows. Pivots are
+    fraction-free: a row becomes a·row − f·pivot_row, divided by its
+    content gcd. Every pivot is on a positive entry, so ``costs`` is
+    c − c_B B⁻¹A times a positive scale that is not kept, and only its
+    signs are read. Every pivot choice matches the one a rational tableau
+    makes, so the pivot sequence, and the outcome, are the same.
 
     No column is basic at first: ``_start`` pivots one column into each row,
     and every pivot, forced or chosen, is on a positive entry. The value
@@ -95,28 +99,22 @@ class _Tableau:
 
     def __init__(self, lp: StandardFormLP):
         n = len(lp.objective[1])
-        n_slack = lp.senses.count("le")
-        zeros = [0] * n_slack
+        zeros = [0] * lp.senses.count("le")
         rows: list[list[int]] = []
         slack = n
         b_scale, b = lp.rhs
         for (scale, ints), rhs, sense in zip(lp.constraint_matrix._integer_rows, b, lp.senses):
-            # The row of A, its slack and its rhs in lowest terms, times the
-            # lcm of their scales.
-            g = gcd(rhs, b_scale)
-            rhs, rhs_scale = rhs // g, b_scale // g
-            mult = lcm(scale, rhs_scale)
-            f = mult // scale
-            row = [f * x for x in ints] + zeros + [rhs * (mult // rhs_scale)]
+            # The row of A, its slack and its rhs, times both scales.
+            row = [b_scale * x for x in ints] + zeros + [scale * rhs]
             if sense == "le":
-                row[slack] = mult
+                row[slack] = scale * b_scale
                 slack += 1
             rows.append(_reduced(row))
         self.rows = rows
         self.basis: list[int | None] = [None] * len(rows)
         self.n_original = n
-        self.n_slack = n_slack
         self.objective = lp.objective
+        self.costs = _reduced([*lp.objective[1], *zeros])
         self.pivots = 0
 
     def _pivot(self, r: int, s: int) -> None:
@@ -127,18 +125,17 @@ class _Tableau:
             f = row[s]
             if f and r2 != r:
                 rows[r2] = _reduced([a * x - f * y for x, y in zip(row, row_r)])
+        # zip stops at the end of the cost row, before the rhs.
+        f = self.costs[s]
+        if f:
+            self.costs = _reduced([a * x - f * y for x, y in zip(self.costs, row_r)])
         self.basis[r] = s
         self.pivots += 1
 
-    def _run(self, costs: list[int]) -> str:
-        """Bland simplex on the current basis; integer costs, one per column."""
-        d = costs
-        for row, b in zip(self.rows, self.basis):
-            f = d[b]
-            if f:
-                d = _reduced([row[b] * x - f * y for x, y in zip(d, row)])
+    def _run(self) -> str:
+        """Bland simplex from the current basis, entering on the first positive reduced cost."""
         while True:
-            enter = next((j for j, v in enumerate(d) if v > 0), None)
+            enter = next((j for j, v in enumerate(self.costs) if v > 0), None)
             if enter is None:
                 return "optimal"
             leave = None
@@ -155,9 +152,6 @@ class _Tableau:
             if leave is None:
                 return "unbounded"
             self._pivot(leave, enter)
-            row_r = self.rows[leave]
-            f = d[enter]
-            d = _reduced([row_r[enter] * x - f * y for x, y in zip(d, row_r)])
 
     def _start(self, columns) -> None:
         """Pivot ``columns[r]`` into row r, in row order, and check the basis feasible."""
@@ -175,10 +169,9 @@ class _Tableau:
 
     def solve(self, start) -> LPOutcome:
         self._start(start)
-        scale, objective = self.objective
-        status = self._run(_reduced(objective) + [0] * self.n_slack)
-        if status == "unbounded":
+        if self._run() == "unbounded":
             return LPOutcome("unbounded", pivots=self.pivots)
+        scale, objective = self.objective
         n = self.n_original
         x = [Fraction(0)] * n
         num, den = 0, 1  # the value, num / (den * scale)

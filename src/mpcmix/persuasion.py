@@ -72,7 +72,8 @@ class PiecewiseLinearFn(Matrix):
 
     @classmethod
     def from_pairs(cls, pairs) -> "PiecewiseLinearFn":
-        knots = _pairs([tuple(map(_ratio, knot)) for knot in pairs])
+        # A knot of text is left as it is, for _pairs to refuse.
+        knots = _pairs([knot if isinstance(knot, str) else tuple(map(_ratio, knot)) for knot in pairs])
         return cls._checked(tuple(ratio_row(column) for column in zip(*knots)))
 
     @property
@@ -375,7 +376,8 @@ def check_no_profitable_deviation(
     lo, hi = opponent_cdf.domain
     if lo > a1 or hi < an:
         raise DomainError("opponent cdf domain must cover the prior's atom range")
-    merged = set(parse_rational(x) for x in candidates)
+    d, grid = parse_row(candidates)
+    merged = {Fraction(c, d) for c in grid}
     merged.update(x for x, _ in opponent_cdf.knots if a1 <= x <= an)
     solution = solve_linear_persuasion(source, opponent_cdf, sorted(merged))
     return DeviationCheck(

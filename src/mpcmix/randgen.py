@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from .distributions import DiscreteDistribution, TransitionMatrix
@@ -28,7 +29,8 @@ def random_distribution(rng: Random, n: int) -> DiscreteDistribution:
     Raises ``ValueError`` before drawing anything when that pool holds fewer
     than ``n`` distinct values.
     """
-    pool = len({Fraction(a, b) for a in range(-SPREAD, SPREAD + 1) for b in range(1, MAX_DENOMINATOR + 1)})
+    # One distinct value per pair (a, b) in lowest terms, 0 as 0/1.
+    pool = sum(gcd(a, b) == 1 for a in range(-SPREAD, SPREAD + 1) for b in range(1, MAX_DENOMINATOR + 1))
     if n > pool:
         raise ValueError(
             f"n = {n} exceeds the {pool} distinct atoms a/b with |a| <= {SPREAD}, "

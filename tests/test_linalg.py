@@ -239,6 +239,31 @@ class TestOnlyRationalsAreValues:
         assert parse_rational(_Int(3)) == 3
 
 
+class TestTextIsNotARow:
+    """Text where a row of rationals belongs is refused, not read one character at a time."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: linalg.parse_row("01"),
+            lambda: Matrix.from_rows(["01", ["1", "2"]]),
+            lambda: TransitionMatrix.from_rows([["1"], "01"]),
+            lambda: DiscreteDistribution.from_rows(["01", ["1/2", "1/2"]]),
+            lambda: DiscreteDistribution.from_rows([["0", "1"], "01"]),
+        ],
+        ids=["parse_row", "matrix", "transition", "atoms", "weights"],
+    )
+    def test_text_is_a_value_error(self, build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "not a row of rationals: '01'"
+
+    def test_long_text_is_cut_in_the_message(self):
+        with pytest.raises(ValueError, match=f"^not a row of rationals: '{'1' * 40}'$"):
+            linalg.parse_row("1" * 50)
+
+
 class TestNullSpace:
     """The basis state that the split reads against the ``Fraction`` reference's rank and null vector."""
 

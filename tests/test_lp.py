@@ -270,6 +270,16 @@ def _recorded_lps(monkeypatch, run):
     return seen
 
 
+def _seeded_persuasion():
+    """Solve 40 seeded persuasion programs, each on its prior's atoms and its utility's knots."""
+    rng = Random(79)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        source = random_smpc(rng, n, n).source
+        u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
+        solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in u.knots}))
+
+
 def _outcome_or_error(solve, problem, start):
     try:
         return solve(problem, start)
@@ -302,15 +312,7 @@ class TestMatchesTheFractionTableau:
         assert seen == {"optimal", "starting pivot", "starting basis has a negative level"}
 
     def test_persuasion_programs(self, monkeypatch):
-        def run():
-            rng = Random(79)
-            for _ in range(40):
-                n = rng.randint(2, 4)
-                source = random_smpc(rng, n, n).source
-                u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
-                solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in u.knots}))
-
-        runs = _recorded_lps(monkeypatch, run)
+        runs = _recorded_lps(monkeypatch, _seeded_persuasion)
         assert len(runs) == 40
         self.assert_same(runs)
 
@@ -515,15 +517,15 @@ class TestFullDisclosureStart:
         runs = []
         real = lp_module._Tableau._run
 
-        def counted(self, costs):
-            runs.append(len(costs))
-            return real(self, costs)
+        def counted(self):
+            runs.append(len(self.costs))
+            return real(self)
 
         monkeypatch.setattr(lp_module._Tableau, "_run", counted)
         utility = _pwl(("0", "1"), ("1/4", "-1"), ("3/4", "2"), ("1", "0"))
         candidates = ["0", "1/4", "1/3", "1/2", "3/4", "1"]
         solve_linear_persuasion(PRIOR, utility, candidates)
-        # One run, on the 6 weights and the slack of the one interior atom's row.
+        # One run, over a cost row of the 6 weights and the slack of the one interior atom's row.
         assert runs == [7]
 
     def test_start_and_phase_1_reach_equal_values(self):
@@ -557,3 +559,85 @@ class TestFullDisclosureStart:
         started = solve_lp(problem, start)
         assert started.status == "optimal"
         assert started.pivots <= 40
+
+
+def _fraction_reduced_costs(problem, basis):
+    """c - c_B B^-1 A over the columns of A and one slack per ``le`` row, in ``Fraction``s.
+
+    y = c_B B^-1 comes from Gauss-Jordan elimination on B^T y = c_B.
+    """
+    senses = problem.senses
+    slacks = [tuple(Fraction(i == r) for i in range(len(senses))) for r, sense in enumerate(senses) if sense == "le"]
+    columns = [*zip(*problem.constraint_matrix.entries), *slacks]
+    c = [*fractions_of(problem.objective), *[Fraction(0)] * len(slacks)]
+    system = [[*columns[b], c[b]] for b in basis]
+    size = len(system)
+    for i in range(size):
+        pivot = next(r for r in range(i, size) if system[r][i])
+        system[i], system[pivot] = system[pivot], system[i]
+        system[i] = [x / system[i][i] for x in system[i]]
+        for r in range(size):
+            if r != i and system[r][i]:
+                f = system[r][i]
+                system[r] = [x - f * z for x, z in zip(system[r], system[i])]
+    y = [row[-1] for row in system]
+    return [cj - sum(yi * aij for yi, aij in zip(y, column)) for cj, column in zip(c, columns)]
+
+
+def assert_reduced_costs(tableau, problem):
+    """``tableau.costs`` is c - c_B B^-1 A of ``tableau.basis`` times a positive factor."""
+    reduced = _fraction_reduced_costs(problem, tableau.basis)
+    factor = next((Fraction(v) / r for v, r in zip(tableau.costs, reduced) if r), 1)
+    assert factor > 0
+    assert [factor * r for r in reduced] == tableau.costs
+
+
+class TestReducedCostRow:
+    """``_Tableau.costs`` is c - c_B B^-1 A of the final basis, up to a positive factor.
+
+    At an optimum it is 0 on every basic column and at most 0 on every
+    column: the sign test that stops the simplex, and the row a dual reads.
+    """
+
+    @staticmethod
+    def assert_optimal_costs(problem, start):
+        tableau = lp_module._Tableau(problem)
+        assert tableau.solve(start).status == "optimal"
+        costs = tableau.costs
+        assert len(costs) == len(tableau.rows[0]) - 1
+        assert all(costs[b] == 0 for b in tableau.basis)
+        assert all(v <= 0 for v in costs)
+        assert_reduced_costs(tableau, problem)
+
+    def test_seeded_persuasion_programs(self, monkeypatch):
+        runs = _recorded_lps(monkeypatch, _seeded_persuasion)
+        assert len(runs) == 40
+        for problem, start in runs:
+            self.assert_optimal_costs(problem, start)
+
+    def test_grid_probe(self):
+        self.assert_optimal_costs(*_grid_probe(41))
+
+    def test_random_programs(self):
+        # The random starts that are feasible, and whose program is bounded.
+        rng = Random(61)
+        optimal = 0
+        for _ in range(80):
+            problem = random_lp(rng)
+            width = len(problem.objective[1]) + problem.senses.count("le")
+            for _ in range(10):
+                start = [rng.randrange(width) for _ in range(problem.constraint_matrix.rows)]
+                out = _outcome_or_error(solve_lp, problem, start)
+                if isinstance(out, LPOutcome) and out.status == "optimal":
+                    self.assert_optimal_costs(problem, start)
+                    optimal += 1
+        assert optimal >= 20
+
+    def test_the_start_prices_out_its_columns(self):
+        # Before the simplex runs, the start's pivots have already made the
+        # cost row the reduced costs of the starting basis.
+        problem, start = _grid_probe(41)
+        tableau = lp_module._Tableau(problem)
+        tableau._start(start)
+        assert any(tableau.costs)
+        assert_reduced_costs(tableau, problem)

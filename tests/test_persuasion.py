@@ -73,6 +73,18 @@ class TestPiecewiseLinearFn:
         assert type(err.value) is ValueError
         assert str(err.value) == f"knot {k} of 'knots' must be an (x, y) pair"
 
+    @pytest.mark.parametrize(
+        "pairs, k",
+        [(["01", "12"], 0), ([("0", "0"), "12"], 1), ([("0", "0"), ("1", "1"), "22"], 2)],
+        ids=["first", "second", "third"],
+    )
+    def test_a_knot_of_text_is_not_a_pair(self, pairs, k):
+        # Read as a pair, "01" would be the knot (0, 1).
+        with pytest.raises(ValueError) as err:
+            PiecewiseLinearFn.from_pairs(pairs)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"knot {k} of 'knots' must be an (x, y) pair"
+
     def test_is_cdf(self):
         assert DUEL_CDF.is_cdf()
         assert not pwl([("0", "0"), ("1", "2")]).is_cdf()
@@ -254,6 +266,12 @@ class TestSolveLinearPersuasion:
         for short in (pwl([("1/3", "0"), ("1", "1")]), pwl([("0", "0"), ("2/3", "1")])):
             with pytest.raises(DomainError, match="^utility domain must cover the prior's atom range$"):
                 solve_linear_persuasion(dist(["0", "1"], ["1/2", "1/2"]), short, ["0", "1"])
+
+    def test_candidates_of_text_are_refused(self):
+        # Read one character at a time, "01" would be the grid {0, 1}.
+        prior = dist(["0", "1"], ["1/2", "1/2"])
+        with pytest.raises(ValueError, match="^not a row of rationals: '01'$"):
+            solve_linear_persuasion(prior, pwl([("0", "0"), ("1", "1")]), "01")
 
     @pytest.mark.parametrize("constant", ["0", "3/2"])
     def test_a_constant_utility_keeps_the_prior(self, monkeypatch, constant):
@@ -582,6 +600,15 @@ class TestCheckNoProfitableDeviation:
         message = "^opponent cdf domain must cover the prior's atom range$"
         with pytest.raises(DomainError, match=message):
             check_no_profitable_deviation(dist(["0", "1"], ["1/2", "1/2"]), narrow, "1/2", candidates)
+        assert solves == []
+
+    def test_candidates_of_text_are_refused_before_the_solve(self, monkeypatch):
+        # Read one character at a time, "01" would be the grid {0, 1}.
+        solves = []
+        monkeypatch.setattr(lp, "solve", lambda problem, *, start: solves.append(problem))
+        cdf = pwl([("0", "0"), ("1", "1")])
+        with pytest.raises(ValueError, match="^not a row of rationals: '01'$"):
+            check_no_profitable_deviation(dist(["0", "1"], ["1/2", "1/2"]), cdf, "1/2", "01")
         assert solves == []
 
     def test_witness_is_a_contraction_of_the_prior(self):

@@ -5,7 +5,9 @@
 ``A`` and ``B`` are the ``src`` directories of two checkouts (the same one
 twice is a determinism check). Every item of the four ``bench/corpus.py``
 corpora at each seed runs through each tree's ``mpcmix.cli.main`` in this
-process. The corpus payloads are all valid, so each item also runs as
+process, and so do the ``GEN_RANDOM`` payloads, with ``--seed`` set to the
+seed, since no corpus holds ``gen-random``: so all eight commands run. The
+payloads are all valid, so each item also runs as
 variants that reach the error paths: one with each top-level key dropped
 and one with each top-level value replaced by ``"x"``. Each payload runs
 three times: plain, with ``--pretty`` and with ``--decimals``. A run's
@@ -31,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODES = {"plain": [], "pretty": ["--pretty"], "decimals": ["--decimals"]}
+GEN_RANDOM = [{"n": 1, "m": 1}, {"n": 3, "m": 4, "count": 2}, {"n": 85, "m": 2}, {"n": 86, "m": 2}]
+"""``gen-random`` payloads; 85 atoms fill the atom pool, and 86 are refused."""
 
 
 def _fresh_main(src: Path):
@@ -71,7 +75,7 @@ def results(src: Path, items, work: Path) -> list[str]:
     """The digest of every run of ``items`` through ``src``'s CLI, in ``MODES`` order per item."""
     main = _fresh_main(src)
     return [
-        _result(main, [command, str(work / f"{k}.json"), *flags])
+        _result(main, [*command, str(work / f"{k}.json"), *flags])
         for k, (_, command, _) in enumerate(items)
         for flags in MODES.values()
     ]
@@ -87,13 +91,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus
 
-    items = [
-        ([workload, seed, k, name], command, variant)
+    runs = [
+        ([workload, seed, k], [command], payload)
         for workload in corpus.WORKLOADS
         for seed in args.seeds
         for k, (command, payload, _) in enumerate(corpus.build(workload, seed))
-        for name, variant in variants(payload)
     ]
+    runs += [
+        (["gen-random", seed, k], ["gen-random", "--seed", str(seed)], payload)
+        for seed in args.seeds
+        for k, payload in enumerate(GEN_RANDOM)
+    ]
+    items = [([*label, name], command, variant) for label, command, payload in runs for name, variant in variants(payload)]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for k, (_, _, payload) in enumerate(items):
