@@ -41,7 +41,17 @@ from math import lcm
 from . import lp
 from .distributions import DiscreteDistribution, SmpcTriple, find_witness
 from .errors import CandidateError, CdfError, DomainError, InternalError
-from .linalg import Matrix, _ratio, canonical_row, json_list, json_object, parse_rational, parse_row, ratio_row
+from .linalg import (
+    Matrix,
+    _ratio,
+    canonical_row,
+    integer_row,
+    json_list,
+    json_object,
+    parse_rational,
+    parse_row,
+    ratio_row,
+)
 
 
 class PiecewiseLinearFn(Matrix):
@@ -306,7 +316,7 @@ def solve_linear_persuasion(
             f"persuasion LP optimum is not a vertex: {len(support)} atoms on a {len(atoms)}-atom prior"
         )
     target = DiscreteDistribution._checked(
-        (canonical_row(d, [grid[j] for j in support]), parse_row([outcome.solution[j] for j in support]))
+        (canonical_row(d, [grid[j] for j in support]), integer_row([outcome.solution[j] for j in support]))
     )
     if utility.expectation(target) != outcome.value:
         raise InternalError("persuasion LP value differs from the optimum's expected utility")

@@ -3,7 +3,8 @@
 ``parse_rational`` reads plain ``"a"`` and ``"a/b"`` text with ``int`` and
 hands everything else to ``Fraction(str)`` behind the size check. These
 properties hold it, and ``Matrix.from_rows``, to ``Fraction``'s grammar,
-values and error messages over generated text.
+values and error messages over generated text, and ``parse_row``'s
+whole-row passes over long rows to the per-value reader.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcmix import Matrix, TransitionMatrix, parse_rational
-from mpcmix.linalg import MAX_DIGITS, _check_size, integer_row
+from mpcmix.linalg import MAX_DIGITS, ROW_PASS_MIN, _check_size, _plain_row, _ratio, integer_row, parse_row, ratio_row
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -69,14 +70,23 @@ def test_parse_rational_reads_text_as_fraction_does(text):
     assert outcome(parse_rational, text) == outcome(fraction_reference, text)
 
 
+def plain_spellings(x):
+    """Texts of the plain form ``-?D+`` or ``-?D+/D+`` that denote the rational ``x``."""
+    p, q = x.numerator, x.denominator
+    forms = [str(x), f"{3 * p}/{3 * q}", str(x).translate(str.maketrans("0123456789", DIGITS[10:20]))]
+    if q == 1:
+        forms.append(f"{p}/1")
+    return forms
+
+
 def spellings(x):
     """Texts and values that all denote the rational ``x``."""
     p, q = x.numerator, x.denominator
-    forms = [x, str(x), f"{3 * p}/{3 * q}", f" {x} ", str(x).translate(str.maketrans("0123456789", DIGITS[10:20]))]
+    forms = [x, *plain_spellings(x), f" {x} "]
     if p >= 0:
         forms.append(f"+{x}")
     if q == 1:
-        forms += [p, f"{p}/1"]
+        forms.append(p)
     scaled = x * 10**6
     if scaled.denominator == 1:
         n = abs(scaled.numerator)
@@ -109,3 +119,40 @@ def test_from_rows_makes_the_integer_rows_of_the_fractions(grid_and_text):
     assert TransitionMatrix._trusted(matrix._integer_rows).to_json() == {"rows": [[str(x) for x in row] for row in grid]}
     # The row checks read the same integer rows, so they agree to the message.
     assert outcome(TransitionMatrix.from_rows, text) == outcome(TransitionMatrix, grid)
+
+
+# Values that make a row of plain text not plain: not text, text holding the
+# whole-row reader's separator, an empty numerator or denominator, a zero
+# denominator, and a digit run past MAX_DIGITS.
+ODD_VALUES = [Fraction(1, 3), 2, True, 0.5, None, "1 -2/3", "1/2 3", "1/", "/2", "1/0", "7" * (MAX_DIGITS + 1)]
+
+
+# A few small or large rationals that a long row draws its values from.
+pools = st.lists(
+    st.one_of(st.fractions(-3, 3, max_denominator=12), st.fractions(max_denominator=10**20)), min_size=1, max_size=6
+)
+
+
+def per_value_row(values):
+    """The row as ``parse_row`` reads it one value at a time."""
+    return ratio_row([_ratio(x) for x in values])
+
+
+@PROFILE
+@given(pools, st.integers(ROW_PASS_MIN, 3 * ROW_PASS_MIN), st.randoms(use_true_random=False), st.data())
+def test_parse_row_reads_long_rows_as_the_per_value_reader_does(pool, k, rng, data):
+    def put(row, value):
+        i = rng.randrange(len(row))
+        return [*row[:i], value, *row[i + 1 :]]
+
+    xs = [rng.choice(pool) for _ in range(k)]
+    plain = [rng.choice(plain_spellings(x)) for x in xs]
+    assert _plain_row(plain) is not None
+    assert parse_row(plain) == per_value_row(plain) == integer_row(xs)
+    # One value that is not plain, at a random position, puts the whole row on
+    # the per-value reader, which refuses the first value that it cannot read.
+    for value in (rng.choice(spellings(rng.choice(xs))), data.draw(texts), *ODD_VALUES):
+        row = put(plain, value)
+        assert outcome(parse_row, row) == outcome(per_value_row, row)
+    row = put(put([rng.choice(spellings(x)) for x in xs], data.draw(texts)), rng.choice(ODD_VALUES))
+    assert outcome(parse_row, row) == outcome(per_value_row, row)

@@ -7,16 +7,20 @@ twice is a determinism check). Every item of the four ``bench/corpus.py``
 corpora at each seed runs through each tree's ``mpcmix.cli.main`` in this
 process, and so do the ``GEN_RANDOM`` payloads, with ``--seed`` set to the
 seed, since no corpus holds ``gen-random``: so all eight commands run. The
-payloads are all valid, so each item also runs as
-variants that reach the error paths: one with each top-level key dropped
-and one with each top-level value replaced by ``"x"``. Each payload runs
+payloads are all valid, so each item also runs as variants that reach the
+error paths: one with each top-level key dropped, one with each top-level
+value replaced by ``"x"``, and, for each field that holds rows, two with
+the last value of its last row spoiled, as ``"+1"`` (text that only
+``Fraction``'s parser reads) and as ``"1/0"`` (a zero denominator), so a
+row that is plain but for one value is read too. Each payload runs
 three times: plain, with ``--pretty`` and with ``--decimals``. A run's
 result is its exit status, stdout and stderr; an exception that escapes
 ``main`` counts as a result too. The output is one JSON object: ``runs``,
 the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
-``-key`` or ``key=x``. The exit status is 1 when any run differs.
+``-key``, ``key=x`` or, for a spoiled row, its field's path and the text, as
+``transition.rows[-1][-1]=1/0``. The exit status is 1 when any run differs.
 """
 
 from __future__ import annotations
@@ -51,12 +55,35 @@ def _fresh_main(src: Path):
     return cli.main
 
 
+SPOILS = ("+1", "1/0")
+"""Texts put in place of the last value of a row: one read only by ``Fraction``, one refused."""
+
+
+def _row_fields(value, path=()):
+    """The path of each field in ``value`` that holds a row, or a list of rows."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _row_fields(item, (*path, key))
+    elif isinstance(value, list) and value and not isinstance(value[-1], dict):
+        yield path
+
+
 def variants(payload: dict):
-    """``(name, payload)`` for the payload itself, then each top-level key dropped or set to ``"x"``."""
+    """``(name, payload)`` for the payload itself, then each top-level key dropped or set to
+    ``"x"``, then the last value of each row-valued field's last row set to each of ``SPOILS``."""
     yield "valid", payload
     for key in payload:
         yield f"-{key}", {k: v for k, v in payload.items() if k != key}
         yield f"{key}=x", {**payload, key: "x"}
+    for path in _row_fields(payload):
+        for text in SPOILS:
+            spoiled = json.loads(json.dumps(payload))
+            field = spoiled
+            for key in path:
+                field = field[key]
+            nested = isinstance(field[-1], list)
+            (field[-1] if nested else field)[-1] = text
+            yield f"{'.'.join(path)}{'[-1]' if nested else ''}[-1]={text}", spoiled
 
 
 def _result(main, argv) -> str:
