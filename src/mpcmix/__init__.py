@@ -35,7 +35,6 @@ from .persuasion import (
     PersuasionSolution,
     PiecewiseLinearFn,
     check_no_profitable_deviation,
-    deviation_payoff,
     solve_linear_persuasion,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "apply_transition",
     "check_no_profitable_deviation",
     "decompose_full",
-    "deviation_payoff",
     "find_witness",
     "is_mpc",
     "mpc_violation",

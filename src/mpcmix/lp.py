@@ -12,8 +12,10 @@ approximation. The tableau holds integer rows and pivots without fractions,
 and its reduced costs are one more row that every pivot updates (see
 ``_Tableau``). Persuasion states its LP over the target's weights on a
 candidate grid and starts it on the prior's atom columns (see
-``persuasion.solve_linear_persuasion``); garblings, and witnesses for the
-contraction order, come from ``distributions.find_witness`` with no LP.
+``persuasion._solve_on_grid``, the one caller, which both
+``solve_linear_persuasion`` and ``check_no_profitable_deviation`` reach);
+garblings, and witnesses for the contraction order, come from
+``distributions.find_witness`` with no LP.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ needed to reach a small-support answer. The solver checks this exactly.
 
 The payoff is a ``PiecewiseLinearFn``, a two-row ``Matrix`` of its knots'
 x and y values held as integer rows, as a distribution holds its atoms and
-weights. The LP's build, the solver's checks and ``expectation`` read those
-rows, so a solve makes no ``Fraction`` from a knot.
+weights. The LP's build, the solver's checks, the deviation check's merge of
+its candidates with the knots, and ``expectation`` read those rows, so a
+solve makes no ``Fraction`` from a knot.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .linalg import (
 
 
 class PiecewiseLinearFn(Matrix):
-    """Piecewise-linear function given by knots; evaluation interpolates.
+    """Piecewise-linear function given by knots, interpolating between them.
 
     A :class:`Matrix` of two rows, held as its integer rows, the way a
     distribution is: row 0 holds the knots' x values and row 1 their y
@@ -63,9 +64,9 @@ class PiecewiseLinearFn(Matrix):
     them there. ``PiecewiseLinearFn(knots)`` takes a tuple of ``(x, y)``
     tuples of ``Fraction`` or ``int`` values; anything else, a float or a
     third coordinate included, is a ``ValueError``. ``from_pairs`` and
-    ``from_json`` take rational text straight to the rows. ``knots`` and
-    ``domain`` are read from ``entries``, and evaluation outside the knot
-    range is an error rather than an extrapolation.
+    ``from_json`` take rational text straight to the rows. The function is
+    read only through those rows, and ``expectation`` refuses an atom
+    outside the knot range rather than extrapolate.
     """
 
     def __init__(self, knots) -> None:
@@ -86,27 +87,9 @@ class PiecewiseLinearFn(Matrix):
         knots = _pairs([knot if isinstance(knot, str) else tuple(map(_ratio, knot)) for knot in pairs])
         return cls._checked(tuple(ratio_row(column) for column in zip(*knots)))
 
-    @property
-    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(*self.entries))
-
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.entries[0][0], self.entries[0][-1]
-
     def _outside(self, x: Fraction) -> DomainError:
-        lo, hi = self.domain
-        return DomainError(f"{x} outside domain [{lo}, {hi}]")
-
-    def __call__(self, x: Fraction) -> Fraction:
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise self._outside(x)
-        knots = self.knots
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        s, xs = self._integer_rows[0]
+        return DomainError(f"{x} outside domain [{Fraction(xs[0], s)}, {Fraction(xs[-1], s)}]")
 
     def is_cdf(self) -> bool:
         """Continuous cdf shape: starts at 0, ends at 1, never decreases."""
@@ -117,10 +100,11 @@ class PiecewiseLinearFn(Matrix):
         """E u(X) for X drawn from ``dist``, in one integer sweep up its rows and the knots'.
 
         With the knots at X / s and Y / t, an atom a = A / e of weight W / w
-        falls to the first segment with a <= x1, as in ``__call__``, and a
-        segment's atoms add ((Y0 dX - dY X0) e M + dY s S) / (t w e dX), for
-        dX = X1 - X0, dY = Y1 - Y0, M = sum W and S = sum W A. An atom
-        outside the domain raises ``__call__``'s ``DomainError``.
+        falls to the first segment with a <= x1, and a segment's atoms add
+        ((Y0 dX - dY X0) e M + dY s S) / (t w e dX), for dX = X1 - X0,
+        dY = Y1 - Y0, M = sum W and S = sum W A. The lowest atom below the
+        first knot, or else the lowest above the last, is a ``DomainError``:
+        ``a outside domain [x_1, x_k]``.
         """
         (e, atoms), (w, weights) = dist._integer_rows
         (s, xs), (t, ys) = self._integer_rows
@@ -146,9 +130,6 @@ class PiecewiseLinearFn(Matrix):
         if i < n:
             raise self._outside(Fraction(atoms[i], e))
         return Fraction(num, den * t * w * e)
-
-    def to_json(self) -> dict:
-        return {"knots": [[str(x), str(y)] for x, y in self.knots]}
 
     @classmethod
     def from_json(cls, obj) -> "PiecewiseLinearFn":
@@ -291,10 +272,18 @@ def solve_linear_persuasion(
     is its own sweep of the target's atoms against the knots.
     """
     d, grid = parse_row(candidates)
-    if not grid:
-        raise CandidateError("candidate list is empty")
     if any(x >= y for x, y in zip(grid, grid[1:])):
         raise CandidateError("candidates must be strictly increasing")
+    return _solve_on_grid(source, utility, d, grid)
+
+
+def _solve_on_grid(
+    source: DiscreteDistribution, utility: PiecewiseLinearFn, d: int, grid: list[int]
+) -> PersuasionSolution:
+    """``solve_linear_persuasion`` on the strictly increasing grid ``grid / d``,
+    in lowest terms: every check from the empty grid on, and the solve."""
+    if not grid:
+        raise CandidateError("candidate list is empty")
     e, atoms = source._integer_rows[0]
     if grid[0] * e < atoms[0] * d or grid[-1] * e > atoms[-1] * d:
         raise CandidateError("candidates must lie within the prior's atom range")
@@ -334,20 +323,6 @@ def solve_linear_persuasion(
     )
 
 
-def deviation_payoff(
-    deviation: DiscreteDistribution, opponent_cdf: PiecewiseLinearFn
-) -> Fraction:
-    """Win probability of a posterior-mean distribution against an atomless rival.
-
-    With the opponent's posterior mean drawn from a continuous cdf, ties have
-    probability zero and the payoff is just the expected cdf value. An atom
-    outside the cdf's domain is ``expectation``'s ``DomainError``.
-    """
-    if not opponent_cdf.is_cdf():
-        raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
-    return opponent_cdf.expectation(deviation)
-
-
 @dataclass(frozen=True)
 class DeviationCheck:
     """Best deviation payoff against a fixed opponent cdf.
@@ -373,23 +348,35 @@ def check_no_profitable_deviation(
 ) -> DeviationCheck:
     """Maximize the deviation payoff over contractions of the prior.
 
-    The opponent's cdf acts as the deviator's utility. Folding the cdf knots
-    into the candidate grid makes the grid restriction exact: the payoff is
-    linear between knots, so some optimal deviation lives on the grid. The
-    best deviation is the LP's optimal vertex, which by the paper's theorem
-    has at most n atoms, and it attains ``max_payoff`` exactly.
+    The opponent's cdf acts as the deviator's utility: against an atomless
+    rival, ties have probability zero and a deviation's win probability is
+    its expected cdf value. Folding the cdf knots into the candidate grid
+    makes the grid restriction exact: the payoff is linear between knots, so
+    some optimal deviation lives on the grid. The best deviation is the LP's
+    optimal vertex, which by the paper's theorem has at most n atoms, and it
+    attains ``max_payoff`` exactly.
+
+    The cdf is checked first, then ``equilibrium_value``, then that the
+    cdf's x row covers [a_1, a_n], on the integer rows. The candidates are a
+    set: their integer row and the cdf's x values in [a_1, a_n], both ends
+    included, are merged as one set of integers over a common scale and
+    sorted. So they need not be sorted or distinct, and a knot at a prior
+    atom supplies that atom. The merged grid goes to the solve of
+    ``solve_linear_persuasion`` from its empty-grid check on, and no
+    ``Fraction`` is made from a knot, an atom or a candidate.
     """
     if not opponent_cdf.is_cdf():
         raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
     equilibrium_value = parse_rational(equilibrium_value)
-    a1, an = source.atoms[0], source.atoms[-1]
-    lo, hi = opponent_cdf.domain
-    if lo > a1 or hi < an:
+    (e, atoms), (s, xs) = source._integer_rows[0], opponent_cdf._integer_rows[0]
+    lo, hi = atoms[0] * s, atoms[-1] * s
+    if xs[0] * e > lo or xs[-1] * e < hi:
         raise DomainError("opponent cdf domain must cover the prior's atom range")
     d, grid = parse_row(candidates)
-    merged = {Fraction(c, d) for c in grid}
-    merged.update(x for x, _ in opponent_cdf.knots if a1 <= x <= an)
-    solution = solve_linear_persuasion(source, opponent_cdf, sorted(merged))
+    scale = lcm(d, s)
+    merged = {c * (scale // d) for c in grid}
+    merged.update(x * (scale // s) for x in xs if lo <= x * e <= hi)
+    solution = _solve_on_grid(source, opponent_cdf, *canonical_row(scale, sorted(merged)))
     return DeviationCheck(
         max_payoff=solution.value,
         equilibrium_value=equilibrium_value,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from lp_fraction_reference import fractions_of, reference_solve, standard_form
+from persuasion_lp_reference import evaluate
 
 
 def _to_equality_form(lp):
@@ -185,7 +186,7 @@ def garbling_persuasion_value(source, utility, candidates):
     candidate column's barycenter is its position. Returns the optimal value.
     """
     p, a = source.weights, source.atoms
-    values = [utility(c) for c in candidates]
+    values = [evaluate(utility, c) for c in candidates]
     outcome, _ = solve_garbling(
         len(p),
         len(candidates),

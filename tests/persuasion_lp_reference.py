@@ -15,19 +15,65 @@ feasible set.
 
 ``weight_lp`` is the package's own build and its start, the prior's atom
 columns, as ``solve_linear_persuasion`` hands them to ``mpcmix.lp.solve``.
+
+The package reads a ``PiecewiseLinearFn`` only through its integer rows.
+For tests to compare against, ``knots``, ``evaluate`` and ``knots_json``
+read one through ``entries``, as ``Fraction`` knots, and
+``deviation_payoff`` is the payoff that ``check_no_profitable_deviation``
+maximizes.
 """
 
 from fractions import Fraction
 
 from mpcmix import lp, persuasion
+from mpcmix.errors import CdfError, DomainError
 from mpcmix.linalg import integer_row
 
 from cases import integrated_cdf, mean
 from lp_fraction_reference import standard_form
 
 
+def knots(fn) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The knots of the piecewise-linear ``fn`` as ``(x, y)`` pairs."""
+    return tuple(zip(*fn.entries))
+
+
+def evaluate(fn, x) -> Fraction:
+    """``fn(x)``, interpolated between the knots around ``x``.
+
+    Outside the knot range it raises the ``DomainError`` whose text
+    ``PiecewiseLinearFn.expectation`` gives for an atom there.
+    """
+    pairs = knots(fn)
+    lo, hi = pairs[0][0], pairs[-1][0]
+    if x < lo or x > hi:
+        raise DomainError(f"{x} outside domain [{lo}, {hi}]")
+    for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise AssertionError("unreachable")
+
+
+def deviation_payoff(deviation, opponent_cdf) -> Fraction:
+    """Win probability of ``deviation`` against a rival whose posterior mean has ``opponent_cdf``.
+
+    With an atomless rival, ties have probability zero and the payoff is the
+    expected cdf value, which ``check_no_profitable_deviation`` maximizes. A
+    function that is not a cdf is the check's ``CdfError``, and an atom
+    outside the cdf's domain is ``expectation``'s ``DomainError``.
+    """
+    if not opponent_cdf.is_cdf():
+        raise CdfError("opponent distribution must be a continuous cdf (0 to 1, nondecreasing)")
+    return opponent_cdf.expectation(deviation)
+
+
+def knots_json(fn) -> dict:
+    """``fn`` as the CLI's piecewise-linear JSON, ``{"knots": [[x, y], ...]}``."""
+    return {"knots": [[str(x), str(y)] for x, y in knots(fn)]}
+
+
 def _lp(utility, candidates, rows, rhs, senses) -> lp.StandardFormLP:
-    return standard_form((utility(c) for c in candidates), rows, rhs, senses)
+    return standard_form((evaluate(utility, c) for c in candidates), rows, rhs, senses)
 
 
 def _cdf_row(candidates, point):

@@ -13,7 +13,6 @@ from mpcmix import (
     SmpcTriple,
     check_no_profitable_deviation,
     decompose_full,
-    deviation_payoff,
     find_witness,
     is_mpc,
     solve_linear_persuasion,
@@ -42,7 +41,7 @@ from cases import (
 )
 from lp_fraction_reference import reference_solve
 from lp_oracle import oracle_solve
-from persuasion_lp_reference import weight_lp
+from persuasion_lp_reference import deviation_payoff, evaluate, knots, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc, random_split_instance
 
 
@@ -156,13 +155,13 @@ def test_criterion_5_small_support_optima():
                 )
             )
             affine += 1
-        candidates = sorted(set(source.atoms) | {x for x, _ in utility.knots})
+        candidates = sorted(set(source.atoms) | {x for x, _ in knots(utility)})
         solution = solve_linear_persuasion(source, utility, candidates)
         assert solution.candidates_exact
         assert len(solution.optimum.target.atoms) <= n
         assert utility.expectation(solution.optimum.target) >= solution.value
-        if len(utility.knots) == 2:
-            assert solution.value == utility(mean(source))
+        if len(knots(utility)) == 2:
+            assert solution.value == evaluate(utility, mean(source))
     _verdict(5, "small-support optima", f"{kinked} kinked + {affine} affine instances")
 
 
@@ -202,7 +201,7 @@ def test_criterion_7_simplex_equals_enumeration():
         source = random_smpc(rng, n, n).source
         lo, hi = source.atoms[0], source.atoms[-1]
         u = random_piecewise_linear(rng, lo - 1, hi + 1, rng.randint(1, 3))
-        candidates = sorted(set(source.atoms) | {x for x, _ in u.knots if lo < x < hi})
+        candidates = sorted(set(source.atoms) | {x for x, _ in knots(u) if lo < x < hi})
         problem, start = weight_lp(source, u, candidates)
         outcome = lp.solve(problem, start=start)
         status, value, _ = oracle_solve(problem)

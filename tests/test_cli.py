@@ -18,6 +18,7 @@ from mpcmix.linalg import parse_rational
 
 from cases import DUEL_CDF, DUEL_PRIOR, GARBLING, PRIOR, TARGET, worked_triple
 from lp_fraction_reference import fractions_of
+from persuasion_lp_reference import knots_json
 
 
 def run_cli(tmp_path, command, payload, *flags):
@@ -346,7 +347,7 @@ def test_persuasion_lp_failure_is_exit_3(tmp_path, capsys, monkeypatch, broken_s
 def test_check_deviation(tmp_path, capsys):
     payload = {
         "source": DUEL_PRIOR.to_json(),
-        "opponent_cdf": DUEL_CDF.to_json(),
+        "opponent_cdf": knots_json(DUEL_CDF),
         "equilibrium_value": "1/2",
         "candidates": ["0", "1/2", "3/4"],
     }
@@ -401,7 +402,7 @@ def test_check_deviation_checks_the_cdf_before_it_reads_candidates(tmp_path, cap
     }
     assert run_cli(tmp_path, "check-deviation", payload) == 1
     assert json.loads(capsys.readouterr().err)["error"]["code"] == code
-    payload["opponent_cdf"] = DUEL_CDF.to_json()
+    payload["opponent_cdf"] = knots_json(DUEL_CDF)
     assert run_cli(tmp_path, "check-deviation", payload) == 2
     assert json.loads(capsys.readouterr().err)["error"] == {"code": "parse", "message": "not a rational: 'abc'"}
 
@@ -530,7 +531,7 @@ EVERY_COMMAND = {
     },
     "check-deviation": {
         "source": DUEL_PRIOR.to_json(),
-        "opponent_cdf": DUEL_CDF.to_json(),
+        "opponent_cdf": knots_json(DUEL_CDF),
         "equilibrium_value": "1/2",
         "candidates": ["0", "1/2", "3/4"],
     },
@@ -617,10 +618,10 @@ def _hash_seed_cases():
         source = prior.to_json()
         yield "decompose", {"source": source, "transition": GARBLING.to_json()}
         yield "find-witness", {"source": source, "target": apply_transition(prior, GARBLING).target.to_json()}
-        yield "solve-persuasion", {"source": source, "utility": opponent.to_json(), "candidates": grid}
+        yield "solve-persuasion", {"source": source, "utility": knots_json(opponent), "candidates": grid}
         yield "check-deviation", {
             "source": source,
-            "opponent_cdf": opponent.to_json(),
+            "opponent_cdf": knots_json(opponent),
             "equilibrium_value": "1/2",
             "candidates": grid,
         }

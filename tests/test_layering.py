@@ -68,7 +68,7 @@ def test_only_the_basis_state_eliminates():
 
 
 def test_only_persuasion_solves_an_lp():
-    assert [c for c in callers("solve") if not c.startswith("lp.")] == ["persuasion.solve_linear_persuasion"]
+    assert [c for c in callers("solve") if not c.startswith("lp.")] == ["persuasion._solve_on_grid"]
 
 
 def test_the_top_level_api_names_no_lp_type():

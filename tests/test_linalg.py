@@ -23,6 +23,7 @@ from mpcmix.decomposition import _Basis
 from mpcmix.linalg import MAX_DIGITS, integer_row
 
 from cases import GARBLING, NULL_COEFFS, PRIOR, TARGET, coprime_integers, identity
+from persuasion_lp_reference import evaluate
 
 
 def times(matrix, vec):
@@ -220,7 +221,7 @@ class TestOnlyRationalsAreValues:
             assert DiscreteDistribution((value, 1), (HALF, HALF)).atoms == (0, 1)
             assert Matrix(((value, 1),)).entries == ((0, 1),)
             assert TransitionMatrix(((value, 1),)) == TransitionMatrix.from_rows([["0", "1"]])
-            assert PiecewiseLinearFn(((value, value), (2, 1)))(Fraction(1, 3)) == Fraction(1, 6)
+            assert evaluate(PiecewiseLinearFn(((value, value), (2, 1))), Fraction(1, 3)) == Fraction(1, 6)
 
     def test_the_reported_cases(self):
         with pytest.raises(ValueError, match="^not a rational: 0.5$"):

@@ -22,7 +22,7 @@ from cases import PRIOR, TARGET, dist, mean, point_mass
 
 from lp_fraction_reference import fractions_of, reference_solve, standard_form
 from lp_oracle import oracle_solve, oracle_status
-from persuasion_lp_reference import full_grid_lp, weight_lp
+from persuasion_lp_reference import full_grid_lp, knots, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
@@ -277,7 +277,7 @@ def _seeded_persuasion():
         n = rng.randint(2, 4)
         source = random_smpc(rng, n, n).source
         u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
-        solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in u.knots}))
+        solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in knots(u)}))
 
 
 def _outcome_or_error(solve, problem, start):
@@ -536,7 +536,7 @@ class TestFullDisclosureStart:
             lo, hi = source.atoms[0], source.atoms[-1]
             u = random_piecewise_linear(rng, lo, hi, interior=rng.randint(1, 4))
             extra = {lo + (hi - lo) * Fraction(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 4))}
-            candidates = sorted(set(source.atoms) | {x for x, _ in u.knots} | extra)
+            candidates = sorted(set(source.atoms) | {x for x, _ in knots(u)} | extra)
             problem, start = weight_lp(source, u, candidates)
             started, phase_1 = solve_lp(problem, start), reference_solve(problem)
             assert started.status == phase_1.status == "optimal"

@@ -10,7 +10,6 @@ from mpcmix import (
     PiecewiseLinearFn,
     SmpcTriple,
     check_no_profitable_deviation,
-    deviation_payoff,
     decompose_full,
     is_mpc,
     solve_linear_persuasion,
@@ -43,18 +42,22 @@ def pwl(pairs):
 class TestPiecewiseLinearFn:
     def test_interpolation(self):
         f = pwl([("0", "0"), ("1/2", "1/3"), ("3/4", "1")])
-        assert f(Fraction(0)) == 0
-        assert f(Fraction(1, 4)) == Fraction(1, 6)
-        assert f(Fraction(1, 2)) == Fraction(1, 3)
-        assert f(Fraction(5, 8)) == Fraction(2, 3)
-        assert f(Fraction(3, 4)) == 1
+        assert reference.evaluate(f, Fraction(0)) == 0
+        assert reference.evaluate(f, Fraction(1, 4)) == Fraction(1, 6)
+        assert reference.evaluate(f, Fraction(1, 2)) == Fraction(1, 3)
+        assert reference.evaluate(f, Fraction(5, 8)) == Fraction(2, 3)
+        assert reference.evaluate(f, Fraction(3, 4)) == 1
+        # A point mass's expectation interpolates the same way.
+        for x in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(5, 8), Fraction(3, 4)):
+            assert f.expectation(point_mass(x)) == reference.evaluate(f, x)
 
     def test_domain_is_enforced(self):
         f = pwl([("0", "0"), ("1", "1")])
-        with pytest.raises(DomainError):
-            f(Fraction(-1, 10))
-        with pytest.raises(DomainError):
-            f(Fraction(11, 10))
+        for x in (Fraction(-1, 10), Fraction(11, 10)):
+            with pytest.raises(DomainError):
+                reference.evaluate(f, x)
+            with pytest.raises(DomainError):
+                f.expectation(point_mass(x))
 
     def test_knot_validation(self):
         with pytest.raises(DomainError):
@@ -95,17 +98,17 @@ class TestPiecewiseLinearFn:
         assert f.expectation(dist(["0", "1"], ["1/4", "3/4"])) == Fraction(3, 4)
 
     def test_json_round_trip(self):
-        assert PiecewiseLinearFn.from_json(DUEL_CDF.to_json()) == DUEL_CDF
+        assert PiecewiseLinearFn.from_json(reference.knots_json(DUEL_CDF)) == DUEL_CDF
 
     def test_ints_fractions_and_text_build_one_function(self):
         built = PiecewiseLinearFn(((-1, 1), (Fraction(1, 2), -3), (2, Fraction(5, 3))))
         assert isinstance(built, Matrix)
-        assert built.knots == ((-1, 1), (Fraction(1, 2), -3), (2, Fraction(5, 3)))
+        assert reference.knots(built) == ((-1, 1), (Fraction(1, 2), -3), (2, Fraction(5, 3)))
         for u in (
             PiecewiseLinearFn(((Fraction(-1), Fraction(1)), (Fraction(2, 4), Fraction(-3)), (Fraction(2), Fraction(10, 6)))),
             pwl([("-1", "1"), ("2/4", "-3"), ("2", "10/6")]),
             pwl([("-1.0", "1"), ("0.5", "-3"), ("2", "5/3")]),
-            PiecewiseLinearFn.from_json(built.to_json()),
+            PiecewiseLinearFn.from_json(reference.knots_json(built)),
         ):
             assert u == built
             assert hash(u) == hash(built)
@@ -124,9 +127,9 @@ def _random_rational(rng, lo, hi, big):
 
 
 def _expectation_by_calls(u, dist):
-    """sum w u(a) through ``__call__``, or the text of the ``DomainError`` that it raises."""
+    """sum w u(a) through the reference's interpolation, or the text of the ``DomainError`` that it raises."""
     try:
-        return sum(w * u(a) for a, w in zip(dist.atoms, dist.weights))
+        return sum(w * reference.evaluate(u, a) for a, w in zip(dist.atoms, dist.weights))
     except DomainError as err:
         return str(err)
 
@@ -139,7 +142,7 @@ def _expectation_or_error(u, dist):
 
 
 class TestExpectationSweep:
-    """``expectation``'s sweep against the sum of ``__call__`` values, on seeded pairs."""
+    """``expectation``'s sweep against the sum of interpolated values, on seeded pairs."""
 
     def test_seeded_pairs(self):
         rng = Random(101)
@@ -195,7 +198,8 @@ def test_random_piecewise_linear_needs_room_for_interior_knots(lo, hi):
     with pytest.raises(ValueError, match=rf"^interior knots need lo < hi, got \[{lo}, {hi}\]$"):
         random_piecewise_linear(rng, lo, hi, interior=1)
     assert rng.getstate() == state
-    assert random_piecewise_linear(rng, Fraction(0), Fraction(1), interior=1).domain == (0, 1)
+    xs = [x for x, _ in reference.knots(random_piecewise_linear(rng, Fraction(0), Fraction(1), interior=1))]
+    assert (xs[0], xs[-1]) == (0, 1)
 
 
 class TestSolveLinearPersuasion:
@@ -203,7 +207,7 @@ class TestSolveLinearPersuasion:
         u = pwl([("0", "1/5"), ("1", "9/10")])
         for candidates in (PRIOR.atoms, tuple(sorted(set(PRIOR.atoms) | {Fraction(11, 20)}))):
             solution = solve_linear_persuasion(PRIOR, u, candidates)
-            assert solution.value == u(mean(PRIOR))
+            assert solution.value == reference.evaluate(u, mean(PRIOR))
             assert solution.candidates_exact
 
     def test_convex_utility_wants_full_disclosure(self):
@@ -227,7 +231,7 @@ class TestSolveLinearPersuasion:
             triple = random_smpc(rng, n, rng.randint(n, 8))
             source = triple.source
             u = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1])
-            candidates = sorted(set(source.atoms) | {x for x, _ in u.knots})
+            candidates = sorted(set(source.atoms) | {x for x, _ in reference.knots(u)})
             solution = solve_linear_persuasion(source, u, candidates)
             assert solution.candidates_exact
             assert len(solution.optimum.target.atoms) <= n
@@ -301,7 +305,7 @@ class TestSolveLinearPersuasion:
             n = rng.randint(1, 5)
             source = random_smpc(rng, n, n).source
             u = random_piecewise_linear(rng, source.atoms[0] - 1, source.atoms[-1] + 1, rng.randint(1, 3))
-            problem, _ = reference.weight_lp(source, u, sorted({*source.atoms, *(x for x, _ in u.knots[1:-1])}))
+            problem, _ = reference.weight_lp(source, u, sorted({*source.atoms, *(x for x, _ in reference.knots(u)[1:-1])}))
             for scale, ints in (problem.objective, problem.rhs):
                 assert type(scale) is int and scale > 0
                 assert {type(x) for x in ints} == {int}
@@ -320,6 +324,17 @@ class TestSolveLinearPersuasion:
         assert "entries" not in vars(u)
         assert solution.candidates_exact
         assert solution.value == _expectation_by_calls(u, solution.optimum.target)
+
+    def test_the_check_reads_only_integer_rows(self):
+        # Neither the prior nor the cdf read from JSON builds its Fraction grid,
+        # and the candidates, out of order, are merged with the knots as integers.
+        source = DiscreteDistribution.from_json({"atoms": ["-1/2", "1/3", "1"], "weights": ["1/4", "1/4", "1/2"]})
+        cdf = PiecewiseLinearFn.from_json({"knots": [["-1", "0"], ["0", "1/4"], ["1/2", "3/4"], ["3/2", "1"]]})
+        check = check_no_profitable_deviation(source, cdf, "1/2", ["1", "1/3", "-1/2"])
+        assert "entries" not in vars(source)
+        assert "entries" not in vars(cdf)
+        assert check.solution.candidates_exact
+        assert check.max_payoff == _expectation_by_calls(cdf, check.solution.optimum.target)
 
     def test_an_optimum_without_a_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(persuasion, "find_witness", lambda source, target: None)
@@ -345,11 +360,28 @@ def _assert_optimal(solution, source, utility, candidates):
 def _merged_grid(source, cdf, candidates):
     """The grid that ``check_no_profitable_deviation`` solves on."""
     a1, an = source.atoms[0], source.atoms[-1]
-    return sorted(set(candidates) | {x for x, _ in cdf.knots if a1 <= x <= an})
+    return sorted(set(candidates) | {x for x, _ in reference.knots(cdf) if a1 <= x <= an})
+
+
+def _check_on_merged_grid(source, cdf, candidates):
+    """``check_no_profitable_deviation`` on ``candidates`` against the solve on ``_merged_grid``.
+
+    Both give one solution, or one ``CandidateError``. Returns whether they solved.
+    """
+    grid = _merged_grid(source, cdf, candidates)
+    try:
+        expected = solve_linear_persuasion(source, cdf, grid)
+    except CandidateError as err:
+        with pytest.raises(CandidateError) as raised:
+            check_no_profitable_deviation(source, cdf, Fraction(1, 2), candidates)
+        assert str(raised.value) == str(err)
+        return False
+    assert check_no_profitable_deviation(source, cdf, Fraction(1, 2), candidates).solution == expected
+    return True
 
 
 def _random_cdf(rng, lo, hi):
-    knots = random_piecewise_linear(rng, lo, hi, rng.randint(1, 3)).knots
+    knots = reference.knots(random_piecewise_linear(rng, lo, hi, rng.randint(1, 3)))
     ys = sorted(Fraction(rng.randint(0, 6), 6) for _ in knots[1:-1])
     return PiecewiseLinearFn(tuple(zip((x for x, _ in knots), [Fraction(0), *ys, Fraction(1)])))
 
@@ -389,13 +421,17 @@ class TestWeightProgramMatchesTheGarblingProgram:
 
     def test_seeded_instances(self):
         rng = Random(83)
+        # The cdfs with a knot at a_1 or a_n come from their own stream, so
+        # that rng draws the instances that it always drew.
+        edges = Random(84)
         coarse = 0
+        solved = {"reversed": 0, "repeated": 0, "empty": 0, "knot at a_1": 0, "knot at a_n": 0}
         for _ in range(30):
             n = rng.randint(1, 4)
             source = random_smpc(rng, n, n).source
             lo, hi = source.atoms[0], source.atoms[-1]
             u = random_piecewise_linear(rng, lo - 1, hi + 1, rng.randint(1, 3))
-            knots = {x for x, _ in u.knots if lo < x < hi}
+            knots = {x for x, _ in reference.knots(u) if lo < x < hi}
             for candidates in (sorted(set(source.atoms) | knots), sorted(source.atoms)):
                 solution = solve_linear_persuasion(source, u, candidates)
                 _assert_optimal(solution, source, u, candidates)
@@ -403,7 +439,19 @@ class TestWeightProgramMatchesTheGarblingProgram:
             cdf = _random_cdf(rng, lo - 1, hi + 1)
             check = check_no_profitable_deviation(source, cdf, Fraction(1, 2), source.atoms)
             _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, source.atoms))
+            atoms = list(source.atoms)
+            at_lo, at_hi = _random_cdf(edges, lo, hi + 1), _random_cdf(edges, lo - 1, hi)
+            for name, opponent, candidates in (
+                ("reversed", cdf, atoms[::-1]),
+                ("repeated", cdf, [*atoms, atoms[-1], atoms[0]]),
+                ("empty", cdf, []),
+                ("empty", at_lo, []),
+                ("knot at a_1", at_lo, atoms[1:]),
+                ("knot at a_n", at_hi, atoms[:-1][::-1]),
+            ):
+                solved[name] += _check_on_merged_grid(source, opponent, candidates)
         assert coarse > 0
+        assert min(solved.values()) > 0, solved
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(persuasion_problems())
@@ -412,6 +460,11 @@ class TestWeightProgramMatchesTheGarblingProgram:
         _assert_optimal(solve_linear_persuasion(source, utility, candidates), source, utility, candidates)
         check = check_no_profitable_deviation(source, cdf, Fraction(1, 2), candidates)
         _assert_optimal(check.solution, source, cdf, _merged_grid(source, cdf, candidates))
+        # The check takes its candidates as a set: out of order, repeated, none
+        # at all, or without a prior atom that a knot of the cdf supplies.
+        knot_xs = {x for x, _ in reference.knots(cdf)}
+        for variant in (candidates[::-1], [*candidates, candidates[0]], [], [c for c in candidates if c not in knot_xs]):
+            _check_on_merged_grid(source, cdf, variant)
 
 
 def _assert_same_lp(source, utility, candidates):
@@ -478,7 +531,7 @@ class TestIntegerSweepBuild:
             source = random_smpc(rng, n, n).source
             lo, hi = source.atoms[0], source.atoms[-1]
             u = random_piecewise_linear(rng, lo - rng.randint(0, 2), hi + rng.randint(1, 2), rng.randint(1, 4))
-            knots = {x for x, _ in u.knots if lo < x < hi}
+            knots = {x for x, _ in reference.knots(u) if lo < x < hi}
             between = {lo + (hi - lo) * Fraction(rng.randint(1, 12), 13) for _ in range(rng.randint(0, 4))}
             for candidates in (source.atoms, set(source.atoms) | knots, set(source.atoms) | knots | between):
                 _assert_same_lp(source, u, sorted(candidates))
@@ -516,7 +569,7 @@ class TestPriorAtomRows:
             source = random_smpc(rng, n, n).source
             lo, hi = source.atoms[0], source.atoms[-1]
             u = random_piecewise_linear(rng, lo - 1, hi + 1, interior=rng.randint(1, 4))
-            knots = {x for x, _ in u.knots if lo < x < hi}
+            knots = {x for x, _ in reference.knots(u) if lo < x < hi}
             extra = {lo + (hi - lo) * Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 5))}
             candidates = tuple(sorted(set(source.atoms) | knots | extra))
             problem, start = reference.weight_lp(source, u, candidates)
@@ -533,24 +586,24 @@ class TestPriorAtomRows:
 
 class TestDeviationPayoff:
     def test_full_disclosure_against_the_candidate_cdf(self):
-        assert deviation_payoff(DUEL_PRIOR, DUEL_CDF) == Fraction(1, 2)
+        assert reference.deviation_payoff(DUEL_PRIOR, DUEL_CDF) == Fraction(1, 2)
 
     def test_point_mass_at_the_kink(self):
         dev = point_mass(Fraction(1, 2))
-        assert deviation_payoff(dev, DUEL_CDF) == Fraction(1, 3)
+        assert reference.deviation_payoff(dev, DUEL_CDF) == Fraction(1, 3)
 
     def test_lower_endpoint_never_wins(self):
         dev = point_mass(Fraction(0))
-        assert deviation_payoff(dev, DUEL_CDF) == 0
+        assert reference.deviation_payoff(dev, DUEL_CDF) == 0
 
     def test_atom_outside_the_domain(self):
         dev = point_mass(Fraction(9, 10))
         with pytest.raises(DomainError, match=r"^9/10 outside domain \[0, 3/4\]$"):
-            deviation_payoff(dev, DUEL_CDF)
+            reference.deviation_payoff(dev, DUEL_CDF)
 
     def test_rejects_non_cdfs(self):
         with pytest.raises(CdfError):
-            deviation_payoff(DUEL_PRIOR, pwl([("0", "0"), ("3/4", "2")]))
+            reference.deviation_payoff(DUEL_PRIOR, pwl([("0", "0"), ("3/4", "2")]))
 
 
 class TestCheckNoProfitableDeviation:
@@ -572,7 +625,7 @@ class TestCheckNoProfitableDeviation:
         )
         assert check.max_payoff == 1
         assert check.profitable
-        assert deviation_payoff(DUEL_PRIOR, steep) == Fraction(5, 6)
+        assert reference.deviation_payoff(DUEL_PRIOR, steep) == Fraction(5, 6)
 
     @pytest.mark.parametrize("value", ["abc", "1/0", 0.5, None])
     def test_a_malformed_equilibrium_value_fails_before_the_solve(self, monkeypatch, value):

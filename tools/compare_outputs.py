@@ -12,14 +12,18 @@ error paths: one with each top-level key dropped, one with each top-level
 value replaced by ``"x"``, and, for each field that holds rows, two with
 the last value of its last row spoiled, as ``"+1"`` (text that only
 ``Fraction``'s parser reads) and as ``"1/0"`` (a zero denominator), so a
-row that is plain but for one value is read too. Each payload runs
-three times: plain, with ``--pretty`` and with ``--decimals``. A run's
+row that is plain but for one value is read too. A payload whose
+``candidates`` is a list also runs with that list reversed and with its
+first value repeated at its end: the corpus lists are sorted and distinct,
+and ``check-deviation`` must take them as a set, while ``solve-persuasion``
+refuses them. Each payload runs three times: plain, with ``--pretty`` and with ``--decimals``. A run's
 result is its exit status, stdout and stderr; an exception that escapes
 ``main`` counts as a result too. The output is one JSON object: ``runs``,
 the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
-``-key``, ``key=x`` or, for a spoiled row, its field's path and the text, as
+``-key``, ``key=x``, ``candidates reversed``, ``candidates+dup`` or, for a
+spoiled row, its field's path and the text, as
 ``transition.rows[-1][-1]=1/0``. The exit status is 1 when any run differs.
 """
 
@@ -70,11 +74,16 @@ def _row_fields(value, path=()):
 
 def variants(payload: dict):
     """``(name, payload)`` for the payload itself, then each top-level key dropped or set to
-    ``"x"``, then the last value of each row-valued field's last row set to each of ``SPOILS``."""
+    ``"x"``, then a list of ``candidates`` reversed and with its first value repeated, then
+    the last value of each row-valued field's last row set to each of ``SPOILS``."""
     yield "valid", payload
     for key in payload:
         yield f"-{key}", {k: v for k, v in payload.items() if k != key}
         yield f"{key}=x", {**payload, key: "x"}
+    candidates = payload.get("candidates")
+    if isinstance(candidates, list) and candidates:
+        yield "candidates reversed", {**payload, "candidates": candidates[::-1]}
+        yield "candidates+dup", {**payload, "candidates": [*candidates, candidates[0]]}
     for path in _row_fields(payload):
         for text in SPOILS:
             spoiled = json.loads(json.dumps(payload))
