@@ -29,7 +29,7 @@ from .distributions import (
     mpc_violation,
 )
 from .errors import InternalError, MpcError
-from .linalg import json_list, parse_rational
+from .linalg import json_list
 from .persuasion import (
     PiecewiseLinearFn,
     check_no_profitable_deviation,
@@ -124,7 +124,7 @@ def _cmd_check_deviation(payload, args):
     check = check_no_profitable_deviation(
         DiscreteDistribution.from_json(_field(payload, "source")),
         PiecewiseLinearFn.from_json(_field(payload, "opponent_cdf")),
-        parse_rational(_field(payload, "equilibrium_value")),
+        _field(payload, "equilibrium_value"),
         _candidates(payload),
     )
     return {

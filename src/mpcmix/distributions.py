@@ -11,8 +11,11 @@ identities
     (weights(source) * atoms(source)) @ F == weights(target) * atoms(target)
 
 have been checked exactly, column by column, on those rows.
-``mpc_violation`` decides the contraction order and ``find_witness``
-certifies it, both in integer sweeps over the two distributions' rows.
+``mpc_violation`` decides the contraction order and ``_left_curtain``
+certifies it by a checked triple, both in integer sweeps over the two
+distributions' rows. ``find_witness`` runs the builder only on a pair that
+the decision accepts; the persuasion solve, whose LP already imposes the
+order, runs it alone, and on a pair that is not a contraction it raises.
 Every target built here goes through ``DiscreteDistribution``'s checks.
 """
 
@@ -174,8 +177,7 @@ class SmpcTriple:
     ) -> "SmpcTriple":
         # Fast path for apply_transition and the decomposition's component
         # builder, whose outputs satisfy both identities by their
-        # construction arithmetic itself, and for the persuasion optimum,
-        # whose witness find_witness has just checked against its target.
+        # construction arithmetic itself.
         self = object.__new__(cls)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "transition", transition)
@@ -345,17 +347,27 @@ def _shadow(d: int, atoms: list[int], left: list[int], mass: int, at: Fraction) 
 def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> TransitionMatrix | None:
     """A garbling matrix certifying that ``target`` is an MPC of ``source``, or None.
 
-    ``mpc_violation`` decides first, so a pair that is not a contraction
-    builds nothing. Otherwise the matrix is the left-curtain coupling
-    (Beiglböck & Juillet 2016): target atoms are taken from left to right,
-    each takes its shadow (see ``_shadow``) in the source mass still unused,
-    and row i of F is the integer row of the masses taken from source atom i
-    over p_i W. ``TransitionMatrix`` checks its range and row sums, and the
-    full ``SmpcTriple`` check revalidates it; a missing shadow or a failed
-    check is an ``InternalError``.
+    ``mpc_violation`` decides, so a pair that is not a contraction builds
+    nothing; otherwise the matrix is that of ``_left_curtain``'s checked
+    triple.
     """
     if mpc_violation(source, target) is not None:
         return None
+    return _left_curtain(source, target).transition
+
+
+def _left_curtain(source: DiscreteDistribution, target: DiscreteDistribution) -> SmpcTriple:
+    """The checked triple of the left-curtain coupling of ``source`` and ``target``.
+
+    The coupling is that of Beiglböck & Juillet (2016): target atoms are
+    taken from left to right, each takes its shadow (see ``_shadow``) in the
+    source mass still unused, and row i of F is the integer row of the
+    masses taken from source atom i over p_i W. ``TransitionMatrix`` checks
+    its range and row sums, and the full ``SmpcTriple`` check revalidates
+    it. A triple that passes proves the order, so on a pair that is not a
+    contraction the walk finds no shadow or the check fails, and either is
+    an ``InternalError``.
+    """
     n = source.cols
     (d, atoms), (e, targets) = source._integer_rows[0], target._integer_rows[0]
     _, weights = _joined(source._integer_rows[1], target._integer_rows[1])
@@ -374,8 +386,6 @@ def find_witness(source: DiscreteDistribution, target: DiscreteDistribution) -> 
     factors = [scale // s for s in scales]
     rows = tuple(canonical_row(p * scale, [x * f for x, f in zip(row, factors)]) for p, row in zip(weights, grid))
     try:
-        witness = TransitionMatrix._checked(rows)
-        SmpcTriple(source, witness, target)
+        return SmpcTriple(source, TransitionMatrix._checked(rows), target)
     except MpcError as exc:
         raise InternalError(f"shadow witness failed revalidation: {exc}") from exc
-    return witness

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp
-from .distributions import DiscreteDistribution, SmpcTriple, find_witness
+from .distributions import DiscreteDistribution, SmpcTriple, _left_curtain
 from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import (
     Matrix,
@@ -265,11 +265,15 @@ def solve_linear_persuasion(
     The simplex starts at full disclosure, Q = P, a feasible vertex because
     the candidates must contain every source atom: the prior's atom columns,
     one per row. The positive-weight candidates, with their basic levels,
-    are the optimum's target, and ``find_witness`` builds its garbling. The
-    optimum is a vertex, so it has at most n atoms, and its expected utility
-    is the LP's value; both are checked exactly, and a failure is an
-    ``InternalError``. That value check, ``PiecewiseLinearFn.expectation``,
-    is its own sweep of the target's atoms against the knots.
+    are the optimum's target. The optimum is a vertex, so it has at most n
+    atoms, and its expected utility is the LP's value; both are checked
+    exactly, and a failure is an ``InternalError``. That value check,
+    ``PiecewiseLinearFn.expectation``, is its own sweep of the target's
+    atoms against the knots. The LP's rows already impose the contraction
+    order, so it is not decided again: the left-curtain coupling
+    (``distributions._left_curtain``) builds the optimum's garbling, and
+    its full ``SmpcTriple`` check proves the order; a pair that fails it
+    would be an ``InternalError``.
     """
     d, grid = parse_row(candidates)
     if any(x >= y for x, y in zip(grid, grid[1:])):
@@ -309,15 +313,12 @@ def _solve_on_grid(
     )
     if utility.expectation(target) != outcome.value:
         raise InternalError("persuasion LP value differs from the optimum's expected utility")
-    witness = find_witness(source, target)
-    if witness is None:
-        raise InternalError("persuasion LP optimum is not a contraction of the prior")
     # The knots strictly between a_1 and a_n, where u may kink.
     kinks = ((x, s) for x in xs if grid[0] * s < x * d < grid[-1] * s)
-    # find_witness has already run the full SmpcTriple check on this source,
-    # witness and target, so a second check would only repeat it.
+    # The LP's rows impose the order, so no decision comes first: the
+    # builder's checked triple proves it, and it raises if it does not hold.
     return PersuasionSolution(
-        optimum=SmpcTriple._trusted(source, witness, target),
+        optimum=_left_curtain(source, target),
         value=outcome.value,
         candidates_exact=_grid_columns(d, grid, kinks) is not None,
     )
@@ -328,12 +329,16 @@ class DeviationCheck:
     """Best deviation payoff against a fixed opponent cdf.
 
     ``solution.optimum`` is the best deviation: an LP vertex, so a
-    contraction with at most n atoms that attains ``max_payoff`` exactly.
+    contraction with at most n atoms that attains ``max_payoff``, the
+    solution's value, exactly.
     """
 
-    max_payoff: Fraction
     equilibrium_value: Fraction
     solution: PersuasionSolution
+
+    @property
+    def max_payoff(self) -> Fraction:
+        return self.solution.value
 
     @property
     def profitable(self) -> bool:
@@ -377,8 +382,4 @@ def check_no_profitable_deviation(
     merged = {c * (scale // d) for c in grid}
     merged.update(x * (scale // s) for x in xs if lo <= x * e <= hi)
     solution = _solve_on_grid(source, opponent_cdf, *canonical_row(scale, sorted(merged)))
-    return DeviationCheck(
-        max_payoff=solution.value,
-        equilibrium_value=equilibrium_value,
-        solution=solution,
-    )
+    return DeviationCheck(equilibrium_value=equilibrium_value, solution=solution)

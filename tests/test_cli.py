@@ -407,6 +407,27 @@ def test_check_deviation_checks_the_cdf_before_it_reads_candidates(tmp_path, cap
     assert json.loads(capsys.readouterr().err)["error"] == {"code": "parse", "message": "not a rational: 'abc'"}
 
 
+def test_check_deviation_reads_its_equilibrium_value_after_the_cdf_check(tmp_path, capsys):
+    # The library reads the value once, after the cdf's shape and before its
+    # domain. The CLI reads 'candidates' as a list before the library runs.
+    payload = {
+        "source": {"atoms": ["0", "3/4"], "weights": ["1/2", "1/2"]},
+        "opponent_cdf": {"knots": [["0", "0"], ["3/4", "2"]]},
+        "equilibrium_value": "x",
+        "candidates": ["0", "abc", "3/4"],
+    }
+    assert run_cli(tmp_path, "check-deviation", payload) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "not-a-cdf"
+    for knots in ([["1/4", "0"], ["3/4", "1"]], knots_json(DUEL_CDF)["knots"]):
+        payload["opponent_cdf"] = {"knots": knots}
+        assert run_cli(tmp_path, "check-deviation", payload) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {"code": "parse", "message": "not a rational: 'x'"}
+    payload["candidates"] = "0"
+    assert run_cli(tmp_path, "check-deviation", payload) == 2
+    message = "'candidates' must be a JSON list, not str"
+    assert json.loads(capsys.readouterr().err)["error"] == {"code": "parse", "message": message}
+
+
 @pytest.mark.parametrize("key", ["n", "count"])
 @pytest.mark.parametrize("value", [0, True, "3"], ids=repr)
 def test_gen_random_sizes_must_be_positive_integers(tmp_path, capsys, key, value):

@@ -71,6 +71,13 @@ def test_only_persuasion_solves_an_lp():
     assert [c for c in callers("solve") if not c.startswith("lp.")] == ["persuasion._solve_on_grid"]
 
 
+def test_the_persuasion_solve_decides_no_order():
+    # The LP's rows impose the order, and the left-curtain builder's checked
+    # triple proves it, so the solve runs the builder without a decision.
+    assert not [c for c in callers("find_witness") + callers("mpc_violation") if c.startswith("persuasion.")]
+    assert callers("_left_curtain") == ["distributions.find_witness", "persuasion._solve_on_grid"]
+
+
 def test_the_top_level_api_names_no_lp_type():
     assert not [name for name in mpcmix.__all__ if getattr(mpcmix, name).__module__ == "mpcmix.lp"]
     assert not {"LPOutcome", "StandardFormLP", "solve_lp"} & set(dir(mpcmix))

@@ -14,7 +14,7 @@ from mpcmix import (
     is_mpc,
     solve_linear_persuasion,
 )
-from mpcmix import lp, persuasion
+from mpcmix import distributions, lp
 from mpcmix.errors import CandidateError, CdfError, DomainError, InternalError
 from mpcmix.linalg import Matrix
 
@@ -337,10 +337,38 @@ class TestSolveLinearPersuasion:
         assert check.max_payoff == _expectation_by_calls(cdf, check.solution.optimum.target)
 
     def test_an_optimum_without_a_witness_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(persuasion, "find_witness", lambda source, target: None)
+        # An "optimum" of all mass at a_1, below the prior's mean, with the
+        # value u(a_1): a vertex whose value checks, but no contraction. The
+        # solve decides no order, so the left-curtain builder refuses it.
         u = pwl([("0", "1"), ("1/2", "0"), ("1", "1")])
-        with pytest.raises(InternalError, match="not a contraction of the prior"):
+        outcome = lp.LPOutcome("optimal", (Fraction(1), Fraction(0), Fraction(0)), Fraction(1))
+        monkeypatch.setattr(lp, "solve", lambda problem, *, start: outcome)
+        message = "^no shadow window for the target atom at 0: every window's mean is above it$"
+        with pytest.raises(InternalError, match=message):
             solve_linear_persuasion(PRIOR, u, PRIOR.atoms)
+
+    def test_a_solve_decides_no_order_and_checks_one_triple(self, monkeypatch):
+        # The LP's rows impose the order, so neither command's solve calls
+        # mpc_violation, and its one checked SmpcTriple is the optimum's.
+        calls = []
+        real_violation, real_check = distributions.mpc_violation, SmpcTriple.__post_init__
+
+        def violation(source, candidate):
+            calls.append("mpc_violation")
+            return real_violation(source, candidate)
+
+        def check(triple):
+            calls.append("SmpcTriple")
+            real_check(triple)
+
+        monkeypatch.setattr(distributions, "mpc_violation", violation)
+        monkeypatch.setattr(SmpcTriple, "__post_init__", check)
+        u = pwl([("0", "1"), ("1/2", "0"), ("1", "1")])
+        solve_linear_persuasion(PRIOR, u, PRIOR.atoms)
+        assert calls == ["SmpcTriple"]
+        calls.clear()
+        check_no_profitable_deviation(DUEL_PRIOR, DUEL_CDF, DUEL_VALUE, DUEL_PRIOR.atoms)
+        assert calls == ["SmpcTriple"]
 
 
 def _assert_optimal(solution, source, utility, candidates):

@@ -10,6 +10,7 @@ None on every other pair, agree with the feasibility of the witness LP in
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -27,10 +28,11 @@ from mpcmix import (
 )
 from mpcmix import cli, distributions
 from mpcmix.errors import InternalError
+from mpcmix.randgen import random_distribution
 
 from cases import PRIOR, TARGET, dist, point_mass, tm
 from lp_oracle import lp_witness
-from random_instances import random_smpc
+from random_instances import perturb_mean, random_smpc
 import witness_fraction_reference as reference
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -183,6 +185,46 @@ class TestInternalErrors:
         monkeypatch.setattr(TransitionMatrix, "_trusted", None)
         witness = find_witness(PRIOR, TARGET)
         assert checked == [witness._integer_rows]
+
+
+def _spread(rng, dist):
+    """A mean-preserving spread of ``dist``: half of one atom's mass moves down by some delta, half up by it."""
+    atom = dist.atoms[rng.randrange(dist.cols)]
+    delta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    masses = dict(zip(dist.atoms, dist.weights))
+    half = masses.pop(atom) / 2
+    for x in (atom - delta, atom + delta):
+        masses[x] = masses.get(x, 0) + half
+    atoms = sorted(masses)
+    return DiscreteDistribution(tuple(atoms), tuple(masses[x] for x in atoms))
+
+
+def _pairs(rng, n, m):
+    """Four pairs, by kind, built on one garbling of n source atoms onto m columns."""
+    triple = random_smpc(rng, n, m)
+    source, target = triple.source, triple.target
+    yield "reversed", target, source
+    yield "mean-shifted", source, perturb_mean(rng, target)
+    yield "spread", source, _spread(rng, target)
+    yield "unrelated", random_distribution(rng, n), random_distribution(rng, m)
+
+
+def test_the_builder_refuses_every_non_contraction():
+    # The persuasion solve runs _left_curtain with no order decision first,
+    # so on a pair that is no contraction it must raise InternalError: never
+    # return, and never raise anything else.
+    rng = Random(32)
+    refused = Counter()
+    for _ in range(3):
+        for n in range(1, 8):
+            for m in range(1, 10):
+                for kind, source, target in _pairs(rng, n, m):
+                    if distributions.mpc_violation(source, target) is None:
+                        continue
+                    with pytest.raises(InternalError):
+                        distributions._left_curtain(source, target)
+                    refused[kind] += 1
+    assert min(refused.values()) > 50 and len(refused) == 4
 
 
 def _assert_same_as_reference(source, target):
