@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
 
-from .decomposition import Mixture, decompose_full
+from .decomposition import decompose_full
 from .distributions import (
     DiscreteDistribution,
     SmpcTriple,
@@ -109,14 +109,16 @@ def _cmd_solve_persuasion(payload, args):
         _candidates(payload),
     )
     # The optimum is an LP vertex with at most n atoms, so it is its own
-    # small-support answer ("reduced") and a one-component mixture.
+    # small-support answer ("reduced") and a one-component mixture, written
+    # as Mixture.to_json writes one.
     optimum = solution.optimum.to_json()
+    component = {"weight": "1", "target": optimum["target"], "transition": optimum["transition"]}
     return {
         "value": str(solution.value),
         "candidates_exact": solution.candidates_exact,
         "optimum": optimum,
         "reduced": optimum,
-        "certificate": Mixture(((Fraction(1), solution.optimum),)).to_json(),
+        "certificate": {"source": optimum["source"], "components": [component]},
     }
 
 

@@ -16,12 +16,12 @@ Rational text goes straight to those rows:
 :func:`parse_row` reads plain ``"a/b"`` and ``"a"`` text with ``int`` and
 makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
 so there is one grammar. A row of at least ``ROW_PASS_MIN`` values, all
-plain, is split, checked, converted and reduced in a few passes over the
-whole row, which from that length on cost less than reading each value on
-its own; any other row is read one value at a time, with the same values
-and errors. Elimination is fraction-free on the same rows: one
-kernel takes the columns in order and finds each that depends on the earlier
-ones. Its one caller is the decomposition's basis state, which takes every
+plain and over at most one denominator text, is split, checked, converted
+and reduced in a few passes over the whole row, which from that length on
+cost less than reading each value on its own; any other row is read one
+value at a time, with the same values and errors. Elimination is
+fraction-free on the same rows: one kernel takes the columns in order and
+finds each that depends on the earlier ones. Its one caller is the decomposition's basis state, which takes every
 column's dependency from one pass: the split and the uniqueness probe read
 the first dependency and the count of independent columns, the rank, and
 the peel keeps the dependencies as its support shrinks. Each dependency
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import mul
 
 MAX_DIGITS = 4300
 """Most digits in one integer of a rational string, and the largest decimal
@@ -166,10 +166,9 @@ ROW_PASS_MIN = 20
 """Fewest values in a row that :func:`parse_row` reads in whole-row passes.
 
 The passes cost several microseconds per row whatever its length, and less
-per value than the per-value reader: about two thirds as much on a row of
-one denominator, and about as much on a row of many small ones. Over rows of
-both kinds they are no slower from about 20 values on; shorter rows are
-read one value at a time."""
+per value than the per-value reader on a row whose values share one
+denominator text, the only rows that they read; shorter rows are read one
+value at a time."""
 
 
 def parse_row(values) -> tuple[int, list[int]]:
@@ -181,14 +180,16 @@ def parse_row(values) -> tuple[int, list[int]]:
     would do the same at a large cost when the row has many distinct large
     denominators: its first terms share most of the scale, so each step of
     that gcd works on numbers about as long as the scale. A row of at least
-    ``ROW_PASS_MIN`` values, all plain text, is read in whole-row passes
-    (:func:`_plain_row`); any other row one value at a time with
-    :func:`_ratio`, which gives the same row, or the error of the first
-    value that it refuses. Text is refused with a ``ValueError``: read as a
+    ``ROW_PASS_MIN`` values, all plain text whose slashed values share one
+    denominator text, is read in whole-row passes (:func:`_plain_row`); any
+    other row one value at a time with :func:`_ratio`, which gives the same
+    row, or the error of the first value that it refuses. ``values`` may be
+    any iterable but text, which is refused with a ``ValueError``: read as a
     row, it would be taken one character at a time.
     """
     if isinstance(values, str):
         raise ValueError(f"not a row of rationals: {values[:40]!r}")
+    values = tuple(values)
     if len(values) >= ROW_PASS_MIN:
         row = _plain_row(values)
         if row is not None:
@@ -197,63 +198,56 @@ def parse_row(values) -> tuple[int, list[int]]:
 
 
 def _plain_row(values) -> tuple[int, list[int]] | None:
-    """``parse_row(values)`` when every value is plain text, else ``None``.
+    """``parse_row(values)`` when the values are plain text over one denominator, else ``None``.
 
     Plain is ``_ratio``'s plain form: ``-?D+`` or ``-?D+/D+``, D a decimal
-    digit, a nonzero denominator, and at most ``MAX_DIGITS`` characters. The
-    row is split at the slashes, checked and converted in a few passes over
-    the whole row: each distinct denominator text is read once, each value
-    is reduced by its gcd, and the row is scaled by the lcm of the distinct
-    reduced denominators.
+    digit, a nonzero denominator, and at most ``MAX_DIGITS`` characters.
+    When every slashed value has the same denominator text D (a row of bare
+    integers has D = 1), the numerators are read in one pass, each bare
+    integer is put over D, and the row ``(D, ps)`` is reduced by
+    ``canonical_row``: that is its lowest-terms form, since the lcm of the
+    reduced denominators ``D / gcd(D, p_i)`` is ``D / gcd(D, p_1, ..., p_k)``.
+    A row of two or more denominator texts is left to the per-value reader.
     """
     try:
         nums, slashes, dens = zip(*map(str.partition, values, repeat("/")))
     except TypeError:  # a value that is not text
         return None
-    if max(map(len, values)) > MAX_DIGITS:
+    # Each slash has a denominator and all slashed values share one, which
+    # must be D+ and nonzero. This goes first: it turns away most rows of
+    # varied values before any pass over their numerators.
+    bare = slashes.count("")
+    distinct = set(dens)
+    distinct.discard("")
+    if bare != dens.count("") or len(distinct) > 1 or max(map(len, values)) > MAX_DIGITS:
         return None
+    den = distinct.pop() if distinct else "1"
+    d = int(den) if den.isdecimal() else 0
     # With the separator between numerators and the signs that begin them
     # dropped, a row of -?D+ leaves digits and single separators only.
     text = " ".join(nums)
     unsigned = (" " + text).replace(" -", " ")
     if (
-        text.count(" ") != len(nums) - 1
+        not d
+        or text.count(" ") != len(nums) - 1
         or "  " in unsigned
         or unsigned.endswith(" ")
         or not unsigned.replace(" ", "").isdecimal()
     ):
         return None
-    # Each slash has a denominator, and each denominator is D+ and nonzero.
-    if slashes.count("") != dens.count(""):
-        return None
-    distinct = set(dens)
-    distinct.discard("")
-    if distinct and not "".join(distinct).isdecimal():
-        return None
-    read = dict(zip(distinct, map(int, distinct)))
-    if 0 in read.values():
-        return None
-    read[""] = 1
     ps = list(map(int, nums))
-    qs = list(map(read.__getitem__, dens))
-    gs = list(map(gcd, ps, qs))
-    if gs.count(1) != len(gs):
-        ps = list(map(floordiv, ps, gs))
-        qs = list(map(floordiv, qs, gs))
-    reduced = set(qs)
-    scale = lcm(*reduced)
-    if len(reduced) == 1:
-        return scale, ps
-    factors = {q: scale // q for q in reduced}
-    return scale, list(map(mul, ps, map(factors.__getitem__, qs)))
+    if bare:
+        ps = [p if s else p * d for p, s in zip(ps, slashes)]
+    return canonical_row(d, ps)
 
 
 def ratio_row(ratios) -> tuple[int, list[int]]:
     """The integer row of a list of ``(p, q)``, each in lowest terms with ``q > 0``.
 
     It is in lowest terms too; :func:`parse_row` makes its ``ratios`` with
-    ``_ratio`` when it reads a row one value at a time, and builds the same
-    row in :func:`_plain_row` when it reads a long row in whole-row passes.
+    ``_ratio`` when it reads a row one value at a time, and
+    :func:`_plain_row` gives the same row for a long row over one
+    denominator.
     """
     scale = lcm(*(q for _, q in ratios))
     return scale, [p * (scale // q) for p, q in ratios]

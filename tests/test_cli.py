@@ -7,10 +7,11 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from mpcmix import Mixture, PiecewiseLinearFn, SmpcTriple, decompose_full
+from mpcmix import Mixture, PiecewiseLinearFn, SmpcTriple, decompose_full, solve_linear_persuasion
 from mpcmix import cli, decomposition, linalg, lp
 from mpcmix.cli import main
 from mpcmix.distributions import DiscreteDistribution, TransitionMatrix, apply_transition
@@ -18,7 +19,8 @@ from mpcmix.linalg import parse_rational
 
 from cases import DUEL_CDF, DUEL_PRIOR, GARBLING, PRIOR, TARGET, worked_triple
 from lp_fraction_reference import fractions_of
-from persuasion_lp_reference import knots_json
+from persuasion_lp_reference import knots, knots_json
+from random_instances import random_piecewise_linear, random_smpc
 
 
 def run_cli(tmp_path, command, payload, *flags):
@@ -281,6 +283,33 @@ def test_solve_persuasion(tmp_path, capsys):
     optimum = SmpcTriple.from_json(result["optimum"])
     assert result["reduced"] == result["optimum"]
     assert Mixture.from_json(result["certificate"]).components == ((1, optimum),)
+
+
+def test_solve_persuasion_certificate_is_the_optimum_as_a_mixture(tmp_path, capsys, monkeypatch):
+    # The certificate is written from the optimum's JSON, so it must stay
+    # what Mixture.to_json writes for the one-component mixture, and the
+    # command builds no Mixture to write it.
+    rng = Random(7)
+    built = []
+    post_init = Mixture.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        source = random_smpc(rng, n, rng.randint(n, 8)).source
+        utility = random_piecewise_linear(rng, source.atoms[0], source.atoms[-1], interior=rng.randint(1, 3))
+        candidates = sorted(set(source.atoms) | {x for x, _ in knots(utility)})
+        payload = {"source": source.to_json(), "utility": knots_json(utility), "candidates": list(map(str, candidates))}
+        with monkeypatch.context() as patch:
+            patch.setattr(Mixture, "__post_init__", counting)
+            assert run_cli(tmp_path, "solve-persuasion", payload) == 0
+        assert built == []
+        solution = solve_linear_persuasion(source, utility, candidates)
+        expected = Mixture(((Fraction(1), solution.optimum),)).to_json()
+        assert json.loads(capsys.readouterr().out)["certificate"] == expected
 
 
 @pytest.mark.parametrize("constant", ["0", "3/2"])

@@ -4,15 +4,25 @@
 hands everything else to ``Fraction(str)`` behind the size check. These
 properties hold it, and ``Matrix.from_rows``, to ``Fraction``'s grammar,
 values and error messages over generated text, and ``parse_row``'s
-whole-row passes over long rows to the per-value reader.
+whole-row passes over long rows of one denominator to the per-value reader.
 """
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpcmix import Matrix, TransitionMatrix, parse_rational
+from mpcmix import (
+    DiscreteDistribution,
+    Matrix,
+    PiecewiseLinearFn,
+    TransitionMatrix,
+    check_no_profitable_deviation,
+    parse_rational,
+    solve_linear_persuasion,
+)
 from mpcmix.linalg import MAX_DIGITS, ROW_PASS_MIN, _check_size, _plain_row, _ratio, integer_row, parse_row, ratio_row
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -138,6 +148,11 @@ def per_value_row(values):
     return ratio_row([_ratio(x) for x in values])
 
 
+def one_denominator(plain):
+    """Whether the plain texts ``plain`` have at most one denominator text."""
+    return len({x.partition("/")[2] for x in plain if "/" in x}) <= 1
+
+
 @PROFILE
 @given(pools, st.integers(ROW_PASS_MIN, 3 * ROW_PASS_MIN), st.randoms(use_true_random=False), st.data())
 def test_parse_row_reads_long_rows_as_the_per_value_reader_does(pool, k, rng, data):
@@ -147,7 +162,7 @@ def test_parse_row_reads_long_rows_as_the_per_value_reader_does(pool, k, rng, da
 
     xs = [rng.choice(pool) for _ in range(k)]
     plain = [rng.choice(plain_spellings(x)) for x in xs]
-    assert _plain_row(plain) is not None
+    assert (_plain_row(plain) is not None) == one_denominator(plain)
     assert parse_row(plain) == per_value_row(plain) == integer_row(xs)
     # One value that is not plain, at a random position, puts the whole row on
     # the per-value reader, which refuses the first value that it cannot read.
@@ -156,3 +171,59 @@ def test_parse_row_reads_long_rows_as_the_per_value_reader_does(pool, k, rng, da
         assert outcome(parse_row, row) == outcome(per_value_row, row)
     row = put(put([rng.choice(spellings(x)) for x in xs], data.draw(texts)), rng.choice(ODD_VALUES))
     assert outcome(parse_row, row) == outcome(per_value_row, row)
+
+
+@PROFILE
+@given(pools, st.integers(ROW_PASS_MIN, 3 * ROW_PASS_MIN), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_parse_row_reads_rows_over_one_denominator_in_whole_row_passes(pool, k, multiple, rng):
+    # D is a multiple of the pool's lcm, so the values over it are unreduced
+    # ("4/8"); bare integers and "0" stay bare, and the first value is over D.
+    d = multiple * lcm(*(x.denominator for x in pool))
+    xs = [rng.choice([*pool, Fraction(rng.randint(-9, 9)), Fraction(0)]) for _ in range(k)]
+    row = [f"{x * d}/{d}" if i == 0 or x.denominator != 1 or rng.random() < 0.5 else str(x) for i, x in enumerate(xs)]
+    assert _plain_row(row) == parse_row(row) == per_value_row(row) == integer_row(xs)
+    # One value over a second denominator text sends the row to the per-value reader.
+    i = rng.randrange(1, k)
+    for other in (f"{xs[i] * 2 * d}/{2 * d}", f"{xs[i] * d}/0{d}"):
+        mixed = [*row[:i], other, *row[i + 1 :]]
+        assert _plain_row(mixed) is None
+        assert parse_row(mixed) == per_value_row(mixed) == integer_row(xs)
+    # A zero denominator is refused even as the row's only one.
+    over_zero = [f"{xs[0].numerator}/0", *(str(x.numerator) for x in xs[1:])]
+    assert _plain_row(over_zero) is None
+    assert outcome(parse_row, over_zero) == outcome(per_value_row, over_zero)
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        # gcd(D, *ps) = 4: the numerators share a factor with D.
+        (["4/8", "-12/8", "8/8", "2"] * (ROW_PASS_MIN // 4), (2, [1, -3, 2, 4] * (ROW_PASS_MIN // 4))),
+        (["0/8"] * ROW_PASS_MIN, (1, [0] * ROW_PASS_MIN)),
+        (["0/8", "0"] * ROW_PASS_MIN, (1, [0] * 2 * ROW_PASS_MIN)),
+        (["3", "-7", "0"] * ROW_PASS_MIN, (1, [3, -7, 0] * ROW_PASS_MIN)),
+    ],
+    ids=["gcd 4", "zeros over D", "zeros over D and bare", "bare integers"],
+)
+def test_plain_row_reduces_a_row_over_one_denominator(row, expected):
+    assert _plain_row(row) == parse_row(row) == per_value_row(row) == expected
+
+
+@pytest.mark.parametrize("k", [3, ROW_PASS_MIN, 2 * ROW_PASS_MIN])
+def test_rows_may_be_iterators(k):
+    weights = [f"1/{k}"] * k
+    grid = [[f"{j}/{k}" for j in range(k)], weights]
+    assert Matrix.from_rows(iter(row) for row in grid) == Matrix.from_rows(grid)
+    assert TransitionMatrix.from_rows([(x for x in weights)]) == TransitionMatrix.from_rows([weights])
+    assert DiscreteDistribution.from_rows(map(iter, grid)) == DiscreteDistribution.from_rows(grid)
+    # A prior on {0, 1}, a tent utility, a cdf and k candidates that hold both atoms.
+    source = DiscreteDistribution.from_rows((["0", "1"], ["1/2", "1/2"]))
+    utility = PiecewiseLinearFn.from_json({"knots": [["0", "0"], ["1/2", "1"], ["1", "0"]]})
+    cdf = PiecewiseLinearFn.from_json({"knots": [["0", "0"], ["1", "1"]]})
+    candidates = [f"{j}/{k - 1}" for j in range(k)]
+    assert solve_linear_persuasion(source, utility, iter(candidates)) == solve_linear_persuasion(
+        source, utility, candidates
+    )
+    assert check_no_profitable_deviation(source, cdf, "1/2", (x for x in candidates)) == check_no_profitable_deviation(
+        source, cdf, "1/2", candidates
+    )

@@ -12,7 +12,10 @@ error paths: one with each top-level key dropped, one with each top-level
 value replaced by ``"x"``, and, for each field that holds rows, two with
 the last value of its last row spoiled, as ``"+1"`` (text that only
 ``Fraction``'s parser reads) and as ``"1/0"`` (a zero denominator), so a
-row that is plain but for one value is read too. A payload whose
+row that is plain but for one value is read too, and one with every row
+of every such field spelled over one unreduced denominator, twice the lcm
+of that row's denominators, with bare integers left bare, so that the
+reader meets rows that it must reduce. A payload whose
 ``candidates`` is a list also runs with that list reversed and with its
 first value repeated at its end: the corpus lists are sorted and distinct,
 and ``check-deviation`` must take them as a set, while ``solve-persuasion``
@@ -22,9 +25,10 @@ result is its exit status, stdout and stderr; an exception that escapes
 the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
-``-key``, ``key=x``, ``candidates reversed``, ``candidates+dup`` or, for a
-spoiled row, its field's path and the text, as
-``transition.rows[-1][-1]=1/0``. The exit status is 1 when any run differs.
+``-key``, ``key=x``, ``candidates reversed``, ``candidates+dup``,
+``common denominator`` or, for a spoiled row, its field's path and the
+text, as ``transition.rows[-1][-1]=1/0``. The exit status is 1 when any
+run differs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,10 +78,17 @@ def _row_fields(value, path=()):
         yield path
 
 
+def _over_one_denominator(row: list) -> list:
+    """``row`` with each slashed value spelled over twice the lcm of the row's denominators."""
+    d = 2 * lcm(*(Fraction(x).denominator for x in row))
+    return [f"{Fraction(x) * d}/{d}" if "/" in x else x for x in row]
+
+
 def variants(payload: dict):
     """``(name, payload)`` for the payload itself, then each top-level key dropped or set to
     ``"x"``, then a list of ``candidates`` reversed and with its first value repeated, then
-    the last value of each row-valued field's last row set to each of ``SPOILS``."""
+    the last value of each row-valued field's last row set to each of ``SPOILS``, then every
+    row of every row-valued field spelled over one unreduced denominator."""
     yield "valid", payload
     for key in payload:
         yield f"-{key}", {k: v for k, v in payload.items() if k != key}
@@ -93,6 +106,15 @@ def variants(payload: dict):
             nested = isinstance(field[-1], list)
             (field[-1] if nested else field)[-1] = text
             yield f"{'.'.join(path)}{'[-1]' if nested else ''}[-1]={text}", spoiled
+    common = json.loads(json.dumps(payload))
+    for path in _row_fields(payload):
+        field = common
+        for key in path[:-1]:
+            field = field[key]
+        rows = field[path[-1]]
+        nested = isinstance(rows[-1], list)
+        field[path[-1]] = [_over_one_denominator(row) for row in rows] if nested else _over_one_denominator(rows)
+    yield "common denominator", common
 
 
 def _result(main, argv) -> str:
