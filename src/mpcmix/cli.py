@@ -15,7 +15,6 @@ import json
 import os
 import stat
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from random import Random
 
@@ -29,7 +28,7 @@ from .distributions import (
     mpc_violation,
 )
 from .errors import InternalError, MpcError
-from .linalg import json_list
+from .linalg import json_list, parse_rational
 from .persuasion import (
     PiecewiseLinearFn,
     check_no_profitable_deviation,
@@ -176,10 +175,10 @@ def _decimalize(obj):
     if isinstance(obj, list):
         return [_decimalize(v) for v in obj]
     if isinstance(obj, str):
-        # Text that is not a number, or a value beyond float range, stays exact.
+        # Text that parse_rational refuses, or a value beyond float range, stays exact.
         try:
-            return float(Fraction(obj))
-        except (ValueError, ZeroDivisionError, OverflowError):
+            return float(parse_rational(obj))
+        except (ValueError, OverflowError):
             return obj
     return obj
 

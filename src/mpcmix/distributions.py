@@ -36,7 +36,7 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object
+from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object, row_text
 
 
 class DiscreteDistribution(Matrix):
@@ -77,7 +77,7 @@ class DiscreteDistribution(Matrix):
         return self.entries[1]
 
     def to_json(self) -> dict:
-        atoms, weights = ([_text(x, scale) for x in ints] for scale, ints in self._integer_rows)
+        atoms, weights = (row_text(scale, ints) for scale, ints in self._integer_rows)
         return {"atoms": atoms, "weights": weights}
 
     @classmethod
@@ -114,19 +114,13 @@ class TransitionMatrix(Matrix):
                 )
 
     def to_json(self) -> dict:
-        return {"rows": [[_text(x, scale) for x in ints] for scale, ints in self._integer_rows]}
+        return {"rows": [row_text(scale, ints) for scale, ints in self._integer_rows]}
 
     @classmethod
     def from_json(cls, obj) -> "TransitionMatrix":
         json_object(obj, "matrix JSON", ("rows",))
         rows = json_list(obj["rows"], "'rows'")
         return cls.from_rows(json_list(row, f"row {i} of 'rows'") for i, row in enumerate(rows))
-
-
-def _text(p: int, q: int) -> str:
-    """``str(Fraction(p, q))`` for ``q > 0``, without making the ``Fraction``."""
-    g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 @dataclass(frozen=True)

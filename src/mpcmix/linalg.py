@@ -1,6 +1,6 @@
-"""Exact rational scalars and dense rational matrices.
+"""Exact rational scalars, dense rational matrices, and their rational text.
 
-Every scalar in the package is a :class:`fractions.Fraction`, which keeps
+A scalar that leaves a row is a :class:`fractions.Fraction`, which keeps
 values gcd-reduced with a positive denominator, so all comparisons and
 equality tests downstream are exact. The per-entry loops work on integer
 rows instead: :func:`integer_row` scales a rational row to integers, and
@@ -12,10 +12,11 @@ distribution is such a matrix too, of two rows, its atoms and its weights,
 and so is a piecewise-linear function, of its knots' x and y values,
 and every row built in the package goes through its class's checks in
 ``Matrix._checked``, unless its construction already guarantees them.
-Rational text goes straight to those rows:
-:func:`parse_row` reads plain ``"a/b"`` and ``"a"`` text with ``int`` and
-makes no ``Fraction``, and any other text takes ``Fraction``'s own parser,
-so there is one grammar. A row of at least ``ROW_PASS_MIN`` values, all
+This module alone turns rational text into those rows, and rows back into
+text, each without a ``Fraction``: :func:`row_text` writes a row, and
+:func:`parse_row`, its inverse, reads plain ``"a/b"`` and ``"a"`` text
+with ``int``, and any other text with ``Fraction``'s own parser, so there
+is one grammar. A row of at least ``ROW_PASS_MIN`` values, all
 plain and over at most one denominator text, is split, checked, converted
 and reduced in a few passes over the whole row, which from that length on
 cost less than reading each value on its own; any other row is read one
@@ -184,17 +185,33 @@ def parse_row(values) -> tuple[int, list[int]]:
     denominator text, is read in whole-row passes (:func:`_plain_row`); any
     other row one value at a time with :func:`_ratio`, which gives the same
     row, or the error of the first value that it refuses. ``values`` may be
-    any iterable but text, which is refused with a ``ValueError``: read as a
-    row, it would be taken one character at a time.
+    any iterable but text or bytes, which are refused with a ``ValueError``:
+    read as a row, they would be taken one character or one byte at a time.
+    A knot's x and y columns are read here as well, as the two rows of a
+    :class:`PiecewiseLinearFn`. :func:`row_text` is the inverse.
     """
-    if isinstance(values, str):
+    if isinstance(values, (str, bytes, bytearray)):
         raise ValueError(f"not a row of rationals: {values[:40]!r}")
     values = tuple(values)
     if len(values) >= ROW_PASS_MIN:
         row = _plain_row(values)
         if row is not None:
             return row
-    return ratio_row([_ratio(x) for x in values])
+    ratios = [_ratio(x) for x in values]
+    scale = lcm(*(q for _, q in ratios))
+    return scale, [p * (scale // q) for p, q in ratios]
+
+
+def row_text(scale: int, ints) -> list[str]:
+    """``[str(Fraction(x, scale)) for x in ints]`` for ``scale > 0``, without a ``Fraction``.
+
+    The inverse of :func:`parse_row`: each value is reduced by its own gcd
+    with ``scale``, so ``ints`` need not be in lowest terms, and a value
+    whose reduced denominator is 1 is written bare. One ``gcd`` call per
+    value in the comprehension costs less than a ``map`` over the row on the
+    short rows that most outputs hold.
+    """
+    return [str(x // g) if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in ints]
 
 
 def _plain_row(values) -> tuple[int, list[int]] | None:
@@ -239,18 +256,6 @@ def _plain_row(values) -> tuple[int, list[int]] | None:
     if bare:
         ps = [p if s else p * d for p, s in zip(ps, slashes)]
     return canonical_row(d, ps)
-
-
-def ratio_row(ratios) -> tuple[int, list[int]]:
-    """The integer row of a list of ``(p, q)``, each in lowest terms with ``q > 0``.
-
-    It is in lowest terms too; :func:`parse_row` makes its ``ratios`` with
-    ``_ratio`` when it reads a row one value at a time, and
-    :func:`_plain_row` gives the same row for a long row over one
-    denominator.
-    """
-    scale = lcm(*(q for _, q in ratios))
-    return scale, [p * (scale // q) for p, q in ratios]
 
 
 def column_sums(coefficients, rows) -> tuple[int, list[int]]:

@@ -44,14 +44,12 @@ from .distributions import DiscreteDistribution, SmpcTriple, _left_curtain
 from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import (
     Matrix,
-    _ratio,
     canonical_row,
     integer_row,
     json_list,
     json_object,
     parse_rational,
     parse_row,
-    ratio_row,
 )
 
 
@@ -64,9 +62,12 @@ class PiecewiseLinearFn(Matrix):
     them there. ``PiecewiseLinearFn(knots)`` takes a tuple of ``(x, y)``
     tuples of ``Fraction`` or ``int`` values; anything else, a float or a
     third coordinate included, is a ``ValueError``. ``from_pairs`` and
-    ``from_json`` take rational text straight to the rows. The function is
-    read only through those rows, and ``expectation`` refuses an atom
-    outside the knot range rather than extrapolate.
+    ``from_json`` take rational text straight to the rows: each knot is
+    checked to be a pair first, and then the x column and the y column are
+    read as two rows by ``from_rows``, so the first bad x value is refused
+    before any bad y value. The function is read only through those rows,
+    and ``expectation`` refuses an atom outside the knot range rather than
+    extrapolate.
     """
 
     def __init__(self, knots) -> None:
@@ -83,9 +84,9 @@ class PiecewiseLinearFn(Matrix):
 
     @classmethod
     def from_pairs(cls, pairs) -> "PiecewiseLinearFn":
-        # A knot of text is left as it is, for _pairs to refuse.
-        knots = _pairs([knot if isinstance(knot, str) else tuple(map(_ratio, knot)) for knot in pairs])
-        return cls._checked(tuple(ratio_row(column) for column in zip(*knots)))
+        # A knot of text or bytes is left as it is, for _pairs to refuse.
+        knots = _pairs([knot if isinstance(knot, (str, bytes, bytearray)) else tuple(knot) for knot in pairs])
+        return cls.from_rows(zip(*knots))
 
     def _outside(self, x: Fraction) -> DomainError:
         s, xs = self._integer_rows[0]

@@ -81,3 +81,27 @@ def test_the_persuasion_solve_decides_no_order():
 def test_the_top_level_api_names_no_lp_type():
     assert not [name for name in mpcmix.__all__ if getattr(mpcmix, name).__module__ == "mpcmix.lp"]
     assert not {"LPOutcome", "StandardFormLP", "solve_lp"} & set(dir(mpcmix))
+
+
+def test_only_linalg_reads_a_rational():
+    assert {caller.split(".")[0] for caller in callers("_ratio")} == {"linalg"}
+    # Nor does another module import the reader, to pass it to map or the like.
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and "_ratio" in {alias.name for alias in node.names}:
+                importers.add(path.stem)
+    assert importers == set()
+
+
+def test_only_the_to_json_methods_write_a_row():
+    assert callers("row_text") == ["distributions.DiscreteDistribution.to_json", "distributions.TransitionMatrix.to_json"]
+
+
+def test_the_cli_makes_no_fraction():
+    # --decimals reads its text through parse_rational, as every input is read.
+    assert not [caller for caller in callers("Fraction") if caller.startswith("cli")]
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "fractions" not in modules

@@ -264,6 +264,25 @@ class TestTextIsNotARow:
         with pytest.raises(ValueError, match=f"^not a row of rationals: '{'1' * 40}'$"):
             linalg.parse_row("1" * 50)
 
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            # Read one byte at a time, b"12" was the row 49, 50.
+            (lambda: Matrix.from_rows([b"12"]), "b'12'"),
+            (lambda: Matrix.from_rows([["1", "2"], bytearray(b"12")]), "bytearray(b'12')"),
+            (lambda: TransitionMatrix.from_rows([b"\x01"]), "b'\\x01'"),
+            # Read one byte at a time, these rows were a point mass at 5.
+            (lambda: DiscreteDistribution.from_rows([b"\x05", ["1"]]), "b'\\x05'"),
+            (lambda: DiscreteDistribution.from_rows([["5"], b"\x01"]), "b'\\x01'"),
+        ],
+        ids=["matrix", "bytearray", "transition", "atoms", "weights"],
+    )
+    def test_bytes_are_a_value_error(self, build, shown):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"not a row of rationals: {shown}"
+
 
 class TestNullSpace:
     """The basis state that the split reads against the ``Fraction`` reference's rank and null vector."""

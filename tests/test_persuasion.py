@@ -78,15 +78,40 @@ class TestPiecewiseLinearFn:
 
     @pytest.mark.parametrize(
         "pairs, k",
-        [(["01", "12"], 0), ([("0", "0"), "12"], 1), ([("0", "0"), ("1", "1"), "22"], 2)],
-        ids=["first", "second", "third"],
+        [
+            (["01", "12"], 0),
+            ([("0", "0"), "12"], 1),
+            ([("0", "0"), ("1", "1"), "22"], 2),
+            ([b"01", b"23"], 0),
+            ([("0", "0"), bytearray(b"12")], 1),
+        ],
+        ids=["first", "second", "third", "bytes", "bytearray"],
     )
     def test_a_knot_of_text_is_not_a_pair(self, pairs, k):
-        # Read as a pair, "01" would be the knot (0, 1).
+        # Read as a pair, "01" would be the knot (0, 1), and b"01" the knot (48, 49).
         with pytest.raises(ValueError) as err:
             PiecewiseLinearFn.from_pairs(pairs)
         assert type(err.value) is ValueError
         assert str(err.value) == f"knot {k} of 'knots' must be an (x, y) pair"
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # A knot that is not a pair is refused before any value is read.
+            ([("x", "0"), ("1",)], "knot 1 of 'knots' must be an (x, y) pair"),
+            ([("0", "0"), ("y", "1", "2"), ("x", "1")], "knot 1 of 'knots' must be an (x, y) pair"),
+            # The x values are read before the y values, so a bad x wins over
+            # a bad y of an earlier knot.
+            ([("0", "y"), ("x", "1")], "not a rational: 'x'"),
+            ([("0", "1/0"), ("1", "0"), ("2", "2"), ("1e9999", "1")], "exponent beyond 4300 in rational '1e9999'"),
+        ],
+        ids=["not a pair, then a bad value", "a bad value, then not a pair", "bad y, then bad x", "zero y, then huge x"],
+    )
+    def test_knots_with_two_faults_report_the_first_in_reading_order(self, pairs, message):
+        with pytest.raises(ValueError) as err:
+            PiecewiseLinearFn.from_pairs(pairs)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     def test_is_cdf(self):
         assert DUEL_CDF.is_cdf()
@@ -276,6 +301,13 @@ class TestSolveLinearPersuasion:
         prior = dist(["0", "1"], ["1/2", "1/2"])
         with pytest.raises(ValueError, match="^not a row of rationals: '01'$"):
             solve_linear_persuasion(prior, pwl([("0", "0"), ("1", "1")]), "01")
+
+    @pytest.mark.parametrize("candidates", [b"\x00\x01", bytearray(b"\x00\x01")], ids=["bytes", "bytearray"])
+    def test_candidates_of_bytes_are_refused(self, candidates):
+        # Read one byte at a time, b"\x00\x01" would be the grid {0, 1}.
+        prior = dist(["0", "1"], ["1/2", "1/2"])
+        with pytest.raises(ValueError, match=r"^not a row of rationals: (bytearray\()?b'\\x00\\x01'\)?$"):
+            solve_linear_persuasion(prior, pwl([("0", "0"), ("1", "1")]), candidates)
 
     @pytest.mark.parametrize("constant", ["0", "3/2"])
     def test_a_constant_utility_keeps_the_prior(self, monkeypatch, constant):
@@ -690,6 +722,16 @@ class TestCheckNoProfitableDeviation:
         cdf = pwl([("0", "0"), ("1", "1")])
         with pytest.raises(ValueError, match="^not a row of rationals: '01'$"):
             check_no_profitable_deviation(dist(["0", "1"], ["1/2", "1/2"]), cdf, "1/2", "01")
+        assert solves == []
+
+    @pytest.mark.parametrize("candidates", [b"\x00\x01", bytearray(b"\x00\x01")], ids=["bytes", "bytearray"])
+    def test_candidates_of_bytes_are_refused(self, monkeypatch, candidates):
+        # Read one byte at a time, b"\x00\x01" would be the grid {0, 1}.
+        solves = []
+        monkeypatch.setattr(lp, "solve", lambda problem, *, start: solves.append(problem))
+        cdf = pwl([("0", "0"), ("1", "1")])
+        with pytest.raises(ValueError, match=r"^not a row of rationals: (bytearray\()?b'\\x00\\x01'\)?$"):
+            check_no_profitable_deviation(dist(["0", "1"], ["1/2", "1/2"]), cdf, "1/2", candidates)
         assert solves == []
 
     def test_witness_is_a_contraction_of_the_prior(self):

@@ -3,8 +3,10 @@
 ``parse_rational`` reads plain ``"a"`` and ``"a/b"`` text with ``int`` and
 hands everything else to ``Fraction(str)`` behind the size check. These
 properties hold it, and ``Matrix.from_rows``, to ``Fraction``'s grammar,
-values and error messages over generated text, and ``parse_row``'s
-whole-row passes over long rows of one denominator to the per-value reader.
+values and error messages over generated text, ``parse_row``'s
+whole-row passes over long rows of one denominator to the per-value reader,
+``PiecewiseLinearFn.from_pairs`` to the same row reader, and the row writer
+``row_text`` to ``str(Fraction)``.
 """
 
 from fractions import Fraction
@@ -23,7 +25,17 @@ from mpcmix import (
     parse_rational,
     solve_linear_persuasion,
 )
-from mpcmix.linalg import MAX_DIGITS, ROW_PASS_MIN, _check_size, _plain_row, _ratio, integer_row, parse_row, ratio_row
+from mpcmix.linalg import (
+    MAX_DIGITS,
+    ROW_PASS_MIN,
+    _check_size,
+    _plain_row,
+    _ratio,
+    canonical_row,
+    integer_row,
+    parse_row,
+    row_text,
+)
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -145,7 +157,9 @@ pools = st.lists(
 
 def per_value_row(values):
     """The row as ``parse_row`` reads it one value at a time."""
-    return ratio_row([_ratio(x) for x in values])
+    ratios = [_ratio(x) for x in values]
+    scale = lcm(*(q for _, q in ratios))
+    return scale, [p * (scale // q) for p, q in ratios]
 
 
 def one_denominator(plain):
@@ -227,3 +241,51 @@ def test_rows_may_be_iterators(k):
     assert check_no_profitable_deviation(source, cdf, "1/2", (x for x in candidates)) == check_no_profitable_deviation(
         source, cdf, "1/2", candidates
     )
+
+
+# Small, zero, negative and 200-bit values and scales.
+codec_ints = st.one_of(st.integers(-12, 12), st.just(0), st.integers(-(2**200), 2**200))
+codec_scales = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**200))
+
+
+@PROFILE
+@given(codec_scales, st.lists(codec_ints, max_size=8), st.integers(2, 6))
+def test_row_text_writes_each_value_as_its_fraction_does(scale, ints, factor):
+    # Scaling the row by a factor puts it out of lowest terms: gcd(scale, *ints) > 1.
+    for s, xs in ((scale, ints), (scale * factor, [x * factor for x in ints])):
+        text = row_text(s, xs)
+        assert text == [str(Fraction(x, s)) for x in xs]
+        if xs:
+            assert parse_row(text) == canonical_row(s, xs)
+
+
+@pytest.mark.parametrize(
+    "scale, ints, expected",
+    [
+        (1, [0, -3, 7], ["0", "-3", "7"]),
+        (6, [0, -3, 4, 12, -18, 1], ["0", "-1/2", "2/3", "2", "-3", "1/6"]),
+        (2**200, [-(2**200), 2**199 + 1, 0], ["-1", f"{2**199 + 1}/{2**200}", "0"]),
+        (5, [], []),
+    ],
+    ids=["scale 1", "negatives and zeros", "200 bits", "empty"],
+)
+def test_row_text_examples(scale, ints, expected):
+    assert row_text(scale, ints) == expected
+
+
+@PROFILE
+@given(st.integers(2, 3 * ROW_PASS_MIN), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_from_pairs_reads_the_knots_as_two_rows(k, d, rng):
+    xs = sorted(rng.sample(range(-5 * k, 5 * k), k))
+    ys = [rng.randint(-3 * d, 3 * d) for _ in range(k)]
+    knots = tuple((Fraction(x, d), Fraction(y, d)) for x, y in zip(xs, ys))
+    # Both columns over the one denominator text d, so that a column of
+    # ROW_PASS_MIN knots or more is read in whole-row passes, and then
+    # spelled value by value in any form, as tuples or as lists.
+    over_d = [(f"{x}/{d}", f"{y}/{d}") for x, y in zip(xs, ys)]
+    spelled = [[rng.choice(spellings(x)), rng.choice(spellings(y))] for x, y in knots]
+    for column in zip(*over_d):
+        assert _plain_row(column) == per_value_row(column)
+    for pairs in (over_d, spelled):
+        u = PiecewiseLinearFn.from_pairs(pairs)
+        assert u == PiecewiseLinearFn.from_rows(zip(*pairs)) == PiecewiseLinearFn(knots)
