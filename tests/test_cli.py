@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -626,6 +627,68 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert main(["is-mpc", "-"]) == 0
     assert json.loads(capsys.readouterr().out) == {"is_mpc": True}
+
+
+ARGV_TOKENS = [
+    "apply", "gen-random", "decompose", "bogus", "in.json", "x y", "", "-", "-5", "--", "-h", "--help",
+    "-o", "--output", "--output=x", "-ox", "--out", "--pretty", "--pre", "--decimals", "--dec",
+    "--seed", "--seed=3", "7", " 8", "1_0", "-3", "x",
+]
+
+
+def parse_or_exit(argv):
+    """``_build_parser().parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_the_plain_argv_reader_agrees_with_argparse():
+    rng = Random(20240)
+    commands = list(cli._COMMANDS)
+    accepted = 0
+    for _ in range(3000):
+        head = [rng.choice(commands)] if rng.random() < 0.9 else []
+        argv = head + [rng.choice(ARGV_TOKENS) for _ in range(rng.randrange(7))]
+        plain, parsed = cli._plain_args(argv), parse_or_exit(argv)
+        if plain is not None:
+            accepted += 1
+            assert parsed is not None and vars(plain) == vars(parsed), argv
+        if parsed is None:
+            assert plain is None, argv
+    # The pool reaches both sides: plain argv that the reader takes, and the rest.
+    assert 300 < accepted < 2700
+
+
+def test_a_plain_argv_never_builds_the_parser(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("argparse read a plain argv")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    out = tmp_path / "out.json"
+    assert run_cli(tmp_path, "is-mpc", {"source": PRIOR.to_json(), "target": TARGET.to_json()}, "-o", str(out)) == 0
+    assert json.loads(out.read_text()) == {"is_mpc": True}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["apply", "-h"], 0, "out", "usage: mpcmix apply [-h] [-o OUTPUT] [--pretty] [--decimals] [input]\n"),
+        (["gen-random", "--help"], 0, "out", "usage: mpcmix gen-random [-h] [-o OUTPUT] [--pretty] [--decimals] [--seed SEED]"),
+        (["apply", "x", "--bogus"], 2, "err", "mpcmix: error: unrecognized arguments: --bogus\n"),
+        (["apply", "--seed", "1"], 2, "err", "mpcmix: error: unrecognized arguments: --seed\n"),
+        (["gen-random", "--seed", "x"], 2, "err", "mpcmix gen-random: error: argument --seed: invalid int value: 'x'\n"),
+    ],
+)
+def test_help_and_usage_errors_stay_argparse_s(capsys, monkeypatch, argv, code, stream, text):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
 
 
 def test_module_entry_point(tmp_path):

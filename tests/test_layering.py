@@ -42,8 +42,16 @@ def test_only_the_cli_imports_randgen():
     assert {name for name, imports in IMPORTS.items() if "randgen" in imports} == {"cli"}
 
 
-def callers(name):
-    """``module.qualname`` of each function in the package that calls ``name``."""
+def _named(node, name):
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+
+
+def callers(name, package=PACKAGE):
+    """``module.qualname`` of each function in ``package`` that calls ``name`` or passes it to a call.
+
+    A name passed as an argument, as in ``map(name, rows)`` or ``sorted(xs, key=name)``,
+    counts once per call that it is passed to, as a call of it does.
+    """
     found = []
 
     def visit(node, module, scope):
@@ -52,15 +60,25 @@ def callers(name):
                 visit(child, module, scope + [child.name])
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
+                arguments = [*child.args, *(keyword.value for keyword in child.keywords)]
+                passed = [arg.value if isinstance(arg, ast.Starred) else arg for arg in arguments]
+                if _named(child.func, name) or any(_named(arg, name) for arg in passed):
                     found.append(".".join([module, *scope]))
             visit(child, module, scope)
 
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
     return found
+
+
+def test_callers_counts_a_name_passed_to_a_call(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def write(rows):\n    return list(map(encode, rows))\n\n\n"
+        "def order(xs):\n    return sorted(xs, key=encode)\n\n\n"
+        "def call(x):\n    return encode(x)\n",
+        encoding="utf-8",
+    )
+    assert callers("encode", tmp_path) == ["mod.write", "mod.order", "mod.call"]
 
 
 def test_only_the_basis_state_eliminates():

@@ -19,9 +19,12 @@ reader meets rows that it must reduce. A payload whose
 ``candidates`` is a list also runs with that list reversed and with its
 first value repeated at its end: the corpus lists are sorted and distinct,
 and ``check-deviation`` must take them as a set, while ``solve-persuasion``
-refuses them. Each payload runs three times: plain, with ``--pretty`` and with ``--decimals``. A run's
-result is its exit status, stdout and stderr; an exception that escapes
-``main`` counts as a result too. The output is one JSON object: ``runs``,
+refuses them. Each payload runs four times: plain, with ``--pretty``, with
+``--decimals``, and with ``--dec --output=-``, an abbreviated and a joined
+option that only argparse reads, so that the CLI's plain-argv reader and its
+argparse fallback are both compared. Every argv is the command, the input
+path, then the options. A run's result is its exit status, stdout and
+stderr; an exception that escapes ``main`` counts as a result too. The output is one JSON object: ``runs``,
 the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
@@ -46,7 +49,7 @@ from math import lcm
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODES = {"plain": [], "pretty": ["--pretty"], "decimals": ["--decimals"]}
+MODES = {"plain": [], "pretty": ["--pretty"], "decimals": ["--decimals"], "argparse": ["--dec", "--output=-"]}
 GEN_RANDOM = [{"n": 1, "m": 1}, {"n": 3, "m": 4, "count": 2}, {"n": 85, "m": 2}, {"n": 86, "m": 2}]
 """``gen-random`` payloads; 85 atoms fill the atom pool, and 86 are refused."""
 
@@ -133,8 +136,8 @@ def results(src: Path, items, work: Path) -> list[str]:
     """The digest of every run of ``items`` through ``src``'s CLI, in ``MODES`` order per item."""
     main = _fresh_main(src)
     return [
-        _result(main, [*command, str(work / f"{k}.json"), *flags])
-        for k, (_, command, _) in enumerate(items)
+        _result(main, [command, str(work / f"{k}.json"), *options, *flags])
+        for k, (_, (command, *options), _) in enumerate(items)
         for flags in MODES.values()
     ]
 
