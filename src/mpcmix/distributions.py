@@ -36,7 +36,7 @@ from .errors import (
     RowSumError,
     WeightIdentityError,
 )
-from .linalg import Matrix, canonical_row, column_sums, integer_row, json_list, json_object, row_text
+from .linalg import Matrix, canonical_row, column_sums, json_list, json_object, row_text
 
 
 class DiscreteDistribution(Matrix):
@@ -218,28 +218,50 @@ def apply_transition(source: DiscreteDistribution, transition: TransitionMatrix)
     Zero-mass columns are dropped (they carry no atom), and columns whose
     barycenters coincide are merged by summing them, so any row-stochastic
     matrix is a legal input. Target atoms come out sorted with the matrix
-    columns permuted to match.
+    columns permuted to match. Column j's barycenter s_mom d_w / (d_mom s_w)
+    is reduced by its gcd, and the barycenters are put over the lcm of their
+    denominators, which is the target's atom scale in lowest terms; columns
+    are merged and sorted on those integers. When every column has mass, at
+    distinct barycenters already in increasing order, the triple holds
+    ``transition`` itself.
     """
     n = source.cols
     if transition.rows != n:
         raise DimensionError(f"transition has {transition.rows} rows, expected {n}")
     d_w, s_w, d_mom, s_mom = _masses_and_moments(source, transition)
-    merged: dict[Fraction, list[int]] = {}
-    for j, mass in enumerate(s_w):
-        if mass:
-            merged.setdefault(Fraction(s_mom[j] * d_w, d_mom * mass), []).append(j)
-    atoms = sorted(merged)
-    groups = [merged[barycenter] for barycenter in atoms]
-    # Each output column is the sum of its group's columns, on the integer rows.
-    grid = tuple(
-        canonical_row(scale, [ints[g[0]] if len(g) == 1 else sum(ints[j] for j in g) for g in groups])
-        for scale, ints in transition._integer_rows
-    )
-    masses = canonical_row(d_w, [sum(s_w[j] for j in group) for group in groups])
-    target = DiscreteDistribution._checked((integer_row(atoms), masses))
+    columns = [j for j, mass in enumerate(s_w) if mass]
+    barycenters = []
+    for j in columns:
+        num, den = s_mom[j] * d_w, d_mom * s_w[j]
+        g = gcd(num, den)
+        barycenters.append((num // g, den // g))
+    scale = lcm(*(den for _, den in barycenters))
+    atoms = [num * (scale // den) for num, den in barycenters]
+    if len(columns) == len(s_w) and all(x < y for x, y in zip(atoms, atoms[1:])):
+        masses = canonical_row(d_w, s_w)
+    else:
+        # Columns of one atom are adjacent once sorted, and make one group.
+        groups: list[list[int]] = []
+        merged: list[int] = []
+        for x, j in sorted(zip(atoms, columns)):
+            if merged and merged[-1] == x:
+                groups[-1].append(j)
+            else:
+                merged.append(x)
+                groups.append([j])
+        atoms = merged
+        # Each output column is the sum of its group's columns, on the integer rows.
+        transition = TransitionMatrix._trusted(
+            tuple(
+                canonical_row(s, [ints[g[0]] if len(g) == 1 else sum(ints[j] for j in g) for g in groups])
+                for s, ints in transition._integer_rows
+            )
+        )
+        masses = canonical_row(d_w, [sum(s_w[j] for j in group) for group in groups])
+    target = DiscreteDistribution._checked(((scale, atoms), masses))
     # Both identities hold by the arithmetic above: the target weights are the
     # computed column masses and each atom is its column's exact barycenter.
-    return SmpcTriple._trusted(source, TransitionMatrix._trusted(grid), target)
+    return SmpcTriple._trusted(source, transition, target)
 
 
 def mpc_violation(source: DiscreteDistribution, candidate: DiscreteDistribution) -> str | None:

@@ -17,10 +17,11 @@ text, each without a ``Fraction``: :func:`row_text` writes a row, and
 :func:`parse_row`, its inverse, reads plain ``"a/b"`` and ``"a"`` text
 with ``int``, and any other text with ``Fraction``'s own parser, so there
 is one grammar. A row of at least ``ROW_PASS_MIN`` values, all
-plain and over at most one denominator text, is split, checked, converted
-and reduced in a few passes over the whole row, which from that length on
-cost less than reading each value on its own; any other row is read one
-value at a time, with the same values and errors. Elimination is
+plain and over at most one denominator text, is joined into one text and
+read in a few steps over the whole of it: one ``replace`` drops the
+denominator, one ``split`` and one ``map(int, ...)`` read the numerators.
+From that length on this costs less than reading each value on its own;
+any other row is read one value at a time, with the same values and errors. Elimination is
 fraction-free on the same rows: one kernel takes the columns in order and
 finds each that depends on the earlier ones. Its one caller is the decomposition's basis state, which takes every
 column's dependency from one pass: the split and the uniqueness probe read
@@ -35,7 +36,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -182,9 +182,10 @@ def parse_row(values) -> tuple[int, list[int]]:
     denominators: its first terms share most of the scale, so each step of
     that gcd works on numbers about as long as the scale. A row of at least
     ``ROW_PASS_MIN`` values, all plain text whose slashed values share one
-    denominator text, is read in whole-row passes (:func:`_plain_row`); any
-    other row one value at a time with :func:`_ratio`, which gives the same
-    row, or the error of the first value that it refuses. ``values`` may be
+    denominator text, is read from one joined text in whole-row steps
+    (:func:`_plain_row`); any other row one value at a time with
+    :func:`_ratio`, which gives the same row, or the error of the first
+    value that it refuses. ``values`` may be
     any iterable but text or bytes, which are refused with a ``ValueError``:
     read as a row, they would be taken one character or one byte at a time.
     A knot's x and y columns are read here as well, as the two rows of a
@@ -214,47 +215,56 @@ def row_text(scale: int, ints) -> list[str]:
     return [str(x // g) if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in ints]
 
 
+_INT_SPACES = "\t\n\x0b\x0c\r"
+"""The ASCII whitespace that ``int`` reads around a number, but for the space."""
+
+
 def _plain_row(values) -> tuple[int, list[int]] | None:
     """``parse_row(values)`` when the values are plain text over one denominator, else ``None``.
 
-    Plain is ``_ratio``'s plain form: ``-?D+`` or ``-?D+/D+``, D a decimal
-    digit, a nonzero denominator, and at most ``MAX_DIGITS`` characters.
-    When every slashed value has the same denominator text D (a row of bare
-    integers has D = 1), the numerators are read in one pass, each bare
-    integer is put over D, and the row ``(D, ps)`` is reduced by
-    ``canonical_row``: that is its lowest-terms form, since the lcm of the
-    reduced denominators ``D / gcd(D, p_i)`` is ``D / gcd(D, p_1, ..., p_k)``.
-    A row of two or more denominator texts is left to the per-value reader.
+    Plain is ``[+-]?D+`` or ``[+-]?D+/D+``, D a decimal digit, with a nonzero
+    denominator and at most ``MAX_DIGITS`` characters, which ``Fraction``
+    reads as ``int`` does. The values are read in four steps over the whole
+    row: one ``" ".join``, one ``replace`` of ``"/D "`` by ``" "``, where D
+    is the text after the first slash (a row of bare integers has D = 1),
+    one ``split`` and one ``map(int, ...)``. Each bare integer is put over
+    D, and the row ``(D, ps)`` is reduced by ``canonical_row``: that is its
+    lowest-terms form, since the lcm of the reduced denominators
+    ``D / gcd(D, p_i)`` is ``D / gcd(D, p_1, ..., p_k)``. Any row that these
+    steps could read otherwise than the per-value reader is left to it: a
+    row with a value that is not text, or with a space, underscore or other
+    whitespace in a value, and a row over two or more denominator texts.
     """
     try:
-        nums, slashes, dens = zip(*map(str.partition, values, repeat("/")))
+        text = " ".join(values)
     except TypeError:  # a value that is not text
         return None
-    # Each slash has a denominator and all slashed values share one, which
-    # must be D+ and nonzero. This goes first: it turns away most rows of
-    # varied values before any pass over their numerators.
-    bare = slashes.count("")
-    distinct = set(dens)
-    distinct.discard("")
-    if bare != dens.count("") or len(distinct) > 1 or max(map(len, values)) > MAX_DIGITS:
+    # int reads underscores, and whitespace around a numerator, that
+    # Fraction reads only on some versions. Of the whitespace that int reads,
+    # the separator and _INT_SPACES are ASCII, and the rest is unprintable.
+    if "_" in text or (any(c in text for c in _INT_SPACES) if text.isascii() else not text.isprintable()):
         return None
-    den = distinct.pop() if distinct else "1"
-    d = int(den) if den.isdecimal() else 0
-    # With the separator between numerators and the signs that begin them
-    # dropped, a row of -?D+ leaves digits and single separators only.
-    text = " ".join(nums)
-    unsigned = (" " + text).replace(" -", " ")
-    if (
-        not d
-        or text.count(" ") != len(nums) - 1
-        or "  " in unsigned
-        or unsigned.endswith(" ")
-        or not unsigned.replace(" ", "").isdecimal()
-    ):
+    # D is the text after the first slash; it must be D+ and nonzero.
+    slash = text.find("/")
+    den = "1" if slash < 0 else text[slash + 1 :].partition(" ")[0]
+    if not den.isdecimal() or len(den) > MAX_DIGITS or not (d := int(den)):
         return None
-    ps = list(map(int, nums))
-    if bare:
-        ps = [p if s else p * d for p, s in zip(ps, slashes)]
+    # Dropping each "/D" leaves the numerators. A value with a space splits in
+    # two, and int refuses one that is not [+-]?D+ then, as with another slash.
+    joined = text + " "
+    over = joined.replace(f"/{den} ", " ")
+    nums = over.split(" ")
+    nums.pop()
+    if len(nums) != len(values) or (len(over) > MAX_DIGITS and max(map(len, nums)) > MAX_DIGITS):
+        return None
+    try:
+        ps = list(map(int, nums))
+    except ValueError:
+        return None
+    # Each "/D" dropped shortened the text by len(D) + 1; a bare "0" is 0 over D too.
+    bare = len(values) - (len(joined) - len(over)) // (len(den) + 1)
+    if bare > values.count("0") and d != 1:
+        ps = [p if "/" in v else p * d for p, v in zip(ps, values)]
     return canonical_row(d, ps)
 
 

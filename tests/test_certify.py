@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import certify_fraction_reference as reference
 from mpcmix.distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
 from mpcmix.errors import MpcError
-from mpcmix.linalg import Matrix, column_sums, integer_row
+from mpcmix.linalg import ROW_PASS_MIN, Matrix, column_sums, integer_row
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 LARGE_PRIMES = (1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081, 1_000_099)
@@ -168,6 +168,51 @@ class TestMatchesTheFractionReference:
         i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, matrix.cols - 1), label="j")
         delta = data.draw(st.builds(Fraction, st.integers(1, 3), denominator), label="delta")
         assert_same(source, matrix, i, j, delta)
+
+
+@PROFILE
+@given(st.data())
+def test_wide_garblings_apply_as_the_reference_does(data):
+    # Rows of ROW_PASS_MIN to 3 x ROW_PASS_MIN columns, with zero-mass columns,
+    # split columns (two columns of one barycenter) and shuffled columns; a
+    # single source atom puts every column at one barycenter.
+    n = data.draw(st.integers(1, 10), label="n")
+    m = data.draw(st.integers(ROW_PASS_MIN, 3 * ROW_PASS_MIN), label="m")
+    big = data.draw(st.booleans(), label="big")
+    top = 10**6 if big else 4
+    denominator = st.sampled_from(LARGE_PRIMES) if big else st.integers(1, 6)
+    atoms = data.draw(
+        st.lists(st.builds(Fraction, st.integers(-50, 50), denominator), min_size=n, max_size=n, unique=True),
+        label="atoms",
+    )
+    raw_weights = data.draw(st.lists(st.integers(1, top), min_size=n, max_size=n), label="weights")
+    raw_rows = data.draw(
+        st.lists(st.lists(st.integers(0, top), min_size=m, max_size=m).filter(any), min_size=n, max_size=n),
+        label="rows",
+    )
+    zeros = data.draw(st.sets(st.integers(0, m - 1), max_size=3), label="zero columns")
+    for row in raw_rows:
+        for j in zeros:
+            row[j] = 0
+        if not any(row):
+            row[min(set(range(m)) - zeros)] = 1
+    splits = data.draw(st.lists(st.integers(0, m - 1), max_size=3), label="split columns")
+    source, matrix = build(atoms, raw_weights, raw_rows)
+    rows = [list(row) for row in matrix.entries]
+    for j in splits:
+        for row in rows:
+            row[j:j + 1] = [row[j] / 3, row[j] * 2 / 3]
+    order = data.draw(st.permutations(range(len(rows[0]))), label="column order")
+    transition = TransitionMatrix(tuple(tuple(row[j] for j in order) for row in rows))
+    expected = reference.apply_transition(source, transition)
+    got = apply_transition(source, transition)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
+    # A transition in barycenter order with no column dropped or merged is kept as it is.
+    assert (got.transition is transition) == (expected.transition == transition)
+    again = apply_transition(source, got.transition)
+    assert again == got
+    assert again.transition is got.transition
 
 
 def test_column_sums_match_fraction_sums():

@@ -212,6 +212,14 @@ class TestApplyTransition:
             ]
         )
 
+    def test_an_ordered_transition_is_kept_as_it_is(self):
+        # GARBLING's columns all carry mass, at distinct barycenters in order.
+        assert apply_transition(PRIOR, GARBLING).transition is GARBLING
+        reversed_columns = tm([row[::-1] for row in GARBLING.to_json()["rows"]])
+        triple = apply_transition(PRIOR, reversed_columns)
+        assert triple.transition is not reversed_columns
+        assert triple == apply_transition(PRIOR, GARBLING)
+
     def test_random_outputs_revalidate(self):
         rng = Random(23)
         for _ in range(120):

@@ -116,6 +116,12 @@ def test_only_the_to_json_methods_write_a_row():
     assert callers("row_text") == ["distributions.DiscreteDistribution.to_json", "distributions.TransitionMatrix.to_json"]
 
 
+def test_apply_transition_makes_no_fraction():
+    # Barycenters are reduced integer pairs over their lcm, merged and sorted as integers.
+    assert "distributions.apply_transition" not in callers("Fraction")
+    assert "distributions.apply_transition" not in callers("integer_row")
+
+
 def test_the_cli_makes_no_fraction():
     # --decimals reads its text through parse_rational, as every input is read.
     assert not [caller for caller in callers("Fraction") if caller.startswith("cli")]

@@ -148,6 +148,44 @@ def test_from_rows_makes_the_integer_rows_of_the_fractions(grid_and_text):
 # denominator, and a digit run past MAX_DIGITS.
 ODD_VALUES = [Fraction(1, 3), 2, True, 0.5, None, "1 -2/3", "1/2 3", "1/", "/2", "1/0", "7" * (MAX_DIGITS + 1)]
 
+# Values that only a row read as one joined text could misread, in a row
+# over "3": another denominator that ends in it, a second slash, a space,
+# tab or other whitespace inside, before or after a value, an underscore
+# (which int reads, and Fraction on 3.10 does not), a plus sign, and digit
+# runs past MAX_DIGITS in either part, or a value longer than MAX_DIGITS
+# whose digit runs are not.
+JOINED_TEXT_VALUES = [
+    "1/13",
+    "1/3/3",
+    "1/33",
+    "1/03",
+    "1//3",
+    "/3",
+    "1 /3",
+    "1/ 3",
+    " 1/3",
+    "1/3 ",
+    "1 2/3",
+    "1\t/3",
+    "\t1/3",
+    "1/3\t",
+    "\t5",
+    "1\n/3",
+    "1\xa0/3",
+    "\u20031/3",
+    "1_0/3",
+    "1_0",
+    "+1/3",
+    "+5",
+    "-0/3",
+    "0",
+    "5",
+    "1" * (MAX_DIGITS + 1) + "/3",
+    "1/" + "3" * (MAX_DIGITS + 1),
+    "-" + "1" * MAX_DIGITS + "/3",
+    "1" * MAX_DIGITS + "/3",
+]
+
 
 # A few small or large rationals that a long row draws its values from.
 pools = st.lists(
@@ -179,8 +217,9 @@ def test_parse_row_reads_long_rows_as_the_per_value_reader_does(pool, k, rng, da
     assert (_plain_row(plain) is not None) == one_denominator(plain)
     assert parse_row(plain) == per_value_row(plain) == integer_row(xs)
     # One value that is not plain, at a random position, puts the whole row on
-    # the per-value reader, which refuses the first value that it cannot read.
-    for value in (rng.choice(spellings(rng.choice(xs))), data.draw(texts), *ODD_VALUES):
+    # the per-value reader, which refuses the first value that it cannot read;
+    # the values that a joined text could misread must be read as it reads them.
+    for value in (rng.choice(spellings(rng.choice(xs))), data.draw(texts), *ODD_VALUES, *JOINED_TEXT_VALUES):
         row = put(plain, value)
         assert outcome(parse_row, row) == outcome(per_value_row, row)
     row = put(put([rng.choice(spellings(x)) for x in xs], data.draw(texts)), rng.choice(ODD_VALUES))
@@ -206,6 +245,16 @@ def test_parse_row_reads_rows_over_one_denominator_in_whole_row_passes(pool, k, 
     over_zero = [f"{xs[0].numerator}/0", *(str(x.numerator) for x in xs[1:])]
     assert _plain_row(over_zero) is None
     assert outcome(parse_row, over_zero) == outcome(per_value_row, over_zero)
+
+
+@pytest.mark.parametrize("value", JOINED_TEXT_VALUES)
+@pytest.mark.parametrize("position", [0, 1, ROW_PASS_MIN // 2, ROW_PASS_MIN - 1])
+def test_a_joined_row_over_one_denominator_reads_each_value_as_the_per_value_reader_does(value, position):
+    # The row over "3" holds bare values too, and the value at ``position``
+    # is the one that the joined text could misread.
+    row = [str(k) if k % 4 == 0 else f"{k - 7}/3" for k in range(ROW_PASS_MIN)]
+    row[position] = value
+    assert outcome(parse_row, row) == outcome(per_value_row, row)
 
 
 @pytest.mark.parametrize(

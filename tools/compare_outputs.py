@@ -19,7 +19,10 @@ reader meets rows that it must reduce. A payload whose
 ``candidates`` is a list also runs with that list reversed and with its
 first value repeated at its end: the corpus lists are sorted and distinct,
 and ``check-deviation`` must take them as a set, while ``solve-persuasion``
-refuses them. Each payload runs four times: plain, with ``--pretty``, with
+refuses them. A payload with a ``transition`` also runs with each of its
+rows reversed: the corpus transitions are already in barycenter order with
+no merges, and ``apply_transition`` must sort the reversed columns back.
+Each payload runs four times: plain, with ``--pretty``, with
 ``--decimals``, and with ``--dec --output=-``, an abbreviated and a joined
 option that only argparse reads, so that the CLI's plain-argv reader and its
 argparse fallback are both compared. Every argv is the command, the input
@@ -29,9 +32,9 @@ the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
 ``-key``, ``key=x``, ``candidates reversed``, ``candidates+dup``,
-``common denominator`` or, for a spoiled row, its field's path and the
-text, as ``transition.rows[-1][-1]=1/0``. The exit status is 1 when any
-run differs.
+``columns reversed``, ``common denominator`` or, for a spoiled row, its
+field's path and the text, as ``transition.rows[-1][-1]=1/0``. The exit
+status is 1 when any run differs.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ def _over_one_denominator(row: list) -> list:
 
 def variants(payload: dict):
     """``(name, payload)`` for the payload itself, then each top-level key dropped or set to
-    ``"x"``, then a list of ``candidates`` reversed and with its first value repeated, then
-    the last value of each row-valued field's last row set to each of ``SPOILS``, then every
-    row of every row-valued field spelled over one unreduced denominator."""
+    ``"x"``, then a list of ``candidates`` reversed and with its first value repeated, then a
+    ``transition`` with each of its rows reversed, then the last value of each row-valued
+    field's last row set to each of ``SPOILS``, then every row of every row-valued field
+    spelled over one unreduced denominator."""
     yield "valid", payload
     for key in payload:
         yield f"-{key}", {k: v for k, v in payload.items() if k != key}
@@ -100,6 +104,9 @@ def variants(payload: dict):
     if isinstance(candidates, list) and candidates:
         yield "candidates reversed", {**payload, "candidates": candidates[::-1]}
         yield "candidates+dup", {**payload, "candidates": [*candidates, candidates[0]]}
+    transition = payload.get("transition")
+    if isinstance(transition, dict) and isinstance(transition.get("rows"), list):
+        yield "columns reversed", {**payload, "transition": {**transition, "rows": [row[::-1] for row in transition["rows"]]}}
     for path in _row_fields(payload):
         for text in SPOILS:
             spoiled = json.loads(json.dumps(payload))
