@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -871,3 +872,142 @@ def test_rewrites_of_one_path_stay_byte_identical(tmp_path, mixture_bytes):
     for _ in range(20):
         assert decompose_to(tmp_path, out_path) == 0
         assert out_path.read_bytes() == mixture_bytes
+
+
+def text_mode_failure(path):
+    """What reading ``path`` with a text-mode file object and ``json.loads`` raises."""
+    with pytest.raises((OSError, ValueError)) as raised:
+        with open(path, encoding="utf-8") as handle:
+            json.loads(handle.read())
+    return raised.value
+
+
+def spoiled_input(tmp_path, case):
+    """The path of an input that fails to be read, as ``case`` names it."""
+    path = tmp_path / case
+    if case == "edge":
+        path.mkdir(exist_ok=True)
+    elif case != "absent.json":
+        path.write_bytes(SPOILED_INPUTS[case])
+    return path
+
+
+SPOILED_INPUTS = {
+    "crlf.json": b'{\r\n "source": 1,\r\n "target": 2,\r\n x}',
+    "lone-cr.json": b'{\r "source": 1,\r "target": 2,\r x}',
+    "mixed-newlines.json": b'{\r\n "source": 1,\r "target": 2,\n\r\n x}',
+    "bad-utf8.json": b'{"pad": "' + b"a" * 9000 + b'\xff"}',
+    "bom.json": b"\xef\xbb\xbf" + json.dumps(WORKED_PAYLOAD).encode(),
+}
+
+
+@pytest.mark.parametrize("case", ["edge", "absent.json", *SPOILED_INPUTS])
+def test_unreadable_input_fails_as_text_mode_does(tmp_path, capsys, case):
+    path = spoiled_input(tmp_path, case)
+    expected = text_mode_failure(path)
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    code = "io" if isinstance(expected, OSError) else "parse"
+    assert json.loads(captured.err) == {"error": {"code": code, "message": str(expected)}}
+    if code == "io":
+        # A directory opens and fails to read, and its message still names it.
+        assert str(expected).endswith(f": {str(path)!r}")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"",
+        json.dumps(WORKED_PAYLOAD, indent=1).replace("\n", "\r\n").encode(),
+        b'{"a":\r\r\n\r"\xc3\xa9"}\r',
+        # Longer than one read, with a two-byte character across the first
+        # read's end and a "\r\n" across the second's.
+        b'["' + b"a" * (cli._READ_SIZE - 3) + b'\xc3\xa9' + b"b" * (cli._READ_SIZE - 2) + b'"\r\n]',
+    ],
+)
+def test_input_text_is_what_text_mode_reads(tmp_path, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with open(path, encoding="utf-8") as handle:
+        assert cli._read_input(str(path)) == handle.read()
+
+
+def test_crlf_input_gives_the_same_output(tmp_path, capsys, mixture_bytes):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(json.dumps(WORKED_PAYLOAD, indent=1).replace("\n", "\r\n").encode())
+    assert main(["decompose", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == mixture_bytes
+
+
+def test_short_writes_still_write_the_whole_file(tmp_path, mixture_bytes, monkeypatch):
+    out_path = tmp_path / "out.json"
+    out_path.write_bytes(b"x" * (4 * len(mixture_bytes)))
+    write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:1])
+
+    monkeypatch.setattr(os, "write", one_byte)
+    assert decompose_to(tmp_path, out_path) == 0
+    monkeypatch.undo()
+    assert out_path.read_bytes() == mixture_bytes
+    assert calls == list(range(len(mixture_bytes), 0, -1))
+
+
+def test_output_files_take_the_platform_newline(tmp_path, capsys, mixture_bytes, monkeypatch):
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    out_path = tmp_path / "out.json"
+    assert decompose_to(tmp_path, out_path) == 0
+    assert out_path.read_bytes() == mixture_bytes.replace(b"\n", b"\r\n")
+    assert decompose_to(tmp_path, "-") == 0
+    assert capsys.readouterr().out.encode() == mixture_bytes
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_is_reported_as_text_mode_reports_it(tmp_path, capsys, mixture_bytes):
+    with pytest.raises(OSError) as raised:
+        with open("/dev/full", "w", encoding="utf-8") as handle:
+            handle.write(mixture_bytes.decode())
+    assert decompose_to(tmp_path, "/dev/full") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "io", "message": str(raised.value)}}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_file_descriptor_is_leaked(tmp_path, capsys, monkeypatch):
+    input_path = tmp_path / "input.json"
+    input_path.write_text(json.dumps(WORKED_PAYLOAD))
+    (tmp_path / "out-dir").mkdir()
+    write = os.write
+
+    def failing_write(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write_fails(argv):
+        monkeypatch.setattr(os, "write", failing_write)
+        try:
+            return main(argv)
+        finally:
+            monkeypatch.setattr(os, "write", write)
+
+    out = str(tmp_path / "out.json")
+    calls = [
+        (main, ["decompose", str(input_path), "-o", out], 0),
+        (main, ["decompose", str(input_path), "-o", os.devnull], 0),
+        (main, ["decompose", str(input_path), "-o", str(tmp_path / "out-dir")], 2),
+        (main, ["decompose", str(input_path), "-o", str(tmp_path / "missing" / "out.json")], 2),
+        (write_fails, ["decompose", str(input_path), "-o", out], 2),
+    ]
+    calls += [
+        (main, ["decompose", str(spoiled_input(tmp_path, case)), "-o", out], 2)
+        for case in ["edge", "absent.json", *SPOILED_INPUTS]
+    ]
+    before = len(os.listdir("/proc/self/fd"))
+    for k in range(200):
+        run, argv, code = calls[k % len(calls)]
+        assert run(argv) == code
+    capsys.readouterr()
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -1,4 +1,4 @@
-"""Count the CLI runs whose results differ between two source trees.
+r"""Count the CLI runs whose results differ between two source trees.
 
     python3 tools/compare_outputs.py --src A --src B [--seeds 1 2 3]
 
@@ -22,17 +22,28 @@ and ``check-deviation`` must take them as a set, while ``solve-persuasion``
 refuses them. A payload with a ``transition`` also runs with each of its
 rows reversed: the corpus transitions are already in barycenter order with
 no merges, and ``apply_transition`` must sort the reversed columns back.
-Each payload runs four times: plain, with ``--pretty``, with
-``--decimals``, and with ``--dec --output=-``, an abbreviated and a joined
+Every variant above is written as ``json.dumps`` writes it, on one line. The
+valid payload is also written by ``json.dumps(payload, indent=1)`` with
+``"\r\n"`` line endings, and that text once more with a syntax error after
+its last ``"\r\n"``, so that the input reader's newlines are compared,
+and with them the offsets in the parse error.
+Each input runs five times: plain, with ``--pretty``, with
+``--decimals``, with ``--dec --output=-``, an abbreviated and a joined
 option that only argparse reads, so that the CLI's plain-argv reader and its
-argparse fallback are both compared. Every argv is the command, the input
+argparse fallback are both compared, and with ``-o FILE``, so that the file
+writer is compared too. Before each ``-o FILE`` run, FILE is filled with
+``FILL``, which is longer than any output that run writes, so that the writer
+must cut the file and a failed run leaves the same bytes on both sides.
+Every argv is the command, the input
 path, then the options. A run's result is its exit status, stdout and
-stderr; an exception that escapes ``main`` counts as a result too. The output is one JSON object: ``runs``,
+stderr, and for ``-o FILE`` the file's bytes; an exception that escapes
+``main`` counts as a result too. The output is one JSON object: ``runs``,
 the number of runs per tree, ``differ``, the number whose results are not
 equal, and ``first``, up to ten of those as
 ``[workload, seed, item, variant, mode]``, where the variant is ``valid``,
 ``-key``, ``key=x``, ``candidates reversed``, ``candidates+dup``,
-``columns reversed``, ``common denominator`` or, for a spoiled row, its
+``columns reversed``, ``common denominator``, ``crlf``,
+``crlf syntax error`` or, for a spoiled row, its
 field's path and the text, as ``transition.rows[-1][-1]=1/0``. The exit
 status is 1 when any run differs.
 """
@@ -52,7 +63,18 @@ from math import lcm
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODES = {"plain": [], "pretty": ["--pretty"], "decimals": ["--decimals"], "argparse": ["--dec", "--output=-"]}
+OUTPUT = "FILE"
+"""Stands in an argv for the path of the output file."""
+MODES = {
+    "plain": [],
+    "pretty": ["--pretty"],
+    "decimals": ["--decimals"],
+    "argparse": ["--dec", "--output=-"],
+    "file": ["-o", OUTPUT],
+}
+FILL = b"x" * (1 << 18)
+"""What the output file holds before each ``-o FILE`` run. The longest output
+of the corpora at seeds 1-3, written plain, is about 150 KB."""
 GEN_RANDOM = [{"n": 1, "m": 1}, {"n": 3, "m": 4, "count": 2}, {"n": 85, "m": 2}, {"n": 86, "m": 2}]
 """``gen-random`` payloads; 85 atoms fill the atom pool, and 86 are refused."""
 
@@ -127,23 +149,43 @@ def variants(payload: dict):
     yield "common denominator", common
 
 
-def _result(main, argv) -> str:
-    """A digest of the exit status, stdout and stderr of ``main(argv)``."""
+def texts(payload: dict):
+    r"""``(name, text)`` for each of ``variants(payload)`` as ``json.dumps`` writes it, then the
+    payload with ``"\r\n"`` line endings, then that text with a syntax error after its last
+    ``"\r\n"``."""
+    for name, variant in variants(payload):
+        yield name, json.dumps(variant)
+    crlf = json.dumps(payload, indent=1).replace("\n", "\r\n")
+    yield "crlf", crlf
+    cut = crlf.rindex("\r\n") + 2
+    yield "crlf syntax error", f"{crlf[:cut]}?{crlf[cut:]}"
+
+
+def _result(main, argv, output: Path) -> str:
+    """A digest of the exit status, stdout and stderr of ``main(argv)``, and of ``output``'s
+    bytes when ``argv`` writes to it."""
+    to_file = OUTPUT in argv
+    if to_file:
+        output.write_bytes(FILL)
+        argv = [str(output) if token == OUTPUT else token for token in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = repr(main(argv))
         except Exception as exc:  # an escaping exception is a result to compare
             status = f"raised {type(exc).__name__}: {exc}"
-    text = "\0".join((status, out.getvalue(), err.getvalue()))
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256("\0".join((status, out.getvalue(), err.getvalue())).encode())
+    if to_file:
+        digest.update(b"\0" + output.read_bytes())
+    return digest.hexdigest()
 
 
 def results(src: Path, items, work: Path) -> list[str]:
     """The digest of every run of ``items`` through ``src``'s CLI, in ``MODES`` order per item."""
     main = _fresh_main(src)
+    output = work / "out.json"
     return [
-        _result(main, [command, str(work / f"{k}.json"), *options, *flags])
+        _result(main, [command, str(work / f"{k}.json"), *options, *flags], output)
         for k, (_, (command, *options), _) in enumerate(items)
         for flags in MODES.values()
     ]
@@ -170,11 +212,11 @@ def main(argv=None) -> int:
         for seed in args.seeds
         for k, payload in enumerate(GEN_RANDOM)
     ]
-    items = [([*label, name], command, variant) for label, command, payload in runs for name, variant in variants(payload)]
+    items = [([*label, name], command, text) for label, command, payload in runs for name, text in texts(payload)]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for k, (_, _, payload) in enumerate(items):
-            (work / f"{k}.json").write_text(json.dumps(payload), encoding="utf-8")
+        for k, (_, _, text) in enumerate(items):
+            (work / f"{k}.json").write_bytes(text.encode())
         a, b = (results(src.resolve(), items, work) for src in args.src)
     labels = [[*label, mode] for label, _, _ in items for mode in MODES]
     differ = [label for label, x, y in zip(labels, a, b) if x != y]
