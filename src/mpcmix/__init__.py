@@ -9,16 +9,7 @@ program over the target's weights on a candidate grid chooses the
 contraction, and its witness is the garbling.
 """
 
-from .decomposition import (
-    Mixture,
-    SplitCertificate,
-    SplitResult,
-    UniquenessReport,
-    decompose_full,
-    split_once,
-    verify_uniqueness,
-    zero_column,
-)
+from .decomposition import Mixture, decompose_full
 from .distributions import (
     DiscreteDistribution,
     SmpcTriple,
@@ -49,10 +40,7 @@ __all__ = [
     "PersuasionSolution",
     "PiecewiseLinearFn",
     "SmpcTriple",
-    "SplitCertificate",
-    "SplitResult",
     "TransitionMatrix",
-    "UniquenessReport",
     "apply_transition",
     "check_no_profitable_deviation",
     "decompose_full",
@@ -61,7 +49,4 @@ __all__ = [
     "mpc_violation",
     "parse_rational",
     "solve_linear_persuasion",
-    "split_once",
-    "verify_uniqueness",
-    "zero_column",
 ]

@@ -13,24 +13,21 @@ point, along a direction c with F c = 0 (a null direction) or F c = dv (a
 peeled vertex v / dv), away from c until the first coordinate with c_k > 0
 reaches zero. Every null direction is read from one state of F's columns,
 their greedy basis and each other column's dependency on it, built by one
-elimination. A split takes the first dependency c of F's columns (sum of
-c_k * column_k = 0) and steps from 1 along c and along -c. The two ends zero
-the maximizers j*, j** of |c| within the two sign groups, with the scales
-v(j) = 1 - c / c_j, and they are the unique pair of branches whose convex
-combination
+elimination. The full decomposition walks from v = 1 by boundary steps along
+null directions to a vertex of the polytope, whose support columns are
+linearly independent, so its component has at most rank(F) <= n atoms.
+Carathéodory peeling removes one vertex at a time from the remainder, by one
+boundary step along the vertex, giving a mixture of at most m - rank(F) + 1
+targets with at most n atoms each. The walk's null directions come from that
+state of the remainder's support, built once and updated as columns are
+zeroed; every peeled vertex is then re-checked exactly against F v = 1.
 
-    alpha * v(j*) + (1 - alpha) * v(j**) = 1,  alpha = |c_j*| / (|c_j*| + |c_j**|)
+With m = n + 1 target atoms and rank(F) = n the polytope is a segment. Its
+null direction c (sum of c_k * column_k = 0) is unique up to scale, its two
+ends zero the maximizers j*, j** of |c| within the two sign groups, with the
+scales v(j) = 1 - c / c_j, and the mixture is those two ends,
 
-reproduces the transition. The full decomposition walks from v = 1 by
-boundary steps along null directions to a vertex of the polytope, whose
-support columns are linearly independent, so its component has at most
-rank(F) <= n atoms. Carathéodory peeling removes one vertex at a time from
-the remainder, by one boundary step along the vertex, giving a mixture of at
-most m - rank(F) + 1 targets with at most n atoms each. The walk's null
-directions come from that state of the remainder's support, built once and
-updated as columns are zeroed; every peeled vertex is then re-checked
-exactly against F v = 1. The uniqueness probe reads the rank, the number
-of basic columns, and the split's direction from the same state.
+    alpha * v(j*) + (1 - alpha) * v(j**) = 1,  alpha = |c_j*| / (|c_j*| + |c_j**|).
 """
 
 from __future__ import annotations
@@ -39,17 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, SmpcTriple, TransitionMatrix, apply_transition
-from .errors import (
-    DimensionError,
-    EntryRangeError,
-    InternalError,
-    NoSplitError,
-    NullVectorError,
-    RankError,
-)
+from .errors import InternalError
 from .linalg import (
     _echelon,
     canonical_row,
@@ -60,29 +49,6 @@ from .linalg import (
     parse_rational,
     rationals,
 )
-
-
-@dataclass(frozen=True)
-class SplitCertificate:
-    """Evidence for one split: the null vector, sign groups, and pivots.
-
-    ``group_a`` is the sign group containing ``j_star`` (the column zeroed for
-    the left branch); ``group_b`` is the opposite group, containing
-    ``j_star_star``. Each pivot maximizes |coefficient| within its group.
-    """
-
-    coefficients: tuple[Fraction, ...]
-    group_a: tuple[int, ...]
-    group_b: tuple[int, ...]
-    j_star: int
-    j_star_star: int
-    alpha: Fraction
-
-
-class SplitResult(NamedTuple):
-    left: SmpcTriple
-    right: SmpcTriple
-    certificate: SplitCertificate
 
 
 @dataclass(frozen=True)
@@ -152,57 +118,6 @@ class Mixture:
         return cls(tuple(components))
 
 
-def zero_column(
-    transition: TransitionMatrix, coefficients, j: int
-) -> TransitionMatrix:
-    """Empty column ``j`` by redistributing it across the other columns.
-
-    ``coefficients`` must be a null vector of the transition's columns, each
-    a ``Fraction`` or an ``int`` (else ``ValueError("not a rational: ...")``),
-    with a nonzero entry at ``j``. Column k is scaled by (1 - c_k / c_j):
-    same-sign columns shrink, opposite-sign columns grow, zero-coefficient
-    columns stay.
-    Row sums survive exactly, because sum_k (1 - c_k/c_j) f_ik equals
-    sum_k f_ik - (1/c_j) sum_k c_k f_ik = 1 for a null vector c. If any scaled
-    entry leaves [0, 1], ``j`` was not a maximizer of |c| within its sign
-    group and an ``EntryRangeError`` is raised. A ``j`` that is not a column
-    index, 0 to m - 1, is a ``DimensionError``.
-    """
-    m = transition.cols
-    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < m:
-        raise DimensionError(f"column {j!r} is not an index of the {m} columns")
-    c = rationals(tuple(coefficients))
-    if len(c) != m:
-        raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
-    # c over one positive denominator; only its integer numerators matter.
-    _, d = integer_row(c)
-    rows = transition._integer_rows
-    for i, (_, ints) in enumerate(rows):
-        if sum(map(mul, d, ints)):
-            raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
-    if d[j] == 0:
-        raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
-    # The scales 1 - c_k / c_j as integers t_k over |d_j|: the boundary step
-    # from 1 along sign(d_j) d with column j taken as its a, which keeps
-    # every scale nonnegative only when j ties the step's least ratio.
-    sign = 1 if d[j] > 0 else -1
-    t = [sign * (d[j] - x) for x in d]
-    den = sign * d[j]
-    grid = []
-    for i, (scale, ints) in enumerate(rows):
-        bound = scale * den
-        new_row = [x * s for x, s in zip(ints, t)]
-        for k, v in enumerate(new_row):
-            if v < 0 or v > bound:
-                raise EntryRangeError(
-                    f"zeroing column {j} drives entry ({i},{k}) to {Fraction(v, bound)}, outside [0, 1]",
-                    row=i,
-                    column=k,
-                )
-        grid.append(canonical_row(bound, new_row))
-    return TransitionMatrix._trusted(tuple(grid))
-
-
 def _components(triple: SmpcTriple, scaled) -> list[tuple[Fraction, SmpcTriple]]:
     """The weighted components F diag(v / dv) of ``triple``, checked to recompose it.
 
@@ -267,55 +182,6 @@ def _boundary_step(point: list[int], den: int, c, mass: int) -> tuple[list[int],
         moved[k] -= pa * ck
     den, moved = canonical_row(den * ca - pa * mass, moved)
     return moved, den, a
-
-
-def split_once(triple: SmpcTriple) -> SplitResult:
-    """Split a triple into two with strictly fewer target atoms.
-
-    Raises ``NoSplitError`` when the transition's columns are linearly
-    independent (then the target already has at most as many atoms as the
-    source). The null direction is the first dependency of the columns'
-    basis state (:class:`_Basis`), built by one elimination: the integer
-    vector d with gcd 1 and first nonzero entry positive, and the
-    certificate's coefficients are d over that entry. The two branches are
-    the ends of the segment through 1 along d: one boundary step from 1
-    along d and one along -d, each zeroing the first maximizer of |d| within
-    one sign group, j, with the scales 1 - d / d_j. The recomposition
-    identity alpha * left + (1 - alpha) * right == transition is verified
-    exactly on those scales before returning.
-    """
-    return _split(triple, _transition_basis(triple))
-
-
-def _split(triple: SmpcTriple, basis: _Basis) -> SplitResult:
-    """:func:`split_once` on ``basis``, the state of all of the triple's transition columns."""
-    if not basis.deps:
-        raise NoSplitError("transition columns are linearly independent; no split exists")
-    # q·c = p·F·c = 0 with every target weight q_j > 0, so d mixes signs.
-    up = basis.dependency(next(iter(basis.deps)))
-    d = dict(up)
-    m = triple.transition.cols
-    ends = []
-    for direction in (up, [(k, -x) for k, x in up]):
-        point, den, j = _boundary_step([1] * m, 1, direction, 0)
-        ends.append((abs(d[j]), j, point, den, direction))
-    # The branch zeroed first comes from the group holding the larger
-    # magnitude; on a cross-group tie the lower column index leads.
-    ends.sort(key=lambda end: (-end[0], end[1]))
-    (size_a, j_star, left_v, left_den, lead), (size_b, j_second, right_v, right_den, _) = ends
-    alpha = Fraction(size_a, size_a + size_b)
-    (_, left), (_, right) = _components(triple, [(alpha, left_v, left_den), (1 - alpha, right_v, right_den)])
-    if left.target.cols >= m or right.target.cols >= m:
-        raise InternalError("split did not reduce the atom count")
-    certificate = SplitCertificate(
-        coefficients=tuple(Fraction(d.get(k, 0), up[0][1]) for k in range(m)),
-        group_a=tuple(k for k, x in lead if x > 0),
-        group_b=tuple(k for k, x in lead if x < 0),
-        j_star=j_star,
-        j_star_star=j_second,
-        alpha=alpha,
-    )
-    return SplitResult(left, right, certificate)
 
 
 class _Basis:
@@ -447,9 +313,9 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
     elimination over all m columns. Each walk takes its steps on a copy, and
     r's own state drops the columns that each peel zeroes. The walk takes
     the steps that re-eliminating the support at every step would take, so
-    the mixture is the same. The builder that ``split_once`` also uses makes
-    the components from the peeled vertices, after re-checking F v = dv for
-    each vertex and the recomposition identity sum_k w_k v_k == 1, hence
+    the mixture is the same. One builder makes the components from the
+    peeled vertices, after re-checking F v = dv for each vertex and the
+    recomposition identity sum_k w_k v_k == 1, hence
     sum_k w_k F diag(v_k) == F entry for entry, exactly. Components are
     ordered by descending weight and then by their atoms, so equal inputs
     always produce the identical mixture.
@@ -487,45 +353,3 @@ def decompose_full(triple: SmpcTriple) -> Mixture:
         if component.target.cols > n:
             raise InternalError("peeled component has more atoms than the source")
     return Mixture(tuple(components))
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Outcome of probing every column of an (n+1)-atom triple for zeroability."""
-
-    pair: tuple[int, int]
-    zeroable: tuple[int, ...]
-    certificate: SplitCertificate
-
-
-def verify_uniqueness(triple: SmpcTriple) -> UniquenessReport:
-    """Probe all columns; exactly the two group maximizers admit zeroing.
-
-    Requires one more target atom than source atoms and full row rank, so the
-    null direction is unique up to scale. One elimination builds the basis
-    state of the columns (:class:`_Basis`): the rank is the number of basic
-    columns, and the split reads its null direction from the same state.
-    Columns tied with a group maximizer are emptied alongside it and
-    therefore also pass the probe; they show up in ``zeroable`` beyond the
-    canonical pair.
-    """
-    n, m = triple.source.cols, triple.target.cols
-    if m != n + 1:
-        raise DimensionError(f"need n+1 target atoms, got n={n}, m={m}")
-    basis = _transition_basis(triple)
-    if len(basis.columns) != n:
-        raise RankError("transition rank below source size: multiple null directions")
-    result = _split(triple, basis)
-    c = result.certificate.coefficients
-    zeroable = []
-    for j in range(m):
-        try:
-            zero_column(triple.transition, c, j)
-        except (EntryRangeError, NullVectorError):
-            continue
-        zeroable.append(j)
-    pair = (
-        min(result.certificate.j_star, result.certificate.j_star_star),
-        max(result.certificate.j_star, result.certificate.j_star_star),
-    )
-    return UniquenessReport(pair=pair, zeroable=tuple(zeroable), certificate=result.certificate)

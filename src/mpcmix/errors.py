@@ -50,18 +50,6 @@ class BarycenterIdentityError(MpcError):
         self.column = column
 
 
-class NullVectorError(MpcError):
-    code = "not-a-null-vector"
-
-
-class NoSplitError(MpcError):
-    code = "no-split"
-
-
-class RankError(MpcError):
-    code = "rank-deficient"
-
-
 class DomainError(MpcError):
     code = "domain"
 

@@ -4,15 +4,54 @@
 ``mpcmix.decomposition`` walks and peels on integer vectors over one
 denominator and builds every component from its column scales. These are the
 earlier ``Fraction`` versions, kept unchanged, so tests can require the same
-null vectors, ranks, splits and mixtures from both.
+null vectors, ranks and mixtures from both.
+
+The split of an (n + 1)-atom, rank-n triple lives here alone: the paper's
+lemma that its two branches, zeroing the maximizers of |c| within the two
+sign groups of the null direction c, are the only columns that zeroing can
+empty (with any columns tied with them). ``mpcmix.decompose_full`` of such a
+triple is exactly those two branches.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from mpcmix.decomposition import Mixture, SplitCertificate, SplitResult
+from mpcmix.decomposition import Mixture
 from mpcmix.distributions import SmpcTriple, TransitionMatrix, apply_transition
-from mpcmix.errors import EntryRangeError, InternalError, NoSplitError, NullVectorError
+from mpcmix.errors import EntryRangeError, InternalError, MpcError
 from mpcmix.linalg import Matrix, integer_row
+
+
+class NullVectorError(MpcError):
+    code = "not-a-null-vector"
+
+
+class NoSplitError(MpcError):
+    code = "no-split"
+
+
+@dataclass(frozen=True)
+class SplitCertificate:
+    """Evidence for one split: the null vector, sign groups, and pivots.
+
+    ``group_a`` is the sign group containing ``j_star`` (the column zeroed for
+    the left branch); ``group_b`` is the opposite group, containing
+    ``j_star_star``. Each pivot maximizes |coefficient| within its group.
+    """
+
+    coefficients: tuple[Fraction, ...]
+    group_a: tuple[int, ...]
+    group_b: tuple[int, ...]
+    j_star: int
+    j_star_star: int
+    alpha: Fraction
+
+
+class SplitResult(NamedTuple):
+    left: SmpcTriple
+    right: SmpcTriple
+    certificate: SplitCertificate
 
 
 def _row_echelon(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -114,6 +153,37 @@ def _apply_zeroing(
             new_row.append(v)
         grid.append(tuple(new_row))
     return TransitionMatrix._trusted(tuple(map(integer_row, grid)))
+
+
+def zero_column(transition: TransitionMatrix, c, j: int) -> TransitionMatrix:
+    """Empty column ``j`` by redistributing it across the other columns.
+
+    ``c`` must be a null vector of the transition's columns with a nonzero
+    entry at ``j``, or ``NullVectorError`` is raised. Column k is scaled by
+    (1 - c_k / c_j): same-sign columns shrink, opposite-sign columns grow,
+    zero-coefficient columns stay. If any scaled entry leaves [0, 1], ``j``
+    was not a maximizer of |c| within its sign group and ``EntryRangeError``
+    names the first such entry, row by row.
+    """
+    c = tuple(map(Fraction, c))
+    for i, row in enumerate(transition.entries):
+        if sum(ck * x for ck, x in zip(c, row)):
+            raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
+    if not c[j]:
+        raise NullVectorError(f"coefficient at column {j} is zero; it cannot be zeroed")
+    return _apply_zeroing(transition, c, j)
+
+
+def zeroable_columns(transition: TransitionMatrix, c) -> tuple[int, ...]:
+    """The columns that zeroing along the null vector ``c`` can empty: the uniqueness probe."""
+    zeroable = []
+    for j in range(transition.cols):
+        try:
+            zero_column(transition, c, j)
+        except (EntryRangeError, NullVectorError):
+            continue
+        zeroable.append(j)
+    return tuple(zeroable)
 
 
 def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:

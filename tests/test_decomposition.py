@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_fraction_reference as reference
+from linalg_fraction_reference import NullVectorError, zero_column, zeroable_columns
 from mpcmix import (
     DiscreteDistribution,
     Matrix,
@@ -17,20 +17,9 @@ from mpcmix import (
     TransitionMatrix,
     apply_transition,
     decompose_full,
-    split_once,
-    verify_uniqueness,
-    zero_column,
 )
 from mpcmix import decomposition, linalg
-from mpcmix.errors import (
-    DimensionError,
-    EntryRangeError,
-    InternalError,
-    MpcError,
-    NoSplitError,
-    NullVectorError,
-    RankError,
-)
+from mpcmix.errors import EntryRangeError, InternalError
 from mpcmix.linalg import column_sums, integer_row
 
 from cases import (
@@ -58,6 +47,8 @@ from random_instances import random_smpc, random_split_instance
 
 
 class TestZeroColumn:
+    """Zeroing one column along the null direction, on the ``Fraction`` reference."""
+
     def test_zeroing_the_negative_maximizer(self):
         assert zero_column(GARBLING, NULL_COEFFS, 2) == LEFT_EMBEDDED
 
@@ -85,35 +76,13 @@ class TestZeroColumn:
         assert (err.value.row, err.value.column) == (1, 2)
         assert str(err.value) == "zeroing column 0 drives entry (1,2) to 5/3, outside [0, 1]"
 
-    @pytest.mark.parametrize("j", [-1, 4, True])
-    def test_a_column_outside_the_matrix_is_a_dimension_error(self, j, monkeypatch):
-        # With integer_row gone, only a check made before any work can raise.
-        monkeypatch.setattr(decomposition, "integer_row", None)
-        with pytest.raises(DimensionError, match=f"^column {j!r} is not an index of the 4 columns$"):
-            zero_column(GARBLING, NULL_COEFFS, j)
-
     def test_requires_a_null_vector(self):
         with pytest.raises(NullVectorError):
             zero_column(GARBLING, (1, 1, 1, 1), 0)
 
-    @pytest.mark.parametrize(
-        "coefficients",
-        [(1.0, -2.0, -4.0, 3.0), ("1", "-2", "-4", "3"), (True, -2, -4, 3)],
-        ids=["floats", "text", "bool"],
-    )
-    def test_coefficients_must_be_exact_values(self, coefficients):
-        # Each would give the left branch if it were taken as its value.
-        with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(coefficients[0]))}$"):
-            zero_column(GARBLING, coefficients, 2)
-
-    @pytest.mark.parametrize("coefficients", [NULL_COEFFS[:3], NULL_COEFFS + (0,)], ids=["short", "long"])
-    def test_coefficients_of_the_wrong_length(self, coefficients):
-        with pytest.raises(DimensionError, match=f"^coefficient vector has length {len(coefficients)}, expected 4$"):
-            zero_column(GARBLING, coefficients, 0)
-
     def test_requires_nonzero_coefficient(self):
         two_equal = tm([["1/3", "1/3", "1/3"], ["1/4", "1/4", "1/2"]])
-        with pytest.raises(NullVectorError):
+        with pytest.raises(NullVectorError, match="^coefficient at column 2 is zero; it cannot be zeroed$"):
             zero_column(two_equal, (1, -1, 0), 2)
 
     def test_column_ratios_preserved(self):
@@ -150,10 +119,10 @@ class TestZeroColumn:
 
 
 class TestBoundaryStep:
-    """The one step that the split, the walk and the peel take on {s >= 0 : F s = 1}."""
+    """The one step that the walk and the peel take on {s >= 0 : F s = 1}."""
 
     def test_the_ends_from_one_along_the_null_direction_are_the_split_branches(self):
-        result = split_once(worked_triple())
+        result = reference.split_once(worked_triple())
         _, d = integer_row(NULL_COEFFS)
         ends = {}
         for direction in ([(k, x) for k, x in enumerate(d)], [(k, -x) for k, x in enumerate(d)]):
@@ -201,8 +170,10 @@ class TestBoundaryStep:
 
 
 class TestSplitOnce:
+    """The m = n + 1 lemma's split, on the ``Fraction`` reference."""
+
     def test_worked_example(self):
-        result = split_once(worked_triple())
+        result = reference.split_once(worked_triple())
         assert result.certificate.alpha == ALPHA
         assert result.left.target == LEFT_TARGET
         assert result.left.transition == LEFT_REDUCED
@@ -216,7 +187,7 @@ class TestSplitOnce:
 
     def test_embedded_recomposition(self):
         triple = worked_triple()
-        result = split_once(triple)
+        result = reference.split_once(triple)
         left = embedded(result.left, triple.target.atoms)
         right = embedded(result.right, triple.target.atoms)
         for i in range(3):
@@ -229,18 +200,13 @@ class TestSplitOnce:
         alpha = result.certificate.alpha
         assert Mixture(((alpha, result.left), (1 - alpha, result.right))).recompose() == triple
 
-    def test_independent_columns_refuse_to_split(self):
-        triple = SmpcTriple(PRIOR, identity(3), PRIOR)
-        with pytest.raises(NoSplitError):
-            split_once(triple)
-
     def test_tied_coefficients_zero_together(self):
         # c = (1, -1, 1): zeroing column 0 also empties its tied partner 2,
         # so one branch is full pooling and the other full disclosure.
         source = dist(["0", "1"], ["1/2", "1/2"])
         garbling = tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
         triple = apply_transition(source, garbling)
-        result = split_once(triple)
+        result = reference.split_once(triple)
         assert result.certificate.alpha == Fraction(1, 2)
         assert result.left.target == point_mass(Fraction(1, 2))
         assert result.right.target == source
@@ -253,7 +219,7 @@ class TestSplitOnce:
             triple = random_smpc(rng, rng.randint(2, 5), rng.randint(6, 9))
             if len(triple.target.atoms) <= len(triple.source.atoms):
                 continue
-            result = split_once(triple)
+            result = reference.split_once(triple)
             assert 0 < result.certificate.alpha < 1
 
 
@@ -289,11 +255,12 @@ class TestDecomposeFull:
 
     def test_segment_matches_split_once(self):
         # With m = n + 1 and rank n the column-scale polytope is a segment
-        # whose two ends are split_once's branches.
+        # whose two ends are the reference split's branches, with weights
+        # alpha and 1 - alpha.
         rng = Random(13)
         for k in range(40):
             triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
-            result = split_once(triple)
+            result = reference.split_once(triple)
             components = decompose_full(triple).components
             assert len(components) == 2
             assert set(components) == {(result.certificate.alpha, result.left), (1 - result.certificate.alpha, result.right)}
@@ -335,19 +302,34 @@ def test_decompositions_of_generated_garblings_are_exact(triple):
     _assert_exact_mixture(triple, decompose_full(triple))
 
 
-def _split_or_error(split, triple):
-    try:
-        return split(triple)
-    except MpcError as exc:
-        return type(exc), str(exc)
-
-
 def _assert_same_split(triple):
-    """The split built from column scales equals the ``Fraction`` reference's, repr and all."""
-    got = _split_or_error(split_once, triple)
-    expected = _split_or_error(reference.split_once, triple)
-    assert got == expected
-    assert repr(got) == repr(expected)
+    """The peel's two boundary steps from 1, along the basis state's first
+    dependency d and along -d, are the ``Fraction`` reference's split.
+
+    The end that zeroes column j, built by the peel's component builder with
+    weight |d_j| over the two ends' sum, is the reference's branch that zeroes
+    j, with its weight; the certificate's null vector is d over its first
+    entry. A triple with no dependency is one that the reference refuses.
+    """
+    basis = decomposition._transition_basis(triple)
+    if not basis.deps:
+        with pytest.raises(reference.NoSplitError):
+            reference.split_once(triple)
+        return
+    result = reference.split_once(triple)
+    certificate = result.certificate
+    up = basis.dependency(next(iter(basis.deps)))
+    d = dict(up)
+    m = triple.transition.cols
+    assert certificate.coefficients == tuple(Fraction(d.get(k, 0), up[0][1]) for k in range(m))
+    ends = [decomposition._boundary_step([1] * m, 1, direction, 0) for direction in (up, [(k, -x) for k, x in up])]
+    size = sum(abs(d[j]) for _, _, j in ends)
+    scaled = [(Fraction(abs(d[j]), size), point, den) for point, den, j in ends]
+    components = decomposition._components(triple, scaled)
+    assert {j: component for (_, _, j), component in zip(ends, components)} == {
+        certificate.j_star: (certificate.alpha, result.left),
+        certificate.j_star_star: (1 - certificate.alpha, result.right),
+    }
 
 
 class TestMatchesTheFractionSplit:
@@ -374,9 +356,8 @@ class TestComponentChecks:
             return d, [total[0] + 1, *total[1:]]
 
         monkeypatch.setattr(decomposition, "column_sums", one_off)
-        for build in (split_once, decompose_full):
-            with pytest.raises(InternalError, match="^peel recomposition identity failed$"):
-                build(worked_triple())
+        with pytest.raises(InternalError, match="^peel recomposition identity failed$"):
+            decompose_full(worked_triple())
 
     def test_a_negative_scale_is_an_internal_error(self):
         with pytest.raises(InternalError, match="^peeled vertex has a negative scale at column 1$"):
@@ -448,58 +429,47 @@ class TestEmbedTransition:
     """A split branch's transition, placed on the parent's atoms, is the zeroed transition."""
 
     def test_zeroed_columns_reappear(self):
-        result = split_once(worked_triple())
+        result = reference.split_once(worked_triple())
         assert Matrix(embedded(result.left, TARGET.atoms)) == Matrix(LEFT_EMBEDDED.entries)
         assert Matrix(embedded(result.right, TARGET.atoms)) == Matrix(RIGHT_EMBEDDED.entries)
 
 
-def rank_deficient_triple():
-    """Four columns in a two-dimensional space although the source has three
-    atoms, so the null direction is not unique."""
-    source = dist(["0", "1/2", "1"], ["1/3", "1/3", "1/3"])
-    garbling = tm(
-        [
-            ["9/16", "3/8", "1/16", "0"],
-            ["3/8", "3/8", "1/8", "1/8"],
-            ["0", "3/8", "1/4", "3/8"],
-        ]
-    )
-    return apply_transition(source, garbling)
+def _probe(triple):
+    """The uniqueness probe on the reference: the split's zeroed pair, in
+    column order, the columns that zeroing along its null direction can
+    empty, and the split's certificate."""
+    certificate = reference.split_once(triple).certificate
+    pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
+    return pair, zeroable_columns(triple.transition, certificate.coefficients), certificate
 
 
 class TestVerifyUniqueness:
+    """For m = n + 1 and rank n, exactly the two group maximizers of the null
+    direction, and the columns tied with them, admit zeroing."""
+
     def test_worked_example_pair(self):
-        report = verify_uniqueness(worked_triple())
-        assert report.pair == (2, 3)
-        assert report.zeroable == (2, 3)
+        pair, zeroable, _ = _probe(worked_triple())
+        assert pair == (2, 3)
+        assert zeroable == (2, 3)
 
     def test_small_generic_instance(self):
         source = dist(["0", "1"], ["1/2", "1/2"])
         garbling = tm([["3/5", "1/5", "1/5"], ["1/10", "3/10", "3/5"]])
         triple = apply_transition(source, garbling)
         assert triple.target.atoms == (Fraction(1, 7), Fraction(3, 5), Fraction(3, 4))
-        report = verify_uniqueness(triple)
-        assert report.pair == (1, 2)
-        assert report.zeroable == (1, 2)
-        assert report.certificate.alpha == Fraction(17, 25)
+        pair, zeroable, certificate = _probe(triple)
+        assert pair == (1, 2)
+        assert zeroable == (1, 2)
+        assert certificate.alpha == Fraction(17, 25)
+        assert [w for w, _ in decompose_full(triple).components] == [Fraction(17, 25), Fraction(8, 25)]
 
     def test_tied_columns_are_reported_as_zeroable(self):
         source = dist(["0", "1"], ["1/2", "1/2"])
         garbling = tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
         triple = apply_transition(source, garbling)
-        report = verify_uniqueness(triple)
-        assert report.pair == (0, 1)
-        assert report.zeroable == (0, 1, 2)
-
-    def test_shape_precondition(self):
-        with pytest.raises(DimensionError):
-            verify_uniqueness(SmpcTriple(PRIOR, identity(3), PRIOR))
-
-    def test_rank_deficiency_is_reported(self):
-        triple = rank_deficient_triple()
-        assert len(triple.target.atoms) == 4
-        with pytest.raises(RankError, match="^transition rank below source size: multiple null directions$"):
-            verify_uniqueness(triple)
+        pair, zeroable, _ = _probe(triple)
+        assert pair == (0, 1)
+        assert zeroable == (0, 1, 2)
 
     def test_split_instances_need_two_source_atoms(self):
         for n in (0, 1):
@@ -511,32 +481,33 @@ class TestVerifyUniqueness:
         rng = Random(41)
         for _ in range(40):
             triple = random_split_instance(rng, 3)
-            report = verify_uniqueness(triple)
-            assert len(report.zeroable) == 2
-            assert tuple(sorted(report.pair)) == report.zeroable
+            pair, zeroable, _ = _probe(triple)
+            assert len(zeroable) == 2
+            assert pair == zeroable
 
-    def test_matches_the_report_from_the_fraction_rank_and_split(self):
+    def test_zeroable_columns_are_the_group_maximizers_and_their_ties(self):
+        # Zeroing j scales column k by 1 - c_k / c_j, which is negative
+        # exactly when |c_k| > |c_j| in j's sign group. The columns that
+        # decompose_full's two components lack are those zeroed.
         rng = Random(43)
         for k in range(80):
             triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
             n = len(triple.source.atoms)
             assert reference.rank(triple.transition) == n
-            certificate = reference.split_once(triple).certificate
-            zeroable = []
-            for j in range(n + 1):
-                try:
-                    zero_column(triple.transition, certificate.coefficients, j)
-                except (EntryRangeError, NullVectorError):
-                    continue
-                zeroable.append(j)
-            pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
-            expected = decomposition.UniquenessReport(pair=pair, zeroable=tuple(zeroable), certificate=certificate)
-            report = verify_uniqueness(triple)
-            assert report == expected
-            assert repr(report) == repr(expected)
+            pair, zeroable, certificate = _probe(triple)
+            c = certificate.coefficients
+            maximizers = [j for j in range(n + 1) if c[j] and all(abs(x) <= abs(c[j]) for x in c if x * c[j] > 0)]
+            assert zeroable == tuple(maximizers)
+            assert set(pair) <= set(zeroable)
+            atoms = triple.target.atoms
+            components = decompose_full(triple).components
+            lacking = {j for _, component in components for j, atom in enumerate(atoms) if atom not in component.target.atoms}
+            assert lacking == set(zeroable)
 
 
-def test_the_split_and_the_probe_each_eliminate_once(monkeypatch):
+def test_a_decomposition_eliminates_once(monkeypatch):
+    # The peel's state is built by one elimination over all m columns, and
+    # every walk and peel updates it instead of eliminating again.
     runs = []
     echelon = linalg._echelon
 
@@ -546,11 +517,13 @@ def test_the_split_and_the_probe_each_eliminate_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counted)
     monkeypatch.setattr(decomposition, "_echelon", counted)
-    split_once(worked_triple())
-    verify_uniqueness(worked_triple())
-    with pytest.raises(RankError):
-        verify_uniqueness(rank_deficient_triple())
-    assert runs == [4, 4, 4]
+    decompose_full(worked_triple())
+    assert runs == [4]
+    triple = random_smpc(Random(6), 6, 20)
+    assert triple.transition.cols == 20
+    runs.clear()
+    assert len(decompose_full(triple).components) > 2
+    assert runs == [20]
 
 
 class TestMixtureJson:

@@ -101,6 +101,32 @@ def test_the_top_level_api_names_no_lp_type():
     assert not {"LPOutcome", "StandardFormLP", "solve_lp"} & set(dir(mpcmix))
 
 
+def test_the_public_surface_resolves():
+    # A stale __all__ entry would otherwise fail only on a star import.
+    assert len(set(mpcmix.__all__)) == len(mpcmix.__all__)
+    assert [name for name in mpcmix.__all__ if not hasattr(mpcmix, name)] == []
+    namespace = {}
+    exec("from mpcmix import *", namespace)
+    assert set(mpcmix.__all__) <= set(namespace)
+
+
+def test_every_error_code_has_a_raiser():
+    # Each MpcError subclass is named in a raise in some other module, so no
+    # error code outlives the code that reports it.
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"MpcError"}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert defined
+    assert sorted(defined - raised) == []
+
+
 def test_only_linalg_reads_a_rational():
     assert {caller.split(".")[0] for caller in callers("_ratio")} == {"linalg"}
     # Nor does another module import the reader, to pass it to map or the like.
