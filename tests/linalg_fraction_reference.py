@@ -9,8 +9,8 @@ null vectors, ranks and mixtures from both.
 The split of an (n + 1)-atom, rank-n triple lives here alone: the paper's
 lemma that its two branches, zeroing the maximizers of |c| within the two
 sign groups of the null direction c, are the only columns that zeroing can
-empty (with any columns tied with them). ``mpcmix.decompose_full`` of such a
-triple is exactly those two branches.
+empty (with any columns tied with them), probed by ``verify_uniqueness``.
+``mpcmix.decompose_full`` of such a triple is exactly those two branches.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from mpcmix.decomposition import Mixture
 from mpcmix.distributions import SmpcTriple, TransitionMatrix, apply_transition
-from mpcmix.errors import EntryRangeError, InternalError, MpcError
-from mpcmix.linalg import Matrix, integer_row
+from mpcmix.errors import DimensionError, EntryRangeError, InternalError, MpcError
+from mpcmix.linalg import Matrix, integer_row, rationals
 
 
 class NullVectorError(MpcError):
@@ -29,6 +29,10 @@ class NullVectorError(MpcError):
 
 class NoSplitError(MpcError):
     code = "no-split"
+
+
+class RankError(MpcError):
+    code = "rank-deficient"
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,22 @@ def _apply_zeroing(
 def zero_column(transition: TransitionMatrix, c, j: int) -> TransitionMatrix:
     """Empty column ``j`` by redistributing it across the other columns.
 
-    ``c`` must be a null vector of the transition's columns with a nonzero
-    entry at ``j``, or ``NullVectorError`` is raised. Column k is scaled by
-    (1 - c_k / c_j): same-sign columns shrink, opposite-sign columns grow,
-    zero-coefficient columns stay. If any scaled entry leaves [0, 1], ``j``
-    was not a maximizer of |c| within its sign group and ``EntryRangeError``
-    names the first such entry, row by row.
+    ``c`` must be a null vector of the transition's columns, each a
+    ``Fraction`` or an ``int`` (else ``ValueError("not a rational: ...")``),
+    with a nonzero entry at ``j``, or ``NullVectorError`` is raised. Column k
+    is scaled by (1 - c_k / c_j): same-sign columns shrink, opposite-sign
+    columns grow, zero-coefficient columns stay. If any scaled entry leaves
+    [0, 1], ``j`` was not a maximizer of |c| within its sign group and
+    ``EntryRangeError`` names the first such entry, row by row. A ``j`` that
+    is not a column index, 0 to m - 1, or a ``c`` of another length than m is
+    a ``DimensionError``.
     """
-    c = tuple(map(Fraction, c))
+    m = transition.cols
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < m:
+        raise DimensionError(f"column {j!r} is not an index of the {m} columns")
+    c = tuple(map(Fraction, rationals(tuple(c))))
+    if len(c) != m:
+        raise DimensionError(f"coefficient vector has length {len(c)}, expected {m}")
     for i, row in enumerate(transition.entries):
         if sum(ck * x for ck, x in zip(c, row)):
             raise NullVectorError(f"coefficients are not a null vector (row {i} fails)")
@@ -184,6 +196,33 @@ def zeroable_columns(transition: TransitionMatrix, c) -> tuple[int, ...]:
             continue
         zeroable.append(j)
     return tuple(zeroable)
+
+
+class UniquenessReport(NamedTuple):
+    """The split's zeroed pair in column order, every column that zeroing
+    along its null direction can empty, and the split's certificate."""
+
+    pair: tuple[int, int]
+    zeroable: tuple[int, ...]
+    certificate: SplitCertificate
+
+
+def verify_uniqueness(triple: SmpcTriple) -> UniquenessReport:
+    """The uniqueness probe: exactly the two group maximizers admit zeroing.
+
+    Requires one more target atom than source atoms (else ``DimensionError``)
+    and full row rank (else ``RankError``), so the null direction is unique
+    up to scale. Columns tied with a group maximizer are emptied alongside it
+    and so also pass the probe; they show up in ``zeroable`` beyond the pair.
+    """
+    n, m = triple.source.cols, triple.target.cols
+    if m != n + 1:
+        raise DimensionError(f"need n+1 target atoms, got n={n}, m={m}")
+    if rank(triple.transition) != n:
+        raise RankError("transition rank below source size: multiple null directions")
+    certificate = split_once(triple).certificate
+    pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
+    return UniquenessReport(pair, zeroable_columns(triple.transition, certificate.coefficients), certificate)
 
 
 def _group_max(c: tuple[Fraction, ...], group: tuple[int, ...]) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_fraction_reference as reference
-from linalg_fraction_reference import NullVectorError, zero_column, zeroable_columns
+from linalg_fraction_reference import (
+    NoSplitError,
+    NullVectorError,
+    RankError,
+    UniquenessReport,
+    verify_uniqueness,
+    zero_column,
+    zeroable_columns,
+)
 from mpcmix import (
     DiscreteDistribution,
     Matrix,
@@ -19,7 +28,7 @@ from mpcmix import (
     decompose_full,
 )
 from mpcmix import decomposition, linalg
-from mpcmix.errors import EntryRangeError, InternalError
+from mpcmix.errors import DimensionError, EntryRangeError, InternalError
 from mpcmix.linalg import column_sums, integer_row
 
 from cases import (
@@ -76,9 +85,31 @@ class TestZeroColumn:
         assert (err.value.row, err.value.column) == (1, 2)
         assert str(err.value) == "zeroing column 0 drives entry (1,2) to 5/3, outside [0, 1]"
 
+    @pytest.mark.parametrize("j", [-1, 4, True])
+    def test_a_column_outside_the_matrix_is_a_dimension_error(self, j, monkeypatch):
+        # With integer_row gone, only a check made before any work can raise.
+        monkeypatch.setattr(reference, "integer_row", None)
+        with pytest.raises(DimensionError, match=f"^column {j!r} is not an index of the 4 columns$"):
+            zero_column(GARBLING, NULL_COEFFS, j)
+
     def test_requires_a_null_vector(self):
         with pytest.raises(NullVectorError):
             zero_column(GARBLING, (1, 1, 1, 1), 0)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(1.0, -2.0, -4.0, 3.0), ("1", "-2", "-4", "3"), (True, -2, -4, 3)],
+        ids=["floats", "text", "bool"],
+    )
+    def test_coefficients_must_be_exact_values(self, coefficients):
+        # Each would give the left branch if it were taken as its value.
+        with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(coefficients[0]))}$"):
+            zero_column(GARBLING, coefficients, 2)
+
+    @pytest.mark.parametrize("coefficients", [NULL_COEFFS[:3], NULL_COEFFS + (0,)], ids=["short", "long"])
+    def test_coefficients_of_the_wrong_length(self, coefficients):
+        with pytest.raises(DimensionError, match=f"^coefficient vector has length {len(coefficients)}, expected 4$"):
+            zero_column(GARBLING, coefficients, 0)
 
     def test_requires_nonzero_coefficient(self):
         two_equal = tm([["1/3", "1/3", "1/3"], ["1/4", "1/4", "1/2"]])
@@ -199,6 +230,11 @@ class TestSplitOnce:
                 )
         alpha = result.certificate.alpha
         assert Mixture(((alpha, result.left), (1 - alpha, result.right))).recompose() == triple
+
+    def test_independent_columns_refuse_to_split(self):
+        triple = SmpcTriple(PRIOR, identity(3), PRIOR)
+        with pytest.raises(NoSplitError):
+            reference.split_once(triple)
 
     def test_tied_coefficients_zero_together(self):
         # c = (1, -1, 1): zeroing column 0 also empties its tied partner 2,
@@ -434,13 +470,18 @@ class TestEmbedTransition:
         assert Matrix(embedded(result.right, TARGET.atoms)) == Matrix(RIGHT_EMBEDDED.entries)
 
 
-def _probe(triple):
-    """The uniqueness probe on the reference: the split's zeroed pair, in
-    column order, the columns that zeroing along its null direction can
-    empty, and the split's certificate."""
-    certificate = reference.split_once(triple).certificate
-    pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
-    return pair, zeroable_columns(triple.transition, certificate.coefficients), certificate
+def rank_deficient_triple():
+    """Four columns in a two-dimensional space although the source has three
+    atoms, so the null direction is not unique."""
+    source = dist(["0", "1/2", "1"], ["1/3", "1/3", "1/3"])
+    garbling = tm(
+        [
+            ["9/16", "3/8", "1/16", "0"],
+            ["3/8", "3/8", "1/8", "1/8"],
+            ["0", "3/8", "1/4", "3/8"],
+        ]
+    )
+    return apply_transition(source, garbling)
 
 
 class TestVerifyUniqueness:
@@ -448,7 +489,7 @@ class TestVerifyUniqueness:
     direction, and the columns tied with them, admit zeroing."""
 
     def test_worked_example_pair(self):
-        pair, zeroable, _ = _probe(worked_triple())
+        pair, zeroable, _ = verify_uniqueness(worked_triple())
         assert pair == (2, 3)
         assert zeroable == (2, 3)
 
@@ -457,7 +498,7 @@ class TestVerifyUniqueness:
         garbling = tm([["3/5", "1/5", "1/5"], ["1/10", "3/10", "3/5"]])
         triple = apply_transition(source, garbling)
         assert triple.target.atoms == (Fraction(1, 7), Fraction(3, 5), Fraction(3, 4))
-        pair, zeroable, certificate = _probe(triple)
+        pair, zeroable, certificate = verify_uniqueness(triple)
         assert pair == (1, 2)
         assert zeroable == (1, 2)
         assert certificate.alpha == Fraction(17, 25)
@@ -467,9 +508,19 @@ class TestVerifyUniqueness:
         source = dist(["0", "1"], ["1/2", "1/2"])
         garbling = tm([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
         triple = apply_transition(source, garbling)
-        pair, zeroable, _ = _probe(triple)
+        pair, zeroable, _ = verify_uniqueness(triple)
         assert pair == (0, 1)
         assert zeroable == (0, 1, 2)
+
+    def test_shape_precondition(self):
+        with pytest.raises(DimensionError):
+            verify_uniqueness(SmpcTriple(PRIOR, identity(3), PRIOR))
+
+    def test_rank_deficiency_is_reported(self):
+        triple = rank_deficient_triple()
+        assert len(triple.target.atoms) == 4
+        with pytest.raises(RankError, match="^transition rank below source size: multiple null directions$"):
+            verify_uniqueness(triple)
 
     def test_split_instances_need_two_source_atoms(self):
         for n in (0, 1):
@@ -481,7 +532,7 @@ class TestVerifyUniqueness:
         rng = Random(41)
         for _ in range(40):
             triple = random_split_instance(rng, 3)
-            pair, zeroable, _ = _probe(triple)
+            pair, zeroable, _ = verify_uniqueness(triple)
             assert len(zeroable) == 2
             assert pair == zeroable
 
@@ -494,7 +545,7 @@ class TestVerifyUniqueness:
             triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
             n = len(triple.source.atoms)
             assert reference.rank(triple.transition) == n
-            pair, zeroable, certificate = _probe(triple)
+            pair, zeroable, certificate = verify_uniqueness(triple)
             c = certificate.coefficients
             maximizers = [j for j in range(n + 1) if c[j] and all(abs(x) <= abs(c[j]) for x in c if x * c[j] > 0)]
             assert zeroable == tuple(maximizers)
@@ -503,6 +554,26 @@ class TestVerifyUniqueness:
             components = decompose_full(triple).components
             lacking = {j for _, component in components for j, atom in enumerate(atoms) if atom not in component.target.atoms}
             assert lacking == set(zeroable)
+
+    def test_matches_the_report_from_the_fraction_rank_and_split(self):
+        rng = Random(43)
+        for k in range(80):
+            triple = random_split_instance(rng, rng.randint(2, 5), generic=k % 2 == 0)
+            n = len(triple.source.atoms)
+            assert reference.rank(triple.transition) == n
+            certificate = reference.split_once(triple).certificate
+            zeroable = []
+            for j in range(n + 1):
+                try:
+                    zero_column(triple.transition, certificate.coefficients, j)
+                except (EntryRangeError, NullVectorError):
+                    continue
+                zeroable.append(j)
+            pair = tuple(sorted((certificate.j_star, certificate.j_star_star)))
+            expected = UniquenessReport(pair=pair, zeroable=tuple(zeroable), certificate=certificate)
+            report = verify_uniqueness(triple)
+            assert report == expected
+            assert repr(report) == repr(expected)
 
 
 def test_a_decomposition_eliminates_once(monkeypatch):
