@@ -23,12 +23,11 @@ denominator, one ``split`` and one ``map(int, ...)`` read the numerators.
 From that length on this costs less than reading each value on its own;
 any other row is read one value at a time, with the same values and errors. Elimination is
 fraction-free on the same rows: one kernel takes the columns in order and
-finds each that depends on the earlier ones. Its one caller is the decomposition's basis state, which takes every
-column's dependency from one pass: the split and the uniqueness probe read
-the first dependency and the count of independent columns, the rank, and
-the peel keeps the dependencies as its support shrinks. Each dependency
-depends on the matrix alone, never on a pivot choice, so every result is
-deterministic.
+finds each that depends on the earlier ones. Its one caller is the peel's
+one basis state, ``decomposition._Basis``, which takes every column's
+dependency from one pass and keeps them as the peel's support shrinks. Each
+dependency depends on the matrix alone, never on a pivot choice, so every
+result is deterministic.
 """
 
 from __future__ import annotations

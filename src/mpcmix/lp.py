@@ -1,17 +1,20 @@
 """Exact linear programming: a dense simplex with Bland's rule, started from a feasible basis.
 
-Problems are stated as: maximize c @ x subject to A x (<=, =) b and x >= 0,
-everything rational: A is a ``Matrix``, and c and b are integer rows
-``(scale, ints)``, as a ``Matrix`` row is. The caller names a feasible
-basis as ``start``, one column per row: each is pivoted into its row in row
-order, on a positive pivot entry, the basis is checked to sit at a
-nonnegative level, and the simplex runs from it. Bland's pivoting (lowest
+Problems are stated in equality form: maximize c @ x subject to A x = b and
+x >= 0, everything rational: A is a ``Matrix``, and c and b are integer rows
+``(scale, ints)``, as a ``Matrix`` row is. An inequality is a row with a
+slack column of its own, which the caller states. The caller names a
+feasible basis as ``start``, one column per row: each is pivoted into its
+row in row order, on a positive pivot entry, the basis is checked to sit at
+a nonnegative level, and the simplex runs from it. Bland's pivoting (lowest
 eligible index in and out) guarantees termination under degeneracy, and
 exact arithmetic makes the reported optimum a certificate rather than an
 approximation. The tableau holds integer rows and pivots without fractions,
 and its reduced costs are one more row that every pivot updates (see
-``_Tableau``). Persuasion states its LP over the target's weights on a
-candidate grid and starts it on the prior's atom columns (see
+``_Tableau``). A bad start and an unbounded column are one ``InternalError``,
+and the optimum comes back as an integer row. Persuasion states its LP over
+the target's weights on a candidate grid, with a slack column for each
+interior atom's row, and starts it on the prior's atom columns (see
 ``persuasion._solve_on_grid``, the one caller, which both
 ``solve_linear_persuasion`` and ``check_no_profitable_deviation`` reach);
 garblings, and witnesses for the contraction order, come from
@@ -22,17 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError, InternalError
-from .linalg import Matrix
-
-SENSES = ("le", "eq")
+from .linalg import Matrix, canonical_row
 
 
 @dataclass(frozen=True)
 class StandardFormLP:
-    """maximize objective @ x  s.t.  A x (senses) rhs,  x >= 0.
+    """maximize objective @ x  s.t.  A x = rhs,  x >= 0.
 
     ``objective`` and ``rhs`` are integer rows ``(scale, ints)``, not
     necessarily in lowest terms: entry j is ``ints[j] / scale``, for an
@@ -42,7 +43,6 @@ class StandardFormLP:
     objective: tuple[int, list[int]]
     constraint_matrix: Matrix
     rhs: tuple[int, list[int]]
-    senses: tuple[str, ...]
 
     def __post_init__(self) -> None:
         m, n = self.constraint_matrix.rows, self.constraint_matrix.cols
@@ -56,19 +56,18 @@ class StandardFormLP:
                 raise ValueError(f"{name} entries must be ints")
         if len(self.objective[1]) != n:
             raise DimensionError("objective length does not match variable count")
-        if len(self.rhs[1]) != m or len(self.senses) != m:
-            raise DimensionError("rhs/senses length does not match row count")
-        for s in self.senses:
-            if s not in SENSES:
-                raise ValueError(f"unknown sense {s!r}")
+        if len(self.rhs[1]) != m:
+            raise DimensionError("rhs length does not match row count")
 
 
 @dataclass(frozen=True)
 class LPOutcome:
-    status: str  # "optimal" | "unbounded"
-    solution: tuple[Fraction, ...] | None = None
-    value: Fraction | None = None
-    pivots: int = 0
+    """An optimum: the solution over every column as an integer row
+    ``(scale, ints)`` in lowest terms, its value and the pivot count."""
+
+    solution: tuple[int, list[int]]
+    value: Fraction
+    pivots: int
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -80,14 +79,13 @@ def _reduced(row: list[int]) -> list[int]:
 class _Tableau:
     """Bland's-rule simplex tableau kept in integer rows.
 
-    The columns are the LP's variables, then one slack per ``le`` row in row
-    order. Row r holds the equation ``rows[r][:-1] @ x == rows[r][-1]``. Its
-    basic column ``basis[r]`` has a positive coefficient there and zero in
-    every other row, so the row is a positive multiple of the rational
-    tableau row with a 1 in that column, and x_B = rhs / coefficient.
-    ``costs`` is one more row, the reduced costs, with no rhs entry: it
-    starts as the objective's integer row, 0 on every slack, and every
-    pivot updates it as it updates the other rows. Pivots are
+    The columns are the LP's variables. Row r holds the equation
+    ``rows[r][:-1] @ x == rows[r][-1]``. Its basic column ``basis[r]`` has
+    a positive coefficient there and zero in every other row, so the row is
+    a positive multiple of the rational tableau row with a 1 in that column,
+    and x_B = rhs / coefficient. ``costs`` is one more row, the reduced
+    costs, with no rhs entry: it starts as the objective's integer row, and
+    every pivot updates it as it updates the other rows. Pivots are
     fraction-free: a row becomes a·row − f·pivot_row, divided by its
     content gcd. Every pivot is on a positive entry, so ``costs`` is
     c − c_B B⁻¹A times a positive scale that is not kept, and only its
@@ -95,28 +93,20 @@ class _Tableau:
     makes, so the pivot sequence, and the outcome, are the same.
 
     No column is basic at first: ``_start`` pivots one column into each row,
-    and every pivot, forced or chosen, is on a positive entry. The value
-    sums over the basic columns only.
+    and every pivot, forced or chosen, is on a positive entry. An entering
+    column with no positive entry is unbounded, an ``InternalError``.
     """
 
     def __init__(self, lp: StandardFormLP):
-        n = len(lp.objective[1])
-        zeros = [0] * lp.senses.count("le")
-        rows: list[list[int]] = []
-        slack = n
         b_scale, b = lp.rhs
-        for (scale, ints), rhs, sense in zip(lp.constraint_matrix._integer_rows, b, lp.senses):
-            # The row of A, its slack and its rhs, times both scales.
-            row = [b_scale * x for x in ints] + zeros + [scale * rhs]
-            if sense == "le":
-                row[slack] = scale * b_scale
-                slack += 1
-            rows.append(_reduced(row))
-        self.rows = rows
-        self.basis: list[int | None] = [None] * len(rows)
-        self.n_original = n
+        # The row of A and its rhs, times both scales.
+        self.rows = [
+            _reduced([b_scale * x for x in ints] + [scale * rhs])
+            for (scale, ints), rhs in zip(lp.constraint_matrix._integer_rows, b)
+        ]
+        self.basis: list[int | None] = [None] * len(self.rows)
         self.objective = lp.objective
-        self.costs = _reduced([*lp.objective[1], *zeros])
+        self.costs = _reduced(lp.objective[1])
         self.pivots = 0
 
     def _pivot(self, r: int, s: int) -> None:
@@ -134,12 +124,12 @@ class _Tableau:
         self.basis[r] = s
         self.pivots += 1
 
-    def _run(self) -> str:
+    def _run(self) -> None:
         """Bland simplex from the current basis, entering on the first positive reduced cost."""
         while True:
             enter = next((j for j, v in enumerate(self.costs) if v > 0), None)
             if enter is None:
-                return "optimal"
+                return
             leave = None
             for r, row in enumerate(self.rows):
                 a = row[enter]
@@ -152,7 +142,7 @@ class _Tableau:
                         continue
                 leave, best_rhs, best_a = r, row[-1], a
             if leave is None:
-                return "unbounded"
+                raise InternalError(f"LP is unbounded along column {enter}")
             self._pivot(leave, enter)
 
     def _start(self, columns) -> None:
@@ -171,28 +161,24 @@ class _Tableau:
 
     def solve(self, start) -> LPOutcome:
         self._start(start)
-        if self._run() == "unbounded":
-            return LPOutcome("unbounded", pivots=self.pivots)
-        scale, objective = self.objective
-        n = self.n_original
-        x = [Fraction(0)] * n
-        num, den = 0, 1  # the value, num / (den * scale)
+        self._run()
+        # Each basic level row[-1] / row[b], over the lcm of the basic coefficients.
+        scale = lcm(*(row[b] for row, b in zip(self.rows, self.basis)))
+        x = [0] * len(self.costs)
         for row, b in zip(self.rows, self.basis):
-            if b < n:
-                x[b] = level = Fraction(row[-1], row[b])
-                p, q = level.numerator, level.denominator
-                num, den = num * q + objective[b] * p * den, den * q
-        return LPOutcome("optimal", tuple(x), Fraction(num, den * scale), self.pivots)
+            x[b] = row[-1] * (scale // row[b])
+        c_scale, objective = self.objective
+        value = Fraction(sum(objective[b] * x[b] for b in self.basis), scale * c_scale)
+        return LPOutcome(canonical_row(scale, x), value, self.pivots)
 
 
 def solve(lp: StandardFormLP, *, start) -> LPOutcome:
-    """Exact optimum, or unbounded status, from the feasible basis ``start``.
+    """Exact optimum from the feasible basis ``start``.
 
-    ``start`` holds the basic column of each row, pivoted in row order; a
-    column past the LP's variables is the slack of the ``le`` rows in order.
-    The solution and value are the only ``Fraction`` values made.
-    A start whose length is not the row count, a pivot entry that is not
-    positive when its turn comes or a negative basic level is an
-    ``InternalError``.
+    ``start`` holds the basic column of each row, pivoted in row order.
+    The value is the only ``Fraction`` made. A start whose length is not
+    the row count, a pivot entry that is not positive when its turn comes,
+    a negative basic level or an entering column with no positive entry is
+    an ``InternalError``.
     """
     return _Tableau(lp).solve(start)

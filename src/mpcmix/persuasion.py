@@ -45,7 +45,6 @@ from .errors import CandidateError, CdfError, DomainError, InternalError
 from .linalg import (
     Matrix,
     canonical_row,
-    integer_row,
     json_list,
     json_object,
     parse_rational,
@@ -187,8 +186,10 @@ def _persuasion_lp(
     Column j is q_j, and ``atom_columns`` holds k_i, the candidate index of
     each prior atom a_i. Row i - 2, for i = 2..n, bounds the target's
     integrated cdf at a_i by the prior's: sum_{c_j < a_i} q_j (a_i - c_j)
-    <= I_P(a_i), with equality at a_n. The mass row comes last. So the LP
-    has n rows, and a one-atom prior's is the mass row alone. Pivoting
+    + s_i = I_P(a_i), where s_i >= 0 is the row's own slack column for
+    i < n, after the weights in row order, with objective 0 and 0 in every
+    other row, and s_n = 0. The mass row comes last. So the LP has n rows,
+    and a one-atom prior's is the mass row alone. Pivoting
     ``atom_columns`` into the rows in order starts at Q = P: row i - 2 is 0
     on every atom column from k_i up, so its pivot on k_{i-1} has entry
     a_i - a_{i-1} > 0, and the mass row's on k_n has entry 1.
@@ -205,12 +206,16 @@ def _persuasion_lp(
     d, cs = grid
     m = len(cs)
     w, weights = source._integer_rows[1]
+    slacks = max(len(weights) - 2, 0)
     rows, bounds = [], []
     mass = moment = 0
     for k, weight in zip(atom_columns, weights):
         ck = cs[k]
         if mass:  # every atom above the first
-            rows.append(canonical_row(d, [ck - cj for cj in cs[:k]] + [0] * (m - k)))
+            row = [ck - cj for cj in cs[:k]] + [0] * (m - k + slacks)
+            if len(rows) < slacks:  # an interior atom's row, and its slack
+                row[m + len(rows)] = d
+            rows.append(canonical_row(d, row))
             bounds.append(ck * mass - moment)
         mass, moment = mass + weight, moment + weight * ck
     # Candidates j in [start, end) lie on the first knot segment with
@@ -233,12 +238,11 @@ def _persuasion_lp(
         f = top // dx
         cut, rise = cut * f * d, rise * f
         objective += [cut + rise * c for c in cs[start:end]]
-    n, scale = len(weights), w * d
+    scale = w * d
     return lp.StandardFormLP(
-        objective=(top * t * d, objective),
-        constraint_matrix=Matrix._trusted((*rows, (1, [1] * m))),
+        objective=(top * t * d, objective + [0] * slacks),
+        constraint_matrix=Matrix._trusted((*rows, (1, [1] * m + [0] * slacks))),
         rhs=(scale, [*bounds, scale]),
-        senses=("le",) * (n - 2) + ("eq",) * min(n, 2),
     )
 
 
@@ -302,15 +306,14 @@ def _solve_on_grid(
 
     problem = _persuasion_lp(source, utility, (d, grid), atom_columns)
     outcome = lp.solve(problem, start=atom_columns)
-    if outcome.status != "optimal":  # the mass row bounds every weight
-        raise InternalError(f"persuasion LP came back {outcome.status}")
-    support = [j for j, q in enumerate(outcome.solution) if q]
+    q, levels = outcome.solution
+    support = [j for j in range(len(grid)) if levels[j]]
     if len(support) > len(atoms):
         raise InternalError(
             f"persuasion LP optimum is not a vertex: {len(support)} atoms on a {len(atoms)}-atom prior"
         )
     target = DiscreteDistribution._checked(
-        (canonical_row(d, [grid[j] for j in support]), integer_row([outcome.solution[j] for j in support]))
+        (canonical_row(d, [grid[j] for j in support]), canonical_row(q, [levels[j] for j in support]))
     )
     if utility.expectation(target) != outcome.value:
         raise InternalError("persuasion LP value differs from the optimum's expected utility")

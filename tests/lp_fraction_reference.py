@@ -1,37 +1,89 @@
 """The exact two-phase simplex over ``Fraction`` rows: a test-only reference.
 
-``mpcmix.lp`` pivots on integer rows, from a feasible basis that its caller
-names. This is the earlier rational tableau, kept so tests can require the
-integer version to return the same ``LPOutcome`` (status, solution, value
-and pivot count) on the same LP and start: the same Bland's-rule pivots,
-done in rational arithmetic. A ``start`` is taken as ``mpcmix.lp.solve``
-takes it: one column per row, each pivoted into its row in row order on an
-entry that is positive in the row as stated, then a check that every level
-is nonnegative, and phase 2 runs from there. Without a start, phase 1 finds
-a feasible basis from the slack and artificial columns, or reports the LP
+``mpcmix.lp`` pivots on integer rows of an equality-form LP, from a
+feasible basis that its caller names. This is the earlier rational tableau,
+kept so tests can require the integer version to reach the same outcome
+(solution, value and pivot count) on the same LP and start: the same
+Bland's-rule pivots, done in rational arithmetic. Its LPs keep the general
+form, ``GeneralLP``, whose rows are ``le`` or ``eq``; ``equality_form``
+states one as an ``mpcmix.lp.StandardFormLP`` with one unit slack column
+per ``le`` row in row order, and ``general_form`` reads such an LP back with
+every row ``eq``. A ``start`` is taken as ``mpcmix.lp.solve`` takes it: one
+column per row, each pivoted into its row in row order on an entry that is
+positive in the row as stated, then a check that every level is
+nonnegative, and phase 2 runs from there. Without a start, phase 1 finds a
+feasible basis from the slack and artificial columns, or reports the LP
 infeasible, so the tests can solve LPs that have no known vertex.
 
-``StandardFormLP`` takes its objective and rhs as integer rows
-``(scale, ints)``. Every test states its LPs in ``Fraction`` tuples through
-``standard_form``, and reads such a row back with ``fractions_of``.
+The LP's objective and rhs are integer rows ``(scale, ints)``. Every test
+states its LPs in ``Fraction`` tuples through ``standard_form``, and reads
+such a row back with ``fractions_of``. ``real_outcome`` and
+``reference_outcome`` put the two solvers' results in the same terms, so
+that one comparison covers an optimum, an unbounded column and a bad start.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpcmix.errors import InternalError
 from mpcmix.linalg import Matrix, integer_row
-from mpcmix.lp import LPOutcome, StandardFormLP
+from mpcmix.lp import StandardFormLP, solve
 
 
-def standard_form(objective, rows, rhs, senses) -> StandardFormLP:
+@dataclass(frozen=True)
+class GeneralLP:
+    """maximize objective @ x  s.t.  A x (senses) rhs,  x >= 0, each sense ``le`` or ``eq``.
+
+    ``objective`` and ``rhs`` are integer rows ``(scale, ints)``.
+    """
+
+    objective: tuple[int, list[int]]
+    constraint_matrix: Matrix
+    rhs: tuple[int, list[int]]
+    senses: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """``"optimal"`` with the solution over the LP's own columns, its value
+    and the pivot count; ``"unbounded"`` at the entering ``column``; or
+    ``"infeasible"``."""
+
+    status: str
+    solution: tuple[Fraction, ...] | None = None
+    value: Fraction | None = None
+    pivots: int = 0
+    column: int | None = None
+
+
+def standard_form(objective, rows, rhs, senses) -> GeneralLP:
     """The LP of ``Fraction`` or ``int`` tuples: ``objective`` and ``rhs`` go in
     as their integer rows, and ``rows`` as a ``Matrix`` unless it is one."""
-    return StandardFormLP(
+    return GeneralLP(
         objective=integer_row(tuple(objective)),
         constraint_matrix=rows if isinstance(rows, Matrix) else Matrix(tuple(tuple(row) for row in rows)),
         rhs=integer_row(tuple(rhs)),
         senses=tuple(senses),
     )
+
+
+def equality_form(problem: GeneralLP) -> StandardFormLP:
+    """``problem`` with one unit slack column per ``le`` row, in row order, after its own columns."""
+    senses = problem.senses
+    slacks = [r for r, sense in enumerate(senses) if sense == "le"]
+    units = [[Fraction(r == s) for s in slacks] for r in range(len(senses))]
+    scale, objective = problem.objective
+    return StandardFormLP(
+        objective=(scale, [*objective, *[0] * len(slacks)]),
+        constraint_matrix=Matrix(tuple((*row, *unit) for row, unit in zip(problem.constraint_matrix.entries, units))),
+        rhs=problem.rhs,
+    )
+
+
+def general_form(problem: StandardFormLP) -> GeneralLP:
+    """The equality-form ``problem`` as a ``GeneralLP``, every row ``eq``."""
+    rows = problem.constraint_matrix.rows
+    return GeneralLP(problem.objective, problem.constraint_matrix, problem.rhs, ("eq",) * rows)
 
 
 def fractions_of(row) -> tuple[Fraction, ...]:
@@ -41,7 +93,7 @@ def fractions_of(row) -> tuple[Fraction, ...]:
 
 
 class _Tableau:
-    def __init__(self, lp: StandardFormLP):
+    def __init__(self, lp: GeneralLP):
         n = len(lp.objective[1])
         m = lp.constraint_matrix.rows
         zero, one = Fraction(0), Fraction(1)
@@ -137,6 +189,7 @@ class _Tableau:
                         best = ratio
                         leave = r
             if leave is None:
+                self.unbounded_column = enter
                 return "unbounded"
             self._pivot(leave, enter, d)
 
@@ -171,7 +224,7 @@ class _Tableau:
         # Every row now has a basic column, so no artificial is basic.
         self._expel_artificials()
 
-    def solve(self, start=None) -> LPOutcome:
+    def solve(self, start=None) -> Outcome:
         if start is not None:
             self._start(start)
         elif self.n_artificial:
@@ -187,19 +240,46 @@ class _Tableau:
                 if self.basis[r] >= self.first_artificial
             )
             if infeasibility != 0:
-                return LPOutcome("infeasible", pivots=self.pivots)
+                return Outcome("infeasible", pivots=self.pivots)
             self._expel_artificials()
         costs = list(self.objective) + [Fraction(0)] * (self.width - self.n_original)
         status = self._run(costs)
         if status == "unbounded":
-            return LPOutcome("unbounded", pivots=self.pivots)
+            return Outcome("unbounded", pivots=self.pivots, column=self.unbounded_column)
         x = [Fraction(0)] * max(self.width, self.n_original)
         for r, b in enumerate(self.basis):
             x[b] = self.rhs[r]
         solution = tuple(x[: self.n_original])
         value = sum(c * v for c, v in zip(self.objective, solution))
-        return LPOutcome("optimal", solution, value, self.pivots)
+        return Outcome("optimal", solution, value, self.pivots)
 
 
-def reference_solve(lp: StandardFormLP, start=None) -> LPOutcome:
-    return _Tableau(lp).solve(start)
+def reference_solve(problem: GeneralLP, start=None) -> Outcome:
+    return _Tableau(problem).solve(start)
+
+
+def reference_outcome(problem: GeneralLP, start) -> Outcome | str:
+    """``reference_solve`` from ``start``: an optimum as it is, an unbounded
+    column as the message of ``mpcmix.lp``'s ``InternalError`` for it, and a
+    bad start as its own ``InternalError``'s message."""
+    try:
+        out = reference_solve(problem, start)
+    except InternalError as err:
+        return str(err)
+    if out.status == "unbounded":
+        return f"LP is unbounded along column {out.column}"
+    return out
+
+
+def real_outcome(problem: GeneralLP, start) -> Outcome | str:
+    """``mpcmix.lp.solve`` on ``equality_form(problem)`` from ``start``, in the
+    reference's terms: an optimum's solution on ``problem``'s own columns,
+    as ``Fraction``s, and an ``InternalError`` as its message. The solver is
+    the one imported here, so a test's patch of ``mpcmix.lp.solve`` does not
+    reach it."""
+    try:
+        out = solve(equality_form(problem), start=start)
+    except InternalError as err:
+        return str(err)
+    n = len(problem.objective[1])
+    return Outcome("optimal", fractions_of(out.solution)[:n], out.value, out.pivots)

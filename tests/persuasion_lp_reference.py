@@ -5,8 +5,10 @@ common denominator. ``persuasion_lp`` builds the same LP entry by entry: every
 ``(a_i - c_j)+`` entry is a ``Fraction`` and ``Matrix`` converts each row to
 integers, the utility is evaluated at each candidate by scanning its knots,
 and the prior's integrated cdf takes one sum per prior atom above the first.
-Tests require the same integer rows of A, the same values of the right-hand
-side and the objective, and the same senses from both.
+It states the interior atoms' rows as ``le`` rows of a ``GeneralLP``, and
+tests require that the package's LP is its ``equality_form``: the same
+integer rows of A, slack columns included, and the same values of the
+right-hand side and the objective.
 
 ``full_grid_lp`` states the order with more rows: the mass row, the mean
 row, and one integrated-cdf row per interior candidate rather than per prior
@@ -25,12 +27,12 @@ maximizes.
 
 from fractions import Fraction
 
-from mpcmix import lp, persuasion
+from mpcmix import persuasion
 from mpcmix.errors import CdfError, DomainError
 from mpcmix.linalg import integer_row
 
 from cases import integrated_cdf, mean
-from lp_fraction_reference import standard_form
+from lp_fraction_reference import GeneralLP, standard_form
 
 
 def knots(fn) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -72,7 +74,7 @@ def knots_json(fn) -> dict:
     return {"knots": [[str(x), str(y)] for x, y in knots(fn)]}
 
 
-def _lp(utility, candidates, rows, rhs, senses) -> lp.StandardFormLP:
+def _lp(utility, candidates, rows, rhs, senses) -> GeneralLP:
     return standard_form((evaluate(utility, c) for c in candidates), rows, rhs, senses)
 
 
@@ -81,7 +83,7 @@ def _cdf_row(candidates, point):
     return tuple(max(point - c, Fraction(0)) for c in candidates)
 
 
-def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
+def persuasion_lp(source, utility, candidates) -> GeneralLP:
     """``solve_linear_persuasion``'s LP on the checked ``candidates``, a tuple of ``Fraction``.
 
     Column j is q_j. Row i - 2 bounds the integrated cdf at the prior atom
@@ -98,7 +100,7 @@ def persuasion_lp(source, utility, candidates) -> lp.StandardFormLP:
     )
 
 
-def full_grid_lp(source, utility, candidates) -> lp.StandardFormLP:
+def full_grid_lp(source, utility, candidates) -> GeneralLP:
     """The weight LP with the mass row, the mean row unless the prior is one
     atom, and an order row at every interior candidate."""
     rows, rhs = [(Fraction(1),) * len(candidates)], [Fraction(1)]

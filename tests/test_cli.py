@@ -333,17 +333,24 @@ PERSUASION_GRID = sorted(set(PRIOR.atoms) | set(TARGET.atoms))
 
 
 def _unbounded(solve, problem, start):
-    # The mass row bounds every weight, so an unbounded weight LP can only
-    # come from a broken solver.
-    return lp.LPOutcome("unbounded")
+    # The mass row bounds every weight, so only a broken build makes the
+    # weight LP unbounded: here one more column, 0 in every row and worth 1,
+    # after the 6 weights and the interior atom's slack.
+    scale, objective = problem.objective
+    rows = tuple((s, [*ints, 0]) for s, ints in problem.constraint_matrix._integer_rows)
+    return solve(lp.StandardFormLP((scale, [*objective, scale]), linalg.Matrix._trusted(rows), problem.rhs), start=start)
 
 
 def _non_vertex(solve, problem, start):
     # TARGET is a feasible 4-atom contraction of the 3-atom PRIOR. By the
     # paper's theorem it is a mixture of smaller ones, so it is no vertex.
     weights = dict(zip(TARGET.atoms, TARGET.weights))
-    solution = tuple(weights.get(c, Fraction(0)) for c in PERSUASION_GRID)
-    return lp.LPOutcome("optimal", solution, sum(u * q for u, q in zip(fractions_of(problem.objective), solution)))
+    q = [weights.get(c, Fraction(0)) for c in PERSUASION_GRID]
+    # The interior atom's row keeps the rest of its bound in its slack.
+    slack = fractions_of(problem.rhs)[0] - sum(a * x for a, x in zip(problem.constraint_matrix.entries[0], q))
+    solution = (*q, slack)
+    value = sum(u * x for u, x in zip(fractions_of(problem.objective), solution))
+    return lp.LPOutcome(linalg.integer_row(solution), value, pivots=0)
 
 
 def _wrong_value(solve, problem, start):
@@ -354,7 +361,7 @@ def _wrong_value(solve, problem, start):
 @pytest.mark.parametrize(
     "broken_solve, message",
     [
-        (_unbounded, "persuasion LP came back unbounded"),
+        (_unbounded, "LP is unbounded along column 7"),
         (_non_vertex, "persuasion LP optimum is not a vertex: 4 atoms on a 3-atom prior"),
         (_wrong_value, "persuasion LP value differs from the optimum's expected utility"),
     ],

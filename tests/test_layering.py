@@ -1,11 +1,13 @@
 """The package's layering, read from each module's relative imports."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import mpcmix
+from mpcmix.lp import StandardFormLP
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mpcmix"
 
@@ -87,6 +89,18 @@ def test_only_the_basis_state_eliminates():
 
 def test_only_persuasion_solves_an_lp():
     assert [c for c in callers("solve") if not c.startswith("lp.")] == ["persuasion._solve_on_grid"]
+
+
+def test_the_lp_is_stated_in_equality_form():
+    # Every row is an equation: an inequality states its own slack column.
+    assert [f.name for f in dataclasses.fields(StandardFormLP)] == ["objective", "constraint_matrix", "rhs"]
+
+
+def test_the_lp_makes_one_fraction_and_returns_an_integer_row():
+    # The value is the one Fraction; the solution is an integer row, which
+    # the persuasion solve reads as the target's weights without converting it.
+    assert [c for c in callers("Fraction") if c.startswith("lp.")] == ["lp._Tableau.solve"]
+    assert "persuasion._solve_on_grid" not in callers("integer_row")
 
 
 def test_the_persuasion_solve_decides_no_order():

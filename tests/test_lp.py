@@ -20,9 +20,18 @@ from mpcmix.lp import LPOutcome, StandardFormLP, solve
 
 from cases import PRIOR, TARGET, dist, mean, point_mass
 
-from lp_fraction_reference import fractions_of, reference_solve, standard_form
+from lp_fraction_reference import (
+    Outcome,
+    equality_form,
+    fractions_of,
+    general_form,
+    real_outcome,
+    reference_outcome,
+    reference_solve,
+    standard_form,
+)
 from lp_oracle import oracle_solve, oracle_status
-from persuasion_lp_reference import full_grid_lp, knots, weight_lp
+from persuasion_lp_reference import full_grid_lp, knots, persuasion_lp, weight_lp
 from random_instances import perturb_mean, random_lp, random_piecewise_linear, random_smpc
 
 
@@ -127,15 +136,10 @@ class TestSolve:
             assert out.pivots <= 2 * comb(width, rows)
 
     def test_dimension_validation(self):
-        with pytest.raises(DimensionError):
-            lp([1, 2], [[1]], [1], ["le"])
-        with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
-            lp([1], [[1]], [1, 2], ["le"])
-        with pytest.raises(DimensionError, match="^rhs/senses length does not match row count$"):
-            lp([1], [[1]], [1], ["le", "eq"])
-        for sense in ("lt", "ge"):
-            with pytest.raises(ValueError, match=f"^unknown sense '{sense}'$"):
-                lp([1], [[1]], [1], [sense])
+        with pytest.raises(DimensionError, match="^objective length does not match variable count$"):
+            StandardFormLP((1, [1, 2]), Matrix.from_rows([[1]]), (1, [1]))
+        with pytest.raises(DimensionError, match="^rhs length does not match row count$"):
+            StandardFormLP((1, [1]), Matrix.from_rows([[1]]), (1, [1, 2]))
 
 
 class TestStandardForm:
@@ -143,18 +147,18 @@ class TestStandardForm:
 
     @staticmethod
     def problem(objective=(2, [1, 3]), rhs=(3, [1])):
-        return StandardFormLP(objective, Matrix.from_rows([["1/2", "1"]]), rhs, ("le",))
+        return StandardFormLP(objective, Matrix.from_rows([["1/2", "1"]]), rhs)
 
     def test_rows_are_read_over_their_scales(self):
-        # max x/2 + 3y/2  s.t.  x/2 + y <= 1/3: y = 1/3.
-        assert solve_lp(self.problem(), [1]) == LPOutcome("optimal", (0, Fraction(1, 3)), Fraction(1, 2), pivots=1)
+        # max x/2 + 3y/2  s.t.  x/2 + y = 1/3: y = 1/3, the solution (0, 1/3) as an integer row.
+        assert solve_lp(self.problem(), [1]) == LPOutcome((3, [0, 1]), Fraction(1, 2), pivots=1)
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
     def test_the_column_count_is_the_objective_length(self, nvars):
         # An objective is a pair whatever its length; its ints give the column count.
-        problem = lp([1] * nvars, [[1] * nvars], [1], ["eq"])
-        assert lp_module._Tableau(problem).n_original == nvars
-        assert solve_lp(problem, [0]) == LPOutcome("optimal", (1,) + (0,) * (nvars - 1), 1, pivots=1)
+        problem = equality_form(lp([1] * nvars, [[1] * nvars], [1], ["eq"]))
+        assert len(lp_module._Tableau(problem).costs) == nvars
+        assert solve_lp(problem, [0]) == LPOutcome((1, [1] + [0] * (nvars - 1)), 1, pivots=1)
 
     @pytest.mark.parametrize(
         "objective, rhs, message",
@@ -280,19 +284,20 @@ def _seeded_persuasion():
         solve_linear_persuasion(source, u, sorted(set(source.atoms) | {x for x, _ in knots(u)}))
 
 
-def _outcome_or_error(solve, problem, start):
-    try:
-        return solve(problem, start)
-    except InternalError as err:
-        return str(err)
+def assert_same(problem, start):
+    """``mpcmix.lp`` on ``equality_form(problem)`` and the reference on ``problem`` agree.
+
+    Pivot counts, values and the solution on ``problem``'s own columns are
+    equal, and a bad start or an unbounded column is the same ``InternalError``
+    message. Returns the outcome.
+    """
+    out = real_outcome(problem, start)
+    assert out == reference_outcome(problem, start)
+    return out
 
 
 class TestMatchesTheFractionTableau:
     """The integer tableau makes the rational tableau's pivots: equal outcomes, pivot counts included."""
-
-    def assert_same(self, runs):
-        for problem, start in runs:
-            assert solve_lp(problem, start) == reference_solve(problem, start)
 
     def test_random_instances(self):
         # Random starts on random programs, one column per row: most are
@@ -306,15 +311,15 @@ class TestMatchesTheFractionTableau:
             width = len(problem.objective[1]) + problem.senses.count("le")
             for _ in range(10):
                 start = [rng.randrange(width) for _ in range(rows)]
-                out = _outcome_or_error(solve_lp, problem, start)
-                assert out == _outcome_or_error(reference_solve, problem, start)
-                seen.add(out.status if isinstance(out, LPOutcome) else out.split(" (")[0].split(" at ")[0])
+                out = assert_same(problem, start)
+                seen.add(out.status if isinstance(out, Outcome) else out.split(" (")[0].split(" at ")[0])
         assert seen == {"optimal", "starting pivot", "starting basis has a negative level"}
 
     def test_persuasion_programs(self, monkeypatch):
         runs = _recorded_lps(monkeypatch, _seeded_persuasion)
         assert len(runs) == 40
-        self.assert_same(runs)
+        for problem, start in runs:
+            assert_same(general_form(problem), start)
 
     def test_large_coprime_denominators(self):
         # The second row is 5/1000037 x1 + ... >= 1/999953, stated as <=.
@@ -330,9 +335,7 @@ class TestMatchesTheFractionTableau:
         )
         # x1 on the first row and the other two rows on their slacks.
         start = [0, 4, 5]
-        out = solve_lp(problem, start)
-        assert out == reference_solve(problem, start)
-        assert out.solution == (Fraction(999983, 1000039), 0, 0)
+        assert assert_same(problem, start).solution == (Fraction(999983, 1000039), 0, 0)
 
     def test_rank_deficient_equalities_expel_artificials(self):
         # The third row is the sum of the first two. The reference's phase 1
@@ -351,21 +354,20 @@ class TestMatchesTheFractionTableau:
             [Fraction(-2, 3), 0, Fraction(-2, 3)],
             ["eq", "eq", "eq"],
         )
-        assert reference_solve(problem) == LPOutcome("optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2)
+        assert reference_solve(problem) == Outcome("optimal", (Fraction(1, 3), 0, 0, 0), Fraction(1, 3), pivots=2)
         for start, message in [
             ([2, 3], "starting basis has length 2, not the row count 3"),
-            ([2, 3, 0], r"starting pivot \(2, 0\) is not positive"),
+            ([2, 3, 0], "starting pivot (2, 0) is not positive"),
         ]:
-            for solver in (solve_lp, reference_solve):
-                with pytest.raises(InternalError, match=f"^{message}$"):
-                    solver(problem, start)
+            assert assert_same(problem, start) == message
 
     def test_unbounded_program(self):
         # max x s.t. x - y = 1: x = 1 is a vertex, and x grows with y without bound.
         problem = lp([1, 0], [[1, -1]], [1], ["eq"])
-        out = solve_lp(problem, [0])
-        assert out == reference_solve(problem, [0])
-        assert out == LPOutcome("unbounded", pivots=1)
+        assert reference_solve(problem, [0]) == Outcome("unbounded", pivots=1, column=1)
+        with pytest.raises(InternalError, match=r"^LP is unbounded along column 1$"):
+            solve_lp(equality_form(problem), [0])
+        assert assert_same(problem, [0]) == "LP is unbounded along column 1"
 
 
 def _pwl(*knots):
@@ -384,6 +386,11 @@ def _grid_probe_instance(m):
 def _grid_probe(m):
     """The weight LP of ``_grid_probe_instance(m)`` and its full-disclosure start."""
     return weight_lp(*_grid_probe_instance(m))
+
+
+def _phase_1(source, utility, candidates):
+    """The reference's phase 1 on the weight LP, stated with ``le`` rows."""
+    return reference_solve(persuasion_lp(source, utility, tuple(Fraction(c) for c in candidates)))
 
 
 class TestFullDisclosureStart:
@@ -416,19 +423,18 @@ class TestFullDisclosureStart:
         weights = dict(zip(source.atoms, source.weights))
         grid = [Fraction(c) for c in candidates]
         assert levels == {j: weights[c] for j, c in enumerate(grid) if c in weights}
-        out = solve_lp(problem, start)
-        assert out == reference_solve(problem, start)
-        assert out.value == reference_solve(problem).value
+        out = assert_same(general_form(problem), start)
+        assert out.value == _phase_1(source, utility, candidates).value
 
     @pytest.mark.parametrize("atom", ["0", "1/2"])
     def test_a_one_atom_prior_has_the_mass_row_alone(self, atom):
         problem, start = weight_lp(point_mass(atom), _pwl(("0", "1"), ("1", "2")), [atom])
+        # The mass row, with no slack column.
         assert problem.constraint_matrix._integer_rows == ((1, [1]),)
         assert fractions_of(problem.rhs) == (1,)
-        assert problem.senses == ("eq",)
         assert start == [0]
         value = 1 + Fraction(atom)
-        assert solve_lp(problem, start) == LPOutcome("optimal", (1,), value, pivots=1)
+        assert solve_lp(problem, start) == LPOutcome((1, [1]), value, pivots=1)
 
     def test_interior_rows_take_the_interior_atoms(self):
         prior = dist(["0", "1/4", "1/2", "1"], ["1/4", "1/4", "1/4", "1/4"])
@@ -437,22 +443,23 @@ class TestFullDisclosureStart:
         # Atoms at candidates 0, 2, 4 and 6. The rows of 1/4, 1/2 and 1
         # pivot on the atom below each, and the mass row on the top atom.
         assert start == [0, 2, 4, 6]
-        assert problem.constraint_matrix.entries[:3] == (
-            tuple(Fraction(x) for x in ("1/4", "1/8", "0", "0", "0", "0", "0")),
-            tuple(Fraction(x) for x in ("1/2", "3/8", "1/4", "1/8", "0", "0", "0")),
-            tuple(Fraction(x) for x in ("1", "7/8", "3/4", "5/8", "1/2", "1/4", "0")),
+        # The rows of 1/4 and 1/2 have a unit slack column each, after the
+        # weights; the top atom's row and the mass row have none.
+        assert problem.constraint_matrix.entries == (
+            tuple(Fraction(x) for x in ("1/4", "1/8", "0", "0", "0", "0", "0", "1", "0")),
+            tuple(Fraction(x) for x in ("1/2", "3/8", "1/4", "1/8", "0", "0", "0", "0", "1")),
+            tuple(Fraction(x) for x in ("1", "7/8", "3/4", "5/8", "1/2", "1/4", "0", "0", "0")),
+            tuple(Fraction(x) for x in ("1", "1", "1", "1", "1", "1", "1", "0", "0")),
         )
         assert fractions_of(problem.rhs) == (Fraction(1, 16), Fraction(3, 16), Fraction(9, 16), 1)
-        assert problem.senses == ("le", "le", "eq", "eq")
+        assert fractions_of(problem.objective)[7:] == (0, 0)
 
     def test_zero_pivot_entry_is_an_internal_error(self):
         # The top atom's row is 1 q_1 + 0 q_2 = 1/4.
         problem, _ = weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "1"), ("1", "2")), ["0", "1"])
-        message = r"^starting pivot \(0, 1\) is not positive$"
-        with pytest.raises(InternalError, match=message):
+        with pytest.raises(InternalError, match=r"^starting pivot \(0, 1\) is not positive$"):
             solve_lp(problem, [1, 0])
-        with pytest.raises(InternalError, match=message):
-            reference_solve(problem, [1, 0])
+        assert assert_same(general_form(problem), [1, 0]) == "starting pivot (0, 1) is not positive"
 
     @pytest.mark.parametrize(
         "start",
@@ -468,9 +475,7 @@ class TestFullDisclosureStart:
     )
     def test_a_nonpositive_pivot_is_an_internal_error(self, start):
         problem, _ = weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "1"), ("1", "2")), ["0", "1/2", "1"])
-        for solver in (solve_lp, reference_solve):
-            with pytest.raises(InternalError, match=r"^starting pivot \(1, 0\) is not positive$"):
-                solver(problem, start)
+        assert assert_same(general_form(problem), start) == "starting pivot (1, 0) is not positive"
 
     @pytest.mark.parametrize(
         "problem, start, message",
@@ -483,7 +488,9 @@ class TestFullDisclosureStart:
             ),
             # Weights on 0 and 1/2 with mean 3/4: q_1 = -1/2.
             (
-                weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1/2", "1"])[0],
+                general_form(
+                    weight_lp(dist(["0", "1"], ["1/4", "3/4"]), _pwl(("0", "0"), ("1", "1")), ["0", "1/2", "1"])[0]
+                ),
                 [0, 1],
                 "has a negative level at row 0",
             ),
@@ -491,11 +498,7 @@ class TestFullDisclosureStart:
         ids=["negative slack", "negative weight"],
     )
     def test_infeasible_start_is_an_internal_error(self, problem, start, message):
-        message = f"^starting basis {message}$"
-        with pytest.raises(InternalError, match=message):
-            solve_lp(problem, start)
-        with pytest.raises(InternalError, match=message):
-            reference_solve(problem, start)
+        assert assert_same(problem, start) == f"starting basis {message}"
 
     @pytest.mark.parametrize(
         "problem, start",
@@ -507,11 +510,7 @@ class TestFullDisclosureStart:
         ids=["no pivot", "slack row"],
     )
     def test_a_row_without_a_start_pivot_is_an_internal_error(self, problem, start):
-        message = f"^starting basis has length {len(start)}, not the row count 2$"
-        with pytest.raises(InternalError, match=message):
-            solve_lp(problem, start)
-        with pytest.raises(InternalError, match=message):
-            reference_solve(problem, start)
+        assert assert_same(problem, start) == f"starting basis has length {len(start)}, not the row count 2"
 
     def test_persuasion_runs_one_simplex_phase(self, monkeypatch):
         runs = []
@@ -538,14 +537,14 @@ class TestFullDisclosureStart:
             extra = {lo + (hi - lo) * Fraction(rng.randint(1, 9), 10) for _ in range(rng.randint(0, 4))}
             candidates = sorted(set(source.atoms) | {x for x, _ in knots(u)} | extra)
             problem, start = weight_lp(source, u, candidates)
-            started, phase_1 = solve_lp(problem, start), reference_solve(problem)
-            assert started.status == phase_1.status == "optimal"
+            started, phase_1 = solve_lp(problem, start), _phase_1(source, u, candidates)
+            assert phase_1.status == "optimal"
             assert started.value == phase_1.value
-            assert sum(1 for q in started.solution if q) <= n
+            assert sum(1 for q in started.solution[1][: len(candidates)] if q) <= n
 
     def test_grid_probe_pivots(self):
         problem, start = _grid_probe(41)
-        started, phase_1 = solve_lp(problem, start), reference_solve(problem)
+        started, phase_1 = solve_lp(problem, start), _phase_1(*_grid_probe_instance(41))
         assert phase_1.pivots == 60
         assert started.pivots <= 25
         # With an order row at every interior candidate, phase 1 took 87 pivots.
@@ -556,20 +555,16 @@ class TestFullDisclosureStart:
     def test_grid_probe_rows_do_not_grow_with_the_grid(self):
         problem, start = _grid_probe(321)
         assert problem.constraint_matrix.rows == 5
-        started = solve_lp(problem, start)
-        assert started.status == "optimal"
-        assert started.pivots <= 40
+        assert solve_lp(problem, start).pivots <= 40
 
 
 def _fraction_reduced_costs(problem, basis):
-    """c - c_B B^-1 A over the columns of A and one slack per ``le`` row, in ``Fraction``s.
+    """c - c_B B^-1 A over the columns of A, in ``Fraction``s.
 
     y = c_B B^-1 comes from Gauss-Jordan elimination on B^T y = c_B.
     """
-    senses = problem.senses
-    slacks = [tuple(Fraction(i == r) for i in range(len(senses))) for r, sense in enumerate(senses) if sense == "le"]
-    columns = [*zip(*problem.constraint_matrix.entries), *slacks]
-    c = [*fractions_of(problem.objective), *[Fraction(0)] * len(slacks)]
+    columns = [*zip(*problem.constraint_matrix.entries)]
+    c = fractions_of(problem.objective)
     system = [[*columns[b], c[b]] for b in basis]
     size = len(system)
     for i in range(size):
@@ -602,7 +597,7 @@ class TestReducedCostRow:
     @staticmethod
     def assert_optimal_costs(problem, start):
         tableau = lp_module._Tableau(problem)
-        assert tableau.solve(start).status == "optimal"
+        tableau.solve(start)
         costs = tableau.costs
         assert len(costs) == len(tableau.rows[0]) - 1
         assert all(costs[b] == 0 for b in tableau.basis)
@@ -623,14 +618,16 @@ class TestReducedCostRow:
         rng = Random(61)
         optimal = 0
         for _ in range(80):
-            problem = random_lp(rng)
-            width = len(problem.objective[1]) + problem.senses.count("le")
+            problem = equality_form(random_lp(rng))
+            width = len(problem.objective[1])
             for _ in range(10):
                 start = [rng.randrange(width) for _ in range(problem.constraint_matrix.rows)]
-                out = _outcome_or_error(solve_lp, problem, start)
-                if isinstance(out, LPOutcome) and out.status == "optimal":
-                    self.assert_optimal_costs(problem, start)
-                    optimal += 1
+                try:
+                    solve_lp(problem, start)
+                except InternalError:
+                    continue
+                self.assert_optimal_costs(problem, start)
+                optimal += 1
         assert optimal >= 20
 
     def test_the_start_prices_out_its_columns(self):

@@ -29,7 +29,14 @@ from cases import (
     point_mass,
     worked_triple,
 )
-from lp_fraction_reference import fractions_of, reference_solve
+from lp_fraction_reference import (
+    equality_form,
+    fractions_of,
+    general_form,
+    real_outcome,
+    reference_outcome,
+    reference_solve,
+)
 from lp_oracle import garbling_persuasion_value
 import persuasion_lp_reference as reference
 from random_instances import random_piecewise_linear, random_smpc
@@ -373,7 +380,8 @@ class TestSolveLinearPersuasion:
         # value u(a_1): a vertex whose value checks, but no contraction. The
         # solve decides no order, so the left-curtain builder refuses it.
         u = pwl([("0", "1"), ("1/2", "0"), ("1", "1")])
-        outcome = lp.LPOutcome("optimal", (Fraction(1), Fraction(0), Fraction(0)), Fraction(1))
+        # The three weights, then the slack of the one interior atom's row.
+        outcome = lp.LPOutcome((1, [1, 0, 0, 0]), Fraction(1), pivots=3)
         monkeypatch.setattr(lp, "solve", lambda problem, *, start: outcome)
         message = "^no shadow window for the target atom at 0: every window's mean is above it$"
         with pytest.raises(InternalError, match=message):
@@ -528,19 +536,20 @@ class TestWeightProgramMatchesTheGarblingProgram:
 
 
 def _assert_same_lp(source, utility, candidates):
-    """The integer-sweep build and the ``Fraction`` reference make one LP, of n rows, and one solve.
+    """The integer-sweep build is the equality form of the ``Fraction`` reference's LP, of n rows,
+    and its solve makes the reference's pivots on that LP.
 
     ``Matrix._trusted`` checks nothing, so equal integer rows are what keep
     the sweep's rows canonical.
     """
     built, start = reference.weight_lp(source, utility, candidates)
     expected = reference.persuasion_lp(source, utility, tuple(Fraction(c) for c in candidates))
-    assert built.constraint_matrix._integer_rows == expected.constraint_matrix._integer_rows
-    assert fractions_of(built.rhs) == fractions_of(expected.rhs)
-    assert fractions_of(built.objective) == fractions_of(expected.objective)
-    assert built.senses == expected.senses
+    stated = equality_form(expected)
+    assert built.constraint_matrix._integer_rows == stated.constraint_matrix._integer_rows
+    assert fractions_of(built.rhs) == fractions_of(stated.rhs)
+    assert fractions_of(built.objective) == fractions_of(stated.objective)
     assert built.constraint_matrix.rows == len(start) == len(source.atoms)
-    assert lp.solve(built, start=start) == lp.solve(expected, start=start)
+    assert real_outcome(expected, start) == reference_outcome(expected, start)
 
 
 class TestIntegerSweepBuild:
@@ -613,7 +622,8 @@ def test_started_solve_matches_the_fraction_tableau(problem):
     source, utility, cdf, candidates = problem
     for u, grid in ((utility, candidates), (cdf, _merged_grid(source, cdf, candidates))):
         weight_lp, start = reference.weight_lp(source, u, grid)
-        assert lp.solve(weight_lp, start=start) == reference_solve(weight_lp, start)
+        problem = general_form(weight_lp)
+        assert real_outcome(problem, start) == reference_outcome(problem, start)
 
 
 class TestPriorAtomRows:
@@ -636,11 +646,12 @@ class TestPriorAtomRows:
             assert problem.constraint_matrix.rows == len(source.atoms)
             full = reference.full_grid_lp(source, u, candidates)
             rows, full_grid = lp.solve(problem, start=start), reference_solve(full)
-            assert rows.status == full_grid.status == "optimal"
+            assert full_grid.status == "optimal"
             assert rows.value == full_grid.value
             # The optimum of the fewer rows satisfies every row of the full grid.
+            weights = fractions_of(rows.solution)[: len(candidates)]
             for row, b, sense in zip(full.constraint_matrix.entries, fractions_of(full.rhs), full.senses):
-                lhs = sum(a * q for a, q in zip(row, rows.solution))
+                lhs = sum(a * q for a, q in zip(row, weights))
                 assert lhs == b if sense == "eq" else lhs <= b
 
 
